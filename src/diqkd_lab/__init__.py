@@ -2,7 +2,7 @@
 
 Subpackages by layer:
 
-* :mod:`diqkd_lab.qstate` — density operators, POVMs, channels, Born rule.
+* :mod:`diqkd_lab.qstate` — density operators, POVMs, Born rule.
 * :mod:`diqkd_lab.bellcert` — Bell functionals, local bounds, detection
   loopholes, critical efficiencies.
 * :mod:`diqkd_lab.photonics` — Fock-space optics: sources, beamsplitters,
@@ -56,7 +56,6 @@ from diqkd_lab.photonics import (
 from diqkd_lab.qstate import (
     CorrelationTable,
     DensityOperator,
-    KrausChannel,
     Povm,
     bell_state,
     born_table,
@@ -69,7 +68,6 @@ __all__ = [
     "CorrelationTable",
     "DensityOperator",
     "DetectorModel",
-    "KrausChannel",
     "ModeMixture",
     "ModeState",
     "Povm",

@@ -372,18 +372,39 @@ def _lossy(state: AnyModeState, modes: Sequence[int], transmission: float) -> An
     return state
 
 
+def _detector(scenario: Scenario) -> DetectorModel:
+    """The threshold detector shared by every station of the link."""
+    return DetectorModel(
+        efficiency=scenario.detector_efficiency,
+        dark_count_prob=scenario.dark_count_prob,
+    )
+
+
+def _swap_link(scenario: Scenario, n_max: int) -> AnyModeState:
+    """Both third_party sources, halves in flight attenuated, before the swap.
+
+    Alice keeps modes (0, 1) of her pair and Bob modes (6, 7) of his; the
+    travelling halves (2, 3) and (4, 5) each cross half the distance to the
+    station.  Sources are truncated to single-pair emission.
+    """
+    left = _pair_state(scenario, n_max, n_pair_max=1)
+    # Swap the right source's halves so its travelling modes come first:
+    # global layout (aH aV | c1H c1V c2H c2V | bH bV).
+    right = permute_modes(_pair_state(scenario, n_max, n_pair_max=1), (2, 3, 0, 1))
+    half_t = distance_to_transmission(
+        scenario.distance_km / 2.0, scenario.attenuation_db_per_km
+    )
+    return _lossy(tensor_modes(left, right), (2, 3, 4, 5), half_t)
+
+
 def _measure(
     state: AnyModeState,
     scenario: Scenario,
     alice_modes: tuple[int, int] = (0, 1),
     bob_modes: tuple[int, int] = (2, 3),
 ) -> CorrelationTable:
-    detector = DetectorModel(
-        efficiency=scenario.detector_efficiency,
-        dark_count_prob=scenario.dark_count_prob,
-    )
     return polarization_correlation_table(
-        state, alice_modes, bob_modes, ALICE_ANGLES, BOB_ANGLES, detector
+        state, alice_modes, bob_modes, ALICE_ANGLES, BOB_ANGLES, _detector(scenario)
     )
 
 
@@ -454,15 +475,11 @@ def run_local_heralding(scenario: Scenario) -> RunResult:
     state = _depolarize_pair(state, 2, 3, scenario.node_fidelity)
     arm_t = distance_to_transmission(scenario.distance_km, scenario.attenuation_db_per_km)
     state = _lossy(state, (2, 3), arm_t)
-    detector = DetectorModel(
-        efficiency=scenario.detector_efficiency,
-        dark_count_prob=scenario.dark_count_prob,
-    )
     record = qubit_amplifier(
         state,
         (2, 3),
         scenario.amplifier_transmission,
-        detector=detector,
+        detector=_detector(scenario),
         ancilla_pair_prob=scenario.pair_prob if scenario.pair_prob > 0 else None,
     )
     if record.conditional_state is None:
@@ -487,28 +504,8 @@ def run_third_party(scenario: Scenario) -> RunResult:
     separately by the photonics layer.
     """
     n_max = _n_max(scenario)
-    # Modes: Alice keeps (0, 1); (2, 3) travel to the station.
-    left = _pair_state(scenario, n_max, n_pair_max=1)
-    # Right source: Bob keeps (2, 3) of his own pair; (0, 1) travel.  Build
-    # then concatenate: global modes (aH aV c1H c1V c2H c2V bH bV).
-    if scenario.pair_prob == 0.0:
-        right: AnyModeState = polarization_singlet(n_max)
-    else:
-        right = spdc_source(scenario.pair_prob, n_pair_max=1, n_max=n_max)
-    right = _depolarize_pair(right, 2, 3, scenario.node_fidelity)
-    # Swap the right source's halves so its travelling modes come first:
-    # global layout (aH aV | c1H c1V c2H c2V | bH bV).
-    right = permute_modes(right, (2, 3, 0, 1))
-    state = tensor_modes(left, right)
-    half_t = distance_to_transmission(
-        scenario.distance_km / 2.0, scenario.attenuation_db_per_km
-    )
-    state = _lossy(state, (2, 3, 4, 5), half_t)
-    detector = DetectorModel(
-        efficiency=scenario.detector_efficiency,
-        dark_count_prob=scenario.dark_count_prob,
-    )
-    bsm = bell_state_measurement(state, (2, 3), (4, 5), detector)
+    state = _swap_link(scenario, n_max)
+    bsm = bell_state_measurement(state, (2, 3), (4, 5), _detector(scenario))
     # Remaining modes: (aH, aV, bH, bV).
     merged: list[tuple[float, ModeState]] = []
     herald = 0.0
@@ -591,23 +588,8 @@ def charlie_independence_residual(
         raise ValueError("independence check applies to the third_party architecture")
     if settings is None:
         settings = [(x, y) for x in range(len(ALICE_ANGLES)) for y in range(len(BOB_ANGLES))]
-    n_max = _n_max(scenario)
-    left = _pair_state(scenario, n_max, n_pair_max=1)
-    if scenario.pair_prob == 0.0:
-        right: AnyModeState = polarization_singlet(n_max)
-    else:
-        right = spdc_source(scenario.pair_prob, n_pair_max=1, n_max=n_max)
-    right = _depolarize_pair(right, 2, 3, scenario.node_fidelity)
-    right = permute_modes(right, (2, 3, 0, 1))
-    state = tensor_modes(left, right)
-    half_t = distance_to_transmission(
-        scenario.distance_km / 2.0, scenario.attenuation_db_per_km
-    )
-    state = _lossy(state, (2, 3, 4, 5), half_t)
-    detector = DetectorModel(
-        efficiency=scenario.detector_efficiency,
-        dark_count_prob=scenario.dark_count_prob,
-    )
+    state = _swap_link(scenario, _n_max(scenario))
+    detector = _detector(scenario)
     herald_probs = []
     for x, y in settings:
         rotated = polarization_rotation(state, 0, 1, ALICE_ANGLES[x])

@@ -22,7 +22,7 @@ correlators have the closed form::
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.optimize import minimize
@@ -31,8 +31,6 @@ from diqkd_lab.qstate import (
     CorrelationTable,
     DensityOperator,
     DimensionMismatchError,
-    Povm,
-    StateValidationError,
     born_table,
     inefficient_qubit_povm,
     projective_qubit_povm,
@@ -606,9 +604,7 @@ def _attack_result(eta: float, weights: np.ndarray) -> AttackResult:
     )
 
 
-def loophole_attack(
-    eta: float, *, extra_starts: Sequence[np.ndarray] = (), polish: bool = True
-) -> AttackResult:
+def loophole_attack(eta: float) -> AttackResult:
     """Maximize post-selected CHSH over classical strategies with no-clicks.
 
     Models an adversary who builds devices from deterministic local
@@ -619,100 +615,40 @@ def loophole_attack(
     algebraic maximum 4 once ``eta <= 3/4``.  At ``eta = 1`` refusals are
     impossible and the attack collapses to the local bound 2.
 
-    The search mixes a hand-built optimal ensemble with multistart
-    sequential quadratic programming over the full 81-dimensional mixture,
-    constrained to per-input click probabilities of at least ``eta``.
+    The optimum is the closed form ``min(4, 2 / (2 eta - 1))``, reached by
+    the hand-built ensemble of :func:`_candidate_ensemble`.  No ensemble
+    does better: with per-input click rates ``p_A, p_B >= eta``, the chance
+    that Alice clicks given that Bob clicked is at least
+    ``(p_A + p_B - 1) / p_B >= (2 eta - 1) / eta = eta_c``, and Larsson's
+    bound for local models with conditional efficiency ``eta_c``
+    (Phys. Rev. A 57, 3304 (1998)) caps post-selected CHSH at
+    ``4 / eta_c - 2 = 2 / (2 eta - 1)``.  The algebraic maximum 4 caps it
+    for ``eta <= 3/4``.
 
     Args:
         eta: Required click probability per party and input, in ``(0, 1]``.
-        extra_starts: Additional weight vectors to seed the optimizer
-            (used by :func:`loophole_attack_curve` for warm-starting).
-        polish: When False, skip the numerical search and report the best
-            seed ensemble (fast path for coarse curves).
 
     Returns:
         An :class:`AttackResult`; ``chsh`` is a feasible (achievable) value.
     """
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
-    if eta == 1.0:
-        # Every strategy must always click; the best mixture is a
-        # deterministic local point reaching the local bound exactly.
-        return _attack_result(1.0, _candidate_ensemble(1.0))
-
-    n = _N_STRAT * _N_STRAT
-    seeds = [_candidate_ensemble(eta)]
-    seeds.extend(np.clip(np.asarray(s, dtype=float), 0.0, None) for s in extra_starts)
-    seeds.append(np.full(n, 1.0 / n))
-    best_w = max(seeds, key=lambda w: _postselected_chsh(w / w.sum()))
-    best_w = best_w / best_w.sum()
-    if not polish:
-        return _attack_result(eta, best_w)
-
-    constraints = [
-        {"type": "eq", "fun": lambda w: w.sum() - 1.0},
-        {"type": "ineq", "fun": lambda w: _CLICK_A.T @ w - eta},
-        {"type": "ineq", "fun": lambda w: _CLICK_B.T @ w - eta},
-        {"type": "ineq", "fun": lambda w: _COIN.T @ w - _MIN_COINCIDENCE},
-    ]
-    best_val = _postselected_chsh(best_w)
-    for seed in seeds:
-        seed = seed / seed.sum()
-        res = minimize(
-            lambda w: -_postselected_chsh(w),
-            seed,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * n,
-            constraints=constraints,
-            options={"maxiter": 300, "ftol": 1e-12},
-        )
-        if not res.success:
-            continue
-        w = np.clip(res.x, 0.0, None)
-        total = w.sum()
-        if total <= 0:
-            continue
-        w = w / total
-        # Feasibility check: only accept ensembles that truly meet the
-        # required click rates (SLSQP can return slightly violating points).
-        if np.min(_CLICK_A.T @ w) < eta - 1e-9 or np.min(_CLICK_B.T @ w) < eta - 1e-9:
-            continue
-        val = _postselected_chsh(w)
-        if val > best_val:
-            best_val, best_w = val, w
-    return _attack_result(eta, best_w)
+    return _attack_result(eta, _candidate_ensemble(eta))
 
 
-def loophole_attack_curve(etas: Sequence[float], *, polish: bool = True) -> list[AttackResult]:
-    """Attack strength across efficiencies, guaranteed monotone non-increasing.
+def loophole_attack_curve(etas: Sequence[float]) -> list[AttackResult]:
+    """Attack strength across efficiencies, one :func:`loophole_attack` each.
 
-    Efficiencies are processed from high to low, warm-starting each search
-    with every ensemble found so far; because any ensemble feasible at a
-    higher ``eta`` stays feasible at a lower one, the reported values can
-    only grow as ``eta`` drops.
+    The closed-form optimum never rises as ``eta`` grows, so the curve is
+    monotone non-increasing in ``eta`` without any carry between points.
 
     Args:
         etas: Efficiencies in ``(0, 1]``, any order.
-        polish: Forwarded to :func:`loophole_attack`.
 
     Returns:
         Results aligned with the input order.
     """
-    order = np.argsort(np.asarray(etas, dtype=float))[::-1]
-    results: dict[int, AttackResult] = {}
-    warm: list[np.ndarray] = []
-    best_so_far = -np.inf
-    for idx in order:
-        res = loophole_attack(float(etas[idx]), extra_starts=warm, polish=polish)
-        # Warm starts make the optimum monotone; enforce it exactly by
-        # carrying forward the best ensemble seen so far.
-        if res.chsh < best_so_far - 1e-12:
-            prev = max(results.values(), key=lambda r: r.chsh)
-            res = _attack_result(float(etas[idx]), prev.weights.copy())
-        best_so_far = max(best_so_far, res.chsh)
-        warm.append(res.weights.copy())
-        results[int(idx)] = res
-    return [results[i] for i in range(len(etas))]
+    return [loophole_attack(float(eta)) for eta in etas]
 
 
 def nosignalling_residual(table: CorrelationTable) -> float:

@@ -139,6 +139,14 @@ _COMMAND_KEYS = {
 }
 
 
+def _number(kind: type, value, key: str):
+    """Convert one command setting with ``int`` or ``float``, naming the key on failure."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{key} must be a number, got {value!r}") from exc
+
+
 def parse_scenario_file(path: str | Path) -> ScenarioFile:
     """Load and validate a flat JSON scenario file.
 
@@ -183,35 +191,37 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
             raise CliError(f"sweep is missing keys: {', '.join(missing)}")
         axis = SweepAxis(
             parameter=str(raw_axis["parameter"]),
-            lo=float(raw_axis["min"]),
-            hi=float(raw_axis["max"]),
-            steps=int(raw_axis["steps"]),
+            lo=_number(float, raw_axis["min"], "sweep min"),
+            hi=_number(float, raw_axis["max"], "sweep max"),
+            steps=_number(int, raw_axis["steps"], "sweep steps"),
             scale=str(raw_axis.get("scale", "linear")),
         )
 
     etas = None
     if data.get("etas") is not None:
-        etas = tuple(float(v) for v in data["etas"])
+        if not isinstance(data["etas"], list):
+            raise CliError(f"etas must be a list of numbers, got {data['etas']!r}")
+        etas = tuple(_number(float, v, "etas") for v in data["etas"])
         for eta in etas:
             if not 0.0 < eta <= 1.0:
                 raise CliError(f"etas entries must lie in (0, 1], got {eta}")
 
-    rounds = int(data.get("rounds", 100_000))
+    rounds = _number(int, data.get("rounds", 100_000), "rounds")
     if rounds <= 0:
         raise CliError(f"rounds must be positive, got {rounds}")
-    sample_fraction = float(data.get("sample_fraction", 0.1))
+    sample_fraction = _number(float, data.get("sample_fraction", 0.1), "sample_fraction")
     if not 0.0 <= sample_fraction < 1.0:
         raise CliError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")
 
     return ScenarioFile(
         scenario=scenario,
         sweep=axis,
-        seed=int(data.get("seed", 0)),
+        seed=_number(int, data.get("seed", 0), "seed"),
         out=None if data.get("out") is None else str(data["out"]),
         rounds=rounds,
         sample_fraction=sample_fraction,
         optimize=bool(data.get("optimize", False)),
-        theta=None if data.get("theta") is None else float(data["theta"]),
+        theta=None if data.get("theta") is None else _number(float, data["theta"], "theta"),
         etas=etas,
     )
 

@@ -23,7 +23,6 @@ from it; disclosed parity bits are counted against the key length.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import math
 import struct

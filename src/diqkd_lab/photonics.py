@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm
@@ -635,6 +635,16 @@ def _create(arr: np.ndarray, mode: int) -> np.ndarray:
     return np.moveaxis(out, 0, mode)
 
 
+def _pair_weights(pair_prob: float, n_pair_max: int) -> np.ndarray:
+    """Geometric pair-number weights ``(1 - p) p^n``, ``n <= n_pair_max``, normalized."""
+    if not 0.0 <= pair_prob < 1.0:
+        raise ValueError(f"pair_prob must lie in [0, 1), got {pair_prob}")
+    weights = np.array(
+        [(1.0 - pair_prob) * pair_prob**n for n in range(n_pair_max + 1)], dtype=float
+    )
+    return weights / weights.sum()
+
+
 def spdc_source(
     pair_prob: float, n_pair_max: int = 2, n_max: int = 4
 ) -> ModeState:
@@ -658,14 +668,9 @@ def spdc_source(
     Returns:
         A pure four-mode state.
     """
-    if not 0.0 <= pair_prob < 1.0:
-        raise ValueError(f"pair_prob must lie in [0, 1), got {pair_prob}")
     if n_pair_max < 0 or n_pair_max > n_max:
         raise ValueError(f"n_pair_max must lie in [0, n_max], got {n_pair_max}")
-    weights = np.array(
-        [(1.0 - pair_prob) * pair_prob**n for n in range(n_pair_max + 1)], dtype=float
-    )
-    weights /= weights.sum()
+    weights = _pair_weights(pair_prob, n_pair_max)
     d = n_max + 1
     term = np.zeros((d, d, d, d), dtype=complex)
     term[0, 0, 0, 0] = 1.0
@@ -715,12 +720,7 @@ def heralded_single_photon(
         A :class:`HeraldRecord` whose ``conditional_state`` is the
         single-mode signal state given a trigger click.
     """
-    if not 0.0 <= pair_prob < 1.0:
-        raise ValueError(f"pair_prob must lie in [0, 1), got {pair_prob}")
-    weights = np.array(
-        [(1.0 - pair_prob) * pair_prob**n for n in range(n_pair_max + 1)], dtype=float
-    )
-    weights /= weights.sum()
+    weights = _pair_weights(pair_prob, n_pair_max)
     branches = []
     trigger_prob = 0.0
     for n, w in enumerate(weights):

@@ -1,10 +1,10 @@
-"""Finite-dimensional quantum states, measurements, and channels.
+"""Finite-dimensional quantum states and measurements.
 
 This module provides the linear-algebra substrate for the rest of the
 package: validated density operators on tensor products of finite
-subsystems, POVM measurements, Kraus channels, and the Born-rule
-machinery that turns a bipartite state plus measurement settings into a
-table of outcome probabilities.
+subsystems, POVM measurements, and the Born-rule machinery that turns a
+bipartite state plus measurement settings into a table of outcome
+probabilities.
 
 Everything here is exact (dense matrices, no sampling).  Stochastic
 simulation lives in :mod:`diqkd_lab.keyproto`; photonic mode spaces live
@@ -36,21 +36,13 @@ __all__ = [
     "StateValidationError",
     "DensityOperator",
     "Povm",
-    "KrausChannel",
     "CorrelationTable",
-    "StateDiagnostics",
-    "tensor",
-    "partial_trace",
-    "apply_channel",
     "born_table",
-    "validate_state",
-    "fidelity",
     "singlet",
     "bell_state",
     "qubit_observable",
     "projective_qubit_povm",
     "inefficient_qubit_povm",
-    "depolarizing_qubit_channel",
 ]
 
 # Absolute tolerance used when validating algebraic identities (hermiticity,
@@ -66,7 +58,7 @@ NO_CLICK_OUTCOME = 2
 
 
 class StateValidationError(ValueError):
-    """Raised when a matrix fails to be a valid quantum object (state, POVM, channel)."""
+    """Raised when a matrix fails to be a valid quantum object (state or POVM)."""
 
 
 class DimensionMismatchError(ValueError):
@@ -83,60 +75,6 @@ def _as_complex_matrix(values: np.ndarray | Sequence, name: str) -> np.ndarray:
 
 def _hermiticity_error(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(matrix - matrix.conj().T), initial=0.0))
-
-
-@dataclass(frozen=True)
-class StateDiagnostics:
-    """Numerical report on how close a matrix is to a valid density operator.
-
-    Attributes:
-        dim: Total Hilbert-space dimension of the candidate matrix.
-        hermiticity_error: Max absolute deviation between the matrix and its
-            conjugate transpose.
-        trace_error: ``|Tr(rho) - 1|``.
-        min_eigenvalue: Smallest eigenvalue of the Hermitian part.
-        is_valid: True when all deviations are within ``ATOL_STATE``.
-    """
-
-    dim: int
-    hermiticity_error: float
-    trace_error: float
-    min_eigenvalue: float
-    is_valid: bool
-
-
-def validate_state(matrix: np.ndarray | Sequence, atol: float = ATOL_STATE) -> StateDiagnostics:
-    """Diagnose whether ``matrix`` is a density operator without raising.
-
-    Args:
-        matrix: Candidate square matrix.
-        atol: Tolerance for hermiticity, trace and positivity checks.
-
-    Returns:
-        A :class:`StateDiagnostics` record.  ``is_valid`` is the verdict;
-        the remaining fields say how (and how badly) validation failed.
-    """
-    arr = np.asarray(matrix, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        return StateDiagnostics(
-            dim=0,
-            hermiticity_error=float("inf"),
-            trace_error=float("inf"),
-            min_eigenvalue=float("-inf"),
-            is_valid=False,
-        )
-    herm = _hermiticity_error(arr)
-    trace_err = float(abs(np.trace(arr) - 1.0))
-    hermitized = (arr + arr.conj().T) / 2.0
-    min_eig = float(np.linalg.eigvalsh(hermitized)[0])
-    ok = herm <= atol and trace_err <= atol and min_eig >= -atol
-    return StateDiagnostics(
-        dim=arr.shape[0],
-        hermiticity_error=herm,
-        trace_error=trace_err,
-        min_eigenvalue=min_eig,
-        is_valid=ok,
-    )
 
 
 @dataclass(frozen=True)
@@ -172,13 +110,15 @@ class DensityOperator:
             raise DimensionMismatchError(
                 f"dims {dims} imply a {total}x{total} matrix, got {arr.shape}"
             )
-        diag = validate_state(arr)
-        if not diag.is_valid:
+        herm = _hermiticity_error(arr)
+        trace_err = float(abs(np.trace(arr) - 1.0))
+        min_eig = float(np.linalg.eigvalsh((arr + arr.conj().T) / 2.0)[0])
+        if not (herm <= ATOL_STATE and trace_err <= ATOL_STATE and min_eig >= -ATOL_STATE):
             raise StateValidationError(
                 "not a density operator: "
-                f"hermiticity_error={diag.hermiticity_error:.3e}, "
-                f"trace_error={diag.trace_error:.3e}, "
-                f"min_eigenvalue={diag.min_eigenvalue:.3e}"
+                f"hermiticity_error={herm:.3e}, "
+                f"trace_error={trace_err:.3e}, "
+                f"min_eigenvalue={min_eig:.3e}"
             )
         object.__setattr__(self, "matrix", arr)
         object.__setattr__(self, "dims", dims)
@@ -259,49 +199,6 @@ class Povm:
 
 
 @dataclass(frozen=True)
-class KrausChannel:
-    """A completely positive, trace-preserving map in Kraus form.
-
-    Attributes:
-        operators: Kraus operators ``K_i`` of common shape
-            ``(dim_out, dim_in)`` with ``sum_i K_i^dag K_i = I``.
-    """
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self) -> None:
-        if not self.operators:
-            raise StateValidationError("a channel needs at least one Kraus operator")
-        ops = []
-        shape = None
-        for i, op in enumerate(self.operators):
-            arr = np.array(op, dtype=complex, copy=True)
-            if arr.ndim != 2:
-                raise StateValidationError(f"Kraus operator {i} must be a matrix")
-            if shape is None:
-                shape = arr.shape
-            elif arr.shape != shape:
-                raise DimensionMismatchError(
-                    f"Kraus operator {i} has shape {arr.shape}, expected {shape}"
-                )
-            arr.setflags(write=False)
-            ops.append(arr)
-        dim_in = shape[1]
-        completeness = sum(op.conj().T @ op for op in ops)
-        if np.max(np.abs(completeness - np.eye(dim_in))) > ATOL_STATE:
-            raise StateValidationError("Kraus operators are not trace preserving")
-        object.__setattr__(self, "operators", tuple(ops))
-
-    @property
-    def dim_in(self) -> int:
-        return self.operators[0].shape[1]
-
-    @property
-    def dim_out(self) -> int:
-        return self.operators[0].shape[0]
-
-
-@dataclass(frozen=True)
 class CorrelationTable:
     """Joint conditional outcome probabilities ``p(a, b | x, y)``.
 
@@ -368,96 +265,6 @@ class CorrelationTable:
         return float(p.sum() - np.trace(p))
 
 
-def tensor(*states: DensityOperator) -> DensityOperator:
-    """Tensor product of density operators, concatenating their ``dims``."""
-    if not states:
-        raise DimensionMismatchError("tensor() needs at least one state")
-    matrix = states[0].matrix
-    dims: tuple[int, ...] = states[0].dims
-    for s in states[1:]:
-        matrix = np.kron(matrix, s.matrix)
-        dims = dims + s.dims
-    return DensityOperator(matrix=matrix, dims=dims)
-
-
-def partial_trace(state: DensityOperator, keep: Sequence[int]) -> DensityOperator:
-    """Trace out all subsystems not listed in ``keep``.
-
-    Args:
-        state: Composite state.
-        keep: Indices of subsystems to retain, in their original order.
-
-    Returns:
-        Reduced state on the kept subsystems.
-    """
-    keep = tuple(int(k) for k in keep)
-    n = state.n_subsystems
-    if any(k < 0 or k >= n for k in keep):
-        raise DimensionMismatchError(f"keep indices {keep} out of range for {n} subsystems")
-    if len(set(keep)) != len(keep):
-        raise DimensionMismatchError(f"duplicate keep indices: {keep}")
-    if sorted(keep) != list(keep):
-        raise DimensionMismatchError(f"keep indices must be increasing, got {keep}")
-    dims = state.dims
-    reshaped = state.matrix.reshape(dims + dims)
-    # Contract each traced subsystem's ket index with its bra index.
-    traced = [i for i in range(n) if i not in keep]
-    for offset, idx in enumerate(traced):
-        axis = idx - offset  # earlier traces removed axes to the left
-        n_current = reshaped.ndim // 2
-        reshaped = np.trace(reshaped, axis1=axis, axis2=axis + n_current)
-    kept_dims = tuple(dims[k] for k in keep)
-    d = int(np.prod(kept_dims))
-    return DensityOperator(matrix=reshaped.reshape(d, d), dims=kept_dims)
-
-
-def _lift_operator(op: np.ndarray, dims: tuple[int, ...], subsystem: int) -> np.ndarray:
-    factors = [np.eye(d, dtype=complex) for d in dims]
-    factors[subsystem] = op
-    lifted = factors[0]
-    for f in factors[1:]:
-        lifted = np.kron(lifted, f)
-    return lifted
-
-
-def apply_channel(
-    channel: KrausChannel, state: DensityOperator, subsystem: int | None = None
-) -> DensityOperator:
-    """Apply a channel to a state, optionally on a single subsystem.
-
-    Args:
-        channel: The CPTP map.
-        state: Input state.
-        subsystem: When given, the channel acts on that tensor factor only
-            (it must be square and match the factor's dimension).  When
-            ``None``, the channel acts on the full space.
-
-    Returns:
-        The output state.
-    """
-    if subsystem is None:
-        if channel.dim_in != state.dim:
-            raise DimensionMismatchError(
-                f"channel input dim {channel.dim_in} != state dim {state.dim}"
-            )
-        out = sum(k @ state.matrix @ k.conj().T for k in channel.operators)
-        dims = state.dims if channel.dim_out == state.dim else (channel.dim_out,)
-        return DensityOperator(matrix=out, dims=dims)
-    sub = int(subsystem)
-    if sub < 0 or sub >= state.n_subsystems:
-        raise DimensionMismatchError(f"subsystem {sub} out of range")
-    if channel.dim_in != channel.dim_out or channel.dim_in != state.dims[sub]:
-        raise DimensionMismatchError(
-            f"channel of dim {channel.dim_in}->{channel.dim_out} cannot act on "
-            f"subsystem {sub} of dim {state.dims[sub]}"
-        )
-    out = np.zeros_like(state.matrix)
-    for k in channel.operators:
-        lifted = _lift_operator(k, state.dims, sub)
-        out = out + lifted @ state.matrix @ lifted.conj().T
-    return DensityOperator(matrix=out, dims=state.dims)
-
-
 def born_table(
     state: DensityOperator,
     alice_povms: Sequence[Povm],
@@ -506,26 +313,10 @@ def born_table(
     return CorrelationTable(probabilities=np.real(probs))
 
 
-def fidelity(state: DensityOperator, other: DensityOperator) -> float:
-    """Uhlmann fidelity ``F(rho, sigma) = (Tr sqrt(sqrt(rho) sigma sqrt(rho)))^2``.
-
-    For a pure ``other = |psi><psi|`` this reduces to ``<psi|rho|psi>``.
-    """
-    if state.dim != other.dim:
-        raise DimensionMismatchError("fidelity requires states of equal dimension")
-    vals, vecs = np.linalg.eigh(state.matrix)
-    vals = np.clip(vals, 0.0, None)
-    sqrt_rho = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inner = sqrt_rho @ other.matrix @ sqrt_rho
-    eigs = np.clip(np.linalg.eigvalsh((inner + inner.conj().T) / 2), 0.0, None)
-    return float(np.sum(np.sqrt(eigs)) ** 2)
-
-
 _KET0 = np.array([1.0, 0.0], dtype=complex)
 _KET1 = np.array([0.0, 1.0], dtype=complex)
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -587,20 +378,3 @@ def inefficient_qubit_povm(theta: float, eta: float) -> Povm:
     eye = np.eye(2, dtype=complex)
     return Povm(effects=(eta * base.effects[0], eta * base.effects[1], (1.0 - eta) * eye))
 
-
-def depolarizing_qubit_channel(lam: float) -> KrausChannel:
-    """Single-qubit depolarizing channel ``rho -> (1 - lam) rho + lam I/2``.
-
-    Args:
-        lam: Depolarizing weight in ``[0, 1]``.
-    """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"depolarizing weight must lie in [0, 1], got {lam}")
-    eye = np.eye(2, dtype=complex)
-    ops = (
-        np.sqrt(1.0 - 3.0 * lam / 4.0) * eye,
-        np.sqrt(lam / 4.0) * _PAULI_X,
-        np.sqrt(lam / 4.0) * _PAULI_Y,
-        np.sqrt(lam / 4.0) * _PAULI_Z,
-    )
-    return KrausChannel(operators=ops)

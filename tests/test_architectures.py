@@ -20,6 +20,7 @@ from diqkd_lab.architectures import (
     run,
     secret_bits_per_second,
 )
+from diqkd_lab.qstate import DensityOperator, born_table, inefficient_qubit_povm, singlet
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -166,6 +167,43 @@ def test_standard_source_position_moves_worst_arm():
     eta_far = arm_transmission(3.0)
     expected = eta_far**2 * TSIRELSON + 2.0 * (1.0 - eta_far) ** 2
     assert at_node.chsh == pytest.approx(expected, abs=1e-12)
+
+
+def test_standard_table_matches_born_rule_oracle():
+    """Ideal-source photonics equals the Born rule on a Werner state.
+
+    With no multi-pair emission and no dark counts, the standard link is a
+    Werner state of the node fidelity measured by detectors of efficiency
+    ``eta_d * T_worst_arm``; double clicks never happen.
+    """
+    psi = singlet().matrix
+    for eta_d, fidelity, distance_km, position in (
+        (1.0, 1.0, 0.0, 0.5),
+        (0.95, 0.97, 10.0, 0.5),
+        (0.9, 0.9, 25.0, 0.2),
+        (0.8, 0.75, 5.0, 1.0),
+        (0.97, 0.5, 40.0, 0.0),
+    ):
+        result = run(
+            Scenario(
+                detector_efficiency=eta_d,
+                node_fidelity=fidelity,
+                distance_km=distance_km,
+                source_position=position,
+            )
+        )
+        eta = eta_d * arm_transmission(max(position, 1.0 - position) * distance_km)
+        werner = DensityOperator(
+            matrix=fidelity * psi + (1.0 - fidelity) / 3.0 * (np.eye(4) - psi), dims=(2, 2)
+        )
+        oracle = born_table(
+            werner,
+            [inefficient_qubit_povm(t, eta) for t in ALICE_ANGLES],
+            [inefficient_qubit_povm(t, eta) for t in BOB_ANGLES],
+        ).probabilities
+        padded = np.zeros((2, 3, 4, 4))
+        padded[:, :, :3, :3] = oracle
+        np.testing.assert_allclose(result.table.probabilities, padded, rtol=0.0, atol=1e-12)
 
 
 # ----------------------------------------------------------------------

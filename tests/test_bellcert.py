@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from diqkd_lab.bellcert import (
+    _CLICK_A,
+    _CLICK_B,
+    _COIN,
+    _MIN_COINCIDENCE,
+    _candidate_ensemble,
+    _postselected_chsh,
     FAMILY_ALICE_ANGLES,
     FAMILY_BOB_ANGLES,
     SINGLET_ALICE_ANGLES,
@@ -155,6 +162,44 @@ def test_attack_curve_is_monotone_and_saturates():
     assert values[0] == pytest.approx(2.0, abs=1e-9)
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
     assert values[-1] == pytest.approx(4.0, rel=1e-6)
+
+
+def _constrained_attack_search(eta: float, seed: np.ndarray) -> float:
+    """Post-selected CHSH of an SLSQP search over all 81 strategy pairs.
+
+    Returns -inf when the search fails or ends outside the click-rate
+    constraints, so only feasible ensembles count.
+    """
+    constraints = [
+        {"type": "eq", "fun": lambda w: w.sum() - 1.0},
+        {"type": "ineq", "fun": lambda w: _CLICK_A.T @ w - eta},
+        {"type": "ineq", "fun": lambda w: _CLICK_B.T @ w - eta},
+        {"type": "ineq", "fun": lambda w: _COIN.T @ w - _MIN_COINCIDENCE},
+    ]
+    res = minimize(
+        lambda w: -_postselected_chsh(w),
+        seed / seed.sum(),
+        method="SLSQP",
+        bounds=[(0.0, 1.0)] * seed.size,
+        constraints=constraints,
+        options={"maxiter": 300, "ftol": 1e-12},
+    )
+    w = np.clip(res.x, 0.0, None)
+    if not res.success or w.sum() <= 0:
+        return -np.inf
+    w = w / w.sum()
+    if np.min(_CLICK_A.T @ w) < eta - 1e-9 or np.min(_CLICK_B.T @ w) < eta - 1e-9:
+        return -np.inf
+    return _postselected_chsh(w)
+
+
+def test_constrained_search_never_beats_closed_form_attack():
+    """A numerical search over every ensemble never beats min(4, 2/(2 eta - 1))."""
+    for eta in (0.95, 0.85, 0.8, 0.7):
+        closed = loophole_attack(eta).chsh
+        assert closed == pytest.approx(min(4.0, 2.0 / (2.0 * eta - 1.0)), abs=1e-12)
+        for seed in (_candidate_ensemble(eta), np.full(_COIN.shape[0], 1.0)):
+            assert _constrained_attack_search(eta, seed) <= closed + 1e-9
 
 
 def test_nosignalling_residual_of_quantum_table():

@@ -53,10 +53,25 @@ def test_parse_scenario_file_rejects_unknown_keys(tmp_path):
         parse_scenario_file(path)
 
 
+# Each case: scenario-file payload and the message naming the rejected key.
+OUT_OF_RANGE_CASES = (
+    ({"detector_efficiency": 1.5}, r"detector_efficiency must lie in \[0, 1\], got 1.5"),
+    ({"rounds": "many"}, r"rounds must be a number, got 'many'"),
+    ({"etas": "abc"}, r"etas must be a list of numbers, got 'abc'"),
+    (
+        {"sweep": {"parameter": "distance_km", "min": "x", "max": 10, "steps": 3}},
+        r"sweep min must be a number, got 'x'",
+    ),
+)
+
+
 def test_parse_scenario_file_rejects_out_of_range(tmp_path):
-    path = write_scenario(tmp_path, "s.json", {"detector_efficiency": 1.5})
-    with pytest.raises(CliError, match=r"detector_efficiency must lie in \[0, 1\], got 1.5"):
-        parse_scenario_file(path)
+    # One test over a case table (not pytest parametrization) so the test
+    # keeps a single, stable id.
+    for payload, message in OUT_OF_RANGE_CASES:
+        path = write_scenario(tmp_path, "s.json", payload)
+        with pytest.raises(CliError, match=message):
+            parse_scenario_file(path)
 
 
 def test_parse_scenario_file_missing_file(tmp_path):

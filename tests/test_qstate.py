@@ -7,44 +7,29 @@ from diqkd_lab.qstate import (
     CorrelationTable,
     DensityOperator,
     DimensionMismatchError,
-    KrausChannel,
     Povm,
     StateValidationError,
-    apply_channel,
     bell_state,
     born_table,
-    depolarizing_qubit_channel,
-    fidelity,
     inefficient_qubit_povm,
-    partial_trace,
     projective_qubit_povm,
     qubit_observable,
     singlet,
-    tensor,
-    validate_state,
 )
-
-RNG = np.random.default_rng(1234)
-
-
-def random_density(dim: int, rng=RNG) -> np.ndarray:
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho)
 
 
 def test_validate_state_accepts_maximally_mixed():
-    diag = validate_state(np.eye(3) / 3)
-    assert diag.is_valid
-    assert diag.dim == 3
-    assert diag.trace_error < 1e-12
-    assert diag.min_eigenvalue >= -1e-12
+    rho = DensityOperator(matrix=np.eye(3) / 3, dims=(3,))
+    assert rho.dim == 3
+    np.testing.assert_allclose(rho.matrix, np.eye(3) / 3, atol=1e-15)
 
 
 def test_validate_state_flags_nonhermitian_and_trace():
     bad = np.array([[0.5, 0.3], [0.0, 0.5]])
-    assert not validate_state(bad).is_valid
-    assert not validate_state(np.eye(2)).is_valid  # trace 2
+    with pytest.raises(StateValidationError, match="hermiticity_error=3.000e-01"):
+        DensityOperator(matrix=bad, dims=(2,))
+    with pytest.raises(StateValidationError, match=r"trace_error=1.000e\+00"):
+        DensityOperator(matrix=np.eye(2), dims=(2,))
 
 
 def test_density_operator_rejects_negative_matrix():
@@ -91,41 +76,6 @@ def test_inefficient_povm_outcomes():
     np.testing.assert_allclose(p.effects[2], 0.4 * np.eye(2), atol=1e-12)
 
 
-def test_kraus_channel_trace_preservation_check():
-    with pytest.raises(StateValidationError):
-        KrausChannel(operators=(np.eye(2) * 0.5,))
-
-
-def test_depolarizing_channel_mixes_towards_identity():
-    rho = DensityOperator.from_pure(np.array([1.0, 0.0]), dims=(2,))
-    out = apply_channel(depolarizing_qubit_channel(1.0), rho)
-    np.testing.assert_allclose(out.matrix, np.eye(2) / 2, atol=1e-12)
-    half = apply_channel(depolarizing_qubit_channel(0.5), rho)
-    np.testing.assert_allclose(half.matrix, 0.5 * rho.matrix + 0.25 * np.eye(2), atol=1e-12)
-
-
-def test_apply_channel_on_subsystem():
-    rho = singlet()
-    out = apply_channel(depolarizing_qubit_channel(1.0), rho, subsystem=0)
-    np.testing.assert_allclose(out.matrix, np.eye(4) / 4, atol=1e-12)
-
-
-def test_tensor_and_partial_trace_roundtrip():
-    a = DensityOperator(matrix=random_density(2), dims=(2,))
-    b = DensityOperator(matrix=random_density(3), dims=(3,))
-    joint = tensor(a, b)
-    assert joint.dims == (2, 3)
-    back_a = partial_trace(joint, keep=(0,))
-    back_b = partial_trace(joint, keep=(1,))
-    np.testing.assert_allclose(back_a.matrix, a.matrix, atol=1e-12)
-    np.testing.assert_allclose(back_b.matrix, b.matrix, atol=1e-12)
-
-
-def test_partial_trace_of_singlet_is_maximally_mixed():
-    reduced = partial_trace(singlet(), keep=(0,))
-    np.testing.assert_allclose(reduced.matrix, np.eye(2) / 2, atol=1e-12)
-
-
 def test_bell_states_are_orthonormal():
     labels = ("phi+", "phi-", "psi+", "psi-")
     states = [bell_state(lbl) for lbl in labels]
@@ -133,13 +83,6 @@ def test_bell_states_are_orthonormal():
         for j, sj in enumerate(states):
             overlap = float(np.real(np.trace(si.matrix @ sj.matrix)))
             assert overlap == pytest.approx(1.0 if i == j else 0.0, abs=1e-12)
-
-
-def test_fidelity_pure_and_mixed():
-    psi = bell_state("phi+")
-    assert fidelity(psi, psi) == pytest.approx(1.0, abs=1e-9)
-    mixed = DensityOperator(matrix=np.eye(4) / 4, dims=(2, 2))
-    assert fidelity(psi, mixed) == pytest.approx(0.25, abs=1e-9)
 
 
 def test_singlet_correlator_is_minus_cosine():
