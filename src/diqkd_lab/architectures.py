@@ -39,12 +39,12 @@ from diqkd_lab.bellcert import (
 from diqkd_lab.photonics import (
     AnyModeState,
     DetectorModel,
-    ModeMixture,
-    ModeState,
     bell_state_measurement,
     distance_to_transmission,
     loss_channel,
+    mix,
     permute_modes,
+    phase_shift,
     polarization_correlation_table,
     polarization_rotation,
     polarization_singlet,
@@ -57,6 +57,7 @@ from diqkd_lab.qstate import CorrelationTable, DimensionMismatchError
 __all__ = [
     "ARCHITECTURES",
     "ALICE_ANGLES",
+    "NeverHeraldsError",
     "BOB_ANGLES",
     "Scenario",
     "RunResult",
@@ -82,6 +83,10 @@ BOB_ANGLES = (np.pi, 5 * np.pi / 4, 3 * np.pi / 4)
 CHSH_BOB_SETTINGS = (1, 2)
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
+
+
+class NeverHeraldsError(RuntimeError):
+    """Raised when a heralded architecture's herald has zero probability."""
 
 
 @dataclass(frozen=True)
@@ -335,24 +340,17 @@ def _depolarize_pair(state: AnyModeState, h_mode: int, v_mode: int, fidelity: fl
     if fidelity >= 1.0:
         return state
     lam = 4.0 * (1.0 - fidelity) / 3.0
-    branches = state.branches if isinstance(state, ModeMixture) else ((1.0, state),)
-    n = branches[0][1].n_modes
-    d = branches[0][1].n_max + 1
-    swap_order = list(range(n))
-    swap_order[h_mode], swap_order[v_mode] = swap_order[v_mode], swap_order[h_mode]
-    phase_shape = [1] * n
-    phase_shape[v_mode] = d
-    phase = ((-1.0) ** np.arange(d)).reshape(phase_shape)
-    out: list[tuple[float, ModeState]] = []
-    for w, s in branches:
-        arr = s.amplitudes
-        x_arr = np.transpose(arr, swap_order)
-        z_arr = arr * phase
-        y_arr = np.transpose(z_arr, swap_order)
-        out.append((w * (1.0 - 0.75 * lam), ModeState(amplitudes=arr)))
-        for pauli_arr in (x_arr, z_arr, y_arr):
-            out.append((w * 0.25 * lam, ModeState(amplitudes=pauli_arr)))
-    return ModeMixture(branches=tuple(out))
+    swap = list(range(state.n_modes))
+    swap[h_mode], swap[v_mode] = v_mode, h_mode
+    z = phase_shift(state, v_mode, np.pi)
+    return mix(
+        [
+            (1.0 - 0.75 * lam, state),
+            (0.25 * lam, permute_modes(state, swap)),
+            (0.25 * lam, z),
+            (0.25 * lam, permute_modes(z, swap)),
+        ]
+    )
 
 
 def _pair_state(scenario: Scenario, n_max: int, n_pair_max: int = 2) -> AnyModeState:
@@ -483,7 +481,7 @@ def run_local_heralding(scenario: Scenario) -> RunResult:
         ancilla_pair_prob=scenario.pair_prob if scenario.pair_prob > 0 else None,
     )
     if record.conditional_state is None:
-        raise RuntimeError("amplifier never heralds under this scenario")
+        raise NeverHeraldsError("amplifier never heralds under this scenario")
     table = _measure(record.conditional_state, scenario)
     notes = (
         "statistics conditioned on the amplifier herald",
@@ -506,26 +504,17 @@ def run_third_party(scenario: Scenario) -> RunResult:
     n_max = _n_max(scenario)
     state = _swap_link(scenario, n_max)
     bsm = bell_state_measurement(state, (2, 3), (4, 5), _detector(scenario))
-    # Remaining modes: (aH, aV, bH, bV).
-    merged: list[tuple[float, ModeState]] = []
-    herald = 0.0
-    d = n_max + 1
-    phase = (-1.0) ** np.arange(d)
-    for outcome in bsm.outcomes:
-        if outcome.state is None or outcome.probability <= 0.0:
-            continue
-        herald += outcome.probability
-        for w, s in outcome.state.branches:
-            arr = s.amplitudes
-            if outcome.label == "psi+":
-                # Feed-forward: phase-flip Bob's V mode to map psi+ to psi-.
-                arr = arr * phase.reshape(1, 1, 1, d)
-            merged.append((outcome.probability * w, ModeState(amplitudes=arr)))
-    if herald <= 0.0:
-        raise RuntimeError("the swap station never heralds under this scenario")
-    conditional = ModeMixture(
-        branches=tuple((w / herald, s) for w, s in merged)
-    )
+    # Remaining modes: (aH, aV, bH, bV).  Feed-forward: phase-flip Bob's V
+    # mode on a psi+ herald to map psi+ to psi-.
+    heralds = [
+        (o.probability, phase_shift(o.state, 3, np.pi) if o.label == "psi+" else o.state)
+        for o in bsm.outcomes
+        if o.state is not None
+    ]
+    if not heralds:
+        raise NeverHeraldsError("the swap station never heralds under this scenario")
+    herald = sum(p for p, _ in heralds)
+    conditional = mix(heralds)
     table = _measure(conditional, scenario)
     notes = (
         "statistics conditioned on the swap herald; psi+ heralds corrected by feed-forward",

@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from diqkd_lab.architectures import Scenario, run, secret_bits_per_second
+from diqkd_lab.architectures import NeverHeraldsError, Scenario, run, secret_bits_per_second
 from diqkd_lab.bellcert import (
     FAMILY_ALICE_ANGLES,
     FAMILY_BOB_ANGLES,
@@ -435,7 +435,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         parsed = parse_scenario_file(args.scenario)
         return _COMMANDS[args.command](parsed, args)
-    except CliError as exc:
+    except (CliError, NeverHeraldsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,13 +1,17 @@
 """Photonic mode simulation in truncated Fock space.
 
 States live on ``n_modes`` bosonic modes, each truncated at ``n_max``
-photons; a pure state is a complex amplitude array of shape
-``(n_max + 1, ..., n_max + 1)``.  Mixed states are represented as explicit
-ensembles of pure branches (:class:`ModeMixture`), which keeps long
-pipelines exact without ever materializing a density matrix on the full
-mode space: loss splits a pure state into one pure branch per number of
-lost photons, and destructive threshold detection splits it into one
-branch per Fock content of the measured modes.
+photons; a pure state (:class:`ModeState`) is a complex amplitude array of
+shape ``(n_max + 1, ..., n_max + 1)``.  Mixed states are explicit ensembles
+of pure branches stored as one stack (:class:`ModeMixture`): a weight
+vector of shape ``(k,)`` and an amplitude array of shape ``(k, n_max + 1,
+..., n_max + 1)``.  This keeps long pipelines exact without ever
+materializing a density matrix on the full mode space: loss splits each
+branch into one pure branch per number of lost photons, and destructive
+threshold detection splits it into one branch per Fock content of the
+measured modes.  Every operation reads a pure state as the one-branch
+stack and acts on the whole stack at once; :func:`mix` forms weighted
+unions of states.
 
 Polarization qubits are encoded in mode pairs ``(H, V)``: ``|H>`` is one
 photon in the H mode, ``|V>`` one photon in the V mode.  Measuring the
@@ -17,22 +21,22 @@ the mode pair by ``theta / 2`` and detecting both output ports.
 Two-mode interference follows the convention ``a_1 -> sqrt(T) a_1 +
 sqrt(1-T) a_2`` (equivalently, creation operators transform as
 ``a_1^dag -> sqrt(T) a_1^dag - sqrt(1-T) a_2^dag``).  The block is exact on
-every total-photon sector that fits inside the truncation; inputs with
-more than ``n_max`` photons across the two modes raise
+every total-photon sector that fits inside the truncation; a branch with
+more than ``n_max`` photons across the two modes raises
 :class:`TruncationOverflowError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import comb
 
-from diqkd_lab.qstate import DimensionMismatchError, StateValidationError
+from diqkd_lab.qstate import CorrelationTable, DimensionMismatchError, StateValidationError
 
 __all__ = [
     "TruncationOverflowError",
@@ -44,8 +48,10 @@ __all__ = [
     "BsmResult",
     "vacuum",
     "fock",
+    "mix",
     "tensor_modes",
     "permute_modes",
+    "phase_shift",
     "mode_density",
     "beamsplitter",
     "polarization_rotation",
@@ -135,75 +141,101 @@ class ModeState:
         return float(per_n @ np.arange(self.n_max + 1))
 
 
+def _mass(amplitudes: np.ndarray, keep: Sequence[int]) -> np.ndarray:
+    """``sum |amplitudes|^2`` over every axis not in ``keep`` (kept in that order).
+
+    Summed over the real and imaginary views, so no temporary the size of
+    the input is built.
+    """
+    axes = list(range(amplitudes.ndim))
+    out = [int(a) for a in keep]
+    re, im = amplitudes.real, amplitudes.imag
+    return np.einsum(re, axes, re, axes, out) + np.einsum(im, axes, im, axes, out)
+
+
 @dataclass(frozen=True)
 class ModeMixture:
-    """A classical mixture of pure mode states.
+    """A classical mixture of pure mode states, stored as one stack.
 
     Attributes:
-        branches: ``(weight, state)`` pairs; weights are positive and sum
-            to one, and all states share mode count and truncation.
+        weights: Branch weights, shape ``(k,)``; positive and summing to
+            one.  Branches of weight at most ``BRANCH_PRUNE_TOL`` are
+            dropped on construction.
+        amplitudes: Branch amplitudes, shape ``(k, n_max + 1, ...,
+            n_max + 1)``; ``amplitudes[b]`` is the normalized pure state of
+            branch ``b``.  Stored without a copy and made read-only.
     """
 
-    branches: tuple[tuple[float, ModeState], ...]
+    weights: np.ndarray
+    amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.branches:
+        weights = np.array(self.weights, dtype=float)
+        amps = np.asarray(self.amplitudes, dtype=complex)
+        if weights.ndim != 1 or amps.ndim < 2 or amps.shape[0] != weights.size:
+            raise DimensionMismatchError(
+                f"a mixture needs weights (k,) and amplitudes (k, d, ..., d), "
+                f"got {weights.shape} and {amps.shape}"
+            )
+        if weights.size == 0:
             raise StateValidationError("a mixture needs at least one branch")
-        cleaned = []
-        for i, (w, s) in enumerate(self.branches):
-            w = float(w)
-            if w < -1e-12:
-                raise StateValidationError(f"branch {i} has negative weight {w}")
-            if not isinstance(s, ModeState):
-                raise StateValidationError(f"branch {i} is not a ModeState")
-            if w > BRANCH_PRUNE_TOL:
-                cleaned.append((w, s))
-        if not cleaned:
+        negative = np.flatnonzero(weights < -1e-12)
+        if negative.size:
+            i = negative[0]
+            raise StateValidationError(f"branch {i} has negative weight {weights[i]}")
+        keep = weights > BRANCH_PRUNE_TOL
+        if not keep.any():
             raise StateValidationError("all branches have zero weight")
-        shape = cleaned[0][1].amplitudes.shape
-        for _, s in cleaned:
-            if s.amplitudes.shape != shape:
-                raise DimensionMismatchError("mixture branches disagree on modes/truncation")
-        total = sum(w for w, _ in cleaned)
+        if not keep.all():
+            weights, amps = weights[keep], amps[keep]
+        if any(s != amps.shape[1] for s in amps.shape[2:]):
+            raise DimensionMismatchError(
+                f"all modes must share one truncation, got branch shape {amps.shape[1:]}"
+            )
+        if amps[0].size > MAX_AMPLITUDES:
+            raise DimensionMismatchError(
+                f"branch of size {amps[0].size} exceeds MAX_AMPLITUDES={MAX_AMPLITUDES}"
+            )
+        total = weights.sum()
         if abs(total - 1.0) > 1e-7:
             raise StateValidationError(f"mixture weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "branches", tuple(cleaned))
+        norms = np.sqrt(_mass(amps, (0,)))
+        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-7)
+        if off.size:
+            i = off[0]
+            raise StateValidationError(f"branch {i} is not normalized: |psi| = {norms[i]!r}")
+        weights.setflags(write=False)
+        amps.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "amplitudes", amps)
 
-    @classmethod
-    def pure(cls, state: ModeState) -> "ModeMixture":
-        return cls(branches=((1.0, state),))
+    @property
+    def branches(self) -> tuple[tuple[float, np.ndarray], ...]:
+        """``(weight, amplitudes)`` per branch, as views into the stack."""
+        return tuple(zip(self.weights, self.amplitudes))
 
     @property
     def n_modes(self) -> int:
-        return self.branches[0][1].n_modes
+        return self.amplitudes.ndim - 1
 
     @property
     def n_max(self) -> int:
-        return self.branches[0][1].n_max
-
-    @property
-    def n_branches(self) -> int:
-        return len(self.branches)
+        return self.amplitudes.shape[1] - 1
 
     def probability(self, occupations: Sequence[int]) -> float:
         """Probability of finding exactly the given photon numbers."""
-        return float(sum(w * s.probability(occupations) for w, s in self.branches))
+        amps = self.amplitudes[(slice(None),) + tuple(int(n) for n in occupations)]
+        return float(self.weights @ (amps.real**2 + amps.imag**2))
 
 
 AnyModeState = Union[ModeState, ModeMixture]
 
 
-def _branches(state: AnyModeState) -> tuple[tuple[float, ModeState], ...]:
-    if isinstance(state, ModeState):
-        return ((1.0, state),)
-    return state.branches
-
-
-def _repack(branches: Iterable[tuple[float, np.ndarray]]) -> ModeMixture:
-    packed = [
-        (w, ModeState(amplitudes=arr)) for w, arr in branches if w > BRANCH_PRUNE_TOL
-    ]
-    return ModeMixture(branches=tuple(packed))
+def _stack(state: AnyModeState) -> tuple[np.ndarray, np.ndarray]:
+    """``(weights, amplitudes)`` of any state; a pure state is one branch."""
+    if isinstance(state, ModeMixture):
+        return state.weights, state.amplitudes
+    return np.ones(1), state.amplitudes[np.newaxis]
 
 
 def vacuum(n_modes: int, n_max: int) -> ModeState:
@@ -223,29 +255,45 @@ def fock(occupations: Sequence[int], n_max: int) -> ModeState:
     return ModeState(amplitudes=arr)
 
 
-def tensor_modes(first: AnyModeState, second: AnyModeState) -> AnyModeState:
+def mix(parts: Iterable[tuple[float, AnyModeState]]) -> ModeMixture:
+    """Classical mixture of ``(probability, state)`` parts on the same modes.
+
+    The parts' stacks are concatenated, each scaled by its probability, and
+    the weights renormalized, so the probabilities need not sum to one.
+    """
+    stacks = [(float(p), _stack(s)) for p, s in parts]
+    weights = np.concatenate([p * w for p, (w, _) in stacks])
+    amplitudes = np.concatenate([a for _, (_, a) in stacks])
+    return ModeMixture(weights=weights / weights.sum(), amplitudes=amplitudes)
+
+
+def tensor_modes(first: AnyModeState, second: AnyModeState) -> ModeMixture:
     """Tensor product; the second state's modes come after the first's."""
-    if (isinstance(first, ModeState) and isinstance(second, ModeState)):
-        arr = np.tensordot(first.amplitudes, second.amplitudes, axes=0)
-        return ModeState(amplitudes=arr)
-    combined = []
-    for wa, sa in _branches(first):
-        for wb, sb in _branches(second):
-            combined.append((wa * wb, np.tensordot(sa.amplitudes, sb.amplitudes, axes=0)))
-    return _repack(combined)
-
-
-def permute_modes(state: AnyModeState, order: Sequence[int]) -> AnyModeState:
-    """Reorder modes so that new mode ``k`` is old mode ``order[k]``."""
-    order = tuple(int(i) for i in order)
-    if isinstance(state, ModeState):
-        return ModeState(amplitudes=np.transpose(state.amplitudes, order))
+    wa, a = _stack(first)
+    wb, b = _stack(second)
+    ka, kb = len(wa), len(wb)
+    # Branch (i, j) is a[i] (x) b[j], built straight into one output stack.
+    joint = a.reshape(ka, 1, -1, 1) * b.reshape(1, kb, 1, -1)
     return ModeMixture(
-        branches=tuple(
-            (w, ModeState(amplitudes=np.transpose(s.amplitudes, order)))
-            for w, s in state.branches
-        )
+        weights=np.outer(wa, wb).ravel(),
+        amplitudes=joint.reshape((ka * kb,) + a.shape[1:] + b.shape[1:]),
     )
+
+
+def permute_modes(state: AnyModeState, order: Sequence[int]) -> ModeMixture:
+    """Reorder modes so that new mode ``k`` is old mode ``order[k]``."""
+    weights, amps = _stack(state)
+    axes = (0,) + tuple(1 + int(i) for i in order)
+    return ModeMixture(weights=weights, amplitudes=np.transpose(amps, axes))
+
+
+def phase_shift(state: AnyModeState, mode: int, phase_per_photon: float) -> ModeMixture:
+    """Multiply amplitudes by ``exp(i * phase * n_mode)`` (a mode phase shift)."""
+    weights, amps = _stack(state)
+    shape = [1] * amps.ndim
+    shape[int(mode) + 1] = amps.shape[1]
+    phases = np.exp(1j * phase_per_photon * np.arange(amps.shape[1])).reshape(shape)
+    return ModeMixture(weights=weights, amplitudes=amps * phases)
 
 
 def mode_density(state: AnyModeState, modes: Sequence[int]) -> np.ndarray:
@@ -259,17 +307,15 @@ def mode_density(state: AnyModeState, modes: Sequence[int]) -> np.ndarray:
         Density matrix of dimension ``(n_max + 1) ** len(modes)``.
     """
     modes = tuple(int(m) for m in modes)
-    first = _branches(state)[0][1]
-    if len(set(modes)) != len(modes) or any(m < 0 or m >= first.n_modes for m in modes):
+    weights, amps = _stack(state)
+    n_modes = amps.ndim - 1
+    if len(set(modes)) != len(modes) or any(m < 0 or m >= n_modes for m in modes):
         raise DimensionMismatchError(f"invalid mode subset {modes}")
-    d = first.n_max + 1
-    dim = d ** len(modes)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for w, s in _branches(state):
-        rest = [i for i in range(s.n_modes) if i not in modes]
-        mat = np.transpose(s.amplitudes, modes + tuple(rest)).reshape(dim, -1)
-        rho += w * (mat @ mat.conj().T)
-    return rho
+    dim = amps.shape[1] ** len(modes)
+    rest = tuple(i for i in range(n_modes) if i not in modes)
+    mat = np.transpose(amps, (0,) + tuple(1 + m for m in modes + rest))
+    mat = mat.reshape(len(weights), dim, -1)
+    return np.tensordot(weights, mat @ mat.conj().transpose(0, 2, 1), axes=1)
 
 
 # --------------------------------------------------------------------------
@@ -290,49 +336,47 @@ def _two_mode_block(n_max: int, phi: float) -> np.ndarray:
     return expm(gen)
 
 
-def _apply_two_mode(arr: np.ndarray, i: int, j: int, block: np.ndarray) -> np.ndarray:
-    d = arr.shape[0]
-    moved = np.moveaxis(arr, (i, j), (0, 1))
-    flat = moved.reshape(d * d, -1)
-    out = (block @ flat).reshape(moved.shape)
-    return np.moveaxis(out, (0, 1), (i, j))
+def _apply_two_mode(amps: np.ndarray, i: int, j: int, block: np.ndarray) -> np.ndarray:
+    """Apply ``block`` to modes ``i, j`` of every branch of a stack."""
+    d = amps.shape[1]
+    out = np.empty(amps.shape, dtype=complex)
+    src = np.moveaxis(amps, (i + 1, j + 1), (1, 2))
+    dst = np.moveaxis(out, (i + 1, j + 1), (1, 2))
+    # One branch at a time into the preallocated stack: the reshape copy and
+    # the product stay branch-sized instead of stack-sized.
+    for b in range(amps.shape[0]):
+        dst[b] = (block @ src[b].reshape(d * d, -1)).reshape(src.shape[1:])
+    return out
 
 
-def _check_overflow(arr: np.ndarray, i: int, j: int) -> None:
-    d = arr.shape[0]
-    n_max = d - 1
-    probs = np.abs(np.moveaxis(arr, (i, j), (0, 1))) ** 2
+def _check_overflow(amps: np.ndarray, i: int, j: int) -> None:
+    """Refuse if any branch, unweighted, has mass past the truncation on modes ``i, j``."""
+    d = amps.shape[1]
     totals = np.add.outer(np.arange(d), np.arange(d))
-    mass = probs.reshape(d, d, -1).sum(axis=2)
-    overflow = float(mass[totals > n_max].sum())
+    mass = _mass(amps, (0, i + 1, j + 1))
+    overflow = float(mass[:, totals > d - 1].sum(axis=1).max())
     if overflow > OVERFLOW_TOL:
         raise TruncationOverflowError(
             f"{overflow:.3e} probability sits in sectors with more than "
-            f"{n_max} photons across the interfering modes; raise n_max"
+            f"{d - 1} photons across the interfering modes; raise n_max"
         )
 
 
-def _unitary_pair_op(state: AnyModeState, i: int, j: int, phi: float) -> AnyModeState:
-    first = _branches(state)[0][1]
-    n = first.n_modes
+def _unitary_pair_op(state: AnyModeState, i: int, j: int, phi: float) -> ModeMixture:
+    weights, amps = _stack(state)
+    n = amps.ndim - 1
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise DimensionMismatchError(f"invalid mode pair ({i}, {j}) for {n} modes")
-    block = _two_mode_block(first.n_max, float(phi))
-    if isinstance(state, ModeState):
-        _check_overflow(state.amplitudes, i, j)
-        return ModeState(amplitudes=_apply_two_mode(state.amplitudes, i, j, block))
-    out = []
-    for w, s in state.branches:
-        _check_overflow(s.amplitudes, i, j)
-        out.append((w, ModeState(amplitudes=_apply_two_mode(s.amplitudes, i, j, block))))
-    return ModeMixture(branches=tuple(out))
+    _check_overflow(amps, i, j)
+    block = _two_mode_block(amps.shape[1] - 1, float(phi))
+    return ModeMixture(weights=weights, amplitudes=_apply_two_mode(amps, i, j, block))
 
 
 def beamsplitter(state: AnyModeState, mode_a: int, mode_b: int, transmission: float) -> AnyModeState:
     """Interfere two modes on a beamsplitter of the given transmission.
 
     Args:
-        state: Input state (pure or mixture); purity is preserved.
+        state: Input state; every branch stays pure.
         mode_a: Transmitted mode (``a -> sqrt(T) a + sqrt(1-T) b``).
         mode_b: Reflected mode.
         transmission: Power transmission ``T`` in ``[0, 1]``.
@@ -360,8 +404,9 @@ def polarization_rotation(state: AnyModeState, h_mode: int, v_mode: int, angle: 
 def loss_channel(state: AnyModeState, mode: int, transmission: float) -> ModeMixture:
     """Photon loss on one mode, decomposed into pure branches.
 
-    Branch ``l`` corresponds to the environment absorbing exactly ``l``
-    photons; each branch stays pure, so mixtures remain compact ensembles.
+    Branch ``(b, l)`` corresponds to the environment absorbing exactly
+    ``l`` photons from branch ``b``; each stays pure, so mixtures remain
+    compact ensembles.
 
     Args:
         state: Input state.
@@ -370,34 +415,32 @@ def loss_channel(state: AnyModeState, mode: int, transmission: float) -> ModeMix
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
-    first = _branches(state)[0][1]
-    n_max, n_modes = first.n_max, first.n_modes
+    weights, amps = _stack(state)
+    n_modes = amps.ndim - 1
     mode = int(mode)
     if not 0 <= mode < n_modes:
         raise DimensionMismatchError(f"mode {mode} out of range for {n_modes} modes")
     eta = float(transmission)
-    d = n_max + 1
-    ns = np.arange(d)
-    out: list[tuple[float, np.ndarray]] = []
-    for w, s in _branches(state):
-        arr = np.moveaxis(s.amplitudes, mode, 0)
-        for lost in range(d):
-            # Kraus branch: |n> -> sqrt(C(n, l) eta^(n-l) (1-eta)^l) |n - l>.
-            kept = ns[lost:] - lost
-            if eta == 0.0:
-                coeff = np.where(ns[lost:] == lost, 1.0, 0.0)
-            else:
-                coeff = np.sqrt(
-                    comb(ns[lost:], lost) * eta ** kept * (1.0 - eta) ** lost
-                )
-            branch = np.zeros_like(arr)
-            branch[: d - lost] = coeff.reshape((-1,) + (1,) * (arr.ndim - 1)) * arr[lost:]
-            weight = float(np.sum(np.abs(branch) ** 2))
-            if weight <= BRANCH_PRUNE_TOL:
-                continue
-            branch = np.moveaxis(branch / np.sqrt(weight), 0, mode)
-            out.append((w * weight, branch))
-    return _repack(out)
+    d = amps.shape[1]
+    lost, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    # Kraus operator l: |n> -> kraus[l, n] |n - l>, kraus[l, n] =
+    # sqrt(C(n, l) eta^(n-l) (1-eta)^l) (zero for n < l).
+    kraus = np.sqrt(comb(n, lost) * eta ** np.maximum(n - lost, 0) * (1.0 - eta) ** lost)
+    moved = np.moveaxis(amps, mode + 1, 1)
+    # Probability of losing l photons, per branch: shape (k, l).
+    lost_prob = _mass(moved, (0, 1)) @ (kraus**2).T
+    b_idx, l_idx = np.nonzero(lost_prob > BRANCH_PRUNE_TOL)
+    out = np.zeros((len(b_idx),) + moved.shape[1:], dtype=complex)
+    for n_lost in range(d):
+        # Branches that lost n_lost photons: |n> -> |n - n_lost>.
+        rows = np.flatnonzero(l_idx == n_lost)
+        coeff = kraus[n_lost, n_lost:].reshape((-1,) + (1,) * (n_modes - 1))
+        out[rows, : d - n_lost] = coeff * moved[b_idx[rows], n_lost:]
+    norms = _mass(out, (0,))
+    out /= np.sqrt(norms).reshape((-1,) + (1,) * n_modes)
+    return ModeMixture(
+        weights=weights[b_idx] * norms, amplitudes=np.moveaxis(out, 1, mode + 1)
+    )
 
 
 def distance_to_transmission(length_km: float, attenuation_db_per_km: float = 0.2) -> float:
@@ -465,23 +508,15 @@ def detection_probabilities(
         the detector on ``modes[k]`` clicked.
     """
     modes = tuple(int(m) for m in modes)
-    first = _branches(state)[0][1]
-    q = detector.outcome_matrix(first.n_max)
-    total = np.zeros((2,) * len(modes))
-    for w, s in _branches(state):
-        probs = np.abs(s.amplitudes) ** 2
-        # Contract every unmeasured axis to a scalar, measured axes with q.
-        t = probs
-        for axis in sorted(set(range(s.n_modes)) - set(modes), reverse=True):
-            t = t.sum(axis=axis)
-        remaining = [m for m in sorted(modes)]
-        for _ in range(len(remaining)):
-            t = np.tensordot(t, q, axes=([0], [0]))
-        # tensordot moved axes to the back in sorted-mode order; restore the
-        # requested order.
-        order = [sorted(modes).index(m) for m in modes]
-        total += w * np.transpose(t, order)
-    return total
+    weights, amps = _stack(state)
+    q = detector.outcome_matrix(amps.shape[1] - 1)
+    # Photon-number distribution of the watched modes, axes in ``modes`` order.
+    t = np.tensordot(weights, _mass(amps, (0,) + tuple(1 + m for m in modes)), axes=1)
+    # Each contraction consumes the leading photon-number axis and appends
+    # its click axis, so the click axes come out in ``modes`` order.
+    for _ in modes:
+        t = np.tensordot(t, q, axes=([0], [0]))
+    return t
 
 
 def threshold_detect(
@@ -489,79 +524,55 @@ def threshold_detect(
     modes: Sequence[int],
     detector: DetectorModel,
     pattern: Sequence[bool],
-    *,
-    discard: bool = True,
-) -> tuple[float, AnyModeState | None]:
+) -> tuple[float, ModeMixture | None]:
     """Condition a state on one specific click pattern.
 
-    By default the detection is destructive: the measured modes are removed
-    and the survivors form a mixture over the possible Fock contents of the
-    absorbed modes (coherence within a content class is preserved, which is
-    what makes interference-based heralding work).  With ``discard=False``
-    the measured modes are kept and the diagonal measurement operator's
-    square root is applied instead, so pure states stay pure.
+    The detection is destructive: the measured modes are removed and the
+    survivors form a mixture over the possible Fock contents of the absorbed
+    modes (coherence within a content class is preserved, which is what
+    makes interference-based heralding work).
 
     Args:
         state: Input state.
         modes: Measured modes.
         detector: Threshold detector model.
         pattern: Click (True) / silence (False) per measured mode.
-        discard: Remove measured modes from the returned state.
 
     Returns:
         ``(probability, conditional_state)``; the state is None when the
         pattern has (numerically) zero probability, or when all modes were
-        measured and discarded.
+        measured.
     """
     modes = tuple(int(m) for m in modes)
     pattern = tuple(bool(c) for c in pattern)
     if len(pattern) != len(modes):
         raise DimensionMismatchError("pattern length must match number of measured modes")
-    first = _branches(state)[0][1]
-    n_max, n_modes = first.n_max, first.n_modes
-    d = n_max + 1
-    q = detector.outcome_matrix(n_max)
-    weight_vecs = [q[:, 1] if click else q[:, 0] for click in pattern]
-
-    if not discard:
-        out = []
-        total = 0.0
-        for w, s in _branches(state):
-            arr = s.amplitudes.copy()
-            for mode, vec in zip(modes, weight_vecs):
-                shape = [1] * n_modes
-                shape[mode] = d
-                arr = arr * np.sqrt(vec).reshape(shape)
-            prob = float(np.sum(np.abs(arr) ** 2))
-            total += w * prob
-            if w * prob > BRANCH_PRUNE_TOL:
-                out.append((w * prob, arr / np.sqrt(prob)))
-        if total <= BRANCH_PRUNE_TOL or not out:
-            return 0.0, None
-        return total, _repack([(w / total, a) for w, a in out])
-
-    kept = tuple(i for i in range(n_modes) if i not in modes)
-    out = []
-    total = 0.0
-    for w, s in _branches(state):
-        # Rows: one per Fock content of the measured modes.
-        mat = np.transpose(s.amplitudes, modes + kept).reshape(d ** len(modes), -1)
-        content_weight = np.ones(d ** len(modes))
-        for k, vec in enumerate(weight_vecs):
-            reps_inner = d ** (len(modes) - k - 1)
-            content_weight *= np.repeat(np.tile(vec, d**k), reps_inner)
-        row_norms = np.sum(np.abs(mat) ** 2, axis=1)
-        branch_weights = content_weight * row_norms
-        total += w * float(branch_weights.sum())
-        for idx in np.nonzero(branch_weights > BRANCH_PRUNE_TOL)[0]:
-            amp = mat[idx].reshape((d,) * len(kept)) if kept else None
-            if amp is not None:
-                out.append((w * branch_weights[idx], amp / np.sqrt(row_norms[idx])))
+    weights, amps = _stack(state)
+    q = detector.outcome_matrix(amps.shape[1] - 1)
+    # Probability of the pattern given each Fock content of the measured modes.
+    content_weight = reduce(np.multiply.outer, [q[:, int(click)] for click in pattern])
+    # Per branch and content: the unnormalized survivor's squared norm.
+    row_norms = _mass(amps, (0,) + tuple(1 + m for m in modes))
+    branch_weights = (row_norms * content_weight).reshape(len(weights), -1)
+    total = float(weights @ branch_weights.sum(axis=1))
     if total <= BRANCH_PRUNE_TOL:
         return 0.0, None
-    if not kept:
-        return float(total), None
-    return float(total), _repack([(w / total, a) for w, a in out])
+    if len(modes) == amps.ndim - 1:
+        return total, None
+    b_idx, c_idx = np.nonzero(branch_weights > BRANCH_PRUNE_TOL)
+    contents = np.unravel_index(c_idx, row_norms.shape[1:])
+    # Advanced indices on the branch and measured axes gather one survivor
+    # per (branch, content) pair, ahead of the kept modes in their order.
+    index = [b_idx] + [slice(None)] * (amps.ndim - 1)
+    for m, content in zip(modes, contents):
+        index[m + 1] = content
+    survivors = amps[tuple(index)]
+    norms = row_norms[(b_idx,) + contents]
+    survivors /= np.sqrt(norms).reshape((-1,) + (1,) * (survivors.ndim - 1))
+    return total, ModeMixture(
+        weights=weights[b_idx] * branch_weights[b_idx, c_idx] / total,
+        amplitudes=survivors,
+    )
 
 
 def polarization_correlation_table(
@@ -599,8 +610,6 @@ def polarization_correlation_table(
         A :class:`diqkd_lab.qstate.CorrelationTable` of shape
         ``(len(alice_angles), len(bob_angles), 4, 4)``.
     """
-    from diqkd_lab.qstate import CorrelationTable
-
     detector = detector or DetectorModel()
     a_h, a_v = (int(m) for m in alice_modes)
     b_h, b_v = (int(m) for m in bob_modes)
@@ -721,22 +730,15 @@ def heralded_single_photon(
         single-mode signal state given a trigger click.
     """
     weights = _pair_weights(pair_prob, n_pair_max)
-    branches = []
-    trigger_prob = 0.0
-    for n, w in enumerate(weights):
-        p_click = trigger_detector.click_probability(n)
-        weight = float(w * p_click)
-        trigger_prob += weight
-        if weight > BRANCH_PRUNE_TOL:
-            branches.append((weight, fock([n], n_max)))
+    # Branch n: n pairs emitted and the trigger clicked; the signal holds |n>.
+    clicks = weights * trigger_detector.outcome_matrix(n_pair_max)[:, 1]
+    trigger_prob = float(clicks.sum())
     if trigger_prob <= BRANCH_PRUNE_TOL:
         return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
     mixture = ModeMixture(
-        branches=tuple((w / trigger_prob, s) for w, s in branches)
+        weights=clicks / trigger_prob, amplitudes=np.eye(n_pair_max + 1, n_max + 1)
     )
-    return HeraldRecord(
-        success_probability=float(trigger_prob), conditional_state=mixture, gain=None
-    )
+    return HeraldRecord(success_probability=trigger_prob, conditional_state=mixture, gain=None)
 
 
 # --------------------------------------------------------------------------
@@ -827,8 +829,6 @@ def bell_state_measurement(
     for label, pattern in _BSM_PATTERNS:
         prob, conditional = threshold_detect(mixed, measured, detector, pattern)
         total += prob
-        if conditional is not None and not isinstance(conditional, ModeMixture):
-            conditional = ModeMixture.pure(conditional)
         outcomes.append(
             BsmOutcome(label=label, pattern=pattern, probability=float(prob), state=conditional)
         )
@@ -853,35 +853,17 @@ class HeraldRecord:
     """
 
     success_probability: float
-    conditional_state: AnyModeState | None
+    conditional_state: ModeMixture | None
     gain: float | None
 
 
 def _qubit_populations(state: AnyModeState, h_mode: int, v_mode: int) -> tuple[float, float]:
     """(vacuum, single-photon) populations of a polarization mode pair."""
     rho = mode_density(state, (h_mode, v_mode))
-    d = _branches(state)[0][1].n_max + 1
+    d = state.n_max + 1
     vac = float(np.real(rho[0, 0]))
     single = float(np.real(rho[1, 1] + rho[d, d]))
     return vac, single
-
-
-def _phase_on_occupation(
-    state: AnyModeState, mode: int, phase_per_photon: float
-) -> AnyModeState:
-    """Multiply amplitudes by ``exp(i * phase * n_mode)`` (a mode phase shift)."""
-    first = _branches(state)[0][1]
-    d = first.n_max + 1
-    shape = [1] * first.n_modes
-    shape[mode] = d
-    phases = np.exp(1j * phase_per_photon * np.arange(d)).reshape(shape)
-    if isinstance(state, ModeState):
-        return ModeState(amplitudes=state.amplitudes * phases)
-    return ModeMixture(
-        branches=tuple(
-            (w, ModeState(amplitudes=s.amplitudes * phases)) for w, s in state.branches
-        )
-    )
 
 
 def qubit_amplifier(
@@ -927,8 +909,7 @@ def qubit_amplifier(
     detector = detector or DetectorModel()
     trigger_detector = trigger_detector or detector
     in_h, in_v = (int(m) for m in input_modes)
-    first = _branches(state)[0][1]
-    n_modes, n_max = first.n_modes, first.n_max
+    n_modes, n_max = state.n_modes, state.n_max
 
     # Ancilla preparation on four new modes (tH, rH, tV, rV), appended after
     # the existing ones.
@@ -954,15 +935,13 @@ def qubit_amplifier(
     vac_in, single_in = _qubit_populations(state, in_h, in_v)
 
     bsm = bell_state_measurement(work, (in_h, in_v), (r_h, r_v), detector)
-    # After removing (in_h, in_v, r_h, r_v), the ancilla transmitted modes
-    # sit at the end of the survivor list.
-    survivors = [m for m in range(n_modes + 4) if m not in (in_h, in_v, r_h, r_v)]
-    out_h, out_v = survivors.index(t_h), survivors.index(t_v)
+    # After removing (in_h, in_v, r_h, r_v), the survivors are ordered
+    # (other modes..., tH, tV).
+    out_h, out_v = n_modes - 2, n_modes - 1
 
-    merged: list[tuple[float, ModeState]] = []
-    success = 0.0
+    heralds = []
     for outcome in bsm.outcomes:
-        if outcome.state is None or outcome.probability <= BRANCH_PRUNE_TOL:
+        if outcome.state is None:
             continue
         corrected = outcome.state
         # Feed-forward: under this module's beamsplitter sign convention, a
@@ -970,30 +949,20 @@ def qubit_amplifier(
         # teleported photon of that polarization; undo it so every herald
         # yields the same output state.
         if outcome.pattern[0]:
-            corrected = _phase_on_occupation(corrected, out_h, np.pi)
+            corrected = phase_shift(corrected, out_h, np.pi)
         if outcome.pattern[1]:
-            corrected = _phase_on_occupation(corrected, out_v, np.pi)
-        success += outcome.probability
-        for w, s in _branches(corrected):
-            merged.append((outcome.probability * w, s))
-    success_total = trigger_prob * success
+            corrected = phase_shift(corrected, out_v, np.pi)
+        heralds.append((outcome.probability, corrected))
+    success = sum(p for p, _ in heralds)
     if success <= BRANCH_PRUNE_TOL:
         return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
-    conditional = ModeMixture(branches=tuple((w / success, s) for w, s in merged))
+    conditional = mix(heralds)
 
-    # Put the output modes back where the input modes were: survivors are
-    # currently ordered (other modes..., tH, tV) with the other modes keeping
-    # their relative order.
-    final_order = []
-    remaining = [i for i in range(conditional.n_modes) if i not in (out_h, out_v)]
-    it = iter(remaining)
-    for m in range(n_modes):
-        if m == in_h:
-            final_order.append(out_h)
-        elif m == in_v:
-            final_order.append(out_v)
-        else:
-            final_order.append(next(it))
+    # Put the output modes back where the input modes were, the other modes
+    # keeping their relative order.
+    final_order = list(range(n_modes - 2))
+    for position, mode in sorted([(in_h, out_h), (in_v, out_v)]):
+        final_order.insert(position, mode)
     conditional = permute_modes(conditional, final_order)
 
     gain = None
@@ -1001,7 +970,9 @@ def qubit_amplifier(
     if vac_in > 0 and single_in > 0 and vac_out > 0 and single_out > 0:
         gain = float(np.sqrt((single_out / vac_out) / (single_in / vac_in)))
     return HeraldRecord(
-        success_probability=float(success_total), conditional_state=conditional, gain=gain
+        success_probability=float(trigger_prob * success),
+        conditional_state=conditional,
+        gain=gain,
     )
 
 

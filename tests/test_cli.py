@@ -3,10 +3,12 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from diqkd_lab import cli
 from diqkd_lab.cli import (
     SWEEP_COLUMNS,
     CliError,
@@ -186,6 +188,45 @@ def test_sweep_command_jobs_do_not_change_bytes(tmp_path):
     assert main(["sweep", "--scenario", path, "--out", out1, "--jobs", "1"]) == 0
     assert main(["sweep", "--scenario", path, "--out", out2, "--jobs", "4"]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.mark.parametrize("name", ["standard", "third_party", "local_heralding_ideal"])
+def test_sweep_command_matches_reference_bytes(tmp_path, name):
+    # Reads the committed reference CSVs; never rewrites them.
+    out = tmp_path / "sweep.csv"
+    scenario = BENCH_DIR / "scenarios" / f"{name}_sweep.json"
+    argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--jobs", "1"]
+    assert main(argv) == 0
+    assert out.read_bytes() == (BENCH_DIR / "refs" / f"{name}_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["session", "sweep"])
+@pytest.mark.parametrize("architecture", ["local_heralding", "third_party"])
+def test_never_heralding_scenario_is_reported(tmp_path, capsys, command, architecture):
+    payload = {"architecture": architecture, "detector_efficiency": 0.0, "rounds": 1000}
+    if command == "sweep":
+        payload["sweep"] = {"parameter": "distance_km", "min": 0, "max": 10, "steps": 2}
+    path = write_scenario(tmp_path, "s.json", payload)
+    assert main([command, "--scenario", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "never heralds" in err
+
+
+def test_unrelated_runtime_errors_propagate(tmp_path, monkeypatch):
+    def broken(scenario):
+        raise RuntimeError("unrelated failure")
+
+    monkeypatch.setattr(cli, "run", broken)
+    path = write_scenario(
+        tmp_path,
+        "s.json",
+        {"sweep": {"parameter": "distance_km", "min": 0, "max": 1, "steps": 1}},
+    )
+    with pytest.raises(RuntimeError, match="unrelated failure"):
+        main(["sweep", "--scenario", path])
 
 
 def test_sweep_command_requires_axis(tmp_path, capsys):

@@ -8,6 +8,7 @@ from diqkd_lab.photonics import (
     DetectorModel,
     ModeMixture,
     ModeState,
+    TruncationOverflowError,
     amplifier_success_probability,
     beamsplitter,
     bell_state_measurement,
@@ -16,6 +17,7 @@ from diqkd_lab.photonics import (
     fock,
     heralded_single_photon,
     loss_channel,
+    mix,
     mode_density,
     permute_modes,
     polarization_correlation_table,
@@ -57,7 +59,46 @@ def test_mode_state_requires_normalization():
 def test_mixture_weights_must_sum_to_one():
     s = vacuum(1, 1)
     with pytest.raises(StateValidationError):
-        ModeMixture(branches=((0.4, s), (0.4, s)))
+        ModeMixture(weights=[0.4, 0.4], amplitudes=[s.amplitudes, s.amplitudes])
+
+
+def test_stacked_ops_match_branch_by_branch():
+    """Acting on a whole stack equals acting on each pure branch and mixing."""
+    rng = np.random.default_rng(7)
+    shape = (3, 3, 3)
+    states = []
+    for _ in range(3):
+        arr = np.zeros(shape, dtype=complex)
+        # Two photons at most, so every pair op stays inside the truncation.
+        for occ in np.ndindex(shape):
+            if sum(occ) <= 2:
+                arr[occ] = rng.normal() + 1j * rng.normal()
+        states.append(ModeState(amplitudes=arr / np.linalg.norm(arr)))
+    probs = (0.5, 0.3, 0.2)
+    mixture = mix(zip(probs, states))
+    detector = DetectorModel(efficiency=0.7, dark_count_prob=0.05)
+    ops = (
+        lambda s: beamsplitter(s, 0, 2, 0.3),
+        lambda s: loss_channel(s, 1, 0.6),
+        lambda s: permute_modes(s, (2, 0, 1)),
+        lambda s: tensor_modes(s, loss_channel(fock([1], 2), 0, 0.5)),
+    )
+    for op in ops:
+        stacked = op(mixture)
+        modes = range(stacked.n_modes)
+        expected = sum(p * mode_density(op(s), modes) for p, s in zip(probs, states))
+        np.testing.assert_allclose(mode_density(stacked, modes), expected, atol=1e-12)
+    # Conditioning reweights each branch by its own click probability.
+    total, conditional = threshold_detect(mixture, (1,), detector, (True,))
+    parts = [threshold_detect(s, (1,), detector, (True,)) for s in states]
+    assert total == pytest.approx(sum(p * c for p, (c, _) in zip(probs, parts)), abs=1e-12)
+    expected = sum(p * c * mode_density(cond, (0, 1)) for p, (c, cond) in zip(probs, parts))
+    np.testing.assert_allclose(mode_density(conditional, (0, 1)), expected / total, atol=1e-12)
+    np.testing.assert_allclose(
+        detection_probabilities(mixture, (2, 0), detector),
+        sum(p * detection_probabilities(s, (2, 0), detector) for p, s in zip(probs, states)),
+        atol=1e-12,
+    )
 
 
 def test_tensor_and_permute():
@@ -84,6 +125,31 @@ def test_hong_ou_mandel_dip():
     assert out.probability([1, 1]) == pytest.approx(0.0, abs=1e-12)
     assert out.probability([2, 0]) == pytest.approx(0.5, abs=1e-12)
     assert out.probability([0, 2]) == pytest.approx(0.5, abs=1e-12)
+
+
+def test_beamsplitter_refuses_photons_past_the_truncation():
+    """Four photons across a pair truncated at three cannot interfere."""
+    with pytest.raises(TruncationOverflowError):
+        beamsplitter(fock([2, 2], 3), 0, 1, 0.5)
+
+
+def test_overflow_is_judged_per_branch_unweighted():
+    """One overflowing branch blocks a mixture, however light its weight."""
+    light = mix([(1.0 - 1e-9, fock([1, 1], 3)), (1e-9, fock([2, 2], 3))])
+    with pytest.raises(TruncationOverflowError):
+        beamsplitter(light, 0, 1, 0.5)
+    fits = mix([(0.5, fock([1, 1], 3)), (0.5, fock([3, 0], 3))])
+    out = beamsplitter(fits, 0, 1, 0.5)
+    # |3, 0> splits binomially; |1, 1> bunches and never reaches |2, 1>.
+    assert out.probability([2, 1]) == pytest.approx(0.5 * 3 / 8, abs=1e-12)
+
+
+def test_mix_concatenates_and_renormalizes():
+    mixed = mix([(0.2, fock([1], 2)), (0.6, loss_channel(fock([2], 2), 0, 0.5))])
+    assert len(mixed.branches) == 4
+    assert mixed.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert mixed.probability([1]) == pytest.approx(0.25 + 0.75 * 0.5, abs=1e-12)
+    assert mixed.probability([0]) == pytest.approx(0.75 * 0.25, abs=1e-12)
 
 
 def test_polarization_rotation_is_bloch_angle():
