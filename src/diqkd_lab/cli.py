@@ -147,6 +147,15 @@ def _number(kind: type, value, key: str):
         raise CliError(f"{key} must be a number, got {value!r}") from exc
 
 
+def _integer(value, key: str) -> int:
+    """Convert an integral setting; integral floats such as ``1e6`` pass, booleans do not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (bool, float)):
+        raise CliError(f"{key} must be an integer, got {value!r}")
+    return _number(int, value, key)
+
+
 def parse_scenario_file(path: str | Path) -> ScenarioFile:
     """Load and validate a flat JSON scenario file.
 
@@ -193,7 +202,7 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
             parameter=str(raw_axis["parameter"]),
             lo=_number(float, raw_axis["min"], "sweep min"),
             hi=_number(float, raw_axis["max"], "sweep max"),
-            steps=_number(int, raw_axis["steps"], "sweep steps"),
+            steps=_integer(raw_axis["steps"], "sweep steps"),
             scale=str(raw_axis.get("scale", "linear")),
         )
 
@@ -206,21 +215,27 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
             if not 0.0 < eta <= 1.0:
                 raise CliError(f"etas entries must lie in (0, 1], got {eta}")
 
-    rounds = _number(int, data.get("rounds", 100_000), "rounds")
+    rounds = _integer(data.get("rounds", 100_000), "rounds")
     if rounds <= 0:
         raise CliError(f"rounds must be positive, got {rounds}")
     sample_fraction = _number(float, data.get("sample_fraction", 0.1), "sample_fraction")
     if not 0.0 <= sample_fraction < 1.0:
         raise CliError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")
+    seed = _integer(data.get("seed", 0), "seed")
+    if seed < 0:
+        raise CliError(f"seed must be non-negative, got {seed}")
+    optimize = data.get("optimize", False)
+    if not isinstance(optimize, bool):
+        raise CliError(f"optimize must be true or false, got {optimize!r}")
 
     return ScenarioFile(
         scenario=scenario,
         sweep=axis,
-        seed=_number(int, data.get("seed", 0), "seed"),
+        seed=seed,
         out=None if data.get("out") is None else str(data["out"]),
         rounds=rounds,
         sample_fraction=sample_fraction,
-        optimize=bool(data.get("optimize", False)),
+        optimize=optimize,
         theta=None if data.get("theta") is None else _number(float, data["theta"], "theta"),
         etas=etas,
     )
@@ -433,6 +448,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise CliError(f"--seed must be non-negative, got {args.seed}")
         parsed = parse_scenario_file(args.scenario)
         return _COMMANDS[args.command](parsed, args)
     except (CliError, NeverHeraldsError) as exc:

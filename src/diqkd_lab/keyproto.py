@@ -32,13 +32,13 @@ from typing import Sequence
 
 import numpy as np
 
-from diqkd_lab.architectures import RunResult, Scenario, devetak_winter_rate, run
+from diqkd_lab.architectures import Scenario, devetak_winter_rate, run
 
 __all__ = [
     "MessageKind",
     "ProtocolMessage",
     "ProtocolAbort",
-    "RoundRecord",
+    "Rounds",
     "EstimationSample",
     "Estimate",
     "ReconcileResult",
@@ -95,33 +95,39 @@ class ProtocolMessage:
 
 
 class ProtocolAbort(Exception):
-    """Raised internally when a protocol stage fails its acceptance check."""
+    """Raised internally when a protocol stage fails its acceptance check.
 
-    def __init__(self, reason: str) -> None:
+    Attributes:
+        reason: Stage tag, ``"<stage>:<detail>"``.
+        sender: Party that announces the abort on the channel.
+    """
+
+    def __init__(self, reason: str, sender: str = "alice") -> None:
         super().__init__(reason)
         self.reason = reason
+        self.sender = sender
 
 
 @dataclass(frozen=True)
-class RoundRecord:
-    """One measurement round as seen by the devices.
+class Rounds:
+    """Measurement rounds as seen by the devices, as same-length columns.
+
+    A round's index is its position in the arrays.
 
     Attributes:
-        index: Round number.
-        x: Alice's setting (0 or 1); 0 is the key basis.
-        y: Bob's setting (0, 1 or 2); 0 is the key basis.
-        a: Alice's outcome code (0, 1, 2 = no click, 3 = double click).
-        b: Bob's outcome code.
-        heralded: Whether the architecture declared the round usable;
+        x: Alice's settings (0 or 1); 0 is the key basis.
+        y: Bob's settings (0, 1 or 2); 0 is the key basis.
+        a: Alice's outcome codes (0, 1, 2 = no click, 3 = double click).
+        b: Bob's outcome codes.
+        heralded: Whether the architecture declared each round usable;
             outcomes of non-heralded rounds are recorded as no-clicks.
     """
 
-    index: int
-    x: int
-    y: int
-    a: int
-    b: int
-    heralded: bool
+    x: np.ndarray
+    y: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    heralded: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -284,9 +290,7 @@ def simulate_rounds(
     scenario: Scenario,
     n_rounds: int,
     seed: int | np.random.SeedSequence,
-    *,
-    result: RunResult | None = None,
-) -> list[RoundRecord]:
+) -> Rounds:
     """Sample measurement rounds from a scenario's conditional statistics.
 
     Settings are drawn uniformly and independently per party; the herald
@@ -297,15 +301,12 @@ def simulate_rounds(
     Args:
         scenario: Link configuration.
         n_rounds: Number of source repetitions to simulate.
-        seed: Seed for the round generator; fixed seed means an identical
-            record list on every call.
-        result: Optional precomputed ``run(scenario)`` output, to avoid
-            re-simulating the optics.
+        seed: Seed for the round generator; fixed seed means identical
+            rounds on every call.
     """
     if n_rounds <= 0:
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
-    if result is None:
-        result = run(scenario)
+    result = run(scenario)
     rng = np.random.default_rng(seed)
     n_x, n_y = result.table.probabilities.shape[:2]
     x = rng.integers(0, n_x, size=n_rounds)
@@ -323,19 +324,7 @@ def simulate_rounds(
             edges[-1] = 1.0
             joint[mask] = np.searchsorted(edges, u[mask], side="right")
     n_b = result.table.probabilities.shape[3]
-    a = joint // n_b
-    b = joint % n_b
-    return [
-        RoundRecord(
-            index=i,
-            x=int(x[i]),
-            y=int(y[i]),
-            a=int(a[i]),
-            b=int(b[i]),
-            heralded=bool(heralded[i]),
-        )
-        for i in range(n_rounds)
-    ]
+    return Rounds(x=x, y=y, a=joint // n_b, b=joint % n_b, heralded=heralded)
 
 
 # --------------------------------------------------------------------------
@@ -344,7 +333,7 @@ def simulate_rounds(
 
 
 def sift(
-    records: Sequence[RoundRecord],
+    rounds: Rounds,
     sample_fraction: float = 0.1,
     rng: np.random.Generator | None = None,
     min_raw_rounds: int = 16,
@@ -365,18 +354,17 @@ def sift(
         raise ValueError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")
     if rng is None:
         rng = np.random.default_rng(0)
-    heralded = [r for r in records if r.heralded]
-    idx = np.array([r.index for r in heralded], dtype=np.int64)
-    x = np.array([r.x for r in heralded], dtype=np.int64)
-    y = np.array([r.y for r in heralded], dtype=np.int64)
-    a_bits = _binned_bit(np.array([r.a for r in heralded], dtype=np.int64))
-    b_bits = _binned_bit(np.array([r.b for r in heralded], dtype=np.int64))
-    n_sample = int(round(sample_fraction * len(heralded)))
-    if len(heralded) > 0 and n_sample > 0:
-        chosen = np.sort(rng.choice(len(heralded), size=n_sample, replace=False))
+    idx = np.flatnonzero(rounds.heralded)
+    x = rounds.x[idx]
+    y = rounds.y[idx]
+    a_bits = _binned_bit(rounds.a[idx])
+    b_bits = _binned_bit(rounds.b[idx])
+    n_sample = int(round(sample_fraction * idx.size))
+    if idx.size > 0 and n_sample > 0:
+        chosen = np.sort(rng.choice(idx.size, size=n_sample, replace=False))
     else:
         chosen = np.array([], dtype=np.int64)
-    in_sample = np.zeros(len(heralded), dtype=bool)
+    in_sample = np.zeros(idx.size, dtype=bool)
     in_sample[chosen] = True
     raw_mask = (~in_sample) & (x == _KEY_SETTINGS[0]) & (y == _KEY_SETTINGS[1])
     sample = EstimationSample(
@@ -591,6 +579,8 @@ def privacy_amplify(
         raise ValueError("bits must be a 1-D array")
     if leakage_bits < 0 or security_margin < 0:
         raise ValueError("leakage_bits and security_margin must be non-negative")
+    if not 0.0 <= rate <= 1.0:
+        raise ValueError(f"rate must lie in [0, 1], got {rate}")
     n = bits.size
     m = max(0, math.floor(n * rate) - leakage_bits - security_margin)
     if m == 0:
@@ -613,37 +603,6 @@ def privacy_amplify(
 # --------------------------------------------------------------------------
 
 
-def _abort_outcome(
-    reason: str,
-    transcript: _Transcript,
-    sender: str,
-    *,
-    est: Estimate | None,
-    n_rounds: int,
-    n_heralded: int,
-    n_raw: int,
-    leakage: int = 0,
-) -> SessionOutcome:
-    transcript.send(sender, MessageKind.ABORT, reason.encode("ascii"))
-    empty = np.zeros(0, dtype=np.uint8)
-    return SessionOutcome(
-        status="abort",
-        alice_key_bits=empty,
-        bob_key_bits=empty.copy(),
-        leakage_bits=leakage,
-        estimated_s=est.s_hat if est else float("nan"),
-        estimated_q=est.q_hat if est else float("nan"),
-        s_radius=est.s_radius if est else float("nan"),
-        q_radius=est.q_radius if est else float("nan"),
-        worst_case_rate=0.0,
-        n_rounds=n_rounds,
-        n_heralded=n_heralded,
-        n_raw=n_raw,
-        abort_reason=reason,
-        transcript=tuple(transcript.messages),
-    )
-
-
 def run_session(
     scenario: Scenario,
     n_rounds: int,
@@ -653,7 +612,6 @@ def run_session(
     confidence: float = 1.0 - 1e-6,
     security_margin: int = 64,
     min_raw_rounds: int = 16,
-    result: RunResult | None = None,
 ) -> SessionOutcome:
     """Run the end-to-end protocol between two simulated parties.
 
@@ -673,103 +631,84 @@ def run_session(
         security_margin: Bits removed on top of leakage during
             amplification.
         min_raw_rounds: Abort threshold for the sifted raw key.
-        result: Optional precomputed ``run(scenario)`` output.
     """
     dev_ss, alice_ss = np.random.SeedSequence(seed).spawn(2)
     alice_rng = np.random.default_rng(alice_ss)
-    if result is None:
-        result = run(scenario)
-    records = simulate_rounds(scenario, n_rounds, dev_ss, result=result)
-    n_heralded = sum(1 for r in records if r.heralded)
+    rounds = simulate_rounds(scenario, n_rounds, dev_ss)
     transcript = _Transcript()
-    x_all = np.array([r.x for r in records], dtype=np.int64)
-    y_all = np.array([r.y for r in records], dtype=np.int64)
-    transcript.send("alice", MessageKind.BASIS_ANNOUNCE, _u32_bytes(x_all))
-    transcript.send("bob", MessageKind.BASIS_ANNOUNCE, _u32_bytes(y_all))
+    transcript.send("alice", MessageKind.BASIS_ANNOUNCE, _u32_bytes(rounds.x))
+    transcript.send("bob", MessageKind.BASIS_ANNOUNCE, _u32_bytes(rounds.y))
 
+    est = None
+    n_raw = 0
+    leakage = 0
+    abort_reason = None
     try:
         alice_raw, bob_raw, sample = sift(
-            records, sample_fraction, alice_rng, min_raw_rounds
+            rounds, sample_fraction, alice_rng, min_raw_rounds
         )
-    except ProtocolAbort as exc:
-        return _abort_outcome(
-            exc.reason, transcript, "alice",
-            est=None, n_rounds=n_rounds, n_heralded=n_heralded, n_raw=0,
+        n_raw = int(alice_raw.size)
+        transcript.send(
+            "alice", MessageKind.SAMPLE_INDICES, _u32_bytes(sample.indices)
         )
-    n_raw = int(alice_raw.size)
-    transcript.send(
-        "alice", MessageKind.SAMPLE_INDICES, _u32_bytes(sample.indices)
-    )
-    transcript.send(
-        "alice", MessageKind.SAMPLE_VALUES, _pack_bits(sample.alice_bits)
-    )
-    transcript.send("bob", MessageKind.SAMPLE_VALUES, _pack_bits(sample.bob_bits))
+        transcript.send(
+            "alice", MessageKind.SAMPLE_VALUES, _pack_bits(sample.alice_bits)
+        )
+        transcript.send("bob", MessageKind.SAMPLE_VALUES, _pack_bits(sample.bob_bits))
 
-    try:
         est = estimate(sample, confidence)
+        if est.s_worst <= 2.0:
+            raise ProtocolAbort("estimation:insufficient-violation")
+        rate = devetak_winter_rate(est.q_worst, est.s_worst)
+        if rate <= 0.0:
+            raise ProtocolAbort("estimation:zero-rate")
+
+        perm_seed = alice_rng.bytes(32)
+        transcript.send("alice", MessageKind.HASH_SEED, perm_seed)
+        recon = reconcile(
+            alice_raw,
+            bob_raw,
+            est.q_hat,
+            permutation_seed=perm_seed,
+            start_seq=len(transcript.messages),
+        )
+        transcript.absorb(recon.messages)
+        leakage = recon.leakage_bits
+        if not recon.verified:
+            raise ProtocolAbort("reconciliation:verification-failed", sender="bob")
+
+        pa_seed = alice_rng.bytes(32)
+        transcript.send("alice", MessageKind.HASH_SEED, pa_seed)
+        alice_key = privacy_amplify(
+            alice_raw, leakage, rate, pa_seed, security_margin=security_margin
+        )
+        bob_key = privacy_amplify(
+            recon.bits, leakage, rate, pa_seed, security_margin=security_margin
+        )
+        if alice_key.size == 0:
+            raise ProtocolAbort("amplification:zero-length")
+        transcript.send("alice", MessageKind.DONE, struct.pack("<I", alice_key.size))
+        transcript.send("bob", MessageKind.DONE, struct.pack("<I", bob_key.size))
     except ProtocolAbort as exc:
-        return _abort_outcome(
-            exc.reason, transcript, "alice",
-            est=None, n_rounds=n_rounds, n_heralded=n_heralded, n_raw=n_raw,
-        )
-    if est.s_worst <= 2.0:
-        return _abort_outcome(
-            "estimation:insufficient-violation", transcript, "alice",
-            est=est, n_rounds=n_rounds, n_heralded=n_heralded, n_raw=n_raw,
-        )
-    rate = devetak_winter_rate(est.q_worst, est.s_worst)
-    if rate <= 0.0:
-        return _abort_outcome(
-            "estimation:zero-rate", transcript, "alice",
-            est=est, n_rounds=n_rounds, n_heralded=n_heralded, n_raw=n_raw,
-        )
-
-    perm_seed = alice_rng.bytes(32)
-    transcript.send("alice", MessageKind.HASH_SEED, perm_seed)
-    recon = reconcile(
-        alice_raw,
-        bob_raw,
-        est.q_hat,
-        permutation_seed=perm_seed,
-        start_seq=len(transcript.messages),
-    )
-    transcript.absorb(recon.messages)
-    if not recon.verified:
-        return _abort_outcome(
-            "reconciliation:verification-failed", transcript, "bob",
-            est=est, n_rounds=n_rounds, n_heralded=n_heralded, n_raw=n_raw,
-            leakage=recon.leakage_bits,
-        )
-
-    pa_seed = alice_rng.bytes(32)
-    transcript.send("alice", MessageKind.HASH_SEED, pa_seed)
-    alice_key = privacy_amplify(
-        alice_raw, recon.leakage_bits, rate, pa_seed, security_margin=security_margin
-    )
-    bob_key = privacy_amplify(
-        recon.bits, recon.leakage_bits, rate, pa_seed, security_margin=security_margin
-    )
-    if alice_key.size == 0:
-        return _abort_outcome(
-            "amplification:zero-length", transcript, "alice",
-            est=est, n_rounds=n_rounds, n_heralded=n_heralded, n_raw=n_raw,
-            leakage=recon.leakage_bits,
-        )
-    transcript.send("alice", MessageKind.DONE, struct.pack("<I", alice_key.size))
-    transcript.send("bob", MessageKind.DONE, struct.pack("<I", bob_key.size))
+        transcript.send(exc.sender, MessageKind.ABORT, exc.reason.encode("ascii"))
+        abort_reason = exc.reason
+        alice_key = np.zeros(0, dtype=np.uint8)
+        bob_key = alice_key.copy()
+        rate = 0.0
+    nan = float("nan")
     return SessionOutcome(
-        status="key",
+        status="key" if abort_reason is None else "abort",
         alice_key_bits=alice_key,
         bob_key_bits=bob_key,
-        leakage_bits=recon.leakage_bits,
-        estimated_s=est.s_hat,
-        estimated_q=est.q_hat,
-        s_radius=est.s_radius,
-        q_radius=est.q_radius,
+        leakage_bits=leakage,
+        estimated_s=est.s_hat if est else nan,
+        estimated_q=est.q_hat if est else nan,
+        s_radius=est.s_radius if est else nan,
+        q_radius=est.q_radius if est else nan,
         worst_case_rate=rate,
         n_rounds=n_rounds,
-        n_heralded=n_heralded,
+        n_heralded=int(rounds.heralded.sum()),
         n_raw=n_raw,
-        abort_reason=None,
+        abort_reason=abort_reason,
         transcript=tuple(transcript.messages),
     )

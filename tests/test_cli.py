@@ -47,6 +47,10 @@ def test_parse_scenario_file_defaults(tmp_path):
     assert parsed.sweep is None
     assert parsed.rounds == 100_000
     assert parsed.seed == 0
+    # Integral floats are accepted for integer settings.
+    parsed = parse_scenario_file(write_scenario(tmp_path, "f.json", {"rounds": 1e6, "seed": 7.0}))
+    assert (parsed.rounds, parsed.seed) == (1_000_000, 7)
+    assert type(parsed.rounds) is int and type(parsed.seed) is int
 
 
 def test_parse_scenario_file_rejects_unknown_keys(tmp_path):
@@ -63,6 +67,20 @@ OUT_OF_RANGE_CASES = (
     (
         {"sweep": {"parameter": "distance_km", "min": "x", "max": 10, "steps": 3}},
         r"sweep min must be a number, got 'x'",
+    ),
+    ({"seed": -1}, r"seed must be non-negative, got -1"),
+    ({"optimize": "false"}, r"optimize must be true or false, got 'false'"),
+    ({"rounds": 2.7}, r"rounds must be an integer, got 2.7"),
+    ({"rounds": True}, r"rounds must be an integer, got True"),
+    ({"seed": 2.7}, r"seed must be an integer, got 2.7"),
+    ({"seed": True}, r"seed must be an integer, got True"),
+    (
+        {"sweep": {"parameter": "distance_km", "min": 0, "max": 10, "steps": 2.7}},
+        r"sweep steps must be an integer, got 2.7",
+    ),
+    (
+        {"sweep": {"parameter": "distance_km", "min": 0, "max": 10, "steps": True}},
+        r"sweep steps must be an integer, got True",
     ),
 )
 
@@ -318,6 +336,9 @@ def test_main_reports_errors_on_stderr(tmp_path, capsys):
     path = write_scenario(tmp_path, "s.json", {"bogus": 1})
     assert main(["validate", "--scenario", path]) == 2
     assert "error: unknown scenario file keys: bogus" in capsys.readouterr().err
+    path = write_scenario(tmp_path, "t.json", {"rounds": 1000})
+    assert main(["session", "--scenario", path, "--seed", "-1"]) == 2
+    assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
 
 
 def test_format_number_switches_notation():

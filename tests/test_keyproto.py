@@ -1,6 +1,8 @@
 """Tests for the device-independent key-distillation protocol."""
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from diqkd_lab.keyproto import (
     MessageKind,
     ProtocolAbort,
     ProtocolMessage,
-    RoundRecord,
+    Rounds,
     estimate,
     parse_transcript,
     privacy_amplify,
@@ -24,11 +26,9 @@ from diqkd_lab.keyproto import (
 
 
 def make_records(cells, heralded=True):
-    """Build round records from ``(x, y, a, b)`` tuples."""
-    return [
-        RoundRecord(index=i, x=x, y=y, a=a, b=b, heralded=heralded)
-        for i, (x, y, a, b) in enumerate(cells)
-    ]
+    """Build rounds from ``(x, y, a, b)`` tuples."""
+    x, y, a, b = np.array(cells, dtype=np.int64).reshape(-1, 4).T
+    return Rounds(x=x, y=y, a=a, b=b, heralded=np.full(x.size, heralded))
 
 
 # ----------------------------------------------------------------------
@@ -62,32 +62,35 @@ def test_parse_transcript_rejects_truncation():
 # ----------------------------------------------------------------------
 
 
+COLUMNS = ("x", "y", "a", "b", "heralded")
+
+
 def test_simulate_rounds_is_deterministic():
     scenario = Scenario()
     first = simulate_rounds(scenario, 500, 7)
     second = simulate_rounds(scenario, 500, 7)
-    assert first == second
+    assert all(np.array_equal(getattr(first, c), getattr(second, c)) for c in COLUMNS)
     third = simulate_rounds(scenario, 500, 8)
-    assert third != first
+    assert not all(np.array_equal(getattr(first, c), getattr(third, c)) for c in COLUMNS)
 
 
 def test_simulate_rounds_marks_non_heralded_as_no_click():
     scenario = Scenario(architecture="third_party", pair_prob=0.05)
-    records = simulate_rounds(scenario, 2000, 3)
-    assert len(records) == 2000
-    for r in records:
-        assert r.x in (0, 1) and r.y in (0, 1, 2)
-        if not r.heralded:
-            assert r.a == 2 and r.b == 2
+    rounds = simulate_rounds(scenario, 2000, 3)
+    assert all(getattr(rounds, c).shape == (2000,) for c in COLUMNS)
+    assert np.isin(rounds.x, (0, 1)).all() and np.isin(rounds.y, (0, 1, 2)).all()
+    assert (~rounds.heralded).any()
+    assert (rounds.a[~rounds.heralded] == 2).all()
+    assert (rounds.b[~rounds.heralded] == 2).all()
 
 
 def test_simulate_rounds_ideal_statistics():
-    records = simulate_rounds(Scenario(), 4000, 11)
-    assert all(r.heralded for r in records)
+    rounds = simulate_rounds(Scenario(), 4000, 11)
+    assert rounds.heralded.all()
     # Key basis is perfectly correlated for the ideal link.
-    key = [(r.a, r.b) for r in records if (r.x, r.y) == (0, 0)]
-    assert key, "expected key-basis rounds"
-    assert all(a == b for a, b in key)
+    key = (rounds.x == 0) & (rounds.y == 0)
+    assert key.any(), "expected key-basis rounds"
+    assert np.array_equal(rounds.a[key], rounds.b[key])
 
 
 # ----------------------------------------------------------------------
@@ -237,6 +240,10 @@ def test_privacy_amplify_output_length():
     assert out.size == math.floor(1000 * 0.5) - 100 - 64
     empty = privacy_amplify(bits, leakage_bits=500, rate=0.5, seed=0)
     assert empty.size == 0
+    # A rate outside [0, 1] would stretch the key past its input or crash.
+    for rate in (1.5, float("nan")):
+        with pytest.raises(ValueError, match="rate must lie in"):
+            privacy_amplify(bits[:100], 0, rate, seed=0, security_margin=0)
 
 
 def test_privacy_amplify_seed_sensitivity():
@@ -304,3 +311,62 @@ def test_run_session_leakage_for_error_free_key():
     block = min(n, math.ceil(0.73 * n))  # q_hat = 0 floors at one error in n
     expected = math.ceil(n / block) + math.ceil(n / min(n, 2 * block)) + 64
     assert outcome.leakage_bits == expected
+
+
+def session_digest(outcome) -> str:
+    """blake2b over the transcript bytes, both keys and the outcome's fields."""
+    h = hashlib.blake2b(digest_size=16)
+    h.update(serialize_transcript(outcome.transcript))
+    for key in (outcome.alice_key_bits, outcome.bob_key_bits):
+        h.update(key.dtype.str.encode() + struct.pack("<I", key.size) + np.packbits(key).tobytes())
+    fields = (
+        outcome.status,
+        outcome.abort_reason,
+        outcome.n_heralded,
+        outcome.n_raw,
+        outcome.leakage_bits,
+        outcome.estimated_s,
+        outcome.estimated_q,
+        outcome.s_radius,
+        outcome.q_radius,
+        outcome.worst_case_rate,
+    )
+    h.update(repr(fields).encode())
+    return h.hexdigest()
+
+
+# (scenario, rounds, seed, sample_fraction, abort reason, last sender, digest).
+# The digests pin sessions that end in a key and at every abort stage; the
+# last case is partly heralded (63 147 of 200 000 rounds), so it pins the
+# published sample indices over the heralded subset.
+GOLDEN_SESSIONS = (
+    (Scenario(), 60_000, 42, 0.5, None, "bob", "4c0535a1f6dfd1255e4d1b00fa87f8c0"),
+    (Scenario(), 30, 1, 0.9, "sifting:too-few-raw-rounds", "alice", "1c6f073f2edbaaf2a70fff40ed25f184"),
+    (Scenario(), 200, 0, 0.05, "estimation:missing-setting-pair", "alice", "2574cfc46b0af1b7ae09d0b58092f8bb"),
+    (
+        Scenario(detector_efficiency=0.5), 4_000, 1, 0.5,
+        "estimation:insufficient-violation", "alice", "e23a40303b4e1974c4b485bf94ba6d76",
+    ),
+    (
+        Scenario(node_fidelity=0.97), 200_000, 3, 0.1,
+        "estimation:zero-rate", "alice", "289d41d147f81c6b71fdcfe3de85fd68",
+    ),
+    (
+        Scenario(node_fidelity=0.99), 200_000, 1, 0.1,
+        "reconciliation:verification-failed", "bob", "5b2a601df97ccc373f7e2516823a129b",
+    ),
+    (Scenario(), 14_000, 8, 0.9, "amplification:zero-length", "alice", "05e99af9f90fbd825e72bdb294070a7e"),
+    (
+        Scenario(architecture="third_party", distance_km=10), 200_000, 2, 0.2,
+        "estimation:zero-rate", "alice", "a29152fc4aa01ec3348b8149f243c2e1",
+    ),
+)
+
+
+def test_run_session_matches_golden_digests():
+    for scenario, n_rounds, seed, fraction, reason, sender, digest in GOLDEN_SESSIONS:
+        outcome = run_session(scenario, n_rounds, seed, sample_fraction=fraction)
+        case = (scenario, n_rounds, seed, fraction)
+        assert outcome.abort_reason == reason, case
+        assert outcome.transcript[-1].sender == sender, case
+        assert session_digest(outcome) == digest, case

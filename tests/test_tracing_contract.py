@@ -1,0 +1,54 @@
+"""The benchmark's tracer must fit the library it wraps.
+
+``bench/tracing.py`` hooks library functions by name and reads their
+arguments and return values; a renamed function or argument, or a changed
+return shape, would otherwise only surface in a traced benchmark run.  The
+tests read that file and never change it.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from diqkd_lab import keyproto
+from diqkd_lab.architectures import Scenario
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracing_targets_resolve_in_the_library():
+    tracing = load_tracing()
+    for module_name, attr, _, _ in tracing.TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+            f"{module_name}.{attr}"
+        )
+
+
+def test_traced_session_runs_every_keyproto_hook():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        # Large enough to reach a key, so reconcile and privacy_amplify run.
+        outcome = keyproto.run_session(Scenario(), 60_000, 42, sample_fraction=0.5)
+        keyproto.serialize_transcript(outcome.transcript)
+    finally:
+        tracer.uninstall()
+    assert tracing.leftover_wrappers() == []
+    assert outcome.status == "key"
+    errors = [span for span in tracer.spans if "error" in span[5]]
+    assert errors == []
+    traced = {span[0] for span in tracer.spans}
+    stages = {
+        f"keyproto.{attr}"
+        for module, attr, _, _ in tracing.TARGETS
+        if module == "diqkd_lab.keyproto"
+    }
+    assert stages <= traced, stages - traced
