@@ -314,20 +314,6 @@ def key_rate(table: CorrelationTable, raw_x: int = 0, raw_y: int = 0) -> float:
 # --------------------------------------------------------------------------
 
 
-def _n_max(scenario: Scenario) -> int:
-    """Smallest safe Fock truncation for the scenario's photon content.
-
-    Ideal sources put at most one photon in any interfering mode pair; a
-    two-pair source needs 3; the amplifier's two contaminated ancillas can
-    stack up to four photons on its output mode pair.  The swap
-    architecture truncates its sources to single-pair emission, so 2
-    always suffices there.
-    """
-    if scenario.pair_prob == 0.0 or scenario.architecture == "third_party":
-        return 2
-    return 4 if scenario.architecture == "local_heralding" else 3
-
-
 def _depolarize_pair(state: AnyModeState, h_mode: int, v_mode: int, fidelity: float) -> AnyModeState:
     """Depolarize one polarization qubit so a singlet keeps the given fidelity.
 
@@ -353,12 +339,12 @@ def _depolarize_pair(state: AnyModeState, h_mode: int, v_mode: int, fidelity: fl
     )
 
 
-def _pair_state(scenario: Scenario, n_max: int, n_pair_max: int = 2) -> AnyModeState:
+def _pair_state(scenario: Scenario, n_pair_max: int = 2) -> AnyModeState:
     """Source output on modes (aH, aV, bH, bV)."""
     if scenario.pair_prob == 0.0:
-        state: AnyModeState = polarization_singlet(n_max)
+        state: AnyModeState = polarization_singlet()
     else:
-        state = spdc_source(scenario.pair_prob, n_pair_max=n_pair_max, n_max=n_max)
+        state = spdc_source(scenario.pair_prob, n_pair_max=n_pair_max, n_max=n_pair_max)
     return _depolarize_pair(state, 2, 3, scenario.node_fidelity)
 
 
@@ -378,17 +364,17 @@ def _detector(scenario: Scenario) -> DetectorModel:
     )
 
 
-def _swap_link(scenario: Scenario, n_max: int) -> AnyModeState:
+def _swap_link(scenario: Scenario) -> AnyModeState:
     """Both third_party sources, halves in flight attenuated, before the swap.
 
     Alice keeps modes (0, 1) of her pair and Bob modes (6, 7) of his; the
     travelling halves (2, 3) and (4, 5) each cross half the distance to the
     station.  Sources are truncated to single-pair emission.
     """
-    left = _pair_state(scenario, n_max, n_pair_max=1)
+    left = _pair_state(scenario, n_pair_max=1)
     # Swap the right source's halves so its travelling modes come first:
     # global layout (aH aV | c1H c1V c2H c2V | bH bV).
-    right = permute_modes(_pair_state(scenario, n_max, n_pair_max=1), (2, 3, 0, 1))
+    right = permute_modes(_pair_state(scenario, n_pair_max=1), (2, 3, 0, 1))
     half_t = distance_to_transmission(
         scenario.distance_km / 2.0, scenario.attenuation_db_per_km
     )
@@ -441,8 +427,7 @@ def run_standard(scenario: Scenario) -> RunResult:
     decays with the square of the arm transmission.  Every repetition is a
     round: ``herald_probability`` is 1.
     """
-    n_max = _n_max(scenario)
-    state = _pair_state(scenario, n_max)
+    state = _pair_state(scenario)
     worst_arm = max(scenario.source_position, 1.0 - scenario.source_position)
     arm_t = distance_to_transmission(
         worst_arm * scenario.distance_km, scenario.attenuation_db_per_km
@@ -468,8 +453,7 @@ def run_local_heralding(scenario: Scenario) -> RunResult:
     loss.  ``pair_prob`` parameterizes the amplifier's triggered ancilla
     sources; the entangled-pair source itself is ideal.
     """
-    n_max = _n_max(scenario)
-    state: AnyModeState = polarization_singlet(n_max)
+    state: AnyModeState = polarization_singlet()
     state = _depolarize_pair(state, 2, 3, scenario.node_fidelity)
     arm_t = distance_to_transmission(scenario.distance_km, scenario.attenuation_db_per_km)
     state = _lossy(state, (2, 3), arm_t)
@@ -501,8 +485,7 @@ def run_third_party(scenario: Scenario) -> RunResult:
     property of the sources, not of the architecture, and are exposed
     separately by the photonics layer.
     """
-    n_max = _n_max(scenario)
-    state = _swap_link(scenario, n_max)
+    state = _swap_link(scenario)
     bsm = bell_state_measurement(state, (2, 3), (4, 5), _detector(scenario))
     # Remaining modes: (aH, aV, bH, bV).  Feed-forward: phase-flip Bob's V
     # mode on a psi+ herald to map psi+ to psi-.
@@ -577,7 +560,7 @@ def charlie_independence_residual(
         raise ValueError("independence check applies to the third_party architecture")
     if settings is None:
         settings = [(x, y) for x in range(len(ALICE_ANGLES)) for y in range(len(BOB_ANGLES))]
-    state = _swap_link(scenario, _n_max(scenario))
+    state = _swap_link(scenario)
     detector = _detector(scenario)
     herald_probs = []
     for x, y in settings:

@@ -256,7 +256,7 @@ class EfficiencyThresholdResult:
             at which the binned CHSH value still exceeds the local bound.
             1.0 when no violation exists even with perfect detectors.
         theta: Entanglement parameter of the optimal family state, or None
-            when the search ran on a fixed state.
+            for a fixed state.
         alice_angles: Optimal (or supplied) measurement angles.
         bob_angles: Optimal (or supplied) measurement angles.
         chsh_at_unit_efficiency: CHSH value of the optimal configuration with
@@ -323,20 +323,19 @@ def _eta_threshold(
     return float(np.clip(eta, 0.0, 1.0)), e_tot
 
 
-def _threshold_starts(optimize_theta: bool) -> list[np.ndarray]:
-    starts = []
-    thetas = (0.02, 0.05, 0.1, 0.2, 0.4, np.pi / 4) if optimize_theta else (None,)
+def _threshold_starts() -> list[np.ndarray]:
+    """Starts ``(theta, alice angles, bob angles)`` of the family search."""
     angle_sets = (
         (*FAMILY_ALICE_ANGLES, *FAMILY_BOB_ANGLES),
         (*SINGLET_ALICE_ANGLES, *SINGLET_BOB_ANGLES),
         (0.1, 0.5, -0.3, 0.2),
         (-0.2, 0.6, 0.3, -0.5),
     )
-    for th in thetas:
-        for angles in angle_sets:
-            vec = list(angles) if th is None else [th, *angles]
-            starts.append(np.array(vec, dtype=float))
-    return starts
+    return [
+        np.array([th, *angles], dtype=float)
+        for th in (0.02, 0.05, 0.1, 0.2, 0.4, np.pi / 4)
+        for angles in angle_sets
+    ]
 
 
 def critical_efficiency(
@@ -349,18 +348,19 @@ def critical_efficiency(
 ) -> EfficiencyThresholdResult:
     """Find the critical detection efficiency of a fair-binned CHSH test.
 
-    With ``state=None`` the search optimizes over the partially entangled
-    family ``cos(theta)|00> + sin(theta)|11>`` using closed-form correlators;
-    pushing ``theta -> 0`` drives the symmetric threshold towards its known
-    infimum of 2/3.  With a fixed state the correlators come from the exact
-    Born-rule pipeline, and only the angles (if unspecified) are optimized.
-    A fixed maximally entangled state with its optimal angles yields the
-    textbook symmetric threshold ``2 (sqrt(2) - 1) ~ 0.8284``.
+    Two forms are supported.  A fixed two-qubit state with both angle lists
+    gives the closed-form threshold of that configuration, its correlators
+    taken from the exact Born-rule pipeline; the maximally entangled state
+    at its optimal angles yields the textbook symmetric threshold
+    ``2 (sqrt(2) - 1) ~ 0.8284``.  With no arguments the search optimizes
+    the partially entangled family ``cos(theta)|00> + sin(theta)|11>`` and
+    all four angles using closed-form correlators; pushing ``theta -> 0``
+    drives the symmetric threshold towards its known infimum of 2/3.
 
     Args:
         state: Fixed two-qubit state, or None to optimize over the family.
-        alice_angles: Two fixed angles, or None to optimize them.
-        bob_angles: Two fixed angles, or None to optimize them.
+        alice_angles: Alice's two angles, given exactly when ``state`` is.
+        bob_angles: Bob's two angles, given exactly when ``state`` is.
         side: ``"both"`` for symmetric losses, ``"alice"`` for loss on
             Alice's side only (perfect Bob).
         eta_tol: Requested absolute accuracy of the optimized threshold.
@@ -369,90 +369,47 @@ def critical_efficiency(
         An :class:`EfficiencyThresholdResult`.  ``eta_critical = 1.0`` with
         ``violation_at_unit_efficiency = False`` means the configuration
         never violates CHSH and there is nothing to certify.
+
+    Raises:
+        ValueError: Unless a state comes with both angle lists or nothing
+            is given.
     """
-    fixed_angles = alice_angles is not None and bob_angles is not None
-    if (alice_angles is None) != (bob_angles is None):
-        raise ValueError("supply both angle lists or neither")
-    if state is not None and tuple(state.dims) != (2, 2):
-        raise DimensionMismatchError("critical_efficiency expects a two-qubit state")
-
-    def correlations(theta: float | None, aa: np.ndarray, bb: np.ndarray):
-        if state is None:
-            return _family_correlations(theta, aa, bb)
-        return _state_correlations(state, aa, bb)
-
-    if fixed_angles:
+    given = (state is not None, alice_angles is not None, bob_angles is not None)
+    if any(given) and not all(given):
+        raise ValueError("supply a state with both angle lists, or no arguments")
+    if state is not None:
+        if tuple(state.dims) != (2, 2):
+            raise DimensionMismatchError("critical_efficiency expects a two-qubit state")
         aa = np.asarray(alice_angles, dtype=float)
         bb = np.asarray(bob_angles, dtype=float)
         if aa.shape != (2,) or bb.shape != (2,):
             raise DimensionMismatchError("CHSH needs exactly two angles per party")
-        if state is None:
-            # Only theta left to optimize: scan + polish.
-            def objective(t: np.ndarray) -> float:
-                eta, e_tot = _eta_threshold(*_family_correlations(t[0], aa, bb), side)
-                return eta if e_tot > 2.0 else 1.0 + (2.0 - e_tot)
-
-            best = None
-            for t0 in (0.02, 0.1, 0.3, np.pi / 4):
-                res = minimize(
-                    objective,
-                    np.array([t0]),
-                    method="Nelder-Mead",
-                    options={"xatol": eta_tol / 10, "fatol": 1e-12},
-                )
-                if best is None or res.fun < best.fun:
-                    best = res
-            theta = float(best.x[0])
-            eta, e_tot = _eta_threshold(*_family_correlations(theta, aa, bb), side)
-        else:
-            theta = None
-            eta, e_tot = _eta_threshold(*correlations(None, aa, bb), side)
-        return EfficiencyThresholdResult(
-            eta_critical=eta,
-            theta=theta,
-            alice_angles=(float(aa[0]), float(aa[1])),
-            bob_angles=(float(bb[0]), float(bb[1])),
-            chsh_at_unit_efficiency=e_tot,
-            violation_at_unit_efficiency=e_tot > 2.0,
-        )
-
-    optimize_theta = state is None
-
-    def objective(params: np.ndarray) -> float:
-        if optimize_theta:
-            theta, aa = params[0], params[1:3]
-            bb = params[3:5]
-            corr, ma, mb = _family_correlations(theta, aa, bb)
-        else:
-            aa, bb = params[0:2], params[2:4]
-            corr, ma, mb = _state_correlations(state, aa, bb)
-        eta, e_tot = _eta_threshold(corr, ma, mb, side)
-        # Outside the violation region, fall back to a slope that guides the
-        # optimizer towards violating configurations.
-        return eta if e_tot > 2.0 else 1.0 + (2.0 - e_tot)
-
-    best = None
-    for start in _threshold_starts(optimize_theta):
-        res = minimize(
-            objective,
-            start,
-            method="Nelder-Mead",
-            options={"xatol": eta_tol / 10, "fatol": 1e-12, "maxiter": 8000, "maxfev": 12000},
-        )
-        if best is None or res.fun < best.fun:
-            best = res
-    params = best.x
-    if optimize_theta:
-        theta = float(params[0])
-        aa, bb = params[1:3], params[3:5]
-        corr, ma, mb = _family_correlations(theta, aa, bb)
-    else:
         theta = None
-        aa, bb = params[0:2], params[2:4]
         corr, ma, mb = _state_correlations(state, aa, bb)
+    else:
+
+        def objective(params: np.ndarray) -> float:
+            eta, e_tot = _eta_threshold(
+                *_family_correlations(params[0], params[1:3], params[3:5]), side
+            )
+            # Outside the violation region, fall back to a slope that guides
+            # the optimizer towards violating configurations.
+            return eta if e_tot > 2.0 else 1.0 + (2.0 - e_tot)
+
+        best = None
+        for start in _threshold_starts():
+            res = minimize(
+                objective,
+                start,
+                method="Nelder-Mead",
+                options={"xatol": eta_tol / 10, "fatol": 1e-12, "maxiter": 8000, "maxfev": 12000},
+            )
+            if best is None or res.fun < best.fun:
+                best = res
+        theta = float(best.x[0])
+        aa, bb = best.x[1:3], best.x[3:5]
+        corr, ma, mb = _family_correlations(theta, aa, bb)
     eta, e_tot = _eta_threshold(corr, ma, mb, side)
-    if e_tot <= 2.0:
-        eta = 1.0
     return EfficiencyThresholdResult(
         eta_critical=eta,
         theta=theta,

@@ -140,7 +140,12 @@ _COMMAND_KEYS = {
 
 
 def _number(kind: type, value, key: str):
-    """Convert one command setting with ``int`` or ``float``, naming the key on failure."""
+    """Convert one command setting with ``int`` or ``float``, naming the key on failure.
+
+    JSON booleans are not numbers, although Python converts them.
+    """
+    if isinstance(value, bool):
+        raise CliError(f"{key} must be a number, got {value!r}")
     try:
         return kind(value)
     except (TypeError, ValueError) as exc:
@@ -180,6 +185,9 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
     if unknown:
         raise CliError(f"unknown scenario file keys: {', '.join(unknown)}")
 
+    for key, value in data.items():
+        if key in scenario_keys and key != "architecture" and isinstance(value, bool):
+            raise CliError(f"{key} must be a number, got {value!r}")
     try:
         scenario = Scenario.from_dict(
             {k: v for k, v in data.items() if k in scenario_keys}

@@ -233,10 +233,6 @@ def _pack_bits(bits: np.ndarray) -> bytes:
     return np.packbits(bits.astype(np.uint8)).tobytes()
 
 
-def _unpack_bits(data: bytes, n: int) -> np.ndarray:
-    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=n)
-
-
 def _u32_bytes(values: np.ndarray) -> bytes:
     return np.asarray(values, dtype="<u4").tobytes()
 

@@ -1,17 +1,24 @@
-"""Photonic mode simulation in truncated Fock space.
+"""Photonic mode simulation in sparse Fock space.
 
-States live on ``n_modes`` bosonic modes, each truncated at ``n_max``
-photons; a pure state (:class:`ModeState`) is a complex amplitude array of
-shape ``(n_max + 1, ..., n_max + 1)``.  Mixed states are explicit ensembles
-of pure branches stored as one stack (:class:`ModeMixture`): a weight
-vector of shape ``(k,)`` and an amplitude array of shape ``(k, n_max + 1,
-..., n_max + 1)``.  This keeps long pipelines exact without ever
-materializing a density matrix on the full mode space: loss splits each
-branch into one pure branch per number of lost photons, and destructive
-threshold detection splits it into one branch per Fock content of the
-measured modes.  Every operation reads a pure state as the one-branch
-stack and acts on the whole stack at once; :func:`mix` forms weighted
-unions of states.
+States live on ``n_modes`` bosonic modes.  A pure input state
+(:class:`ModeState`) is a dense complex amplitude array of shape
+``(n_max + 1, ..., n_max + 1)``; sources, :func:`fock` and :func:`vacuum`
+hand states in this way.  Every operation reads a pure state as a
+one-branch mixture and returns a :class:`ModeMixture`: an explicit ensemble
+of pure branches that stores only nonzero amplitudes, as a weight vector
+of shape ``(k,)`` and one table row per amplitude (its branch, its Fock
+occupations and its complex value).  No density matrix on the full mode
+space is ever built: loss splits each branch into one pure branch per
+number of lost photons, and destructive threshold detection splits it into
+one branch per Fock content of the measured modes.  :func:`mix` forms
+weighted unions of states.
+
+Linear optics conserves photon number, so a two-mode unitary maps each
+``|n1, n2>`` inside the sector of ``n1 + n2`` photons, and nothing is ever
+cut off: there is no truncation error.  ``n_max`` only bounds dense views
+(:func:`mode_density`, detector tables, ``ModeState`` arrays), and a
+mixture raises it to the largest occupation it holds.  The one
+approximation left is the sources' cut on pair number.
 
 Polarization qubits are encoded in mode pairs ``(H, V)``: ``|H>`` is one
 photon in the H mode, ``|V>`` one photon in the V mode.  Measuring the
@@ -20,16 +27,13 @@ the mode pair by ``theta / 2`` and detecting both output ports.
 
 Two-mode interference follows the convention ``a_1 -> sqrt(T) a_1 +
 sqrt(1-T) a_2`` (equivalently, creation operators transform as
-``a_1^dag -> sqrt(T) a_1^dag - sqrt(1-T) a_2^dag``).  The block is exact on
-every total-photon sector that fits inside the truncation; a branch with
-more than ``n_max`` photons across the two modes raises
-:class:`TruncationOverflowError`.
+``a_1^dag -> sqrt(T) a_1^dag - sqrt(1-T) a_2^dag``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -39,7 +43,6 @@ from scipy.special import comb
 from diqkd_lab.qstate import CorrelationTable, DimensionMismatchError, StateValidationError
 
 __all__ = [
-    "TruncationOverflowError",
     "ModeState",
     "ModeMixture",
     "DetectorModel",
@@ -68,21 +71,13 @@ __all__ = [
     "amplifier_success_probability",
 ]
 
-# Photon-number mass allowed beyond a beamsplitter's exact sectors before the
-# pipeline refuses to continue.
-OVERFLOW_TOL = 1e-6
-
-# Pure branches below this weight are dropped from mixtures (they carry no
-# probability at double precision).
+# Pure branches below this weight are dropped from mixtures, and amplitudes
+# below it in squared modulus from branches (they carry no probability at
+# double precision).
 BRANCH_PRUNE_TOL = 1e-30
 
-# Guard against accidentally huge amplitude arrays (dense ops beyond this are
-# better served by a different representation).
+# Guard against accidentally huge dense amplitude arrays.
 MAX_AMPLITUDES = 2_000_000
-
-
-class TruncationOverflowError(RuntimeError):
-    """Raised when photon amplitudes would spill past the Fock truncation."""
 
 
 # --------------------------------------------------------------------------
@@ -141,44 +136,55 @@ class ModeState:
         return float(per_n @ np.arange(self.n_max + 1))
 
 
-def _mass(amplitudes: np.ndarray, keep: Sequence[int]) -> np.ndarray:
-    """``sum |amplitudes|^2`` over every axis not in ``keep`` (kept in that order).
-
-    Summed over the real and imaginary views, so no temporary the size of
-    the input is built.
-    """
-    axes = list(range(amplitudes.ndim))
-    out = [int(a) for a in keep]
-    re, im = amplitudes.real, amplitudes.imag
-    return np.einsum(re, axes, re, axes, out) + np.einsum(im, axes, im, axes, out)
-
-
 @dataclass(frozen=True)
 class ModeMixture:
-    """A classical mixture of pure mode states, stored as one stack.
+    """A classical mixture of pure mode states, stored as its nonzero amplitudes.
+
+    Row ``r`` holds the amplitude ``amp[r]`` of the Fock state ``|occ[r]>``
+    in branch ``branch[r]``; a ``(branch, occupations)`` pair appears at
+    most once.  The arrays are stored without a copy and made read-only.
 
     Attributes:
         weights: Branch weights, shape ``(k,)``; positive and summing to
             one.  Branches of weight at most ``BRANCH_PRUNE_TOL`` are
             dropped on construction.
-        amplitudes: Branch amplitudes, shape ``(k, n_max + 1, ...,
-            n_max + 1)``; ``amplitudes[b]`` is the normalized pure state of
-            branch ``b``.  Stored without a copy and made read-only.
+        branch: Branch of each row, shape ``(nnz,)``, ascending.
+        occ: Photon number of every mode in each row, shape
+            ``(nnz, n_modes)``.
+        amp: Complex amplitude of each row, shape ``(nnz,)``; every branch
+            is normalized.
+        n_max: Bound of dense views; raised on construction to the largest
+            occupation present.
     """
 
     weights: np.ndarray
-    amplitudes: np.ndarray
+    branch: np.ndarray
+    occ: np.ndarray
+    amp: np.ndarray
+    n_max: int = 0
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float)
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if weights.ndim != 1 or amps.ndim < 2 or amps.shape[0] != weights.size:
+        branch = np.asarray(self.branch, dtype=np.intp)
+        occ = np.asarray(self.occ, dtype=np.intp)
+        amp = np.asarray(self.amp, dtype=complex)
+        if not (
+            weights.ndim == branch.ndim == 1
+            and occ.ndim == 2
+            and occ.shape[1] > 0
+            and amp.shape == branch.shape == occ.shape[:1]
+        ):
             raise DimensionMismatchError(
-                f"a mixture needs weights (k,) and amplitudes (k, d, ..., d), "
-                f"got {weights.shape} and {amps.shape}"
+                "a mixture needs weights (k,), branch (nnz,), occ (nnz, modes) and amp "
+                f"(nnz,), got {weights.shape}, {branch.shape}, {occ.shape} and {amp.shape}"
             )
         if weights.size == 0:
             raise StateValidationError("a mixture needs at least one branch")
+        ascending = (np.diff(branch) >= 0).all()
+        if branch.size and not (ascending and 0 <= branch[0] and branch[-1] < weights.size):
+            raise DimensionMismatchError("branch indices must ascend within [0, k)")
+        if (occ < 0).any():
+            raise DimensionMismatchError("occupations must be non-negative")
         negative = np.flatnonzero(weights < -1e-12)
         if negative.size:
             i = negative[0]
@@ -187,55 +193,108 @@ class ModeMixture:
         if not keep.any():
             raise StateValidationError("all branches have zero weight")
         if not keep.all():
-            weights, amps = weights[keep], amps[keep]
-        if any(s != amps.shape[1] for s in amps.shape[2:]):
-            raise DimensionMismatchError(
-                f"all modes must share one truncation, got branch shape {amps.shape[1:]}"
-            )
-        if amps[0].size > MAX_AMPLITUDES:
-            raise DimensionMismatchError(
-                f"branch of size {amps[0].size} exceeds MAX_AMPLITUDES={MAX_AMPLITUDES}"
-            )
+            rows = keep[branch]
+            weights, branch = weights[keep], (np.cumsum(keep) - 1)[branch[rows]]
+            occ, amp = occ[rows], amp[rows]
         total = weights.sum()
         if abs(total - 1.0) > 1e-7:
             raise StateValidationError(f"mixture weights sum to {total!r}, expected 1")
-        norms = np.sqrt(_mass(amps, (0,)))
+        norms = np.sqrt(np.bincount(branch, amp.real**2 + amp.imag**2, minlength=weights.size))
         off = np.flatnonzero(np.abs(norms - 1.0) > 1e-7)
         if off.size:
             i = off[0]
             raise StateValidationError(f"branch {i} is not normalized: |psi| = {norms[i]!r}")
-        weights.setflags(write=False)
-        amps.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "amplitudes", amps)
+        for name, arr in (("weights", weights), ("branch", branch), ("occ", occ), ("amp", amp)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "n_max", max(int(self.n_max), int(occ.max(initial=0))))
 
     @property
-    def branches(self) -> tuple[tuple[float, np.ndarray], ...]:
-        """``(weight, amplitudes)`` per branch, as views into the stack."""
-        return tuple(zip(self.weights, self.amplitudes))
+    def branches(self) -> tuple[tuple[float, slice], ...]:
+        """``(weight, rows)`` per branch; ``occ[rows]`` and ``amp[rows]`` hold its amplitudes."""
+        bounds = np.searchsorted(self.branch, np.arange(self.weights.size + 1)).tolist()
+        return tuple(zip(self.weights.tolist(), map(slice, bounds, bounds[1:])))
 
     @property
     def n_modes(self) -> int:
-        return self.amplitudes.ndim - 1
-
-    @property
-    def n_max(self) -> int:
-        return self.amplitudes.shape[1] - 1
+        return self.occ.shape[1]
 
     def probability(self, occupations: Sequence[int]) -> float:
         """Probability of finding exactly the given photon numbers."""
-        amps = self.amplitudes[(slice(None),) + tuple(int(n) for n in occupations)]
-        return float(self.weights @ (amps.real**2 + amps.imag**2))
+        target = [int(n) for n in occupations]
+        if len(target) != self.n_modes:
+            raise DimensionMismatchError(f"{len(target)} occupations for {self.n_modes} modes")
+        rows = (self.occ == target).all(axis=1)
+        amps = self.amp[rows]
+        return float(self.weights[self.branch[rows]] @ (amps.real**2 + amps.imag**2))
 
 
 AnyModeState = Union[ModeState, ModeMixture]
 
 
-def _stack(state: AnyModeState) -> tuple[np.ndarray, np.ndarray]:
-    """``(weights, amplitudes)`` of any state; a pure state is one branch."""
+def _as_mixture(state: AnyModeState) -> ModeMixture:
+    """Any state as a mixture; a pure state is one branch of its nonzeros."""
     if isinstance(state, ModeMixture):
-        return state.weights, state.amplitudes
-    return np.ones(1), state.amplitudes[np.newaxis]
+        return state
+    nonzero = np.nonzero(state.amplitudes)
+    return ModeMixture(
+        weights=np.ones(1),
+        branch=np.zeros(nonzero[0].size, dtype=np.intp),
+        occ=np.stack(nonzero, axis=1),
+        amp=state.amplitudes[nonzero],
+        n_max=state.n_max,
+    )
+
+
+def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of non-negative integer columns (ascending) and each row's index."""
+    table = np.column_stack(columns)
+    radix = table.max(axis=0, initial=0) + 1
+    if np.prod(radix.astype(float)) >= 2.0**63:
+        rows, index = np.unique(table, axis=0, return_inverse=True)
+        return rows, index.reshape(-1)
+    # Mixed-radix keys order like the rows, and one-dimensional keys sort fast.
+    place = np.append(np.cumprod(radix[:0:-1])[::-1], 1)
+    _, first, index = np.unique(table @ place, return_index=True, return_inverse=True)
+    return table[first], index
+
+
+def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Repeat row ``r`` ``counts[r]`` times; return the source rows and ``0..counts[r]-1``."""
+    src = np.repeat(np.arange(counts.size), counts)
+    return src, np.arange(src.size) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _merged(weights, branch, occ, amp, n_max: int) -> ModeMixture:
+    """Sum duplicate ``(branch, occupations)`` rows and drop the ones that cancel."""
+    keys, index = _distinct(branch, occ)
+    amp = np.bincount(index, amp.real) + 1j * np.bincount(index, amp.imag)
+    keep = amp.real**2 + amp.imag**2 > BRANCH_PRUNE_TOL
+    return ModeMixture(weights, keys[keep, 0], keys[keep, 1:], amp[keep], n_max)
+
+
+def _split(weights, branch, key, occ, amp, n_max: int, like=1.0, total=1.0) -> ModeMixture:
+    """Split every branch by ``key`` into normalized pure branches.
+
+    The rows of branch ``b`` with one key value form a new branch of weight
+    ``weights[b] * like * |rows|^2 / total``, where ``like`` (one value per
+    row) is constant on it.  New branches whose unweighted ``like *
+    |rows|^2`` is at most ``BRANCH_PRUNE_TOL`` are dropped.
+    """
+    groups, index = _distinct(branch, key)
+    power = amp.real**2 + amp.imag**2
+    mass = np.bincount(index, power)
+    kept_mass = np.bincount(index, power * like)
+    keep = kept_mass > BRANCH_PRUNE_TOL
+    rows = np.flatnonzero(keep[index] & (power > 0))
+    rows = rows[np.argsort(index[rows], kind="stable")]
+    return ModeMixture(
+        weights=weights[groups[keep, 0]] * kept_mass[keep] / total,
+        branch=(np.cumsum(keep) - 1)[index[rows]],
+        occ=occ[rows],
+        amp=amp[rows] / np.sqrt(mass[index[rows]]),
+        n_max=n_max,
+    )
 
 
 def vacuum(n_modes: int, n_max: int) -> ModeState:
@@ -258,42 +317,53 @@ def fock(occupations: Sequence[int], n_max: int) -> ModeState:
 def mix(parts: Iterable[tuple[float, AnyModeState]]) -> ModeMixture:
     """Classical mixture of ``(probability, state)`` parts on the same modes.
 
-    The parts' stacks are concatenated, each scaled by its probability, and
-    the weights renormalized, so the probabilities need not sum to one.
+    The parts' branches are concatenated, each weighted by its probability,
+    and the weights renormalized, so the probabilities need not sum to one.
     """
-    stacks = [(float(p), _stack(s)) for p, s in parts]
-    weights = np.concatenate([p * w for p, (w, _) in stacks])
-    amplitudes = np.concatenate([a for _, (_, a) in stacks])
-    return ModeMixture(weights=weights / weights.sum(), amplitudes=amplitudes)
+    mixtures = [(float(p), _as_mixture(s)) for p, s in parts]
+    offsets = np.cumsum([0] + [m.weights.size for _, m in mixtures])
+    weights = np.concatenate([p * m.weights for p, m in mixtures])
+    return ModeMixture(
+        weights=weights / weights.sum(),
+        branch=np.concatenate([m.branch + o for (_, m), o in zip(mixtures, offsets)]),
+        occ=np.concatenate([m.occ for _, m in mixtures]),
+        amp=np.concatenate([m.amp for _, m in mixtures]),
+        n_max=max(m.n_max for _, m in mixtures),
+    )
 
 
 def tensor_modes(first: AnyModeState, second: AnyModeState) -> ModeMixture:
     """Tensor product; the second state's modes come after the first's."""
-    wa, a = _stack(first)
-    wb, b = _stack(second)
-    ka, kb = len(wa), len(wb)
-    # Branch (i, j) is a[i] (x) b[j], built straight into one output stack.
-    joint = a.reshape(ka, 1, -1, 1) * b.reshape(1, kb, 1, -1)
+    a, b = _as_mixture(first), _as_mixture(second)
+    # Every row of ``a`` pairs with every row of ``b``; branch (i, j) is
+    # i * kb + j, so the pairs are sorted by it.
+    ra, rb = np.divmod(np.arange(a.amp.size * b.amp.size), b.amp.size)
+    branch = a.branch[ra] * b.weights.size + b.branch[rb]
+    order = np.argsort(branch, kind="stable")
+    ra, rb = ra[order], rb[order]
     return ModeMixture(
-        weights=np.outer(wa, wb).ravel(),
-        amplitudes=joint.reshape((ka * kb,) + a.shape[1:] + b.shape[1:]),
+        weights=np.outer(a.weights, b.weights).ravel(),
+        branch=branch[order],
+        occ=np.hstack([a.occ[ra], b.occ[rb]]),
+        amp=a.amp[ra] * b.amp[rb],
+        n_max=max(a.n_max, b.n_max),
     )
 
 
 def permute_modes(state: AnyModeState, order: Sequence[int]) -> ModeMixture:
     """Reorder modes so that new mode ``k`` is old mode ``order[k]``."""
-    weights, amps = _stack(state)
-    axes = (0,) + tuple(1 + int(i) for i in order)
-    return ModeMixture(weights=weights, amplitudes=np.transpose(amps, axes))
+    m = _as_mixture(state)
+    order = [int(i) for i in order]
+    if sorted(order) != list(range(m.n_modes)):
+        raise DimensionMismatchError(f"invalid mode order {order} for {m.n_modes} modes")
+    return ModeMixture(m.weights, m.branch, m.occ[:, order], m.amp, m.n_max)
 
 
 def phase_shift(state: AnyModeState, mode: int, phase_per_photon: float) -> ModeMixture:
     """Multiply amplitudes by ``exp(i * phase * n_mode)`` (a mode phase shift)."""
-    weights, amps = _stack(state)
-    shape = [1] * amps.ndim
-    shape[int(mode) + 1] = amps.shape[1]
-    phases = np.exp(1j * phase_per_photon * np.arange(amps.shape[1])).reshape(shape)
-    return ModeMixture(weights=weights, amplitudes=amps * phases)
+    m = _as_mixture(state)
+    phases = np.exp(1j * phase_per_photon * m.occ[:, int(mode)])
+    return ModeMixture(m.weights, m.branch, m.occ, m.amp * phases, m.n_max)
 
 
 def mode_density(state: AnyModeState, modes: Sequence[int]) -> np.ndarray:
@@ -306,16 +376,17 @@ def mode_density(state: AnyModeState, modes: Sequence[int]) -> np.ndarray:
     Returns:
         Density matrix of dimension ``(n_max + 1) ** len(modes)``.
     """
-    modes = tuple(int(m) for m in modes)
-    weights, amps = _stack(state)
-    n_modes = amps.ndim - 1
-    if len(set(modes)) != len(modes) or any(m < 0 or m >= n_modes for m in modes):
-        raise DimensionMismatchError(f"invalid mode subset {modes}")
-    dim = amps.shape[1] ** len(modes)
-    rest = tuple(i for i in range(n_modes) if i not in modes)
-    mat = np.transpose(amps, (0,) + tuple(1 + m for m in modes + rest))
-    mat = mat.reshape(len(weights), dim, -1)
-    return np.tensordot(weights, mat @ mat.conj().transpose(0, 2, 1), axes=1)
+    modes = [int(m) for m in modes]
+    m = _as_mixture(state)
+    if len(set(modes)) != len(modes) or any(k < 0 or k >= m.n_modes for k in modes):
+        raise DimensionMismatchError(f"invalid mode subset {tuple(modes)}")
+    d = m.n_max + 1
+    rest = [k for k in range(m.n_modes) if k not in modes]
+    # One pure vector on the kept modes per (branch, rest occupations).
+    groups, index = _distinct(m.branch, m.occ[:, rest])
+    vectors = np.zeros((len(groups), d ** len(modes)), dtype=complex)
+    vectors[index, np.ravel_multi_index(tuple(m.occ[:, modes].T), (d,) * len(modes))] = m.amp
+    return (vectors.T * m.weights[groups[:, 0]]) @ vectors.conj()
 
 
 # --------------------------------------------------------------------------
@@ -324,52 +395,34 @@ def mode_density(state: AnyModeState, modes: Sequence[int]) -> np.ndarray:
 
 
 @lru_cache(maxsize=128)
-def _two_mode_block(n_max: int, phi: float) -> np.ndarray:
-    """Unitary ``exp(phi (a1^dag a2 - a1 a2^dag))`` on two truncated modes."""
-    d = n_max + 1
-    a = np.zeros((d, d), dtype=complex)
-    for n in range(1, d):
-        a[n - 1, n] = np.sqrt(n)
-    a1 = np.kron(a, np.eye(d))
-    a2 = np.kron(np.eye(d), a)
-    gen = phi * (a1.conj().T @ a2 - a1 @ a2.conj().T)
-    return expm(gen)
+def _sector_blocks(top: int, phi: float) -> np.ndarray:
+    """``exp(phi (a1^dag a2 - a1 a2^dag))`` on each sector of ``t <= top`` photons.
 
-
-def _apply_two_mode(amps: np.ndarray, i: int, j: int, block: np.ndarray) -> np.ndarray:
-    """Apply ``block`` to modes ``i, j`` of every branch of a stack."""
-    d = amps.shape[1]
-    out = np.empty(amps.shape, dtype=complex)
-    src = np.moveaxis(amps, (i + 1, j + 1), (1, 2))
-    dst = np.moveaxis(out, (i + 1, j + 1), (1, 2))
-    # One branch at a time into the preallocated stack: the reshape copy and
-    # the product stay branch-sized instead of stack-sized.
-    for b in range(amps.shape[0]):
-        dst[b] = (block @ src[b].reshape(d * d, -1)).reshape(src.shape[1:])
-    return out
-
-
-def _check_overflow(amps: np.ndarray, i: int, j: int) -> None:
-    """Refuse if any branch, unweighted, has mass past the truncation on modes ``i, j``."""
-    d = amps.shape[1]
-    totals = np.add.outer(np.arange(d), np.arange(d))
-    mass = _mass(amps, (0, i + 1, j + 1))
-    overflow = float(mass[:, totals > d - 1].sum(axis=1).max())
-    if overflow > OVERFLOW_TOL:
-        raise TruncationOverflowError(
-            f"{overflow:.3e} probability sits in sectors with more than "
-            f"{d - 1} photons across the interfering modes; raise n_max"
-        )
+    ``blocks[t]`` (zero-padded to ``top + 1``) acts on the basis ``|n, t -
+    n>``, in which ``a1^dag a2`` has ``A[n + 1, n] = sqrt((n + 1) (t - n))``.
+    """
+    blocks = np.zeros((top + 1, top + 1, top + 1))
+    for t in range(top + 1):
+        n = np.arange(t)
+        a = np.zeros((t + 1, t + 1))
+        a[n + 1, n] = np.sqrt((n + 1) * (t - n))
+        blocks[t, : t + 1, : t + 1] = expm(phi * (a - a.T))
+    blocks.setflags(write=False)
+    return blocks
 
 
 def _unitary_pair_op(state: AnyModeState, i: int, j: int, phi: float) -> ModeMixture:
-    weights, amps = _stack(state)
-    n = amps.ndim - 1
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise DimensionMismatchError(f"invalid mode pair ({i}, {j}) for {n} modes")
-    _check_overflow(amps, i, j)
-    block = _two_mode_block(amps.shape[1] - 1, float(phi))
-    return ModeMixture(weights=weights, amplitudes=_apply_two_mode(amps, i, j, block))
+    m = _as_mixture(state)
+    if i == j or not (0 <= i < m.n_modes and 0 <= j < m.n_modes):
+        raise DimensionMismatchError(f"invalid mode pair ({i}, {j}) for {m.n_modes} modes")
+    first, total = m.occ[:, i], m.occ[:, i] + m.occ[:, j]
+    # Row r spreads over the total[r] + 1 states |k, total[r] - k> of its sector.
+    src, k = _spread(total + 1)
+    blocks = _sector_blocks(int(total.max(initial=0)), phi)
+    occ = m.occ[src]
+    occ[:, i], occ[:, j] = k, total[src] - k
+    amp = m.amp[src] * blocks[total[src], k, first[src]]
+    return _merged(m.weights, m.branch[src], occ, amp, m.n_max)
 
 
 def beamsplitter(state: AnyModeState, mode_a: int, mode_b: int, transmission: float) -> AnyModeState:
@@ -380,10 +433,6 @@ def beamsplitter(state: AnyModeState, mode_a: int, mode_b: int, transmission: fl
         mode_a: Transmitted mode (``a -> sqrt(T) a + sqrt(1-T) b``).
         mode_b: Reflected mode.
         transmission: Power transmission ``T`` in ``[0, 1]``.
-
-    Raises:
-        TruncationOverflowError: If more than ``OVERFLOW_TOL`` of the photon
-            number mass lies in sectors the truncation cannot represent.
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
@@ -415,32 +464,20 @@ def loss_channel(state: AnyModeState, mode: int, transmission: float) -> ModeMix
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
-    weights, amps = _stack(state)
-    n_modes = amps.ndim - 1
+    m = _as_mixture(state)
     mode = int(mode)
-    if not 0 <= mode < n_modes:
-        raise DimensionMismatchError(f"mode {mode} out of range for {n_modes} modes")
+    if not 0 <= mode < m.n_modes:
+        raise DimensionMismatchError(f"mode {mode} out of range for {m.n_modes} modes")
     eta = float(transmission)
-    d = amps.shape[1]
-    lost, n = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    # Kraus operator l: |n> -> kraus[l, n] |n - l>, kraus[l, n] =
-    # sqrt(C(n, l) eta^(n-l) (1-eta)^l) (zero for n < l).
-    kraus = np.sqrt(comb(n, lost) * eta ** np.maximum(n - lost, 0) * (1.0 - eta) ** lost)
-    moved = np.moveaxis(amps, mode + 1, 1)
-    # Probability of losing l photons, per branch: shape (k, l).
-    lost_prob = _mass(moved, (0, 1)) @ (kraus**2).T
-    b_idx, l_idx = np.nonzero(lost_prob > BRANCH_PRUNE_TOL)
-    out = np.zeros((len(b_idx),) + moved.shape[1:], dtype=complex)
-    for n_lost in range(d):
-        # Branches that lost n_lost photons: |n> -> |n - n_lost>.
-        rows = np.flatnonzero(l_idx == n_lost)
-        coeff = kraus[n_lost, n_lost:].reshape((-1,) + (1,) * (n_modes - 1))
-        out[rows, : d - n_lost] = coeff * moved[b_idx[rows], n_lost:]
-    norms = _mass(out, (0,))
-    out /= np.sqrt(norms).reshape((-1,) + (1,) * n_modes)
-    return ModeMixture(
-        weights=weights[b_idx] * norms, amplitudes=np.moveaxis(out, 1, mode + 1)
-    )
+    n = m.occ[:, mode]
+    # Kraus operator l: |n> -> sqrt(C(n, l) eta^(n-l) (1-eta)^l) |n - l>;
+    # row r spreads over l = 0..n[r].
+    src, lost = _spread(n + 1)
+    kept = n[src] - lost
+    kraus = np.sqrt(comb(n[src], lost) * eta**kept * (1.0 - eta) ** lost)
+    occ = m.occ[src]
+    occ[:, mode] = kept
+    return _split(m.weights, m.branch[src], lost, occ, m.amp[src] * kraus, m.n_max)
 
 
 def distance_to_transmission(length_km: float, attenuation_db_per_km: float = 0.2) -> float:
@@ -507,16 +544,15 @@ def detection_probabilities(
         Array of shape ``(2,) * len(modes)``; index 1 along axis ``k`` means
         the detector on ``modes[k]`` clicked.
     """
-    modes = tuple(int(m) for m in modes)
-    weights, amps = _stack(state)
-    q = detector.outcome_matrix(amps.shape[1] - 1)
-    # Photon-number distribution of the watched modes, axes in ``modes`` order.
-    t = np.tensordot(weights, _mass(amps, (0,) + tuple(1 + m for m in modes)), axes=1)
-    # Each contraction consumes the leading photon-number axis and appends
-    # its click axis, so the click axes come out in ``modes`` order.
-    for _ in modes:
-        t = np.tensordot(t, q, axes=([0], [0]))
-    return t
+    m = _as_mixture(state)
+    q = detector.outcome_matrix(m.n_max)
+    # Probability of each Fock content of the watched modes.
+    contents, index = _distinct(m.occ[:, [int(k) for k in modes]])
+    t = np.bincount(index, m.weights[m.branch] * (m.amp.real**2 + m.amp.imag**2))
+    # Each factor appends the click axis of one watched mode, in ``modes`` order.
+    for k in range(len(modes)):
+        t = t[..., np.newaxis] * q[contents[:, k]].reshape((-1,) + (1,) * k + (2,))
+    return t.sum(axis=0)
 
 
 def threshold_detect(
@@ -543,36 +579,21 @@ def threshold_detect(
         pattern has (numerically) zero probability, or when all modes were
         measured.
     """
-    modes = tuple(int(m) for m in modes)
-    pattern = tuple(bool(c) for c in pattern)
+    modes = [int(m) for m in modes]
+    pattern = [int(bool(c)) for c in pattern]
     if len(pattern) != len(modes):
         raise DimensionMismatchError("pattern length must match number of measured modes")
-    weights, amps = _stack(state)
-    q = detector.outcome_matrix(amps.shape[1] - 1)
-    # Probability of the pattern given each Fock content of the measured modes.
-    content_weight = reduce(np.multiply.outer, [q[:, int(click)] for click in pattern])
-    # Per branch and content: the unnormalized survivor's squared norm.
-    row_norms = _mass(amps, (0,) + tuple(1 + m for m in modes))
-    branch_weights = (row_norms * content_weight).reshape(len(weights), -1)
-    total = float(weights @ branch_weights.sum(axis=1))
+    m = _as_mixture(state)
+    content = m.occ[:, modes]
+    # Probability of the pattern given each row's Fock content of the measured modes.
+    like = detector.outcome_matrix(m.n_max)[content, pattern].prod(axis=1)
+    total = float(m.weights[m.branch] @ ((m.amp.real**2 + m.amp.imag**2) * like))
     if total <= BRANCH_PRUNE_TOL:
         return 0.0, None
-    if len(modes) == amps.ndim - 1:
+    if len(modes) == m.n_modes:
         return total, None
-    b_idx, c_idx = np.nonzero(branch_weights > BRANCH_PRUNE_TOL)
-    contents = np.unravel_index(c_idx, row_norms.shape[1:])
-    # Advanced indices on the branch and measured axes gather one survivor
-    # per (branch, content) pair, ahead of the kept modes in their order.
-    index = [b_idx] + [slice(None)] * (amps.ndim - 1)
-    for m, content in zip(modes, contents):
-        index[m + 1] = content
-    survivors = amps[tuple(index)]
-    norms = row_norms[(b_idx,) + contents]
-    survivors /= np.sqrt(norms).reshape((-1,) + (1,) * (survivors.ndim - 1))
-    return total, ModeMixture(
-        weights=weights[b_idx] * branch_weights[b_idx, c_idx] / total,
-        amplitudes=survivors,
-    )
+    rest = [k for k in range(m.n_modes) if k not in modes]
+    return total, _split(m.weights, m.branch, content, m.occ[:, rest], m.amp, m.n_max, like, total)
 
 
 def polarization_correlation_table(
@@ -634,16 +655,6 @@ def polarization_correlation_table(
 # --------------------------------------------------------------------------
 
 
-def _create(arr: np.ndarray, mode: int) -> np.ndarray:
-    """Apply a creation operator (dropping amplitudes pushed past n_max)."""
-    d = arr.shape[0]
-    moved = np.moveaxis(arr, mode, 0)
-    out = np.zeros_like(moved)
-    ns = np.sqrt(np.arange(1, d)).reshape((-1,) + (1,) * (moved.ndim - 1))
-    out[1:] = ns * moved[: d - 1]
-    return np.moveaxis(out, 0, mode)
-
-
 def _pair_weights(pair_prob: float, n_pair_max: int) -> np.ndarray:
     """Geometric pair-number weights ``(1 - p) p^n``, ``n <= n_pair_max``, normalized."""
     if not 0.0 <= pair_prob < 1.0:
@@ -679,20 +690,12 @@ def spdc_source(
     """
     if n_pair_max < 0 or n_pair_max > n_max:
         raise ValueError(f"n_pair_max must lie in [0, n_max], got {n_pair_max}")
-    weights = _pair_weights(pair_prob, n_pair_max)
     d = n_max + 1
-    term = np.zeros((d, d, d, d), dtype=complex)
-    term[0, 0, 0, 0] = 1.0
-    total = np.sqrt(weights[0]) * term
-    for n in range(1, n_pair_max + 1):
-        # Apply the pair-creation operator once more.
-        term = (_create(_create(term, 0), 3) - _create(_create(term, 1), 2)) / np.sqrt(2.0)
-        norm = np.linalg.norm(term.ravel())
-        if norm <= 0:
-            raise TruncationOverflowError(
-                f"{n}-pair term vanished at truncation n_max={n_max}; raise n_max"
-            )
-        total = total + np.sqrt(weights[n]) * term / norm
+    total = np.zeros((d, d, d, d), dtype=complex)
+    for n, weight in enumerate(_pair_weights(pair_prob, n_pair_max)):
+        # The normalized n-pair term is sum_k (-1)^(n-k) |k, n-k, n-k, k> / sqrt(n+1).
+        k = np.arange(n + 1)
+        total[k, n - k, n - k, k] = np.sqrt(weight / (n + 1)) * (-1.0) ** (n - k)
     return ModeState(amplitudes=total)
 
 
@@ -722,7 +725,7 @@ def heralded_single_photon(
     Args:
         pair_prob: Pair emission parameter ``p``.
         trigger_detector: Detector on the idler arm.
-        n_max: Truncation of the returned single-mode state.
+        n_max: Dense-view bound of the returned single-mode state.
         n_pair_max: Largest retained pair number.
 
     Returns:
@@ -735,9 +738,8 @@ def heralded_single_photon(
     trigger_prob = float(clicks.sum())
     if trigger_prob <= BRANCH_PRUNE_TOL:
         return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
-    mixture = ModeMixture(
-        weights=clicks / trigger_prob, amplitudes=np.eye(n_pair_max + 1, n_max + 1)
-    )
+    n = np.arange(n_pair_max + 1)
+    mixture = ModeMixture(clicks / trigger_prob, n, n[:, np.newaxis], np.ones(n.size), n_max)
     return HeraldRecord(success_probability=trigger_prob, conditional_state=mixture, gain=None)
 
 
@@ -859,11 +861,10 @@ class HeraldRecord:
 
 def _qubit_populations(state: AnyModeState, h_mode: int, v_mode: int) -> tuple[float, float]:
     """(vacuum, single-photon) populations of a polarization mode pair."""
-    rho = mode_density(state, (h_mode, v_mode))
-    d = state.n_max + 1
-    vac = float(np.real(rho[0, 0]))
-    single = float(np.real(rho[1, 1] + rho[d, d]))
-    return vac, single
+    m = _as_mixture(state)
+    photons = m.occ[:, h_mode] + m.occ[:, v_mode]
+    prob = m.weights[m.branch] * (m.amp.real**2 + m.amp.imag**2)
+    return float(prob[photons == 0].sum()), float(prob[photons == 1].sum())
 
 
 def qubit_amplifier(

@@ -54,8 +54,6 @@ ATOL_STATE = 1e-8
 # operations in this module are dense and O(dim^2) in memory.
 MAX_TOTAL_DIM = 4096
 
-NO_CLICK_OUTCOME = 2
-
 
 class StateValidationError(ValueError):
     """Raised when a matrix fails to be a valid quantum object (state or POVM)."""

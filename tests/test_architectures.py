@@ -297,3 +297,70 @@ def test_run_covers_all_architectures():
         result = run(Scenario(architecture=name))
         assert isinstance(result, RunResult)
         assert 0.0 <= result.herald_probability <= 1.0
+
+
+# ----------------------------------------------------------------------
+# Pinned physics: six links, and the same six with a noisy node
+# ----------------------------------------------------------------------
+
+PINNED_SCENARIOS = {
+    "default": Scenario(),
+    "standard_pair": Scenario(
+        pair_prob=0.01, detector_efficiency=0.95, dark_count_prob=1e-6, distance_km=20.0
+    ),
+    "local_ideal": Scenario(
+        architecture="local_heralding", distance_km=30.0, amplifier_transmission=0.999
+    ),
+    "local_pair": Scenario(
+        architecture="local_heralding",
+        pair_prob=0.01,
+        detector_efficiency=0.95,
+        dark_count_prob=1e-6,
+        distance_km=25.0,
+    ),
+    "third_ideal": Scenario(architecture="third_party", distance_km=20.0),
+    "third_pair": Scenario(
+        architecture="third_party",
+        pair_prob=0.01,
+        detector_efficiency=0.95,
+        dark_count_prob=1e-6,
+        distance_km=40.0,
+    ),
+}
+NOISY_NODE = {
+    "node_fidelity": 0.97,
+    "distance_km": 10.0,
+    "dark_count_prob": 1e-6,
+    "detector_efficiency": 0.95,
+}
+
+# (name, chsh, qber, key_rate, herald_probability), as run() returned them
+# before mixtures were stored sparsely.
+PINNED_VALUES = (
+    ("default", 2.828427124746189, 4.930380657631325e-32, 0.9999999999999764, 1.0),
+    ("standard_pair", 1.9933806320419194, 0.002621527293939368, 0.0, 1.0),
+    ("local_ideal", 2.817200421157112, 4.930380657631325e-32, 0.9587387558358417, 0.0002519374545077856),
+    ("local_pair", 2.444134828699122, 0.011431200282542643, 0.26560213982077696, 2.6631666649616235e-07),
+    ("third_ideal", 2.8284271247461894, 4.930380657631325e-32, 0.9999999999999878, 0.19905358527674846),
+    ("third_pair", 2.5524215283164926, 9.683714233035688e-06, 0.4680381267912868, 7.025837358070295e-06),
+    ("default_noisy", 1.6666199355837648, 0.020001584351366557, 0.0, 1.0),
+    ("standard_pair_noisy", 1.9966678351107994, 0.021510684460313543, 0.0, 1.0),
+    ("local_ideal_noisy", 2.4466395678038877, 0.0210620083558809, 0.22404437172277594, 0.0005709985968149095),
+    ("local_pair_noisy", 2.382363681449738, 0.0306670003633944, 0.11579933023443452, 5.2308826121107e-07),
+    ("third_ideal_noisy", 2.357509577851268, 0.03920406054964758, 0.05791684261839703, 0.284720242385871),
+    ("third_pair_noisy", 2.355118779974203, 0.03920406157808867, 0.055709480886318045, 2.794060648050349e-05),
+)
+
+
+@pytest.mark.parametrize(
+    "name, chsh, qber, rate, herald", PINNED_VALUES, ids=[v[0] for v in PINNED_VALUES]
+)
+def test_pinned_run_values(name, chsh, qber, rate, herald):
+    scenario = PINNED_SCENARIOS[name.removesuffix("_noisy")]
+    if name.endswith("_noisy"):
+        scenario = dataclasses.replace(scenario, **NOISY_NODE)
+    result = run(scenario)
+    assert result.chsh == pytest.approx(chsh, abs=1e-12)
+    assert result.qber == pytest.approx(qber, abs=1e-12)
+    assert result.key_rate == pytest.approx(rate, abs=1e-12)
+    assert result.herald_probability == pytest.approx(herald, rel=1e-9)

@@ -136,6 +136,17 @@ def test_critical_efficiency_reports_no_violation():
     assert res.eta_critical == 1.0
 
 
+def test_critical_efficiency_needs_a_state_with_both_angle_lists_or_nothing():
+    for args in (
+        (singlet(),),
+        (singlet(), SINGLET_ALICE_ANGLES),
+        (None, SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES),
+        (None, None, SINGLET_BOB_ANGLES),
+    ):
+        with pytest.raises(ValueError, match="both angle lists"):
+            critical_efficiency(*args)
+
+
 def test_attack_at_full_efficiency_is_classical():
     res = loophole_attack(1.0)
     assert res.chsh == pytest.approx(2.0, abs=1e-9)

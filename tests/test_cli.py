@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -82,6 +83,20 @@ OUT_OF_RANGE_CASES = (
         {"sweep": {"parameter": "distance_km", "min": 0, "max": 10, "steps": True}},
         r"sweep steps must be an integer, got True",
     ),
+    # JSON booleans are not numbers.
+    ({"sample_fraction": False}, r"sample_fraction must be a number, got False"),
+    ({"theta": True}, r"theta must be a number, got True"),
+    ({"etas": [True, 0.8]}, r"etas must be a number, got True"),
+    (
+        {"sweep": {"parameter": "distance_km", "min": False, "max": 10, "steps": 3}},
+        r"sweep min must be a number, got False",
+    ),
+    (
+        {"sweep": {"parameter": "distance_km", "min": 0, "max": True, "steps": 3}},
+        r"sweep max must be a number, got True",
+    ),
+    ({"distance_km": True}, r"distance_km must be a number, got True"),
+    ({"detector_efficiency": True}, r"detector_efficiency must be a number, got True"),
 )
 
 
@@ -211,7 +226,7 @@ def test_sweep_command_jobs_do_not_change_bytes(tmp_path):
 BENCH_DIR = Path(__file__).resolve().parent.parent / "bench"
 
 
-@pytest.mark.parametrize("name", ["standard", "third_party", "local_heralding_ideal"])
+@pytest.mark.parametrize("name", ["standard", "third_party", "local_heralding_ideal", "heralded"])
 def test_sweep_command_matches_reference_bytes(tmp_path, name):
     # Reads the committed reference CSVs; never rewrites them.
     out = tmp_path / "sweep.csv"
@@ -350,10 +365,14 @@ def test_format_number_switches_notation():
 
 def test_module_entry_point(tmp_path):
     path = write_scenario(tmp_path, "s.json", {"theta": 0.0})
+    # The child process imports the same package as this one.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     proc = subprocess.run(
         [sys.executable, "-m", "diqkd_lab.cli", "threshold", "--scenario", path],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "no violation"

@@ -1,14 +1,14 @@
-"""Tests for the truncated Fock-space optics layer."""
+"""Tests for the sparse Fock-space optics layer."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from diqkd_lab.bellcert import bin_no_click
 from diqkd_lab.photonics import (
     DetectorModel,
     ModeMixture,
     ModeState,
-    TruncationOverflowError,
     amplifier_success_probability,
     beamsplitter,
     bell_state_measurement,
@@ -57,19 +57,18 @@ def test_mode_state_requires_normalization():
 
 
 def test_mixture_weights_must_sum_to_one():
-    s = vacuum(1, 1)
     with pytest.raises(StateValidationError):
-        ModeMixture(weights=[0.4, 0.4], amplitudes=[s.amplitudes, s.amplitudes])
+        ModeMixture(weights=[0.4, 0.4], branch=[0, 1], occ=[[0], [0]], amp=[1.0, 1.0])
 
 
 def test_stacked_ops_match_branch_by_branch():
-    """Acting on a whole stack equals acting on each pure branch and mixing."""
+    """Acting on a whole mixture equals acting on each pure branch and mixing."""
     rng = np.random.default_rng(7)
     shape = (3, 3, 3)
     states = []
     for _ in range(3):
         arr = np.zeros(shape, dtype=complex)
-        # Two photons at most, so every pair op stays inside the truncation.
+        # Two photons at most, so the dense views stay small.
         for occ in np.ndindex(shape):
             if sum(occ) <= 2:
                 arr[occ] = rng.normal() + 1j * rng.normal()
@@ -127,21 +126,42 @@ def test_hong_ou_mandel_dip():
     assert out.probability([0, 2]) == pytest.approx(0.5, abs=1e-12)
 
 
-def test_beamsplitter_refuses_photons_past_the_truncation():
-    """Four photons across a pair truncated at three cannot interfere."""
-    with pytest.raises(TruncationOverflowError):
-        beamsplitter(fock([2, 2], 3), 0, 1, 0.5)
-
-
-def test_overflow_is_judged_per_branch_unweighted():
-    """One overflowing branch blocks a mixture, however light its weight."""
-    light = mix([(1.0 - 1e-9, fock([1, 1], 3)), (1e-9, fock([2, 2], 3))])
-    with pytest.raises(TruncationOverflowError):
-        beamsplitter(light, 0, 1, 0.5)
+def test_beamsplitter_has_no_truncation():
+    """Photons past the nominal ``n_max`` interfere exactly."""
     fits = mix([(0.5, fock([1, 1], 3)), (0.5, fock([3, 0], 3))])
     out = beamsplitter(fits, 0, 1, 0.5)
     # |3, 0> splits binomially; |1, 1> bunches and never reaches |2, 1>.
     assert out.probability([2, 1]) == pytest.approx(0.5 * 3 / 8, abs=1e-12)
+    # Four photons across a pair whose input bound is three.
+    out = beamsplitter(fock([2, 2], 3), 0, 1, 0.5)
+    assert out.probability([4, 0]) == pytest.approx(3 / 8, abs=1e-12)
+    assert out.probability([0, 4]) == pytest.approx(3 / 8, abs=1e-12)
+    assert out.probability([2, 2]) == pytest.approx(1 / 4, abs=1e-12)
+    assert out.n_max == 4
+
+
+def test_pair_unitary_matches_dense_generator():
+    """Sector by sector equals ``expm`` of the generator on a dense truncation."""
+    rng = np.random.default_rng(3)
+    arr = np.zeros((4, 4, 4), dtype=complex)
+    for occ in np.ndindex(arr.shape):
+        if occ[0] + occ[2] <= 3:
+            arr[occ] = rng.normal() + 1j * rng.normal()
+    state = ModeState(amplitudes=arr / np.linalg.norm(arr))
+    # A dense truncation at 3 photons per mode holds every sector of up to
+    # 3 photons on modes (0, 2) exactly.
+    lower = np.diag(np.sqrt(np.arange(1.0, 4.0)), k=1)
+    a0 = np.kron(lower, np.eye(4))
+    a2 = np.kron(np.eye(4), lower)
+    phi = np.arccos(np.sqrt(0.3))
+    dense = expm(phi * (a0.T @ a2 - a0 @ a2.T))
+    moved = np.moveaxis(state.amplitudes, (0, 2), (0, 1)).reshape(16, 4)
+    expected = np.moveaxis((dense @ moved).reshape(4, 4, 4), (0, 1), (0, 2)).ravel()
+    out = beamsplitter(state, 0, 2, 0.3)
+    assert len(out.branches) == 1
+    np.testing.assert_allclose(
+        mode_density(out, (0, 1, 2)), np.outer(expected, expected.conj()), atol=1e-12
+    )
 
 
 def test_mix_concatenates_and_renormalizes():
