@@ -18,7 +18,6 @@ from diqkd_lab.architectures import (
     RunResult,
     Scenario,
     devetak_winter_rate,
-    distance_sweep,
     key_rate,
     matter_node_scenario,
     run,
@@ -84,7 +83,6 @@ __all__ = [
     "chsh_functional",
     "critical_efficiency",
     "devetak_winter_rate",
-    "distance_sweep",
     "distance_to_transmission",
     "key_rate",
     "local_bound",

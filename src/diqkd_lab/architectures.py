@@ -15,17 +15,20 @@ comes out.
   midpoint station heralds entanglement swapping; again loss moves into
   the heralding rate.
 
-Measurement conventions: Alice uses two settings at angles ``(0, pi/2)``;
-Bob uses three, ``(pi, 5 pi/4, 3 pi/4)``.  Setting 0 on each side is the
-key-generation basis (for the singlet these outcomes agree after Bob's
-flip-free readout at ``pi``), and the CHSH test runs on Alice's two
-settings against Bob's settings 1 and 2.  No-click and double-click
-outcomes are folded to outcome 0 for certification.
+Measurement layout (Acin et al., PRL 98, 230501 (2007)), decided here and
+read by the key protocol: Alice uses two settings at angles ``(0, pi/2)``;
+Bob uses three, ``(pi, 5 pi/4, 3 pi/4)``.  ``KEY_SETTINGS`` is the
+key-generation pair (for the singlet these outcomes agree after Bob's
+flip-free readout at ``pi``), and ``CHSH_TERMS`` lists the signed setting
+pairs of the CHSH test: Alice's two settings against Bob's settings 1 and
+2.  No-click and double-click outcomes are folded to outcome 0 for
+certification, never sifted out of it.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -59,6 +62,8 @@ __all__ = [
     "ALICE_ANGLES",
     "NeverHeraldsError",
     "BOB_ANGLES",
+    "KEY_SETTINGS",
+    "CHSH_TERMS",
     "Scenario",
     "RunResult",
     "matter_node_scenario",
@@ -70,7 +75,6 @@ __all__ = [
     "run_third_party",
     "run",
     "secret_bits_per_second",
-    "distance_sweep",
     "charlie_independence_residual",
 ]
 
@@ -79,8 +83,18 @@ ARCHITECTURES = ("standard", "local_heralding", "third_party")
 ALICE_ANGLES = (0.0, np.pi / 2)
 BOB_ANGLES = (np.pi, 5 * np.pi / 4, 3 * np.pi / 4)
 
+#: Alice's and Bob's settings of the key-generation rounds.
+KEY_SETTINGS = (0, 0)
+
 # Bob settings participating in the CHSH test (setting 0 is the key basis).
 CHSH_BOB_SETTINGS = (1, 2)
+
+#: ``((x, y), sign)`` for each correlator of the CHSH test, in summation order.
+CHSH_TERMS = tuple(
+    ((x, y), float(w))
+    for x, row in enumerate(chsh_functional().correlator_weights)
+    for y, w in zip(CHSH_BOB_SETTINGS, row)
+)
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -135,18 +149,20 @@ class Scenario:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; expected one of {ARCHITECTURES}"
             )
-        positive = {"repetition_rate_hz": self.repetition_rate_hz}
-        for name, value in positive.items():
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
+        # Written so that NaN, which fails every comparison, is rejected too;
+        # the bounded fields below reject NaN and infinities by their range.
+        if not 0 < self.repetition_rate_hz < math.inf:
+            raise ValueError(
+                f"repetition_rate_hz must be positive and finite, got {self.repetition_rate_hz}"
+            )
         non_negative = {
             "distance_km": self.distance_km,
             "attenuation_db_per_km": self.attenuation_db_per_km,
             "readout_time_s": self.readout_time_s,
         }
         for name, value in non_negative.items():
-            if value < 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, got {value}")
         unit = {
             "detector_efficiency": self.detector_efficiency,
             "dark_count_prob": self.dark_count_prob,
@@ -213,7 +229,6 @@ class RunResult:
         key_rate: Secret bits per heralded round: the coincident fraction
             of key-basis rounds times the asymptotic rate of the binned
             CHSH certificate.
-        notes: Human-readable modeling remarks.
     """
 
     scenario: Scenario
@@ -222,7 +237,6 @@ class RunResult:
     chsh: float
     qber: float
     key_rate: float
-    notes: tuple[str, ...] = ()
 
 
 def binary_entropy(p: float) -> float:
@@ -263,33 +277,24 @@ def _chsh_from_table(table: CorrelationTable) -> float:
     return bell_value(bin_no_click(sub), chsh_functional())
 
 
-def _binned_qber(table: CorrelationTable, x: int = 0, y: int = 0) -> float:
-    """Key-basis disagreement probability after folding every outcome to binary."""
-    return bin_no_click(table).error_rate(x, y)
-
-
-def _sifted_qber(table: CorrelationTable, x: int = 0, y: int = 0) -> tuple[float, float]:
+def _sifted_qber(table: CorrelationTable) -> tuple[float, float]:
     """Key-basis coincidence fraction and error rate among coincidences.
 
     Double clicks count as outcome 0 (they are clicks); no-click rounds on
     either side are sifted out, which both parties can do by public
     discussion without touching the Bell test.
     """
-    cell = table.probabilities[x, y].copy()
-    n_a, n_b = cell.shape
-    if n_a > 3:
-        cell[0, :] += cell[3, :]
-        cell = cell[:3, :]
-    if n_b > 3:
-        cell[:, 0] += cell[:, 3]
-        cell = cell[:, :3]
+    cell = table.probabilities[KEY_SETTINGS].copy()
+    cell[0, :] += cell[3, :]
+    cell[:, 0] += cell[:, 3]
     coincident = float(cell[:2, :2].sum())
     if coincident <= 0.0:
         return 0.0, 0.5
     errors = float(cell[0, 1] + cell[1, 0])
     return coincident, errors / coincident
 
-def key_rate(table: CorrelationTable, raw_x: int = 0, raw_y: int = 0) -> float:
+
+def key_rate(table: CorrelationTable) -> float:
     """Device-independent key rate of a measurement table, fully binned.
 
     Every non-binary outcome (no-click, double-click) is folded to outcome
@@ -299,14 +304,13 @@ def key_rate(table: CorrelationTable, raw_x: int = 0, raw_y: int = 0) -> float:
 
     Args:
         table: Statistics with Alice's 2 settings and Bob's 3 settings.
-        raw_x: Alice's key-basis setting.
-        raw_y: Bob's key-basis setting.
     """
     if table.probabilities.shape[:2] != (2, 3):
         raise DimensionMismatchError(
             f"expected a (2, 3)-setting table, got {table.probabilities.shape[:2]}"
         )
-    return devetak_winter_rate(_binned_qber(table, raw_x, raw_y), _chsh_from_table(table))
+    qber = bin_no_click(table).error_rate(*KEY_SETTINGS)
+    return devetak_winter_rate(qber, _chsh_from_table(table))
 
 
 # --------------------------------------------------------------------------
@@ -381,23 +385,14 @@ def _swap_link(scenario: Scenario) -> AnyModeState:
     return _lossy(tensor_modes(left, right), (2, 3, 4, 5), half_t)
 
 
-def _measure(
-    state: AnyModeState,
-    scenario: Scenario,
-    alice_modes: tuple[int, int] = (0, 1),
-    bob_modes: tuple[int, int] = (2, 3),
-) -> CorrelationTable:
+def _measure(state: AnyModeState, scenario: Scenario) -> CorrelationTable:
+    """Both stations' statistics: Alice on modes (0, 1), Bob on modes (2, 3)."""
     return polarization_correlation_table(
-        state, alice_modes, bob_modes, ALICE_ANGLES, BOB_ANGLES, _detector(scenario)
+        state, (0, 1), (2, 3), ALICE_ANGLES, BOB_ANGLES, _detector(scenario)
     )
 
 
-def _result(
-    scenario: Scenario,
-    table: CorrelationTable,
-    herald_probability: float,
-    notes: tuple[str, ...],
-) -> RunResult:
+def _result(scenario: Scenario, table: CorrelationTable, herald_probability: float) -> RunResult:
     chsh = _chsh_from_table(table)
     coincident, qber = _sifted_qber(table)
     rate = coincident * devetak_winter_rate(qber, chsh)
@@ -408,7 +403,6 @@ def _result(
         chsh=float(chsh),
         qber=float(qber),
         key_rate=float(rate),
-        notes=notes,
     )
 
 
@@ -433,12 +427,7 @@ def run_standard(scenario: Scenario) -> RunResult:
         worst_arm * scenario.distance_km, scenario.attenuation_db_per_km
     )
     state = _lossy(state, (0, 1, 2, 3), arm_t)
-    table = _measure(state, scenario)
-    notes = (
-        "symmetric link: both arms modeled at the longer arm's transmission "
-        f"({worst_arm * scenario.distance_km:.3f} km)",
-    )
-    return _result(scenario, table, 1.0, notes)
+    return _result(scenario, _measure(state, scenario), 1.0)
 
 
 def run_local_heralding(scenario: Scenario) -> RunResult:
@@ -467,11 +456,7 @@ def run_local_heralding(scenario: Scenario) -> RunResult:
     if record.conditional_state is None:
         raise NeverHeraldsError("amplifier never heralds under this scenario")
     table = _measure(record.conditional_state, scenario)
-    notes = (
-        "statistics conditioned on the amplifier herald",
-        f"amplifier gain {record.gain:.6g}" if record.gain is not None else "amplifier gain undefined",
-    )
-    return _result(scenario, table, record.success_probability, notes)
+    return _result(scenario, table, record.success_probability)
 
 
 def run_third_party(scenario: Scenario) -> RunResult:
@@ -497,13 +482,7 @@ def run_third_party(scenario: Scenario) -> RunResult:
     if not heralds:
         raise NeverHeraldsError("the swap station never heralds under this scenario")
     herald = sum(p for p, _ in heralds)
-    conditional = mix(heralds)
-    table = _measure(conditional, scenario)
-    notes = (
-        "statistics conditioned on the swap herald; psi+ heralds corrected by feed-forward",
-        "pair sources truncated to single-pair emission",
-    )
-    return _result(scenario, table, herald, notes)
+    return _result(scenario, _measure(mix(heralds), scenario), herald)
 
 
 _RUNNERS = {
@@ -533,16 +512,7 @@ def secret_bits_per_second(result: RunResult) -> float:
     return float(rate * result.herald_probability * result.key_rate)
 
 
-def distance_sweep(scenario: Scenario, distances_km: Sequence[float]) -> list[RunResult]:
-    """Run the same scenario at several distances."""
-    return [
-        run(dataclasses.replace(scenario, distance_km=float(d))) for d in distances_km
-    ]
-
-
-def charlie_independence_residual(
-    scenario: Scenario, settings: Sequence[tuple[int, int]] | None = None
-) -> float:
+def charlie_independence_residual(scenario: Scenario) -> float:
     """Largest shift of the swap herald probability across measurement settings.
 
     For the ``third_party`` architecture the station's heralding statistics
@@ -558,14 +528,13 @@ def charlie_independence_residual(
     """
     if scenario.architecture != "third_party":
         raise ValueError("independence check applies to the third_party architecture")
-    if settings is None:
-        settings = [(x, y) for x in range(len(ALICE_ANGLES)) for y in range(len(BOB_ANGLES))]
     state = _swap_link(scenario)
     detector = _detector(scenario)
     herald_probs = []
-    for x, y in settings:
-        rotated = polarization_rotation(state, 0, 1, ALICE_ANGLES[x])
-        rotated = polarization_rotation(rotated, 6, 7, BOB_ANGLES[y])
-        bsm = bell_state_measurement(rotated, (2, 3), (4, 5), detector)
-        herald_probs.append(bsm.success_probability)
+    for alice_angle in ALICE_ANGLES:
+        for bob_angle in BOB_ANGLES:
+            rotated = polarization_rotation(state, 0, 1, alice_angle)
+            rotated = polarization_rotation(rotated, 6, 7, bob_angle)
+            bsm = bell_state_measurement(rotated, (2, 3), (4, 5), detector)
+            herald_probs.append(bsm.success_probability)
     return float(max(herald_probs) - min(herald_probs))

@@ -180,37 +180,30 @@ def local_bound(functional: BellFunctional) -> float:
     return float(values.max())
 
 
-def bin_no_click(
-    table: CorrelationTable, alice_to: int = 0, bob_to: int = 0
-) -> CorrelationTable:
-    """Deterministically fold extra outcomes into a binary outcome.
+def bin_no_click(table: CorrelationTable) -> CorrelationTable:
+    """Deterministically fold extra outcomes into binary outcome 0.
 
     Every outcome with index >= 2 (no-click, double-click, and similar
-    flags) is merged into the designated binary outcome for that party.
-    Binary parties pass through unchanged.
+    flags) is merged into outcome 0 of that party.  Binary parties pass
+    through unchanged.
 
     Args:
         table: Table with at least two outcomes per party.
-        alice_to: Binary outcome (0 or 1) that absorbs Alice's extra outcomes.
-        bob_to: Same for Bob.
 
     Returns:
         A table of shape ``(n_x, n_y, 2, 2)``.
     """
-    for name, target in (("alice_to", alice_to), ("bob_to", bob_to)):
-        if target not in (0, 1):
-            raise ValueError(f"{name} must be 0 or 1, got {target}")
     p = table.probabilities
     n_a, n_b = p.shape[2], p.shape[3]
     if n_a < 2 or n_b < 2:
         raise DimensionMismatchError("binning needs at least two outcomes per party")
     folded = p[:, :, :2, :2].copy()
     if n_a > 2:
-        folded[:, :, alice_to, :] += p[:, :, 2:, :2].sum(axis=2)
+        folded[:, :, 0, :] += p[:, :, 2:, :2].sum(axis=2)
     if n_b > 2:
-        folded[:, :, :, bob_to] += p[:, :, :2, 2:].sum(axis=3)
+        folded[:, :, :, 0] += p[:, :, :2, 2:].sum(axis=3)
     if n_a > 2 and n_b > 2:
-        folded[:, :, alice_to, bob_to] += p[:, :, 2:, 2:].sum(axis=(2, 3))
+        folded[:, :, 0, 0] += p[:, :, 2:, 2:].sum(axis=(2, 3))
     return CorrelationTable(probabilities=folded)
 
 

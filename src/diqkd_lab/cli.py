@@ -22,6 +22,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -142,14 +143,18 @@ _COMMAND_KEYS = {
 def _number(kind: type, value, key: str):
     """Convert one command setting with ``int`` or ``float``, naming the key on failure.
 
-    JSON booleans are not numbers, although Python converts them.
+    JSON booleans are not numbers, although Python converts them, and the
+    ``NaN`` and ``Infinity`` that Python's JSON reader accepts are not finite.
     """
     if isinstance(value, bool):
         raise CliError(f"{key} must be a number, got {value!r}")
     try:
-        return kind(value)
+        number = kind(value)
     except (TypeError, ValueError) as exc:
         raise CliError(f"{key} must be a number, got {value!r}") from exc
+    if kind is float and not math.isfinite(number):
+        raise CliError(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _integer(value, key: str) -> int:
@@ -351,17 +356,11 @@ def _cmd_threshold(parsed: ScenarioFile, args: argparse.Namespace) -> int:
             FAMILY_ALICE_ANGLES,
             FAMILY_BOB_ANGLES,
         )
-    lines = []
-    if not result.violation_at_unit_efficiency:
-        lines.append("no violation")
-        lines.append(
-            f"chsh_at_unit_efficiency={format_number(result.chsh_at_unit_efficiency)}"
-        )
+    if result.violation_at_unit_efficiency:
+        lines = [f"eta_critical={format_number(result.eta_critical)}"]
     else:
-        lines.append(f"eta_critical={format_number(result.eta_critical)}")
-        lines.append(
-            f"chsh_at_unit_efficiency={format_number(result.chsh_at_unit_efficiency)}"
-        )
+        lines = ["no violation"]
+    lines.append(f"chsh_at_unit_efficiency={format_number(result.chsh_at_unit_efficiency)}")
     if parsed.optimize:
         optimized = critical_efficiency()
         lines.append(f"eta_critical_optimized={format_number(optimized.eta_critical)}")

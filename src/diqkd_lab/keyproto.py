@@ -14,11 +14,14 @@ Everything is a pure function of ``(scenario, n_rounds, seed)``; the full
 transcript serializes to a stable byte string so repeated runs can be
 compared byte for byte.
 
-Conventions: outcome codes follow the measurement tables (0, 1, no-click,
-double-click); parties bin every non-``1`` outcome to bit 0 before any
-classical processing, so no post-selection enters the statistics.  Alice's
-string is the reference during reconciliation and the final key is hashed
-from it; disclosed parity bits are counted against the key length.
+Conventions: the measurement layout is the one the architectures decide
+(``architectures.KEY_SETTINGS`` forms the raw key, ``architectures.CHSH_TERMS``
+the CHSH estimate); this module holds no setting literal of its own.
+Outcome codes follow the measurement tables (0, 1, no-click, double-click);
+parties bin every non-``1`` outcome to bit 0 before any classical
+processing, so no post-selection enters the statistics.  Alice's string is
+the reference during reconciliation and the final key is hashed from it;
+disclosed parity bits are counted against the key length.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ from typing import Sequence
 
 import numpy as np
 
-from diqkd_lab.architectures import Scenario, devetak_winter_rate, run
+from diqkd_lab.architectures import (
+    CHSH_TERMS,
+    KEY_SETTINGS,
+    Scenario,
+    devetak_winter_rate,
+    run,
+)
 
 __all__ = [
     "MessageKind",
@@ -53,10 +62,8 @@ __all__ = [
     "parse_transcript",
 ]
 
-#: Bob test settings entering the CHSH estimate, with their functional signs.
-_CHSH_PAIRS = (((0, 1), 1.0), ((0, 2), 1.0), ((1, 1), 1.0), ((1, 2), -1.0))
-
-_KEY_SETTINGS = (0, 0)
+#: Sifting aborts when fewer raw key rounds than this remain.
+_MIN_RAW_ROUNDS = 16
 
 _VERIFY_DIGEST_BITS = 64
 
@@ -115,8 +122,8 @@ class Rounds:
     A round's index is its position in the arrays.
 
     Attributes:
-        x: Alice's settings (0 or 1); 0 is the key basis.
-        y: Bob's settings (0, 1 or 2); 0 is the key basis.
+        x: Alice's settings (0 or 1).
+        y: Bob's settings (0, 1 or 2); ``KEY_SETTINGS`` is the key basis.
         a: Alice's outcome codes (0, 1, 2 = no click, 3 = double click).
         b: Bob's outcome codes.
         heralded: Whether the architecture declared each round usable;
@@ -272,6 +279,13 @@ def parse_transcript(data: bytes) -> tuple[tuple[int, MessageKind, bytes], ...]:
     return tuple(out)
 
 
+def _seed_sequence(seed: int | bytes) -> np.random.SeedSequence:
+    """Seed from an integer, or from bytes read as little-endian u32 words."""
+    if isinstance(seed, bytes):
+        return np.random.SeedSequence(np.frombuffer(seed, dtype="<u4").tolist())
+    return np.random.SeedSequence(seed)
+
+
 def _binned_bit(outcome: np.ndarray) -> np.ndarray:
     """Fold device outcomes to bits: outcome 1 -> 1, everything else -> 0."""
     return (np.asarray(outcome) == 1).astype(np.uint8)
@@ -332,19 +346,18 @@ def sift(
     rounds: Rounds,
     sample_fraction: float = 0.1,
     rng: np.random.Generator | None = None,
-    min_raw_rounds: int = 16,
 ) -> tuple[np.ndarray, np.ndarray, EstimationSample]:
     """Split heralded rounds into the raw key and the estimation sample.
 
     A uniform random fraction of all heralded rounds is published for
     parameter estimation (it therefore covers every setting pair); the raw
-    key is what remains of the key-basis rounds ``(x, y) = (0, 0)``.
+    key is what remains of the key-basis rounds ``KEY_SETTINGS``.
 
     Returns:
         ``(alice_raw_bits, bob_raw_bits, sample)``.
 
     Raises:
-        ProtocolAbort: If fewer than ``min_raw_rounds`` raw rounds remain.
+        ProtocolAbort: If fewer than ``_MIN_RAW_ROUNDS`` raw rounds remain.
     """
     if not 0.0 <= sample_fraction < 1.0:
         raise ValueError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")
@@ -362,7 +375,7 @@ def sift(
         chosen = np.array([], dtype=np.int64)
     in_sample = np.zeros(idx.size, dtype=bool)
     in_sample[chosen] = True
-    raw_mask = (~in_sample) & (x == _KEY_SETTINGS[0]) & (y == _KEY_SETTINGS[1])
+    raw_mask = (~in_sample) & (x == KEY_SETTINGS[0]) & (y == KEY_SETTINGS[1])
     sample = EstimationSample(
         indices=idx[chosen],
         x=x[chosen],
@@ -370,7 +383,7 @@ def sift(
         alice_bits=a_bits[chosen],
         bob_bits=b_bits[chosen],
     )
-    if int(raw_mask.sum()) < min_raw_rounds:
+    if int(raw_mask.sum()) < _MIN_RAW_ROUNDS:
         raise ProtocolAbort("sifting:too-few-raw-rounds")
     return a_bits[raw_mask], b_bits[raw_mask], sample
 
@@ -379,10 +392,10 @@ def estimate(sample: EstimationSample, confidence: float = 1.0 - 1e-6) -> Estima
     """CHSH and error-rate estimates from the published sample.
 
     Correlators use the ±1 convention ``(-1)^bit``; the CHSH combination
-    matches the measurement layout (Bob's settings 1 and 2 are the test
-    settings).  Hoeffding radii split the failure probability
-    ``1 - confidence`` evenly over the five estimated quantities, so all
-    radii hold jointly at the stated confidence.
+    sums ``CHSH_TERMS`` and the error rate is read on ``KEY_SETTINGS``.
+    Hoeffding radii split the failure probability ``1 - confidence`` evenly
+    over the five estimated quantities, so all radii hold jointly at the
+    stated confidence.
 
     Raises:
         ProtocolAbort: If any needed setting pair is absent from the sample.
@@ -395,14 +408,14 @@ def estimate(sample: EstimationSample, confidence: float = 1.0 - 1e-6) -> Estima
     vb = 1.0 - 2.0 * sample.bob_bits.astype(np.float64)
     s_hat = 0.0
     s_radius = 0.0
-    for (sx, sy), sign in _CHSH_PAIRS:
+    for (sx, sy), sign in CHSH_TERMS:
         mask = (sample.x == sx) & (sample.y == sy)
         n_xy = int(mask.sum())
         if n_xy == 0:
             raise ProtocolAbort("estimation:missing-setting-pair")
         s_hat += sign * float(np.mean(va[mask] * vb[mask]))
         s_radius += math.sqrt(2.0 * log_term / n_xy)
-    key_mask = (sample.x == _KEY_SETTINGS[0]) & (sample.y == _KEY_SETTINGS[1])
+    key_mask = (sample.x == KEY_SETTINGS[0]) & (sample.y == KEY_SETTINGS[1])
     n_key = int(key_mask.sum())
     if n_key == 0:
         raise ProtocolAbort("estimation:missing-setting-pair")
@@ -483,12 +496,7 @@ def reconcile(
     leakage = 0
     corrections = 0
     if n > 0:
-        if isinstance(permutation_seed, bytes):
-            seed_words = np.frombuffer(permutation_seed, dtype="<u4")
-            perm_ss = np.random.SeedSequence(seed_words.tolist())
-        else:
-            perm_ss = np.random.SeedSequence(permutation_seed)
-        permutation = np.random.default_rng(perm_ss).permutation(n)
+        permutation = np.random.default_rng(_seed_sequence(permutation_seed)).permutation(n)
         k1 = _block_length(q_hat, n)
         passes = (
             (np.arange(n), k1),
@@ -581,13 +589,9 @@ def privacy_amplify(
     m = max(0, math.floor(n * rate) - leakage_bits - security_margin)
     if m == 0:
         return np.zeros(0, dtype=np.uint8)
-    if isinstance(seed, bytes):
-        if len(seed) != 32:
-            raise ValueError(f"byte seeds must be 32 bytes, got {len(seed)}")
-        ss = np.random.SeedSequence(np.frombuffer(seed, dtype="<u4").tolist())
-    else:
-        ss = np.random.SeedSequence(seed)
-    t = np.random.default_rng(ss).integers(0, 2, size=n + m - 1, dtype=np.uint8)
+    if isinstance(seed, bytes) and len(seed) != 32:
+        raise ValueError(f"byte seeds must be 32 bytes, got {len(seed)}")
+    t = np.random.default_rng(_seed_sequence(seed)).integers(0, 2, size=n + m - 1, dtype=np.uint8)
     # Row i of T is t[i], t[i+1], ..., t[i+n-1] read against reversed bits:
     # (T @ bits)[i] = sum_j t[i - j + n - 1] bits[j] = conv(t, bits)[n - 1 + i].
     full = np.convolve(t.astype(np.int64), bits.astype(np.int64))
@@ -607,7 +611,6 @@ def run_session(
     sample_fraction: float = 0.1,
     confidence: float = 1.0 - 1e-6,
     security_margin: int = 64,
-    min_raw_rounds: int = 16,
 ) -> SessionOutcome:
     """Run the end-to-end protocol between two simulated parties.
 
@@ -626,7 +629,6 @@ def run_session(
         confidence: Joint confidence level of the estimation radii.
         security_margin: Bits removed on top of leakage during
             amplification.
-        min_raw_rounds: Abort threshold for the sifted raw key.
     """
     dev_ss, alice_ss = np.random.SeedSequence(seed).spawn(2)
     alice_rng = np.random.default_rng(alice_ss)
@@ -640,9 +642,7 @@ def run_session(
     leakage = 0
     abort_reason = None
     try:
-        alice_raw, bob_raw, sample = sift(
-            rounds, sample_fraction, alice_rng, min_raw_rounds
-        )
+        alice_raw, bob_raw, sample = sift(rounds, sample_fraction, alice_rng)
         n_raw = int(alice_raw.size)
         transcript.send(
             "alice", MessageKind.SAMPLE_INDICES, _u32_bytes(sample.indices)

@@ -519,10 +519,6 @@ class DetectorModel:
                 f"dark count probability must lie in [0, 1], got {self.dark_count_prob}"
             )
 
-    def click_probability(self, n_photons: int) -> float:
-        """Click probability given an exact photon number."""
-        return 1.0 - (1.0 - self.dark_count_prob) * (1.0 - self.efficiency) ** n_photons
-
     def outcome_matrix(self, n_max: int) -> np.ndarray:
         """Columns ``[P(no click | n), P(click | n)]`` for ``n = 0..n_max``."""
         ns = np.arange(n_max + 1)
@@ -780,9 +776,6 @@ class BsmResult:
 
     success_probability: float
     outcomes: tuple[BsmOutcome, ...]
-
-    def outcome(self, label: str) -> tuple[BsmOutcome, ...]:
-        return tuple(o for o in self.outcomes if o.label == label)
 
 
 _BSM_PATTERNS: tuple[tuple[str, tuple[bool, bool, bool, bool]], ...] = (

@@ -248,10 +248,6 @@ class CorrelationTable:
         """Alice's outcome distribution for setting ``x`` (computed at Bob setting ``y``)."""
         return self.probabilities[x, y].sum(axis=1)
 
-    def marginal_bob(self, y: int, x: int = 0) -> np.ndarray:
-        """Bob's outcome distribution for setting ``y`` (computed at Alice setting ``x``)."""
-        return self.probabilities[x, y].sum(axis=0)
-
     def error_rate(self, x: int, y: int) -> float:
         """Probability that the two outcomes disagree under settings ``(x, y)``.
 

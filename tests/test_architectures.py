@@ -14,7 +14,6 @@ from diqkd_lab.architectures import (
     binary_entropy,
     charlie_independence_residual,
     devetak_winter_rate,
-    distance_sweep,
     key_rate,
     matter_node_scenario,
     run,
@@ -56,6 +55,10 @@ def test_scenario_validation_messages():
         Scenario(source_position=1.5)
     with pytest.raises(ValueError, match="distance_km"):
         Scenario(distance_km=-1.0)
+    with pytest.raises(ValueError, match="distance_km must be non-negative and finite, got nan"):
+        Scenario(distance_km=float("nan"))
+    with pytest.raises(ValueError, match="repetition_rate_hz must be positive and finite, got inf"):
+        Scenario(repetition_rate_hz=float("inf"))
 
 
 def test_scenario_dict_roundtrip():
@@ -285,7 +288,8 @@ def test_secret_bits_per_second_clock_cap():
 
 def test_distance_sweep_orders_and_decays():
     distances = [0.0, 1.0, 2.0, 4.0]
-    results = distance_sweep(Scenario(source_position=0.0), distances)
+    base = Scenario(source_position=0.0)
+    results = [run(dataclasses.replace(base, distance_km=d)) for d in distances]
     assert len(results) == len(distances)
     assert [r.scenario.distance_km for r in results] == distances
     rates = [r.key_rate for r in results]

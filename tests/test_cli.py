@@ -97,6 +97,20 @@ OUT_OF_RANGE_CASES = (
     ),
     ({"distance_km": True}, r"distance_km must be a number, got True"),
     ({"detector_efficiency": True}, r"detector_efficiency must be a number, got True"),
+    # Python's JSON reader accepts NaN and Infinity; neither is a usable value.
+    ({"distance_km": float("nan")}, r"distance_km must be non-negative and finite, got nan"),
+    ({"attenuation_db_per_km": float("inf")}, r"attenuation_db_per_km .* got inf"),
+    ({"readout_time_s": float("nan")}, r"readout_time_s .* got nan"),
+    ({"repetition_rate_hz": float("nan")}, r"repetition_rate_hz must be positive and finite, got nan"),
+    ({"theta": float("nan")}, r"theta must be a finite number, got nan"),
+    (
+        {"sweep": {"parameter": "distance_km", "min": float("nan"), "max": 10, "steps": 3}},
+        r"sweep min must be a finite number, got nan",
+    ),
+    (
+        {"sweep": {"parameter": "distance_km", "min": 0, "max": float("inf"), "steps": 3}},
+        r"sweep max must be a finite number, got inf",
+    ),
 )
 
 
@@ -354,6 +368,12 @@ def test_main_reports_errors_on_stderr(tmp_path, capsys):
     path = write_scenario(tmp_path, "t.json", {"rounds": 1000})
     assert main(["session", "--scenario", path, "--seed", "-1"]) == 2
     assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
+    path = write_scenario(tmp_path, "u.json", {"distance_km": float("nan")})
+    assert main(["session", "--scenario", path]) == 2
+    assert "distance_km must be non-negative and finite, got nan" in capsys.readouterr().err
+    path = write_scenario(tmp_path, "v.json", {"theta": float("nan")})
+    assert main(["threshold", "--scenario", path]) == 2
+    assert "error: theta must be a finite number, got nan" in capsys.readouterr().err
 
 
 def test_format_number_switches_notation():

@@ -7,7 +7,8 @@ import struct
 import numpy as np
 import pytest
 
-from diqkd_lab.architectures import Scenario, devetak_winter_rate
+from diqkd_lab.architectures import KEY_SETTINGS, Scenario, devetak_winter_rate, run
+from diqkd_lab.bellcert import bin_no_click
 from diqkd_lab.keyproto import (
     EstimationSample,
     MessageKind,
@@ -311,6 +312,25 @@ def test_run_session_leakage_for_error_free_key():
     block = min(n, math.ceil(0.73 * n))  # q_hat = 0 floors at one error in n
     expected = math.ceil(n / block) + math.ceil(n / min(n, 2 * block)) + 64
     assert outcome.leakage_bits == expected
+
+
+def test_session_estimates_agree_with_the_link_model():
+    """The session's plug-in S and Q land within their radii of the exact table.
+
+    Both layers read the same measurement layout: a wrong sign or setting in
+    ``CHSH_TERMS`` moves ``s_hat`` by more than 1, far outside ``s_radius``
+    (0.4 to 0.7 here).
+    """
+    for scenario in (
+        Scenario(detector_efficiency=0.95),
+        Scenario(node_fidelity=0.97),
+        Scenario(architecture="third_party", distance_km=10),
+    ):
+        outcome = run_session(scenario, 200_000, 3)
+        model = run(scenario)
+        assert abs(outcome.estimated_s - model.chsh) <= outcome.s_radius, scenario
+        exact_q = bin_no_click(model.table).error_rate(*KEY_SETTINGS)
+        assert abs(outcome.estimated_q - exact_q) <= outcome.q_radius, scenario
 
 
 def session_digest(outcome) -> str:

@@ -10,8 +10,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from diqkd_lab import keyproto
-from diqkd_lab.architectures import Scenario
+from diqkd_lab import architectures, keyproto
+from diqkd_lab.architectures import ARCHITECTURES, Scenario
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -20,6 +20,9 @@ def load_tracing():
     spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    # Tracer.install() looks every target module up in sys.modules.
+    for module_name, _, _, _ in module.TARGETS:
+        importlib.import_module(module_name)
     return module
 
 
@@ -52,3 +55,20 @@ def test_traced_session_runs_every_keyproto_hook():
         if module == "diqkd_lab.keyproto"
     }
     assert stages <= traced, stages - traced
+
+
+def test_traced_runs_reach_every_photonics_op():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    try:
+        tracer.install()
+        for name in ARCHITECTURES:
+            architectures.run(Scenario(architecture=name, pair_prob=0.01, distance_km=5.0))
+    finally:
+        tracer.uninstall()
+    assert tracing.leftover_wrappers() == []
+    errors = [span for span in tracer.spans if "error" in span[5]]
+    assert errors == []
+    traced = {span[0] for span in tracer.spans}
+    ops = {f"photonics.{name}" for name in tracing.PHOTONICS_OPS}
+    assert ops <= traced, ops - traced
