@@ -29,17 +29,21 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from diqkd_lab.bellcert import (
+    SINGLET_ALICE_ANGLES,
+    SINGLET_BOB_ANGLES,
     bell_value,
     bin_no_click,
     chsh_functional,
 )
 from diqkd_lab.photonics import (
+    DOUBLE_CLICK,
     AnyModeState,
     DetectorModel,
     bell_state_measurement,
@@ -80,8 +84,8 @@ __all__ = [
 
 ARCHITECTURES = ("standard", "local_heralding", "third_party")
 
-ALICE_ANGLES = (0.0, np.pi / 2)
-BOB_ANGLES = (np.pi, 5 * np.pi / 4, 3 * np.pi / 4)
+ALICE_ANGLES = SINGLET_ALICE_ANGLES
+BOB_ANGLES = (np.pi, *SINGLET_BOB_ANGLES)
 
 #: Alice's and Bob's settings of the key-generation rounds.
 KEY_SETTINGS = (0, 0)
@@ -149,6 +153,12 @@ class Scenario:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; expected one of {ARCHITECTURES}"
             )
+        # Every field but the architecture is a number; a bool is not one,
+        # although Python compares it like one.
+        for name in (f.name for f in dataclasses.fields(self) if f.name != "architecture"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         # Written so that NaN, which fails every comparison, is rejected too;
         # the bounded fields below reject NaN and infinities by their range.
         if not 0 < self.repetition_rate_hz < math.inf:
@@ -285,8 +295,8 @@ def _sifted_qber(table: CorrelationTable) -> tuple[float, float]:
     discussion without touching the Bell test.
     """
     cell = table.probabilities[KEY_SETTINGS].copy()
-    cell[0, :] += cell[3, :]
-    cell[:, 0] += cell[:, 3]
+    cell[0, :] += cell[DOUBLE_CLICK, :]
+    cell[:, 0] += cell[:, DOUBLE_CLICK]
     coincident = float(cell[:2, :2].sum())
     if coincident <= 0.0:
         return 0.0, 0.5
@@ -348,7 +358,7 @@ def _pair_state(scenario: Scenario, n_pair_max: int = 2) -> AnyModeState:
     if scenario.pair_prob == 0.0:
         state: AnyModeState = polarization_singlet()
     else:
-        state = spdc_source(scenario.pair_prob, n_pair_max=n_pair_max, n_max=n_pair_max)
+        state = spdc_source(scenario.pair_prob, n_pair_max=n_pair_max)
     return _depolarize_pair(state, 2, 3, scenario.node_fidelity)
 
 

@@ -1,11 +1,12 @@
 """Bell-inequality certification with finite detection efficiency.
 
-Tools to score correlation tables against linear Bell functionals, compute
+Tools to score correlation tables against linear correlator functionals
+(weights on ``<A_x B_y>`` only, CHSH among them), compute
 local-hidden-variable bounds by strategy enumeration, fold no-click events
 into regular outcomes (the fair-binning rule that closes the detection
-loophole), locate critical detection efficiencies, and quantify how hard a
-classical adversary can fake a violation when no-click rounds are
-post-selected away instead of binned.
+loophole), locate the critical detection efficiency for losses equal on
+both sides, and quantify how hard a classical adversary can fake a
+violation when no-click rounds are post-selected away instead of binned.
 
 Angle conventions follow :mod:`diqkd_lab.qstate`: a qubit setting ``theta``
 measures ``cos(theta) Z + sin(theta) X`` and outcome 0 carries value +1.
@@ -64,23 +65,13 @@ SINGLET_BOB_ANGLES = (5 * np.pi / 4, 3 * np.pi / 4)
 
 @dataclass(frozen=True)
 class BellFunctional:
-    """A linear functional on correlators and marginals.
-
-    The value on a behaviour is::
-
-        sum_xy w[x,y] <A_x B_y> + sum_x u[x] <A_x> + sum_y v[y] <B_y> + c
+    """A linear functional on correlators, ``sum_xy w[x,y] <A_x B_y>``.
 
     Attributes:
         correlator_weights: ``w``, shape ``(n_x, n_y)``.
-        alice_weights: ``u``, shape ``(n_x,)``; defaults to zeros.
-        bob_weights: ``v``, shape ``(n_y,)``; defaults to zeros.
-        constant: ``c``.
     """
 
     correlator_weights: np.ndarray
-    alice_weights: np.ndarray | None = None
-    bob_weights: np.ndarray | None = None
-    constant: float = 0.0
 
     def __post_init__(self) -> None:
         w = np.array(self.correlator_weights, dtype=float, copy=True)
@@ -88,28 +79,8 @@ class BellFunctional:
             raise DimensionMismatchError(
                 f"correlator weights must be 2-D (n_x, n_y), got shape {w.shape}"
             )
-        n_x, n_y = w.shape
-        u = (
-            np.zeros(n_x)
-            if self.alice_weights is None
-            else np.array(self.alice_weights, dtype=float, copy=True)
-        )
-        v = (
-            np.zeros(n_y)
-            if self.bob_weights is None
-            else np.array(self.bob_weights, dtype=float, copy=True)
-        )
-        if u.shape != (n_x,) or v.shape != (n_y,):
-            raise DimensionMismatchError(
-                f"marginal weights must have shapes ({n_x},) and ({n_y},), "
-                f"got {u.shape} and {v.shape}"
-            )
-        for arr in (w, u, v):
-            arr.setflags(write=False)
+        w.setflags(write=False)
         object.__setattr__(self, "correlator_weights", w)
-        object.__setattr__(self, "alice_weights", u)
-        object.__setattr__(self, "bob_weights", v)
-        object.__setattr__(self, "constant", float(self.constant))
 
     @property
     def n_alice_settings(self) -> int:
@@ -120,20 +91,29 @@ class BellFunctional:
         return self.correlator_weights.shape[1]
 
 
+# Signs of the CHSH correlators <A0B0>, <A0B1>, <A1B0>, <A1B1>.
+_CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+
+
 def chsh_functional() -> BellFunctional:
     """The CHSH functional ``<A0B0> + <A0B1> + <A1B0> - <A1B1>``."""
-    return BellFunctional(correlator_weights=np.array([[1.0, 1.0], [1.0, -1.0]]))
+    return BellFunctional(correlator_weights=_CHSH_SIGNS)
+
+
+def _correlators(p: np.ndarray) -> np.ndarray:
+    """``<A_x B_y>`` for every setting pair of a binary-outcome table's probabilities."""
+    if p.shape[2] != 2 or p.shape[3] != 2:
+        raise DimensionMismatchError(
+            "Bell functionals act on binary-outcome tables; call bin_no_click first"
+        )
+    return p[:, :, 0, 0] + p[:, :, 1, 1] - p[:, :, 0, 1] - p[:, :, 1, 0]
 
 
 def _correlators_and_marginals(
     table: CorrelationTable,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p = table.probabilities
-    if p.shape[2] != 2 or p.shape[3] != 2:
-        raise DimensionMismatchError(
-            "Bell functionals act on binary-outcome tables; call bin_no_click first"
-        )
-    corr = p[:, :, 0, 0] + p[:, :, 1, 1] - p[:, :, 0, 1] - p[:, :, 1, 0]
+    corr = _correlators(p)
     # Marginals of a non-signalling table do not depend on the other party's
     # setting; averaging makes the evaluation robust to round-off.
     marg_a = (p.sum(axis=3)[:, :, 0] - p.sum(axis=3)[:, :, 1]).mean(axis=1)
@@ -143,18 +123,13 @@ def _correlators_and_marginals(
 
 def bell_value(table: CorrelationTable, functional: BellFunctional) -> float:
     """Evaluate a Bell functional on a binary-outcome correlation table."""
-    corr, marg_a, marg_b = _correlators_and_marginals(table)
+    corr = _correlators(table.probabilities)
     w = functional.correlator_weights
     if corr.shape != w.shape:
         raise DimensionMismatchError(
             f"table has {corr.shape} settings, functional expects {w.shape}"
         )
-    return float(
-        np.sum(w * corr)
-        + functional.alice_weights @ marg_a
-        + functional.bob_weights @ marg_b
-        + functional.constant
-    )
+    return float(np.sum(w * corr))
 
 
 def _sign_patterns(n: int) -> np.ndarray:
@@ -171,13 +146,7 @@ def local_bound(functional: BellFunctional) -> float:
     """
     a_signs = _sign_patterns(functional.n_alice_settings)
     b_signs = _sign_patterns(functional.n_bob_settings)
-    values = (
-        a_signs @ functional.correlator_weights @ b_signs.T
-        + (a_signs @ functional.alice_weights)[:, None]
-        + (b_signs @ functional.bob_weights)[None, :]
-        + functional.constant
-    )
-    return float(values.max())
+    return float((a_signs @ functional.correlator_weights @ b_signs.T).max())
 
 
 def bin_no_click(table: CorrelationTable) -> CorrelationTable:
@@ -245,7 +214,7 @@ class EfficiencyThresholdResult:
     """Outcome of a critical-efficiency search.
 
     Attributes:
-        eta_critical: Smallest symmetric (or one-sided) detection efficiency
+        eta_critical: Smallest detection efficiency, the same on both sides,
             at which the binned CHSH value still exceeds the local bound.
             1.0 when no violation exists even with perfect detectors.
         theta: Entanglement parameter of the optimal family state, or None
@@ -263,9 +232,6 @@ class EfficiencyThresholdResult:
     bob_angles: tuple[float, float]
     chsh_at_unit_efficiency: float
     violation_at_unit_efficiency: bool
-
-
-_CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 
 
 def _family_correlations(
@@ -289,14 +255,14 @@ def _state_correlations(
 
 
 def _eta_threshold(
-    corr: np.ndarray, marg_a: np.ndarray, marg_b: np.ndarray, side: str
+    corr: np.ndarray, marg_a: np.ndarray, marg_b: np.ndarray
 ) -> tuple[float, float]:
-    """Critical efficiency for fair-binned CHSH given exact correlations.
+    """Critical symmetric efficiency for fair-binned CHSH given exact correlations.
 
     Binning no-click to outcome 0 replaces each observable ``A`` by
-    ``eta A + (1 - eta)``.  For symmetric losses the CHSH value is then a
-    quadratic in ``eta`` with ``S(0) = 2`` exactly, so the threshold solves
-    in closed form; for one-sided loss it is linear.
+    ``eta A + (1 - eta)``.  With the same efficiency on both sides the CHSH
+    value is then a quadratic in ``eta`` with ``S(0) = 2`` exactly, so the
+    threshold solves in closed form.
 
     Returns:
         ``(eta_critical, chsh_at_unit_efficiency)``.
@@ -306,13 +272,8 @@ def _eta_threshold(
     m_b = float(_CHSH_SIGNS.sum(axis=0) @ marg_b)
     if e_tot <= 2.0:
         return 1.0, e_tot
-    if side == "both":
-        m = m_a + m_b
-        eta = (4.0 - m) / (e_tot - m + 2.0)
-    elif side == "alice":
-        eta = (2.0 - m_b) / (e_tot - m_b)
-    else:
-        raise ValueError(f"side must be 'both' or 'alice', got {side!r}")
+    m = m_a + m_b
+    eta = (4.0 - m) / (e_tot - m + 2.0)
     return float(np.clip(eta, 0.0, 1.0)), e_tot
 
 
@@ -336,10 +297,9 @@ def critical_efficiency(
     alice_angles: Sequence[float] | None = None,
     bob_angles: Sequence[float] | None = None,
     *,
-    side: str = "both",
     eta_tol: float = 1e-4,
 ) -> EfficiencyThresholdResult:
-    """Find the critical detection efficiency of a fair-binned CHSH test.
+    """Find the critical symmetric detection efficiency of a fair-binned CHSH test.
 
     Two forms are supported.  A fixed two-qubit state with both angle lists
     gives the closed-form threshold of that configuration, its correlators
@@ -354,8 +314,6 @@ def critical_efficiency(
         state: Fixed two-qubit state, or None to optimize over the family.
         alice_angles: Alice's two angles, given exactly when ``state`` is.
         bob_angles: Bob's two angles, given exactly when ``state`` is.
-        side: ``"both"`` for symmetric losses, ``"alice"`` for loss on
-            Alice's side only (perfect Bob).
         eta_tol: Requested absolute accuracy of the optimized threshold.
 
     Returns:
@@ -383,7 +341,7 @@ def critical_efficiency(
 
         def objective(params: np.ndarray) -> float:
             eta, e_tot = _eta_threshold(
-                *_family_correlations(params[0], params[1:3], params[3:5]), side
+                *_family_correlations(params[0], params[1:3], params[3:5])
             )
             # Outside the violation region, fall back to a slope that guides
             # the optimizer towards violating configurations.
@@ -402,7 +360,7 @@ def critical_efficiency(
         theta = float(best.x[0])
         aa, bb = best.x[1:3], best.x[3:5]
         corr, ma, mb = _family_correlations(theta, aa, bb)
-    eta, e_tot = _eta_threshold(corr, ma, mb, side)
+    eta, e_tot = _eta_threshold(corr, ma, mb)
     return EfficiencyThresholdResult(
         eta_critical=eta,
         theta=theta,

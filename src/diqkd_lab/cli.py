@@ -190,9 +190,6 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
     if unknown:
         raise CliError(f"unknown scenario file keys: {', '.join(unknown)}")
 
-    for key, value in data.items():
-        if key in scenario_keys and key != "architecture" and isinstance(value, bool):
-            raise CliError(f"{key} must be a number, got {value!r}")
     try:
         scenario = Scenario.from_dict(
             {k: v for k, v in data.items() if k in scenario_keys}
@@ -240,12 +237,15 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
     optimize = data.get("optimize", False)
     if not isinstance(optimize, bool):
         raise CliError(f"optimize must be true or false, got {optimize!r}")
+    out = data.get("out")
+    if out is not None and not isinstance(out, str):
+        raise CliError(f"out must be a string, got {out!r}")
 
     return ScenarioFile(
         scenario=scenario,
         sweep=axis,
         seed=seed,
-        out=None if data.get("out") is None else str(data["out"]),
+        out=out,
         rounds=rounds,
         sample_fraction=sample_fraction,
         optimize=optimize,

@@ -6,9 +6,11 @@ channel and drive the standard pipeline:
 
 1. basis announcement,
 2. publication of a random estimation sample,
-3. CHSH / error-rate estimation with Hoeffding confidence radii,
+3. CHSH / error-rate estimation with Hoeffding radii that hold jointly at
+   confidence ``_CONFIDENCE`` (1 - 1e-6),
 4. two-pass parity-bisection reconciliation with a verification hash,
-5. Toeplitz-hash privacy amplification sized by the worst-case key rate.
+5. Toeplitz-hash privacy amplification sized by the worst-case key rate,
+   less the leakage and ``_SECURITY_MARGIN`` (64) bits.
 
 Everything is a pure function of ``(scenario, n_rounds, seed)``; the full
 transcript serializes to a stable byte string so repeated runs can be
@@ -17,11 +19,12 @@ compared byte for byte.
 Conventions: the measurement layout is the one the architectures decide
 (``architectures.KEY_SETTINGS`` forms the raw key, ``architectures.CHSH_TERMS``
 the CHSH estimate); this module holds no setting literal of its own.
-Outcome codes follow the measurement tables (0, 1, no-click, double-click);
-parties bin every non-``1`` outcome to bit 0 before any classical
-processing, so no post-selection enters the statistics.  Alice's string is
-the reference during reconciliation and the final key is hashed from it;
-disclosed parity bits are counted against the key length.
+Outcome codes are the measurement tables' ``photonics.OUTCOME_CODES`` (0,
+1, ``NO_CLICK``, ``DOUBLE_CLICK``); parties bin every non-``1`` outcome to
+bit 0 before any classical processing, so no post-selection enters the
+statistics.  Alice's string is the reference during reconciliation and the
+final key is hashed from it; disclosed parity bits are counted against the
+key length.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from diqkd_lab.architectures import (
     devetak_winter_rate,
     run,
 )
+from diqkd_lab.photonics import NO_CLICK
 
 __all__ = [
     "MessageKind",
@@ -64,6 +68,12 @@ __all__ = [
 
 #: Sifting aborts when fewer raw key rounds than this remain.
 _MIN_RAW_ROUNDS = 16
+
+#: Joint confidence level of the estimation radii.
+_CONFIDENCE = 1.0 - 1e-6
+
+#: Bits removed on top of the leakage during privacy amplification.
+_SECURITY_MARGIN = 64
 
 _VERIFY_DIGEST_BITS = 64
 
@@ -124,7 +134,7 @@ class Rounds:
     Attributes:
         x: Alice's settings (0 or 1).
         y: Bob's settings (0, 1 or 2); ``KEY_SETTINGS`` is the key basis.
-        a: Alice's outcome codes (0, 1, 2 = no click, 3 = double click).
+        a: Alice's outcome codes, ``photonics.OUTCOME_CODES``.
         b: Bob's outcome codes.
         heralded: Whether the architecture declared each round usable;
             outcomes of non-heralded rounds are recorded as no-clicks.
@@ -152,7 +162,7 @@ class EstimationSample:
 class Estimate:
     """Plug-in estimates with Hoeffding confidence radii.
 
-    The radii hold jointly at the configured confidence level: a union
+    The radii hold jointly at confidence ``_CONFIDENCE``: a union
     bound splits the failure budget over the four CHSH correlators and the
     error rate.
     """
@@ -318,12 +328,13 @@ def simulate_rounds(
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
     result = run(scenario)
     rng = np.random.default_rng(seed)
-    n_x, n_y = result.table.probabilities.shape[:2]
+    n_x, n_y, _, n_b = result.table.probabilities.shape
     x = rng.integers(0, n_x, size=n_rounds)
     y = rng.integers(0, n_y, size=n_rounds)
     heralded = rng.random(n_rounds) < result.herald_probability
     u = rng.random(n_rounds)
-    joint = np.full(n_rounds, 2 * 4 + 2, dtype=np.int64)  # no-click pair
+    # Joint outcome codes a * n_b + b; rounds left unset record no-clicks.
+    joint = np.full(n_rounds, NO_CLICK * n_b + NO_CLICK, dtype=np.int64)
     for ix in range(n_x):
         for iy in range(n_y):
             mask = heralded & (x == ix) & (y == iy)
@@ -333,7 +344,6 @@ def simulate_rounds(
             edges = np.cumsum(cell)
             edges[-1] = 1.0
             joint[mask] = np.searchsorted(edges, u[mask], side="right")
-    n_b = result.table.probabilities.shape[3]
     return Rounds(x=x, y=y, a=joint // n_b, b=joint % n_b, heralded=heralded)
 
 
@@ -343,9 +353,7 @@ def simulate_rounds(
 
 
 def sift(
-    rounds: Rounds,
-    sample_fraction: float = 0.1,
-    rng: np.random.Generator | None = None,
+    rounds: Rounds, sample_fraction: float, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray, EstimationSample]:
     """Split heralded rounds into the raw key and the estimation sample.
 
@@ -361,8 +369,6 @@ def sift(
     """
     if not 0.0 <= sample_fraction < 1.0:
         raise ValueError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")
-    if rng is None:
-        rng = np.random.default_rng(0)
     idx = np.flatnonzero(rounds.heralded)
     x = rounds.x[idx]
     y = rounds.y[idx]
@@ -388,21 +394,19 @@ def sift(
     return a_bits[raw_mask], b_bits[raw_mask], sample
 
 
-def estimate(sample: EstimationSample, confidence: float = 1.0 - 1e-6) -> Estimate:
+def estimate(sample: EstimationSample) -> Estimate:
     """CHSH and error-rate estimates from the published sample.
 
     Correlators use the ±1 convention ``(-1)^bit``; the CHSH combination
     sums ``CHSH_TERMS`` and the error rate is read on ``KEY_SETTINGS``.
-    Hoeffding radii split the failure probability ``1 - confidence`` evenly
-    over the five estimated quantities, so all radii hold jointly at the
-    stated confidence.
+    Hoeffding radii split the failure probability ``1 - _CONFIDENCE``
+    evenly over the five estimated quantities, so all radii hold jointly at
+    that confidence.
 
     Raises:
         ProtocolAbort: If any needed setting pair is absent from the sample.
     """
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    delta = (1.0 - confidence) / 5.0
+    delta = (1.0 - _CONFIDENCE) / 5.0
     log_term = math.log(2.0 / delta)
     va = 1.0 - 2.0 * sample.alice_bits.astype(np.float64)
     vb = 1.0 - 2.0 * sample.bob_bits.astype(np.float64)
@@ -557,17 +561,12 @@ def reconcile(
 
 
 def privacy_amplify(
-    bits: np.ndarray,
-    leakage_bits: int,
-    rate: float,
-    seed: int | bytes,
-    *,
-    security_margin: int = 64,
+    bits: np.ndarray, leakage_bits: int, rate: float, seed: int | bytes
 ) -> np.ndarray:
     """Compress a reconciled string with a seeded Toeplitz hash.
 
     The output length is ``max(0, floor(n * rate) - leakage_bits -
-    security_margin)``.  The Toeplitz matrix ``T[i, j] = t[i - j + n - 1]``
+    _SECURITY_MARGIN)``.  The Toeplitz matrix ``T[i, j] = t[i - j + n - 1]``
     is defined by ``n + m - 1`` seed bits drawn from a PCG64 generator, and
     the matrix-vector product over GF(2) is evaluated as a convolution.
 
@@ -576,17 +575,16 @@ def privacy_amplify(
         leakage_bits: Reconciliation disclosure to subtract.
         rate: Extractable secret fraction (worst-case plug-in key rate).
         seed: Hash seed; 32 announced bytes or an integer.
-        security_margin: Extra bits sacrificed for finite-size hygiene.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1:
         raise ValueError("bits must be a 1-D array")
-    if leakage_bits < 0 or security_margin < 0:
-        raise ValueError("leakage_bits and security_margin must be non-negative")
+    if leakage_bits < 0:
+        raise ValueError("leakage_bits must be non-negative")
     if not 0.0 <= rate <= 1.0:
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
     n = bits.size
-    m = max(0, math.floor(n * rate) - leakage_bits - security_margin)
+    m = max(0, math.floor(n * rate) - leakage_bits - _SECURITY_MARGIN)
     if m == 0:
         return np.zeros(0, dtype=np.uint8)
     if isinstance(seed, bytes) and len(seed) != 32:
@@ -609,8 +607,6 @@ def run_session(
     seed: int,
     *,
     sample_fraction: float = 0.1,
-    confidence: float = 1.0 - 1e-6,
-    security_margin: int = 64,
 ) -> SessionOutcome:
     """Run the end-to-end protocol between two simulated parties.
 
@@ -626,9 +622,6 @@ def run_session(
         seed: Master seed.
         sample_fraction: Fraction of heralded rounds published for
             estimation.
-        confidence: Joint confidence level of the estimation radii.
-        security_margin: Bits removed on top of leakage during
-            amplification.
     """
     dev_ss, alice_ss = np.random.SeedSequence(seed).spawn(2)
     alice_rng = np.random.default_rng(alice_ss)
@@ -652,7 +645,7 @@ def run_session(
         )
         transcript.send("bob", MessageKind.SAMPLE_VALUES, _pack_bits(sample.bob_bits))
 
-        est = estimate(sample, confidence)
+        est = estimate(sample)
         if est.s_worst <= 2.0:
             raise ProtocolAbort("estimation:insufficient-violation")
         rate = devetak_winter_rate(est.q_worst, est.s_worst)
@@ -675,12 +668,8 @@ def run_session(
 
         pa_seed = alice_rng.bytes(32)
         transcript.send("alice", MessageKind.HASH_SEED, pa_seed)
-        alice_key = privacy_amplify(
-            alice_raw, leakage, rate, pa_seed, security_margin=security_margin
-        )
-        bob_key = privacy_amplify(
-            recon.bits, leakage, rate, pa_seed, security_margin=security_margin
-        )
+        alice_key = privacy_amplify(alice_raw, leakage, rate, pa_seed)
+        bob_key = privacy_amplify(recon.bits, leakage, rate, pa_seed)
         if alice_key.size == 0:
             raise ProtocolAbort("amplification:zero-length")
         transcript.send("alice", MessageKind.DONE, struct.pack("<I", alice_key.size))

@@ -20,6 +20,10 @@ cut off: there is no truncation error.  ``n_max`` only bounds dense views
 mixture raises it to the largest occupation it holds.  The one
 approximation left is the sources' cut on pair number.
 
+Polarization measurements report one outcome per party, coded from its
+two ports' click pattern by ``OUTCOME_CODES``: 0 and 1 for a click in the
+H or the V port alone, ``NO_CLICK`` (2) and ``DOUBLE_CLICK`` (3).
+
 Polarization qubits are encoded in mode pairs ``(H, V)``: ``|H>`` is one
 photon in the H mode, ``|V>`` one photon in the V mode.  Measuring the
 qubit observable ``cos(theta) Z + sin(theta) X`` corresponds to rotating
@@ -43,6 +47,9 @@ from scipy.special import comb
 from diqkd_lab.qstate import CorrelationTable, DimensionMismatchError, StateValidationError
 
 __all__ = [
+    "OUTCOME_CODES",
+    "NO_CLICK",
+    "DOUBLE_CLICK",
     "ModeState",
     "ModeMixture",
     "DetectorModel",
@@ -78,6 +85,13 @@ BRANCH_PRUNE_TOL = 1e-30
 
 # Guard against accidentally huge dense amplitude arrays.
 MAX_AMPLITUDES = 2_000_000
+
+#: Outcome code of each click pattern ``(H port, V port)`` of a polarization
+#: measurement: the observable's values +1 and -1, then no click and double
+#: click.  Every measurement table and round record uses these codes.
+OUTCOME_CODES = {(1, 0): 0, (0, 1): 1, (0, 0): 2, (1, 1): 3}
+NO_CLICK = OUTCOME_CODES[0, 0]
+DOUBLE_CLICK = OUTCOME_CODES[1, 1]
 
 
 # --------------------------------------------------------------------------
@@ -127,13 +141,6 @@ class ModeState:
     def probability(self, occupations: Sequence[int]) -> float:
         """Probability of finding exactly the given photon numbers."""
         return float(abs(self.amplitudes[tuple(int(n) for n in occupations)]) ** 2)
-
-    def mean_photons(self, mode: int) -> float:
-        """Mean photon number in one mode."""
-        probs = np.abs(self.amplitudes) ** 2
-        axes = tuple(i for i in range(self.n_modes) if i != mode)
-        per_n = probs.sum(axis=axes) if axes else probs
-        return float(per_n @ np.arange(self.n_max + 1))
 
 
 @dataclass(frozen=True)
@@ -604,12 +611,12 @@ def polarization_correlation_table(
 
     For every setting pair, both mode pairs are rotated by their measurement
     angles and all four output ports are watched by threshold detectors.
-    Per party the click pattern maps to four outcomes::
+    Per party the click pattern maps to an outcome by ``OUTCOME_CODES``::
 
         0: H-port click only   (observable value +1)
         1: V-port click only   (observable value -1)
-        2: no click
-        3: both ports click
+        2: no click            (NO_CLICK)
+        3: both ports click    (DOUBLE_CLICK)
 
     Folding outcomes 2 and 3 into outcome 0 (``bellcert.bin_no_click``)
     reproduces the fair-binning rule used for device-independent
@@ -632,16 +639,15 @@ def polarization_correlation_table(
     b_h, b_v = (int(m) for m in bob_modes)
     if len({a_h, a_v, b_h, b_v}) != 4:
         raise DimensionMismatchError("measurement needs four distinct modes")
-    # Click pattern (H, V) -> outcome code.
-    code = {(1, 0): 0, (0, 1): 1, (0, 0): 2, (1, 1): 3}
-    table = np.zeros((len(alice_angles), len(bob_angles), 4, 4))
+    n_out = len(OUTCOME_CODES)
+    table = np.zeros((len(alice_angles), len(bob_angles), n_out, n_out))
     for x, theta_a in enumerate(alice_angles):
         rotated_a = polarization_rotation(state, a_h, a_v, float(theta_a))
         for y, theta_b in enumerate(bob_angles):
             rotated = polarization_rotation(rotated_a, b_h, b_v, float(theta_b))
             clicks = detection_probabilities(rotated, (a_h, a_v, b_h, b_v), detector)
-            for (ah, av), a_out in code.items():
-                for (bh, bv), b_out in code.items():
+            for (ah, av), a_out in OUTCOME_CODES.items():
+                for (bh, bv), b_out in OUTCOME_CODES.items():
                     table[x, y, a_out, b_out] += clicks[ah, av, bh, bv]
     return CorrelationTable(probabilities=table)
 
@@ -661,9 +667,7 @@ def _pair_weights(pair_prob: float, n_pair_max: int) -> np.ndarray:
     return weights / weights.sum()
 
 
-def spdc_source(
-    pair_prob: float, n_pair_max: int = 2, n_max: int = 4
-) -> ModeState:
+def spdc_source(pair_prob: float, n_pair_max: int = 2) -> ModeState:
     """Polarization-entangled pair source with geometric multipair statistics.
 
     Emits ``n`` singlet-correlated pairs into modes ``(a_H, a_V, b_H, b_V)``
@@ -678,15 +682,15 @@ def spdc_source(
         pair_prob: Pair emission parameter ``p`` in ``[0, 1)``.  Note that
             ``p = 0`` yields pure vacuum (the source never fires); an ideal
             on-demand pair source is :func:`polarization_singlet` instead.
-        n_pair_max: Largest retained pair number.
-        n_max: Per-mode Fock truncation of the returned state.
+        n_pair_max: Largest retained pair number, and so the largest
+            occupation of any mode.
 
     Returns:
-        A pure four-mode state.
+        A pure four-mode state with ``n_max = n_pair_max``.
     """
-    if n_pair_max < 0 or n_pair_max > n_max:
-        raise ValueError(f"n_pair_max must lie in [0, n_max], got {n_pair_max}")
-    d = n_max + 1
+    if n_pair_max < 0:
+        raise ValueError(f"n_pair_max must be non-negative, got {n_pair_max}")
+    d = n_pair_max + 1
     total = np.zeros((d, d, d, d), dtype=complex)
     for n, weight in enumerate(_pair_weights(pair_prob, n_pair_max)):
         # The normalized n-pair term is sum_k (-1)^(n-k) |k, n-k, n-k, k> / sqrt(n+1).
@@ -695,20 +699,19 @@ def spdc_source(
     return ModeState(amplitudes=total)
 
 
-def polarization_singlet(n_max: int = 2) -> ModeState:
-    """One polarization singlet ``(|HV> - |VH>)/sqrt(2)`` on modes ``(a_H, a_V, b_H, b_V)``."""
-    d = n_max + 1
-    arr = np.zeros((d, d, d, d), dtype=complex)
+def polarization_singlet() -> ModeState:
+    """One polarization singlet ``(|HV> - |VH>)/sqrt(2)`` on modes ``(a_H, a_V, b_H, b_V)``.
+
+    Its dense view holds up to two photons per mode (``n_max = 2``).
+    """
+    arr = np.zeros((3, 3, 3, 3), dtype=complex)
     arr[1, 0, 0, 1] = 1.0 / np.sqrt(2.0)
     arr[0, 1, 1, 0] = -1.0 / np.sqrt(2.0)
     return ModeState(amplitudes=arr)
 
 
 def heralded_single_photon(
-    pair_prob: float,
-    trigger_detector: DetectorModel,
-    n_max: int,
-    n_pair_max: int = 2,
+    pair_prob: float, trigger_detector: DetectorModel, n_pair_max: int = 2
 ) -> "HeraldRecord":
     """Single-photon source: photon-pair emitter with a triggered idler arm.
 
@@ -721,7 +724,6 @@ def heralded_single_photon(
     Args:
         pair_prob: Pair emission parameter ``p``.
         trigger_detector: Detector on the idler arm.
-        n_max: Dense-view bound of the returned single-mode state.
         n_pair_max: Largest retained pair number.
 
     Returns:
@@ -735,7 +737,7 @@ def heralded_single_photon(
     if trigger_prob <= BRANCH_PRUNE_TOL:
         return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
     n = np.arange(n_pair_max + 1)
-    mixture = ModeMixture(clicks / trigger_prob, n, n[:, np.newaxis], np.ones(n.size), n_max)
+    mixture = ModeMixture(clicks / trigger_prob, n, n[:, np.newaxis], np.ones(n.size))
     return HeraldRecord(success_probability=trigger_prob, conditional_state=mixture, gain=None)
 
 
@@ -912,8 +914,8 @@ def qubit_amplifier(
         ancilla_h: AnyModeState = fock([1], n_max)
         ancilla_v: AnyModeState = fock([1], n_max)
     else:
-        source_h = heralded_single_photon(ancilla_pair_prob, trigger_detector, n_max)
-        source_v = heralded_single_photon(ancilla_pair_prob, trigger_detector, n_max)
+        source_h = heralded_single_photon(ancilla_pair_prob, trigger_detector)
+        source_v = heralded_single_photon(ancilla_pair_prob, trigger_detector)
         if source_h.conditional_state is None or source_v.conditional_state is None:
             return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
         trigger_prob = source_h.success_probability * source_v.success_probability

@@ -140,19 +140,6 @@ class DensityOperator:
     def n_subsystems(self) -> int:
         return len(self.dims)
 
-    def purity(self) -> float:
-        """``Tr(rho^2)``; 1 for pure states, ``1/D`` for maximally mixed."""
-        return float(np.real(np.einsum("ij,ji->", self.matrix, self.matrix)))
-
-    def expectation(self, observable: np.ndarray) -> float:
-        """Real expectation value ``Tr(rho O)`` of a Hermitian observable."""
-        obs = np.asarray(observable, dtype=complex)
-        if obs.shape != self.matrix.shape:
-            raise DimensionMismatchError(
-                f"observable shape {obs.shape} does not match state dimension {self.matrix.shape}"
-            )
-        return float(np.real(np.einsum("ij,ji->", self.matrix, obs)))
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -229,10 +216,6 @@ class CorrelationTable:
         arr.setflags(write=False)
         object.__setattr__(self, "probabilities", arr)
 
-    @property
-    def shape(self) -> tuple[int, int, int, int]:
-        return self.probabilities.shape  # type: ignore[return-value]
-
     def correlator(self, x: int, y: int) -> float:
         """Two-outcome correlator ``<A_x B_y>`` with outcomes 0/1 valued +1/-1."""
         n_a, n_b = self.probabilities.shape[2:]
@@ -243,10 +226,6 @@ class CorrelationTable:
             )
         p = self.probabilities[x, y]
         return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
-
-    def marginal_alice(self, x: int, y: int = 0) -> np.ndarray:
-        """Alice's outcome distribution for setting ``x`` (computed at Bob setting ``y``)."""
-        return self.probabilities[x, y].sum(axis=1)
 
     def error_rate(self, x: int, y: int) -> float:
         """Probability that the two outcomes disagree under settings ``(x, y)``.

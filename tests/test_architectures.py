@@ -59,6 +59,12 @@ def test_scenario_validation_messages():
         Scenario(distance_km=float("nan"))
     with pytest.raises(ValueError, match="repetition_rate_hz must be positive and finite, got inf"):
         Scenario(repetition_rate_hz=float("inf"))
+    with pytest.raises(ValueError, match="distance_km must be a number, got '5'"):
+        Scenario(distance_km="5")
+    with pytest.raises(ValueError, match="pair_prob must be a number, got True"):
+        Scenario(pair_prob=True)
+    with pytest.raises(ValueError, match="node_fidelity must be a number, got None"):
+        Scenario(node_fidelity=None)
 
 
 def test_scenario_dict_roundtrip():

@@ -97,6 +97,11 @@ OUT_OF_RANGE_CASES = (
     ),
     ({"distance_km": True}, r"distance_km must be a number, got True"),
     ({"detector_efficiency": True}, r"detector_efficiency must be a number, got True"),
+    # Scenario values of another type name their key.
+    ({"distance_km": "5"}, r"distance_km must be a number, got '5'"),
+    ({"detector_efficiency": "0.9"}, r"detector_efficiency must be a number, got '0.9'"),
+    ({"distance_km": None}, r"distance_km must be a number, got None"),
+    ({"out": 5}, r"out must be a string, got 5"),
     # Python's JSON reader accepts NaN and Infinity; neither is a usable value.
     ({"distance_km": float("nan")}, r"distance_km must be non-negative and finite, got nan"),
     ({"attenuation_db_per_km": float("inf")}, r"attenuation_db_per_km .* got inf"),
@@ -144,9 +149,13 @@ def test_serialize_scenario_file_is_stable(tmp_path):
             "pair_prob": 0.01,
             "sweep": {"parameter": "distance_km", "min": 0, "max": 10, "steps": 3},
             "seed": 7,
+            "out": "result.csv",
+            "theta": 0.3,
+            "etas": [1.0, 0.8],
         },
     )
     first = serialize_scenario_file(parse_scenario_file(path))
+    assert {"out", "theta", "etas"} <= set(json.loads(first))
     normalized = tmp_path / "norm.json"
     normalized.write_text(first)
     second = serialize_scenario_file(parse_scenario_file(normalized))
@@ -248,6 +257,17 @@ def test_sweep_command_matches_reference_bytes(tmp_path, name):
     argv = ["sweep", "--scenario", str(scenario), "--out", str(out), "--jobs", "1"]
     assert main(argv) == 0
     assert out.read_bytes() == (BENCH_DIR / "refs" / f"{name}_sweep.csv").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "verb, ref", [("threshold", "threshold_optimized.txt"), ("attack", "attack_default.csv")]
+)
+def test_threshold_and_attack_commands_match_reference_bytes(tmp_path, verb, ref):
+    # The optimized threshold and the default attack etas; reads the refs, never rewrites them.
+    out = tmp_path / ref
+    scenario = BENCH_DIR / "scenarios" / f"{Path(ref).stem}.json"
+    assert main([verb, "--scenario", str(scenario), "--out", str(out)]) == 0
+    assert out.read_bytes() == (BENCH_DIR / "refs" / ref).read_bytes()
 
 
 @pytest.mark.parametrize("command", ["session", "sweep"])

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from diqkd_lab import keyproto
 from diqkd_lab.architectures import KEY_SETTINGS, Scenario, devetak_winter_rate, run
 from diqkd_lab.bellcert import bin_no_click
 from diqkd_lab.keyproto import (
@@ -135,11 +136,10 @@ def perfect_sample(n_per_cell: int = 50) -> EstimationSample:
 
 
 def test_estimate_perfect_correlations():
-    confidence = 1.0 - 1e-6
-    est = estimate(perfect_sample(), confidence=confidence)
+    est = estimate(perfect_sample())
     assert est.s_hat == pytest.approx(4.0, abs=1e-12)
     assert est.q_hat == 0.0
-    log_term = math.log(2.0 / ((1.0 - confidence) / 5.0))
+    log_term = math.log(2.0 / ((1.0 - keyproto._CONFIDENCE) / 5.0))
     assert est.s_radius == pytest.approx(sum(math.sqrt(2.0 * log_term / 50.0) for _ in range(4)), abs=1e-12)
     assert est.q_radius == pytest.approx(math.sqrt(log_term / (2.0 * 50.0)), abs=1e-12)
     assert est.s_worst == pytest.approx(est.s_hat - est.s_radius, abs=1e-12)
@@ -225,11 +225,11 @@ def test_reconcile_messages_alternate_parity_queries():
 
 
 def test_privacy_amplify_matches_explicit_toeplitz():
-    n, seed = 8, 1234
-    bits = np.array([1, 0, 1, 1, 0, 0, 1, 0], dtype=np.uint8)
-    out = privacy_amplify(bits, 0, 1.0, seed, security_margin=0)
+    n, seed = 80, 1234
+    bits = np.random.default_rng(7).integers(0, 2, size=n, dtype=np.uint8)
+    out = privacy_amplify(bits, 0, 1.0, seed)
     m = out.size
-    assert m == n
+    assert m == n - 64
     t = np.random.default_rng(np.random.SeedSequence(seed)).integers(0, 2, size=n + m - 1, dtype=np.uint8)
     toeplitz = np.array([[t[i - j + n - 1] for j in range(n)] for i in range(m)])
     np.testing.assert_array_equal(out, (toeplitz @ bits) % 2)
@@ -237,14 +237,14 @@ def test_privacy_amplify_matches_explicit_toeplitz():
 
 def test_privacy_amplify_output_length():
     bits = np.ones(1000, dtype=np.uint8)
-    out = privacy_amplify(bits, leakage_bits=100, rate=0.5, seed=0, security_margin=64)
+    out = privacy_amplify(bits, leakage_bits=100, rate=0.5, seed=0)
     assert out.size == math.floor(1000 * 0.5) - 100 - 64
     empty = privacy_amplify(bits, leakage_bits=500, rate=0.5, seed=0)
     assert empty.size == 0
     # A rate outside [0, 1] would stretch the key past its input or crash.
     for rate in (1.5, float("nan")):
         with pytest.raises(ValueError, match="rate must lie in"):
-            privacy_amplify(bits[:100], 0, rate, seed=0, security_margin=0)
+            privacy_amplify(bits[:100], 0, rate, seed=0)
 
 
 def test_privacy_amplify_seed_sensitivity():

@@ -9,6 +9,7 @@ from diqkd_lab.photonics import (
     DetectorModel,
     ModeMixture,
     ModeState,
+    _distinct,
     amplifier_success_probability,
     beamsplitter,
     bell_state_measurement,
@@ -46,7 +47,7 @@ def test_fock_and_vacuum_basics():
     assert v.probability([0, 0]) == pytest.approx(1.0)
     f = fock([2, 1], 3)
     assert f.probability([2, 1]) == pytest.approx(1.0)
-    assert f.mean_photons(0) == pytest.approx(2.0)
+    assert f.probability([1, 1]) == 0.0
 
 
 def test_mode_state_requires_normalization():
@@ -164,6 +165,21 @@ def test_pair_unitary_matches_dense_generator():
     )
 
 
+def test_distinct_fallback_matches_mixed_radix_keys():
+    """Rows whose radix product reaches 2^63 take ``np.unique(axis=0)``, in the same order."""
+    rng = np.random.default_rng(5)
+    branch = rng.integers(0, 6, size=200)
+    occ = rng.integers(0, 4, size=(200, 2))
+    rows, index = _distinct(branch, occ)
+    offset = 2**62
+    big_rows, big_index = _distinct(branch + offset, occ)
+    assert len(rows) < 200
+    np.testing.assert_array_equal(big_rows[:, 0] - offset, rows[:, 0])
+    np.testing.assert_array_equal(big_rows[:, 1:], rows[:, 1:])
+    np.testing.assert_array_equal(big_index, index)
+    np.testing.assert_array_equal(rows[index], np.column_stack([branch, occ]))
+
+
 def test_mix_concatenates_and_renormalizes():
     mixed = mix([(0.2, fock([1], 2)), (0.6, loss_channel(fock([2], 2), 0, 0.5))])
     assert len(mixed.branches) == 4
@@ -241,7 +257,7 @@ def test_polarization_singlet_correlator():
 
 def test_spdc_source_components():
     p = 0.1
-    src = spdc_source(p, n_pair_max=2, n_max=2)
+    src = spdc_source(p, n_pair_max=2)
     weights = np.array([(1 - p) * p**n for n in range(3)])
     weights /= weights.sum()
     assert src.probability([0, 0, 0, 0]) == pytest.approx(weights[0], abs=1e-12)
@@ -254,7 +270,7 @@ def test_spdc_source_components():
 
 def test_heralded_single_photon_statistics():
     p = 0.1
-    rec = heralded_single_photon(p, DetectorModel(), n_max=3, n_pair_max=2)
+    rec = heralded_single_photon(p, DetectorModel(), n_pair_max=2)
     weights = np.array([(1 - p) * p**n for n in range(3)])
     weights /= weights.sum()
     assert rec.success_probability == pytest.approx(weights[1] + weights[2], abs=1e-12)
