@@ -23,6 +23,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -215,6 +216,13 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
             steps=_integer(raw_axis["steps"], "sweep steps"),
             scale=str(raw_axis.get("scale", "linear")),
         )
+        # Every scenario range is an interval and both axis scales hit their
+        # ends exactly, so checking the two ends checks every point.
+        for end, value in (("min", axis.lo), ("max", axis.hi)):
+            try:
+                dataclasses.replace(scenario, **{axis.parameter: value})
+            except ValueError as exc:
+                raise CliError(f"sweep {end} out of range: {exc}") from exc
 
     etas = None
     if data.get("etas") is not None:
@@ -308,9 +316,12 @@ def sweep_rows(
         dataclasses.replace(scenario, **{axis.parameter: float(v)})
         for v in axis.values()
     ]
-    if jobs <= 1 or len(points) <= 1:
+    # A forked pool starts all its workers at once, so start no more than
+    # there are points or CPUs.
+    workers = min(jobs, len(points), os.cpu_count() or 1)
+    if workers <= 1:
         return [_sweep_point(p) for p in points]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_point, points))
 
 

@@ -77,7 +77,7 @@ def test_c02_local_bound_exact_by_enumeration():
 
 def test_c03_critical_efficiency_maximally_entangled():
     result = critical_efficiency(
-        singlet(), SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES, eta_tol=1e-5
+        singlet(), SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES
     )
     err = abs(result.eta_critical - 0.8284)
     _report(

@@ -10,6 +10,8 @@ from diqkd_lab.bellcert import (
     _COIN,
     _MIN_COINCIDENCE,
     _candidate_ensemble,
+    _eta_threshold,
+    _family_correlations,
     _postselected_chsh,
     FAMILY_ALICE_ANGLES,
     FAMILY_BOB_ANGLES,
@@ -101,11 +103,60 @@ def test_partially_entangled_family_endpoints():
 
 def test_critical_efficiency_fixed_singlet():
     res = critical_efficiency(
-        singlet(), SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES, eta_tol=1e-6
+        singlet(), SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES
     )
     assert res.violation_at_unit_efficiency
     assert res.chsh_at_unit_efficiency == pytest.approx(TSIRELSON, abs=1e-9)
     assert res.eta_critical == pytest.approx(2.0 * (np.sqrt(2.0) - 1.0), abs=1e-5)
+
+
+def _threshold_start_family_winner():
+    """Best of the 24-start Nelder-Mead family over ``(theta, angles)``.
+
+    The reference the optimized threshold is checked against: six values
+    of theta times four angle sets, each searched with the library's
+    objective and options, the lowest objective value winning.
+    """
+
+    def objective(params):
+        eta, e_tot = _eta_threshold(
+            *_family_correlations(params[0], params[1:3], params[3:5])
+        )
+        return eta if e_tot > 2.0 else 1.0 + (2.0 - e_tot)
+
+    angle_sets = (
+        (*FAMILY_ALICE_ANGLES, *FAMILY_BOB_ANGLES),
+        (*SINGLET_ALICE_ANGLES, *SINGLET_BOB_ANGLES),
+        (0.1, 0.5, -0.3, 0.2),
+        (-0.2, 0.6, 0.3, -0.5),
+    )
+    best = None
+    for theta in (0.02, 0.05, 0.1, 0.2, 0.4, np.pi / 4):
+        for angles in angle_sets:
+            res = minimize(
+                objective,
+                np.array([theta, *angles], dtype=float),
+                method="Nelder-Mead",
+                options={"xatol": 1e-5, "fatol": 1e-12, "maxiter": 8000, "maxfev": 12000},
+            )
+            if best is None or res.fun < best.fun:
+                best = res
+    return best.x
+
+
+def test_optimized_threshold_is_best_of_the_start_family():
+    x = _threshold_start_family_winner()
+    theta, aa, bb = float(x[0]), x[1:3], x[3:5]
+    eta, e_tot = _eta_threshold(*_family_correlations(theta, aa, bb))
+    res = critical_efficiency()
+    assert res.eta_critical == eta
+    assert res.theta == theta
+    assert res.alice_angles == (float(aa[0]), float(aa[1]))
+    assert res.bob_angles == (float(bb[0]), float(bb[1]))
+    assert res.chsh_at_unit_efficiency == e_tot
+    assert res.violation_at_unit_efficiency == (e_tot > 2.0)
+    assert res.eta_critical == pytest.approx(0.6666675784498227, abs=1e-12)
+    assert res.theta == pytest.approx(7.3564410039596995e-06, abs=1e-12)
 
 
 def test_critical_efficiency_reports_no_violation():

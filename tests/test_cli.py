@@ -116,6 +116,19 @@ OUT_OF_RANGE_CASES = (
         {"sweep": {"parameter": "distance_km", "min": 0, "max": float("inf"), "steps": 3}},
         r"sweep max must be a finite number, got inf",
     ),
+    # Both ends of a sweep axis must be valid scenario values.
+    (
+        {"sweep": {"parameter": "detector_efficiency", "min": 0.5, "max": 1.5, "steps": 3}},
+        r"sweep max out of range: detector_efficiency must lie in \[0, 1\], got 1.5",
+    ),
+    (
+        {"sweep": {"parameter": "pair_prob", "min": 0, "max": 1.0, "steps": 3}},
+        r"sweep max out of range: pair_prob must lie in \[0, 1\), got 1.0",
+    ),
+    (
+        {"sweep": {"parameter": "repetition_rate_hz", "min": 0, "max": 1e8, "steps": 3}},
+        r"sweep min out of range: repetition_rate_hz must be positive and finite, got 0.0",
+    ),
 )
 
 
@@ -197,6 +210,38 @@ def test_sweep_rows_parallel_matches_serial(tmp_path):
     serial = sweep_rows(parsed.scenario, parsed.sweep, jobs=1)
     parallel = sweep_rows(parsed.scenario, parsed.sweep, jobs=3)
     assert serial == parallel
+
+
+def test_sweep_rows_starts_no_more_workers_than_points(tmp_path, monkeypatch):
+    # A forked pool starts every worker up front, so a huge --jobs must not
+    # reach it.  The stand-in pool records its size and starts no process.
+    recorded = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            recorded.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+    parsed = parse_scenario_file(
+        write_scenario(
+            tmp_path,
+            "s.json",
+            {"sweep": {"parameter": "distance_km", "min": 0, "max": 2, "steps": 3}},
+        )
+    )
+    rows = sweep_rows(parsed.scenario, parsed.sweep, jobs=10**6)
+    assert recorded == [3]
+    assert rows == sweep_rows(parsed.scenario, parsed.sweep, jobs=1)
 
 
 # ----------------------------------------------------------------------
