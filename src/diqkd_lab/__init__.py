@@ -42,7 +42,6 @@ from diqkd_lab.keyproto import (
 from diqkd_lab.photonics import (
     DetectorModel,
     ModeMixture,
-    ModeState,
     amplifier_success_probability,
     beamsplitter,
     bell_state_measurement,
@@ -68,7 +67,6 @@ __all__ = [
     "DensityOperator",
     "DetectorModel",
     "ModeMixture",
-    "ModeState",
     "Povm",
     "RunResult",
     "Scenario",

@@ -44,8 +44,8 @@ from diqkd_lab.bellcert import (
 )
 from diqkd_lab.photonics import (
     DOUBLE_CLICK,
-    AnyModeState,
     DetectorModel,
+    ModeMixture,
     bell_state_measurement,
     distance_to_transmission,
     loss_channel,
@@ -328,7 +328,7 @@ def key_rate(table: CorrelationTable) -> float:
 # --------------------------------------------------------------------------
 
 
-def _depolarize_pair(state: AnyModeState, h_mode: int, v_mode: int, fidelity: float) -> AnyModeState:
+def _depolarize_pair(state: ModeMixture, h_mode: int, v_mode: int, fidelity: float) -> ModeMixture:
     """Depolarize one polarization qubit so a singlet keeps the given fidelity.
 
     Applies the depolarizing channel in Kraus form,
@@ -353,16 +353,16 @@ def _depolarize_pair(state: AnyModeState, h_mode: int, v_mode: int, fidelity: fl
     )
 
 
-def _pair_state(scenario: Scenario, n_pair_max: int = 2) -> AnyModeState:
+def _pair_state(scenario: Scenario, n_pair_max: int = 2) -> ModeMixture:
     """Source output on modes (aH, aV, bH, bV)."""
     if scenario.pair_prob == 0.0:
-        state: AnyModeState = polarization_singlet()
+        state = polarization_singlet()
     else:
         state = spdc_source(scenario.pair_prob, n_pair_max=n_pair_max)
     return _depolarize_pair(state, 2, 3, scenario.node_fidelity)
 
 
-def _lossy(state: AnyModeState, modes: Sequence[int], transmission: float) -> AnyModeState:
+def _lossy(state: ModeMixture, modes: Sequence[int], transmission: float) -> ModeMixture:
     if transmission >= 1.0:
         return state
     for m in modes:
@@ -378,7 +378,7 @@ def _detector(scenario: Scenario) -> DetectorModel:
     )
 
 
-def _swap_link(scenario: Scenario) -> AnyModeState:
+def _swap_link(scenario: Scenario) -> ModeMixture:
     """Both third_party sources, halves in flight attenuated, before the swap.
 
     Alice keeps modes (0, 1) of her pair and Bob modes (6, 7) of his; the
@@ -395,7 +395,7 @@ def _swap_link(scenario: Scenario) -> AnyModeState:
     return _lossy(tensor_modes(left, right), (2, 3, 4, 5), half_t)
 
 
-def _measure(state: AnyModeState, scenario: Scenario) -> CorrelationTable:
+def _measure(state: ModeMixture, scenario: Scenario) -> CorrelationTable:
     """Both stations' statistics: Alice on modes (0, 1), Bob on modes (2, 3)."""
     return polarization_correlation_table(
         state, (0, 1), (2, 3), ALICE_ANGLES, BOB_ANGLES, _detector(scenario)
@@ -452,7 +452,7 @@ def run_local_heralding(scenario: Scenario) -> RunResult:
     loss.  ``pair_prob`` parameterizes the amplifier's triggered ancilla
     sources; the entangled-pair source itself is ideal.
     """
-    state: AnyModeState = polarization_singlet()
+    state = polarization_singlet()
     state = _depolarize_pair(state, 2, 3, scenario.node_fidelity)
     arm_t = distance_to_transmission(scenario.distance_km, scenario.attenuation_db_per_km)
     state = _lossy(state, (2, 3), arm_t)

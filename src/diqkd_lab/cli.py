@@ -468,6 +468,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         if args.seed is not None and args.seed < 0:
             raise CliError(f"--seed must be non-negative, got {args.seed}")
+        if args.jobs < 1:
+            raise CliError(f"--jobs must be at least 1, got {args.jobs}")
         parsed = parse_scenario_file(args.scenario)
         return _COMMANDS[args.command](parsed, args)
     except (CliError, NeverHeraldsError) as exc:

@@ -585,10 +585,10 @@ def privacy_amplify(
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
     n = bits.size
     m = max(0, math.floor(n * rate) - leakage_bits - _SECURITY_MARGIN)
-    if m == 0:
-        return np.zeros(0, dtype=np.uint8)
     if isinstance(seed, bytes) and len(seed) != 32:
         raise ValueError(f"byte seeds must be 32 bytes, got {len(seed)}")
+    if m == 0:
+        return np.zeros(0, dtype=np.uint8)
     t = np.random.default_rng(_seed_sequence(seed)).integers(0, 2, size=n + m - 1, dtype=np.uint8)
     # Row i of T is t[i], t[i+1], ..., t[i+n-1] read against reversed bits:
     # (T @ bits)[i] = sum_j t[i - j + n - 1] bits[j] = conv(t, bits)[n - 1 + i].

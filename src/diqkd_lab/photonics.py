@@ -1,14 +1,12 @@
 """Photonic mode simulation in sparse Fock space.
 
-States live on ``n_modes`` bosonic modes.  A pure input state
-(:class:`ModeState`) is a dense complex amplitude array of shape
-``(n_max + 1, ..., n_max + 1)``; sources, :func:`fock` and :func:`vacuum`
-hand states in this way.  Every operation reads a pure state as a
-one-branch mixture and returns a :class:`ModeMixture`: an explicit ensemble
-of pure branches that stores only nonzero amplitudes, as a weight vector
-of shape ``(k,)`` and one table row per amplitude (its branch, its Fock
-occupations and its complex value).  No density matrix on the full mode
-space is ever built: loss splits each branch into one pure branch per
+States live on ``n_modes`` bosonic modes, always as a :class:`ModeMixture`:
+an explicit ensemble of pure branches that stores only nonzero amplitudes,
+as a weight vector of shape ``(k,)`` and one table row per amplitude (its
+branch, its Fock occupations and its complex value).  Sources,
+:func:`fock` and :func:`vacuum` build one-branch mixtures, and every
+operation takes a mixture and returns one.  No density matrix on the full
+mode space is ever built: loss splits each branch into one pure branch per
 number of lost photons, and destructive threshold detection splits it into
 one branch per Fock content of the measured modes.  :func:`mix` forms
 weighted unions of states.
@@ -16,9 +14,9 @@ weighted unions of states.
 Linear optics conserves photon number, so a two-mode unitary maps each
 ``|n1, n2>`` inside the sector of ``n1 + n2`` photons, and nothing is ever
 cut off: there is no truncation error.  ``n_max`` only bounds dense views
-(:func:`mode_density`, detector tables, ``ModeState`` arrays), and a
-mixture raises it to the largest occupation it holds.  The one
-approximation left is the sources' cut on pair number.
+(:func:`mode_density`, detector tables), and a mixture raises it to the
+largest occupation it holds.  The one approximation left is the sources'
+cut on pair number.
 
 Polarization measurements report one outcome per party, coded from its
 two ports' click pattern by ``OUTCOME_CODES``: 0 and 1 for a click in the
@@ -36,9 +34,10 @@ sqrt(1-T) a_2`` (equivalently, creation operators transform as
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -50,7 +49,6 @@ __all__ = [
     "OUTCOME_CODES",
     "NO_CLICK",
     "DOUBLE_CLICK",
-    "ModeState",
     "ModeMixture",
     "DetectorModel",
     "HeraldRecord",
@@ -83,9 +81,6 @@ __all__ = [
 # double precision).
 BRANCH_PRUNE_TOL = 1e-30
 
-# Guard against accidentally huge dense amplitude arrays.
-MAX_AMPLITUDES = 2_000_000
-
 #: Outcome code of each click pattern ``(H port, V port)`` of a polarization
 #: measurement: the observable's values +1 and -1, then no click and double
 #: click.  Every measurement table and round record uses these codes.
@@ -97,50 +92,6 @@ DOUBLE_CLICK = OUTCOME_CODES[1, 1]
 # --------------------------------------------------------------------------
 # States
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModeState:
-    """A pure state of ``n_modes`` bosonic modes truncated at ``n_max`` photons.
-
-    Attributes:
-        amplitudes: Complex array of shape ``(n_max + 1,) * n_modes``;
-            ``amplitudes[n1, ..., nk]`` is the amplitude of the Fock basis
-            state ``|n1, ..., nk>``.  Must be normalized.
-    """
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        arr = np.array(self.amplitudes, dtype=complex, copy=True)
-        if arr.ndim < 1:
-            raise DimensionMismatchError("a mode state needs at least one mode")
-        d = arr.shape[0]
-        if any(s != d for s in arr.shape):
-            raise DimensionMismatchError(
-                f"all modes must share one truncation, got shape {arr.shape}"
-            )
-        if arr.size > MAX_AMPLITUDES:
-            raise DimensionMismatchError(
-                f"amplitude array of size {arr.size} exceeds MAX_AMPLITUDES={MAX_AMPLITUDES}"
-            )
-        norm = np.linalg.norm(arr.ravel())
-        if abs(norm - 1.0) > 1e-7:
-            raise StateValidationError(f"mode state is not normalized: |psi| = {norm!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def n_modes(self) -> int:
-        return self.amplitudes.ndim
-
-    @property
-    def n_max(self) -> int:
-        return self.amplitudes.shape[0] - 1
-
-    def probability(self, occupations: Sequence[int]) -> float:
-        """Probability of finding exactly the given photon numbers."""
-        return float(abs(self.amplitudes[tuple(int(n) for n in occupations)]) ** 2)
 
 
 @dataclass(frozen=True)
@@ -232,25 +183,32 @@ class ModeMixture:
         if len(target) != self.n_modes:
             raise DimensionMismatchError(f"{len(target)} occupations for {self.n_modes} modes")
         rows = (self.occ == target).all(axis=1)
-        amps = self.amp[rows]
-        return float(self.weights[self.branch[rows]] @ (amps.real**2 + amps.imag**2))
+        return float(self._row_probabilities()[rows].sum())
+
+    def _row_probabilities(self) -> np.ndarray:
+        """Probability of each row, ``weights[branch] * |amp|^2``."""
+        return self.weights[self.branch] * (self.amp.real**2 + self.amp.imag**2)
 
 
-AnyModeState = Union[ModeState, ModeMixture]
+# The one state type under its former name, kept because bench/tracing.py
+# imports ``ModeState`` and counts constructions through its __post_init__.
+ModeState = ModeMixture
 
 
-def _as_mixture(state: AnyModeState) -> ModeMixture:
-    """Any state as a mixture; a pure state is one branch of its nonzeros."""
-    if isinstance(state, ModeMixture):
-        return state
-    nonzero = np.nonzero(state.amplitudes)
-    return ModeMixture(
-        weights=np.ones(1),
-        branch=np.zeros(nonzero[0].size, dtype=np.intp),
-        occ=np.stack(nonzero, axis=1),
-        amp=state.amplitudes[nonzero],
-        n_max=state.n_max,
-    )
+def _mode_indices(state: ModeMixture, modes: Iterable[int]) -> list[int]:
+    """``modes`` as a list, checked to be distinct integer modes of ``state``."""
+    modes = list(modes)
+    if len(set(modes)) != len(modes) or not all(
+        isinstance(k, numbers.Integral) and 0 <= k < state.n_modes for k in modes
+    ):
+        raise DimensionMismatchError(f"invalid modes {tuple(modes)} for {state.n_modes} modes")
+    return [int(k) for k in modes]
+
+
+def _pure(rows: dict[tuple[int, ...], float], n_max: int) -> ModeMixture:
+    """One pure branch of the nonzero ``{occupations: amplitude}`` rows, in ascending order."""
+    occ = sorted(o for o, a in rows.items() if a != 0)
+    return ModeMixture(np.ones(1), np.zeros(len(occ), np.intp), occ, [rows[o] for o in occ], n_max)
 
 
 def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,30 +262,26 @@ def _split(weights, branch, key, occ, amp, n_max: int, like=1.0, total=1.0) -> M
     )
 
 
-def vacuum(n_modes: int, n_max: int) -> ModeState:
+def vacuum(n_modes: int, n_max: int) -> ModeMixture:
     """The all-modes vacuum state."""
-    arr = np.zeros((n_max + 1,) * n_modes, dtype=complex)
-    arr[(0,) * n_modes] = 1.0
-    return ModeState(amplitudes=arr)
+    return _pure({(0,) * n_modes: 1.0}, n_max)
 
 
-def fock(occupations: Sequence[int], n_max: int) -> ModeState:
+def fock(occupations: Sequence[int], n_max: int) -> ModeMixture:
     """A Fock basis state ``|n1, ..., nk>``."""
     occ = tuple(int(n) for n in occupations)
     if any(n < 0 or n > n_max for n in occ):
         raise DimensionMismatchError(f"occupations {occ} outside truncation n_max={n_max}")
-    arr = np.zeros((n_max + 1,) * len(occ), dtype=complex)
-    arr[occ] = 1.0
-    return ModeState(amplitudes=arr)
+    return _pure({occ: 1.0}, n_max)
 
 
-def mix(parts: Iterable[tuple[float, AnyModeState]]) -> ModeMixture:
+def mix(parts: Iterable[tuple[float, ModeMixture]]) -> ModeMixture:
     """Classical mixture of ``(probability, state)`` parts on the same modes.
 
     The parts' branches are concatenated, each weighted by its probability,
     and the weights renormalized, so the probabilities need not sum to one.
     """
-    mixtures = [(float(p), _as_mixture(s)) for p, s in parts]
+    mixtures = [(float(p), m) for p, m in parts]
     offsets = np.cumsum([0] + [m.weights.size for _, m in mixtures])
     weights = np.concatenate([p * m.weights for p, m in mixtures])
     return ModeMixture(
@@ -339,41 +293,40 @@ def mix(parts: Iterable[tuple[float, AnyModeState]]) -> ModeMixture:
     )
 
 
-def tensor_modes(first: AnyModeState, second: AnyModeState) -> ModeMixture:
+def tensor_modes(first: ModeMixture, second: ModeMixture) -> ModeMixture:
     """Tensor product; the second state's modes come after the first's."""
-    a, b = _as_mixture(first), _as_mixture(second)
-    # Every row of ``a`` pairs with every row of ``b``; branch (i, j) is
-    # i * kb + j, so the pairs are sorted by it.
-    ra, rb = np.divmod(np.arange(a.amp.size * b.amp.size), b.amp.size)
-    branch = a.branch[ra] * b.weights.size + b.branch[rb]
+    # Every row of ``first`` pairs with every row of ``second``; branch (i, j)
+    # is i * k2 + j, where k2 counts the second's branches, so the pairs are
+    # sorted by it.
+    r1, r2 = np.divmod(np.arange(first.amp.size * second.amp.size), second.amp.size)
+    branch = first.branch[r1] * second.weights.size + second.branch[r2]
     order = np.argsort(branch, kind="stable")
-    ra, rb = ra[order], rb[order]
+    r1, r2 = r1[order], r2[order]
     return ModeMixture(
-        weights=np.outer(a.weights, b.weights).ravel(),
+        weights=np.outer(first.weights, second.weights).ravel(),
         branch=branch[order],
-        occ=np.hstack([a.occ[ra], b.occ[rb]]),
-        amp=a.amp[ra] * b.amp[rb],
-        n_max=max(a.n_max, b.n_max),
+        occ=np.hstack([first.occ[r1], second.occ[r2]]),
+        amp=first.amp[r1] * second.amp[r2],
+        n_max=max(first.n_max, second.n_max),
     )
 
 
-def permute_modes(state: AnyModeState, order: Sequence[int]) -> ModeMixture:
+def permute_modes(state: ModeMixture, order: Sequence[int]) -> ModeMixture:
     """Reorder modes so that new mode ``k`` is old mode ``order[k]``."""
-    m = _as_mixture(state)
-    order = [int(i) for i in order]
-    if sorted(order) != list(range(m.n_modes)):
-        raise DimensionMismatchError(f"invalid mode order {order} for {m.n_modes} modes")
-    return ModeMixture(m.weights, m.branch, m.occ[:, order], m.amp, m.n_max)
+    order = _mode_indices(state, order)
+    if len(order) != state.n_modes:
+        raise DimensionMismatchError(f"invalid mode order {order} for {state.n_modes} modes")
+    return ModeMixture(state.weights, state.branch, state.occ[:, order], state.amp, state.n_max)
 
 
-def phase_shift(state: AnyModeState, mode: int, phase_per_photon: float) -> ModeMixture:
+def phase_shift(state: ModeMixture, mode: int, phase_per_photon: float) -> ModeMixture:
     """Multiply amplitudes by ``exp(i * phase * n_mode)`` (a mode phase shift)."""
-    m = _as_mixture(state)
-    phases = np.exp(1j * phase_per_photon * m.occ[:, int(mode)])
-    return ModeMixture(m.weights, m.branch, m.occ, m.amp * phases, m.n_max)
+    (mode,) = _mode_indices(state, [mode])
+    phases = np.exp(1j * phase_per_photon * state.occ[:, mode])
+    return ModeMixture(state.weights, state.branch, state.occ, state.amp * phases, state.n_max)
 
 
-def mode_density(state: AnyModeState, modes: Sequence[int]) -> np.ndarray:
+def mode_density(state: ModeMixture, modes: Sequence[int]) -> np.ndarray:
     """Reduced density matrix of a subset of modes, in Fock basis.
 
     Args:
@@ -383,17 +336,15 @@ def mode_density(state: AnyModeState, modes: Sequence[int]) -> np.ndarray:
     Returns:
         Density matrix of dimension ``(n_max + 1) ** len(modes)``.
     """
-    modes = [int(m) for m in modes]
-    m = _as_mixture(state)
-    if len(set(modes)) != len(modes) or any(k < 0 or k >= m.n_modes for k in modes):
-        raise DimensionMismatchError(f"invalid mode subset {tuple(modes)}")
-    d = m.n_max + 1
-    rest = [k for k in range(m.n_modes) if k not in modes]
+    modes = _mode_indices(state, modes)
+    d = state.n_max + 1
+    rest = [k for k in range(state.n_modes) if k not in modes]
     # One pure vector on the kept modes per (branch, rest occupations).
-    groups, index = _distinct(m.branch, m.occ[:, rest])
+    groups, index = _distinct(state.branch, state.occ[:, rest])
     vectors = np.zeros((len(groups), d ** len(modes)), dtype=complex)
-    vectors[index, np.ravel_multi_index(tuple(m.occ[:, modes].T), (d,) * len(modes))] = m.amp
-    return (vectors.T * m.weights[groups[:, 0]]) @ vectors.conj()
+    kept = np.ravel_multi_index(tuple(state.occ[:, modes].T), (d,) * len(modes))
+    vectors[index, kept] = state.amp
+    return (vectors.T * state.weights[groups[:, 0]]) @ vectors.conj()
 
 
 # --------------------------------------------------------------------------
@@ -418,10 +369,8 @@ def _sector_blocks(top: int, phi: float) -> np.ndarray:
     return blocks
 
 
-def _unitary_pair_op(state: AnyModeState, i: int, j: int, phi: float) -> ModeMixture:
-    m = _as_mixture(state)
-    if i == j or not (0 <= i < m.n_modes and 0 <= j < m.n_modes):
-        raise DimensionMismatchError(f"invalid mode pair ({i}, {j}) for {m.n_modes} modes")
+def _unitary_pair_op(m: ModeMixture, i: int, j: int, phi: float) -> ModeMixture:
+    i, j = _mode_indices(m, (i, j))
     first, total = m.occ[:, i], m.occ[:, i] + m.occ[:, j]
     # Row r spreads over the total[r] + 1 states |k, total[r] - k> of its sector.
     src, k = _spread(total + 1)
@@ -432,7 +381,7 @@ def _unitary_pair_op(state: AnyModeState, i: int, j: int, phi: float) -> ModeMix
     return _merged(m.weights, m.branch[src], occ, amp, m.n_max)
 
 
-def beamsplitter(state: AnyModeState, mode_a: int, mode_b: int, transmission: float) -> AnyModeState:
+def beamsplitter(state: ModeMixture, mode_a: int, mode_b: int, transmission: float) -> ModeMixture:
     """Interfere two modes on a beamsplitter of the given transmission.
 
     Args:
@@ -444,20 +393,20 @@ def beamsplitter(state: AnyModeState, mode_a: int, mode_b: int, transmission: fl
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
     phi = float(np.arccos(np.sqrt(transmission)))
-    return _unitary_pair_op(state, int(mode_a), int(mode_b), phi)
+    return _unitary_pair_op(state, mode_a, mode_b, phi)
 
 
-def polarization_rotation(state: AnyModeState, h_mode: int, v_mode: int, angle: float) -> AnyModeState:
+def polarization_rotation(state: ModeMixture, h_mode: int, v_mode: int, angle: float) -> ModeMixture:
     """Rotate a polarization qubit so a qubit measurement becomes H/V detection.
 
     After rotating by ``angle``, a click in the H port corresponds to
     outcome 0 (+1) of the qubit observable ``cos(angle) Z + sin(angle) X``
     and a click in the V port to outcome 1 (-1).
     """
-    return _unitary_pair_op(state, int(h_mode), int(v_mode), float(angle) / 2.0)
+    return _unitary_pair_op(state, h_mode, v_mode, float(angle) / 2.0)
 
 
-def loss_channel(state: AnyModeState, mode: int, transmission: float) -> ModeMixture:
+def loss_channel(state: ModeMixture, mode: int, transmission: float) -> ModeMixture:
     """Photon loss on one mode, decomposed into pure branches.
 
     Branch ``(b, l)`` corresponds to the environment absorbing exactly
@@ -471,20 +420,17 @@ def loss_channel(state: AnyModeState, mode: int, transmission: float) -> ModeMix
     """
     if not 0.0 <= transmission <= 1.0:
         raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
-    m = _as_mixture(state)
-    mode = int(mode)
-    if not 0 <= mode < m.n_modes:
-        raise DimensionMismatchError(f"mode {mode} out of range for {m.n_modes} modes")
+    (mode,) = _mode_indices(state, [mode])
     eta = float(transmission)
-    n = m.occ[:, mode]
+    n = state.occ[:, mode]
     # Kraus operator l: |n> -> sqrt(C(n, l) eta^(n-l) (1-eta)^l) |n - l>;
     # row r spreads over l = 0..n[r].
     src, lost = _spread(n + 1)
     kept = n[src] - lost
     kraus = np.sqrt(comb(n[src], lost) * eta**kept * (1.0 - eta) ** lost)
-    occ = m.occ[src]
+    occ = state.occ[src]
     occ[:, mode] = kept
-    return _split(m.weights, m.branch[src], lost, occ, m.amp[src] * kraus, m.n_max)
+    return _split(state.weights, state.branch[src], lost, occ, state.amp[src] * kraus, state.n_max)
 
 
 def distance_to_transmission(length_km: float, attenuation_db_per_km: float = 0.2) -> float:
@@ -534,7 +480,7 @@ class DetectorModel:
 
 
 def detection_probabilities(
-    state: AnyModeState, modes: Sequence[int], detector: DetectorModel
+    state: ModeMixture, modes: Sequence[int], detector: DetectorModel
 ) -> np.ndarray:
     """Joint click-pattern probabilities for threshold detectors on ``modes``.
 
@@ -547,11 +493,11 @@ def detection_probabilities(
         Array of shape ``(2,) * len(modes)``; index 1 along axis ``k`` means
         the detector on ``modes[k]`` clicked.
     """
-    m = _as_mixture(state)
-    q = detector.outcome_matrix(m.n_max)
+    modes = _mode_indices(state, modes)
+    q = detector.outcome_matrix(state.n_max)
     # Probability of each Fock content of the watched modes.
-    contents, index = _distinct(m.occ[:, [int(k) for k in modes]])
-    t = np.bincount(index, m.weights[m.branch] * (m.amp.real**2 + m.amp.imag**2))
+    contents, index = _distinct(state.occ[:, modes])
+    t = np.bincount(index, state._row_probabilities())
     # Each factor appends the click axis of one watched mode, in ``modes`` order.
     for k in range(len(modes)):
         t = t[..., np.newaxis] * q[contents[:, k]].reshape((-1,) + (1,) * k + (2,))
@@ -559,7 +505,7 @@ def detection_probabilities(
 
 
 def threshold_detect(
-    state: AnyModeState,
+    state: ModeMixture,
     modes: Sequence[int],
     detector: DetectorModel,
     pattern: Sequence[bool],
@@ -582,25 +528,29 @@ def threshold_detect(
         pattern has (numerically) zero probability, or when all modes were
         measured.
     """
-    modes = [int(m) for m in modes]
+    modes = _mode_indices(state, modes)
     pattern = [int(bool(c)) for c in pattern]
     if len(pattern) != len(modes):
         raise DimensionMismatchError("pattern length must match number of measured modes")
-    m = _as_mixture(state)
-    content = m.occ[:, modes]
+    content = state.occ[:, modes]
     # Probability of the pattern given each row's Fock content of the measured modes.
-    like = detector.outcome_matrix(m.n_max)[content, pattern].prod(axis=1)
-    total = float(m.weights[m.branch] @ ((m.amp.real**2 + m.amp.imag**2) * like))
+    like = detector.outcome_matrix(state.n_max)[content, pattern].prod(axis=1)
+    # Not ``_row_probabilities() @ like``: rounding each weighted row first
+    # moves herald probabilities in their last bit.
+    power = state.amp.real**2 + state.amp.imag**2
+    total = float(state.weights[state.branch] @ (power * like))
     if total <= BRANCH_PRUNE_TOL:
         return 0.0, None
-    if len(modes) == m.n_modes:
+    if len(modes) == state.n_modes:
         return total, None
-    rest = [k for k in range(m.n_modes) if k not in modes]
-    return total, _split(m.weights, m.branch, content, m.occ[:, rest], m.amp, m.n_max, like, total)
+    rest = [k for k in range(state.n_modes) if k not in modes]
+    return total, _split(
+        state.weights, state.branch, content, state.occ[:, rest], state.amp, state.n_max, like, total
+    )
 
 
 def polarization_correlation_table(
-    state: AnyModeState,
+    state: ModeMixture,
     alice_modes: tuple[int, int],
     bob_modes: tuple[int, int],
     alice_angles: Sequence[float],
@@ -635,10 +585,7 @@ def polarization_correlation_table(
         ``(len(alice_angles), len(bob_angles), 4, 4)``.
     """
     detector = detector or DetectorModel()
-    a_h, a_v = (int(m) for m in alice_modes)
-    b_h, b_v = (int(m) for m in bob_modes)
-    if len({a_h, a_v, b_h, b_v}) != 4:
-        raise DimensionMismatchError("measurement needs four distinct modes")
+    a_h, a_v, b_h, b_v = _mode_indices(state, (*alice_modes, *bob_modes))
     n_out = len(OUTCOME_CODES)
     table = np.zeros((len(alice_angles), len(bob_angles), n_out, n_out))
     for x, theta_a in enumerate(alice_angles):
@@ -661,13 +608,15 @@ def _pair_weights(pair_prob: float, n_pair_max: int) -> np.ndarray:
     """Geometric pair-number weights ``(1 - p) p^n``, ``n <= n_pair_max``, normalized."""
     if not 0.0 <= pair_prob < 1.0:
         raise ValueError(f"pair_prob must lie in [0, 1), got {pair_prob}")
+    if n_pair_max < 0:
+        raise ValueError(f"n_pair_max must be non-negative, got {n_pair_max}")
     weights = np.array(
         [(1.0 - pair_prob) * pair_prob**n for n in range(n_pair_max + 1)], dtype=float
     )
     return weights / weights.sum()
 
 
-def spdc_source(pair_prob: float, n_pair_max: int = 2) -> ModeState:
+def spdc_source(pair_prob: float, n_pair_max: int = 2) -> ModeMixture:
     """Polarization-entangled pair source with geometric multipair statistics.
 
     Emits ``n`` singlet-correlated pairs into modes ``(a_H, a_V, b_H, b_V)``
@@ -688,26 +637,21 @@ def spdc_source(pair_prob: float, n_pair_max: int = 2) -> ModeState:
     Returns:
         A pure four-mode state with ``n_max = n_pair_max``.
     """
-    if n_pair_max < 0:
-        raise ValueError(f"n_pair_max must be non-negative, got {n_pair_max}")
-    d = n_pair_max + 1
-    total = np.zeros((d, d, d, d), dtype=complex)
-    for n, weight in enumerate(_pair_weights(pair_prob, n_pair_max)):
-        # The normalized n-pair term is sum_k (-1)^(n-k) |k, n-k, n-k, k> / sqrt(n+1).
-        k = np.arange(n + 1)
-        total[k, n - k, n - k, k] = np.sqrt(weight / (n + 1)) * (-1.0) ** (n - k)
-    return ModeState(amplitudes=total)
+    # The normalized n-pair term is sum_k (-1)^(n-k) |k, n-k, n-k, k> / sqrt(n+1).
+    rows = {
+        (k, n - k, n - k, k): np.sqrt(weight / (n + 1)) * (-1.0) ** (n - k)
+        for n, weight in enumerate(_pair_weights(pair_prob, n_pair_max))
+        for k in range(n + 1)
+    }
+    return _pure(rows, n_pair_max)
 
 
-def polarization_singlet() -> ModeState:
+def polarization_singlet() -> ModeMixture:
     """One polarization singlet ``(|HV> - |VH>)/sqrt(2)`` on modes ``(a_H, a_V, b_H, b_V)``.
 
     Its dense view holds up to two photons per mode (``n_max = 2``).
     """
-    arr = np.zeros((3, 3, 3, 3), dtype=complex)
-    arr[1, 0, 0, 1] = 1.0 / np.sqrt(2.0)
-    arr[0, 1, 1, 0] = -1.0 / np.sqrt(2.0)
-    return ModeState(amplitudes=arr)
+    return _pure({(1, 0, 0, 1): 1.0 / np.sqrt(2.0), (0, 1, 1, 0): -1.0 / np.sqrt(2.0)}, 2)
 
 
 def heralded_single_photon(
@@ -789,7 +733,7 @@ _BSM_PATTERNS: tuple[tuple[str, tuple[bool, bool, bool, bool]], ...] = (
 
 
 def bell_state_measurement(
-    state: AnyModeState,
+    state: ModeMixture,
     modes_1: tuple[int, int],
     modes_2: tuple[int, int],
     detector: DetectorModel | None = None,
@@ -814,10 +758,7 @@ def bell_state_measurement(
         (original order, measured modes removed).
     """
     detector = detector or DetectorModel()
-    h1, v1 = (int(m) for m in modes_1)
-    h2, v2 = (int(m) for m in modes_2)
-    if len({h1, v1, h2, v2}) != 4:
-        raise DimensionMismatchError("Bell measurement needs four distinct modes")
+    h1, v1, h2, v2 = _mode_indices(state, (*modes_1, *modes_2))
     mixed = beamsplitter(state, h1, h2, 0.5)
     mixed = beamsplitter(mixed, v1, v2, 0.5)
     measured = (h1, v1, h2, v2)
@@ -854,16 +795,15 @@ class HeraldRecord:
     gain: float | None
 
 
-def _qubit_populations(state: AnyModeState, h_mode: int, v_mode: int) -> tuple[float, float]:
+def _qubit_populations(state: ModeMixture, h_mode: int, v_mode: int) -> tuple[float, float]:
     """(vacuum, single-photon) populations of a polarization mode pair."""
-    m = _as_mixture(state)
-    photons = m.occ[:, h_mode] + m.occ[:, v_mode]
-    prob = m.weights[m.branch] * (m.amp.real**2 + m.amp.imag**2)
+    photons = state.occ[:, h_mode] + state.occ[:, v_mode]
+    prob = state._row_probabilities()
     return float(prob[photons == 0].sum()), float(prob[photons == 1].sum())
 
 
 def qubit_amplifier(
-    state: AnyModeState,
+    state: ModeMixture,
     input_modes: tuple[int, int],
     transmission: float,
     detector: DetectorModel | None = None,
@@ -904,15 +844,14 @@ def qubit_amplifier(
         raise ValueError(f"transmission must lie in (0, 1), got {transmission}")
     detector = detector or DetectorModel()
     trigger_detector = trigger_detector or detector
-    in_h, in_v = (int(m) for m in input_modes)
+    in_h, in_v = _mode_indices(state, input_modes)
     n_modes, n_max = state.n_modes, state.n_max
 
     # Ancilla preparation on four new modes (tH, rH, tV, rV), appended after
     # the existing ones.
     trigger_prob = 1.0
     if ancilla_pair_prob is None:
-        ancilla_h: AnyModeState = fock([1], n_max)
-        ancilla_v: AnyModeState = fock([1], n_max)
+        ancilla_h = ancilla_v = fock([1], n_max)
     else:
         source_h = heralded_single_photon(ancilla_pair_prob, trigger_detector)
         source_v = heralded_single_photon(ancilla_pair_prob, trigger_detector)

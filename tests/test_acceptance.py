@@ -34,6 +34,7 @@ from diqkd_lab.cli import main
 from diqkd_lab.keyproto import run_session, serialize_transcript
 from diqkd_lab.photonics import (
     DetectorModel,
+    ModeMixture,
     amplifier_success_probability,
     fock,
     loss_channel,
@@ -171,12 +172,9 @@ def test_c06_amplifier_success_probability_magnitude():
 
 
 def test_c07_amplifier_gain_herald_tradeoff():
-    d = 3
-    arr = np.zeros((d, d), dtype=complex)
-    arr[0, 0] = arr[1, 0] = 1.0 / np.sqrt(2.0)
-    from diqkd_lab.photonics import ModeState
-
-    lossy_input = loss_channel(ModeState(amplitudes=arr), 0, 0.4)
+    # (|vac> + |1_H>)/sqrt(2) on an (H, V) mode pair.
+    qubit = ModeMixture([1.0], [0, 0], [[0, 0], [1, 0]], [1.0 / np.sqrt(2.0)] * 2, n_max=2)
+    lossy_input = loss_channel(qubit, 0, 0.4)
     gains, heralds = [], []
     transmissions = np.linspace(0.9, 0.999, 8)
     for t in transmissions:

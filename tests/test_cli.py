@@ -433,6 +433,9 @@ def test_main_reports_errors_on_stderr(tmp_path, capsys):
     path = write_scenario(tmp_path, "t.json", {"rounds": 1000})
     assert main(["session", "--scenario", path, "--seed", "-1"]) == 2
     assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
+    for jobs in ("0", "-3"):
+        assert main(["sweep", "--scenario", path, "--jobs", jobs]) == 2
+        assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err
     path = write_scenario(tmp_path, "u.json", {"distance_km": float("nan")})
     assert main(["session", "--scenario", path]) == 2
     assert "distance_km must be non-negative and finite, got nan" in capsys.readouterr().err

@@ -241,6 +241,10 @@ def test_privacy_amplify_output_length():
     assert out.size == math.floor(1000 * 0.5) - 100 - 64
     empty = privacy_amplify(bits, leakage_bits=500, rate=0.5, seed=0)
     assert empty.size == 0
+    # A malformed byte seed is an error even when no key bits would come out.
+    for rate in (0.0, 1.0):
+        with pytest.raises(ValueError, match="byte seeds must be 32 bytes"):
+            privacy_amplify(bits[:100], 0, rate, seed=b"abc")
     # A rate outside [0, 1] would stretch the key past its input or crash.
     for rate in (1.5, float("nan")):
         with pytest.raises(ValueError, match="rate must lie in"):

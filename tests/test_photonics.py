@@ -8,7 +8,6 @@ from diqkd_lab.bellcert import bin_no_click
 from diqkd_lab.photonics import (
     DetectorModel,
     ModeMixture,
-    ModeState,
     _distinct,
     amplifier_success_probability,
     beamsplitter,
@@ -21,6 +20,7 @@ from diqkd_lab.photonics import (
     mix,
     mode_density,
     permute_modes,
+    phase_shift,
     polarization_correlation_table,
     polarization_rotation,
     polarization_singlet,
@@ -30,15 +30,18 @@ from diqkd_lab.photonics import (
     threshold_detect,
     vacuum,
 )
-from diqkd_lab.qstate import StateValidationError
+from diqkd_lab.qstate import DimensionMismatchError, StateValidationError
 
 
-def equal_superposition_qubit(n_max: int = 2) -> ModeState:
+def pure(occ, amp, n_max: int) -> ModeMixture:
+    """One pure branch holding the normalized amplitudes ``amp`` on the Fock rows ``occ``."""
+    amp = np.asarray(amp, dtype=complex)
+    return ModeMixture([1.0], np.zeros(len(occ), int), occ, amp / np.linalg.norm(amp), n_max)
+
+
+def equal_superposition_qubit(n_max: int = 2) -> ModeMixture:
     """(|vac> + |1_H>)/sqrt(2) on an (H, V) mode pair."""
-    d = n_max + 1
-    arr = np.zeros((d, d), dtype=complex)
-    arr[0, 0] = arr[1, 0] = 1.0 / np.sqrt(2.0)
-    return ModeState(amplitudes=arr)
+    return pure([[0, 0], [1, 0]], [1.0, 1.0], n_max)
 
 
 def test_fock_and_vacuum_basics():
@@ -51,10 +54,8 @@ def test_fock_and_vacuum_basics():
 
 
 def test_mode_state_requires_normalization():
-    arr = np.zeros((2, 2), dtype=complex)
-    arr[0, 0] = 0.5
     with pytest.raises(StateValidationError):
-        ModeState(amplitudes=arr)
+        ModeMixture(weights=[1.0], branch=[0], occ=[[0, 0]], amp=[0.5], n_max=1)
 
 
 def test_mixture_weights_must_sum_to_one():
@@ -65,15 +66,9 @@ def test_mixture_weights_must_sum_to_one():
 def test_stacked_ops_match_branch_by_branch():
     """Acting on a whole mixture equals acting on each pure branch and mixing."""
     rng = np.random.default_rng(7)
-    shape = (3, 3, 3)
-    states = []
-    for _ in range(3):
-        arr = np.zeros(shape, dtype=complex)
-        # Two photons at most, so the dense views stay small.
-        for occ in np.ndindex(shape):
-            if sum(occ) <= 2:
-                arr[occ] = rng.normal() + 1j * rng.normal()
-        states.append(ModeState(amplitudes=arr / np.linalg.norm(arr)))
+    # Two photons at most, so the dense views stay small.
+    occ = [o for o in np.ndindex(3, 3, 3) if sum(o) <= 2]
+    states = [pure(occ, [rng.normal() + 1j * rng.normal() for _ in occ], 2) for _ in range(3)]
     probs = (0.5, 0.3, 0.2)
     mixture = mix(zip(probs, states))
     detector = DetectorModel(efficiency=0.7, dark_count_prob=0.05)
@@ -144,11 +139,10 @@ def test_beamsplitter_has_no_truncation():
 def test_pair_unitary_matches_dense_generator():
     """Sector by sector equals ``expm`` of the generator on a dense truncation."""
     rng = np.random.default_rng(3)
+    occ = [o for o in np.ndindex(4, 4, 4) if o[0] + o[2] <= 3]
+    state = pure(occ, [rng.normal() + 1j * rng.normal() for _ in occ], 3)
     arr = np.zeros((4, 4, 4), dtype=complex)
-    for occ in np.ndindex(arr.shape):
-        if occ[0] + occ[2] <= 3:
-            arr[occ] = rng.normal() + 1j * rng.normal()
-    state = ModeState(amplitudes=arr / np.linalg.norm(arr))
+    arr[tuple(state.occ.T)] = state.amp
     # A dense truncation at 3 photons per mode holds every sector of up to
     # 3 photons on modes (0, 2) exactly.
     lower = np.diag(np.sqrt(np.arange(1.0, 4.0)), k=1)
@@ -156,7 +150,7 @@ def test_pair_unitary_matches_dense_generator():
     a2 = np.kron(np.eye(4), lower)
     phi = np.arccos(np.sqrt(0.3))
     dense = expm(phi * (a0.T @ a2 - a0 @ a2.T))
-    moved = np.moveaxis(state.amplitudes, (0, 2), (0, 1)).reshape(16, 4)
+    moved = np.moveaxis(arr, (0, 2), (0, 1)).reshape(16, 4)
     expected = np.moveaxis((dense @ moved).reshape(4, 4, 4), (0, 1), (0, 2)).ravel()
     out = beamsplitter(state, 0, 2, 0.3)
     assert len(out.branches) == 1
@@ -243,6 +237,37 @@ def test_threshold_detect_heralds_and_discards():
     assert nothing is None
 
 
+def test_mode_indices_must_be_distinct_integer_modes():
+    state = fock([1, 0, 2], 3)
+    detector = DetectorModel()
+    bad_calls = (
+        # Negative and past-the-end indices.
+        lambda: threshold_detect(state, [-1], detector, [True]),
+        lambda: phase_shift(state, -1, np.pi),
+        lambda: phase_shift(state, 3, np.pi),
+        lambda: loss_channel(state, 3, 0.5),
+        # Duplicated modes.
+        lambda: threshold_detect(state, [0, 0], detector, [True, True]),
+        lambda: detection_probabilities(state, [0, 0], detector),
+        lambda: mode_density(state, [1, 1]),
+        lambda: beamsplitter(state, 2, 2, 0.5),
+        # Non-integer indices.
+        lambda: loss_channel(state, 1.0, 0.5),
+        lambda: polarization_rotation(state, 0, 1.5, 0.3),
+        lambda: permute_modes(state, (2, 0.9, 1)),
+    )
+    for call in bad_calls:
+        with pytest.raises(DimensionMismatchError):
+            call()
+    pair = polarization_singlet()
+    with pytest.raises(DimensionMismatchError):
+        polarization_correlation_table(pair, (0, 1), (1, 2), [0.0], [0.0])
+    with pytest.raises(DimensionMismatchError):
+        bell_state_measurement(pair, (0, 1), (2, 4))
+    with pytest.raises(DimensionMismatchError):
+        qubit_amplifier(pair, (2, 4), 0.9)
+
+
 def test_polarization_singlet_correlator():
     """The singlet correlator is -cos(theta_a - theta_b)."""
     state = polarization_singlet()
@@ -280,6 +305,13 @@ def test_heralded_single_photon_statistics():
     )
     # The multi-pair contamination tail is present.
     assert cond.probability([2]) > 0.0
+
+
+def test_pair_sources_reject_negative_pair_cut():
+    with pytest.raises(ValueError, match="n_pair_max must be non-negative"):
+        spdc_source(0.1, -1)
+    with pytest.raises(ValueError, match="n_pair_max must be non-negative"):
+        heralded_single_photon(0.1, DetectorModel(), n_pair_max=-1)
 
 
 def test_entanglement_swapping_success_probability():

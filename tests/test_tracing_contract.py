@@ -72,3 +72,5 @@ def test_traced_runs_reach_every_photonics_op():
     traced = {span[0] for span in tracer.spans}
     ops = {f"photonics.{name}" for name in tracing.PHOTONICS_OPS}
     assert ops <= traced, ops - traced
+    # photonics.ModeState.count hooks the constructor of the one state type.
+    assert tracer.mode_states > 0
