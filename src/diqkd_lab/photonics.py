@@ -269,10 +269,12 @@ def vacuum(n_modes: int, n_max: int) -> ModeMixture:
 
 def fock(occupations: Sequence[int], n_max: int) -> ModeMixture:
     """A Fock basis state ``|n1, ..., nk>``."""
-    occ = tuple(int(n) for n in occupations)
-    if any(n < 0 or n > n_max for n in occ):
-        raise DimensionMismatchError(f"occupations {occ} outside truncation n_max={n_max}")
-    return _pure({occ: 1.0}, n_max)
+    occupations = tuple(occupations)
+    if not all(isinstance(n, numbers.Integral) and 0 <= n <= n_max for n in occupations):
+        raise DimensionMismatchError(
+            f"occupations {occupations} must be integers in 0..n_max={n_max}"
+        )
+    return _pure({tuple(int(n) for n in occupations): 1.0}, n_max)
 
 
 def mix(parts: Iterable[tuple[float, ModeMixture]]) -> ModeMixture:
@@ -853,13 +855,12 @@ def qubit_amplifier(
     if ancilla_pair_prob is None:
         ancilla_h = ancilla_v = fock([1], n_max)
     else:
-        source_h = heralded_single_photon(ancilla_pair_prob, trigger_detector)
-        source_v = heralded_single_photon(ancilla_pair_prob, trigger_detector)
-        if source_h.conditional_state is None or source_v.conditional_state is None:
+        # The H and V ancillas come from two independent, identical sources.
+        source = heralded_single_photon(ancilla_pair_prob, trigger_detector)
+        if source.conditional_state is None:
             return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
-        trigger_prob = source_h.success_probability * source_v.success_probability
-        ancilla_h = source_h.conditional_state
-        ancilla_v = source_v.conditional_state
+        trigger_prob = source.success_probability * source.success_probability
+        ancilla_h = ancilla_v = source.conditional_state
 
     t_h, r_h, t_v, r_v = n_modes, n_modes + 1, n_modes + 2, n_modes + 3
     work = tensor_modes(state, tensor_modes(ancilla_h, vacuum(1, n_max)))

@@ -235,6 +235,39 @@ def test_privacy_amplify_matches_explicit_toeplitz():
     np.testing.assert_array_equal(out, (toeplitz @ bits) % 2)
 
 
+def test_privacy_amplify_matches_explicit_toeplitz_large():
+    """The FFT evaluation is exact at 1e5 key bits and on every small shape."""
+    n, seed = 100_000, 99
+    bits = np.random.default_rng(8).integers(0, 2, size=n, dtype=np.uint8)
+    # floor(n * 0.5) - leakage - 64 = 1000 output bits.
+    out = privacy_amplify(bits, n // 2 - 1064, 0.5, seed)
+    m = out.size
+    assert m == 1000
+    t = np.random.default_rng(np.random.SeedSequence(seed)).integers(0, 2, size=n + m - 1, dtype=np.uint8)
+    # Row i of T is t[i + n - 1], t[i + n - 2], ..., t[i].
+    toeplitz = np.lib.stride_tricks.sliding_window_view(t, n)[:m, ::-1]
+    # A uint8 product wraps modulo 256, which keeps its parity, and reads
+    # the strided view without an n-by-m copy.
+    np.testing.assert_array_equal(out, (toeplitz @ bits) % 2)
+    # Every small shape against the direct convolution, with m = 1, n // 2
+    # and n; the public API yields no bits below 65, so call the product.
+    rng = np.random.default_rng(9)
+    for n in range(1, 41):
+        bits = rng.integers(0, 2, size=n, dtype=np.uint8)
+        for m in {1, max(1, n // 2), n}:
+            t = rng.integers(0, 2, size=n + m - 1, dtype=np.uint8)
+            full = np.convolve(t.astype(np.int64), bits.astype(np.int64))
+            np.testing.assert_array_equal(keyproto._toeplitz_hash(t, bits), full[n - 1 : n - 1 + m] & 1)
+
+
+def test_privacy_amplify_rejects_inexact_product(monkeypatch):
+    """A product 0.25 or more from an integer raises, even under ``python -O``."""
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *args: irfft(*args) + 0.3)
+    with pytest.raises(RuntimeError, match="not exact"):
+        privacy_amplify(np.ones(200, dtype=np.uint8), 0, 1.0, seed=0)
+
+
 def test_privacy_amplify_output_length():
     bits = np.ones(1000, dtype=np.uint8)
     out = privacy_amplify(bits, leakage_bits=100, rate=0.5, seed=0)

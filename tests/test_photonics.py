@@ -53,6 +53,18 @@ def test_fock_and_vacuum_basics():
     assert f.probability([1, 1]) == 0.0
 
 
+def test_fock_rejects_non_integral_occupations():
+    """A fractional occupation is an error, not truncated to |1, 0>."""
+    with pytest.raises(DimensionMismatchError):
+        fock([1.7, 0], 2)
+    numpy_int = fock([np.int64(1), 0], 2)
+    plain = fock([1, 0], 2)
+    np.testing.assert_array_equal(numpy_int.occ, plain.occ)
+    np.testing.assert_array_equal(numpy_int.amp, plain.amp)
+    np.testing.assert_array_equal(numpy_int.weights, plain.weights)
+    assert numpy_int.n_max == plain.n_max
+
+
 def test_mode_state_requires_normalization():
     with pytest.raises(StateValidationError):
         ModeMixture(weights=[1.0], branch=[0], occ=[[0, 0]], amp=[0.5], n_max=1)
