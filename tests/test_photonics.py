@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from diqkd_lab import architectures
+from diqkd_lab.architectures import ALICE_ANGLES, BOB_ANGLES, Scenario
 from diqkd_lab.bellcert import bin_no_click
 from diqkd_lab.photonics import (
+    OUTCOME_CODES,
     DetectorModel,
     ModeMixture,
+    _click_povms,
     _distinct,
+    _sector_blocks,
     amplifier_success_probability,
     beamsplitter,
     bell_state_measurement,
@@ -171,6 +176,14 @@ def test_pair_unitary_matches_dense_generator():
     )
 
 
+def test_sector_blocks_are_orthogonal():
+    for phi in (np.pi / 4, 5 * np.pi / 8, np.arccos(np.sqrt(0.3)), 1.0):
+        blocks = _sector_blocks(8, phi)
+        for t in range(9):
+            b = blocks[t, : t + 1, : t + 1]
+            np.testing.assert_allclose(b.T @ b, np.eye(t + 1), rtol=0, atol=1e-14)
+
+
 def test_distinct_fallback_matches_mixed_radix_keys():
     """Rows whose radix product reaches 2^63 take ``np.unique(axis=0)``, in the same order."""
     rng = np.random.default_rng(5)
@@ -290,6 +303,89 @@ def test_polarization_singlet_correlator():
         assert table.correlator(0, 0) == pytest.approx(
             -np.cos(theta_a - theta_b), abs=1e-12
         )
+
+
+def rotate_and_detect(state, alice_modes, bob_modes, alice_angles, bob_angles, detector=None):
+    """The correlation table by rotating both mode pairs, then detecting all four ports."""
+    detector = detector or DetectorModel()
+    table = np.zeros((len(alice_angles), len(bob_angles), 4, 4))
+    for x, theta_a in enumerate(alice_angles):
+        rotated_a = polarization_rotation(state, *alice_modes, theta_a)
+        for y, theta_b in enumerate(bob_angles):
+            rotated = polarization_rotation(rotated_a, *bob_modes, theta_b)
+            clicks = detection_probabilities(rotated, (*alice_modes, *bob_modes), detector)
+            for (ah, av), a_out in OUTCOME_CODES.items():
+                for (bh, bv), b_out in OUTCOME_CODES.items():
+                    table[x, y, a_out, b_out] += clicks[ah, av, bh, bv]
+    return table
+
+
+def measured_calls(monkeypatch, scenario):
+    """The arguments of every correlation table a runner asks for."""
+    calls = []
+
+    def record(*args):
+        calls.append(args)
+        return polarization_correlation_table(*args)
+
+    monkeypatch.setattr(architectures, "polarization_correlation_table", record)
+    architectures.run(scenario)
+    monkeypatch.undo()
+    return calls
+
+
+def test_born_table_matches_rotate_and_detect(monkeypatch):
+    detector = DetectorModel(efficiency=0.8, dark_count_prob=1e-3)
+    angles = ((0.0, 0.4, 2.1), (-0.7, 1.3))
+    cases = []
+    for n_pair_max in (2, 3):
+        lossy = spdc_source(0.1, n_pair_max=n_pair_max)
+        for mode, t in enumerate((0.9, 0.7, 0.6, 0.8)):
+            lossy = loss_channel(lossy, mode, t)
+        cases.append((lossy, (0, 1), (2, 3), *angles, detector))
+    for scenario in (
+        Scenario(node_fidelity=0.97, distance_km=20.0, detector_efficiency=0.9),
+        Scenario(architecture="third_party", pair_prob=0.05, distance_km=20.0),
+        Scenario(architecture="local_heralding", pair_prob=0.01, distance_km=20.0),
+    ):
+        cases += measured_calls(monkeypatch, scenario)
+    # Measured modes apart and out of order, with rest modes 2 and 5 between
+    # them; random complex amplitudes in two branches, up to 3 photons per party.
+    rng = np.random.default_rng(7)
+    occ = rng.integers(0, 3, size=(40, 6))
+    keep = (occ[:, [1, 3]].sum(axis=1) <= 3) & (occ[:, [0, 4]].sum(axis=1) <= 3)
+    occ = np.unique(occ[keep], axis=0)
+    branch = np.repeat([0, 1], [len(occ) // 2, len(occ) - len(occ) // 2])
+    amp = rng.normal(size=len(occ)) + 1j * rng.normal(size=len(occ))
+    for b in (0, 1):
+        amp[branch == b] /= np.linalg.norm(amp[branch == b])
+    scattered = ModeMixture([0.3, 0.7], branch, occ, amp)
+    cases.append((scattered, (3, 1), (0, 4), *angles, detector))
+    assert len(cases) == 6
+    for args in cases:
+        table = polarization_correlation_table(*args).probabilities
+        np.testing.assert_allclose(table, rotate_and_detect(*args), rtol=0, atol=1e-14)
+
+
+def test_click_povms_are_block_diagonal_resolutions_of_identity():
+    detector = DetectorModel(efficiency=0.7, dark_count_prob=0.01)
+    for angles in (ALICE_ANGLES, BOB_ANGLES):
+        for top in range(1, 5):
+            povms = _click_povms(tuple(angles), top, detector)
+            dim = (top + 1) * (top + 2) // 2
+            for completeness in povms.sum(axis=1):
+                np.testing.assert_allclose(completeness, np.eye(dim), rtol=0, atol=1e-14)
+            assert np.linalg.eigvalsh(povms).min() >= -1e-14
+            # Photon number t = h + v of each basis index t (t + 1) / 2 + h.
+            t = np.concatenate([[n] * (n + 1) for n in range(top + 1)])
+            assert not povms[..., t[:, None] != t[None, :]].any()
+
+
+def test_correlation_table_needs_an_angle_per_party():
+    state = polarization_singlet()
+    for alice_angles, bob_angles in (([], [0.0]), ([0.0], [])):
+        with pytest.raises(DimensionMismatchError, match="need at least one angle per party"):
+            polarization_correlation_table(state, (0, 1), (2, 3), alice_angles, bob_angles)
 
 
 def test_spdc_source_components():

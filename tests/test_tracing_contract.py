@@ -10,7 +10,7 @@ import importlib
 import importlib.util
 from pathlib import Path
 
-from diqkd_lab import architectures, keyproto
+from diqkd_lab import architectures, keyproto, photonics
 from diqkd_lab.architectures import ARCHITECTURES, Scenario
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
@@ -64,6 +64,14 @@ def test_traced_runs_reach_every_photonics_op():
         tracer.install()
         for name in ARCHITECTURES:
             architectures.run(Scenario(architecture=name, pair_prob=0.01, distance_km=5.0))
+        # The runners measure by the Born rule and neither rotate nor call
+        # detection_probabilities; these two calls reach both ops.
+        architectures.charlie_independence_residual(
+            Scenario(architecture="third_party", distance_km=5.0)
+        )
+        photonics.detection_probabilities(
+            photonics.fock([1, 0], 1), (0, 1), photonics.DetectorModel()
+        )
     finally:
         tracer.uninstall()
     assert tracing.leftover_wrappers() == []
