@@ -31,7 +31,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -362,43 +362,54 @@ def _pair_state(scenario: Scenario, n_pair_max: int = 2) -> ModeMixture:
     return _depolarize_pair(state, 2, 3, scenario.node_fidelity)
 
 
-def _lossy(state: ModeMixture, modes: Sequence[int], transmission: float) -> ModeMixture:
-    if transmission >= 1.0:
-        return state
-    for m in modes:
-        state = loss_channel(state, m, transmission)
-    return state
+def _detector(scenario: Scenario, transmission: float = 1.0) -> DetectorModel:
+    """The link's threshold detector behind fiber of the given transmission.
 
-
-def _detector(scenario: Scenario) -> DetectorModel:
-    """The threshold detector shared by every station of the link."""
+    Loss ``t`` in front of a threshold detector ``(eta, d)`` is exactly a
+    detector ``(eta t, d)``: each of ``n`` photons survives and is detected
+    independently, so the click probability is ``1 - (1 - d)(1 - eta
+    t)^n``.  Loss also commutes with a passive two-mode unitary (a
+    polarization rotation, a beamsplitter) when both of its modes lose the
+    same ``t``.  So a station whose measured modes all cross the same fiber
+    is simulated on the unattenuated state with this detector; loss on only
+    some of the measured modes, or in front of an operation that is not
+    passive on equally lossy modes, cannot be folded this way.
+    """
     return DetectorModel(
-        efficiency=scenario.detector_efficiency,
+        efficiency=scenario.detector_efficiency * transmission,
         dark_count_prob=scenario.dark_count_prob,
     )
 
 
 def _swap_link(scenario: Scenario) -> ModeMixture:
-    """Both third_party sources, halves in flight attenuated, before the swap.
+    """Both third_party sources before the swap, unattenuated.
 
     Alice keeps modes (0, 1) of her pair and Bob modes (6, 7) of his; the
     travelling halves (2, 3) and (4, 5) each cross half the distance to the
-    station.  Sources are truncated to single-pair emission.
+    station.  All four travelling modes lose the same ``half_t``
+    (``_half_transmission``) and meet only the station's balanced
+    beamsplitters, so their loss is folded into the station's detector
+    (``_detector``) instead of being applied here.  Sources are truncated
+    to single-pair emission.
     """
     left = _pair_state(scenario, n_pair_max=1)
     # Swap the right source's halves so its travelling modes come first:
     # global layout (aH aV | c1H c1V c2H c2V | bH bV).
     right = permute_modes(_pair_state(scenario, n_pair_max=1), (2, 3, 0, 1))
-    half_t = distance_to_transmission(
+    return tensor_modes(left, right)
+
+
+def _half_transmission(scenario: Scenario) -> float:
+    """Fiber transmission from either end of a third_party link to its station."""
+    return distance_to_transmission(
         scenario.distance_km / 2.0, scenario.attenuation_db_per_km
     )
-    return _lossy(tensor_modes(left, right), (2, 3, 4, 5), half_t)
 
 
-def _measure(state: ModeMixture, scenario: Scenario) -> CorrelationTable:
+def _measure(state: ModeMixture, detector: DetectorModel) -> CorrelationTable:
     """Both stations' statistics: Alice on modes (0, 1), Bob on modes (2, 3)."""
     return polarization_correlation_table(
-        state, (0, 1), (2, 3), ALICE_ANGLES, BOB_ANGLES, _detector(scenario)
+        state, (0, 1), (2, 3), ALICE_ANGLES, BOB_ANGLES, detector
     )
 
 
@@ -428,16 +439,17 @@ def run_standard(scenario: Scenario) -> RunResult:
     the longer arm (for a mid-point source the arms are equal anyway), so
     each party's effective detection efficiency is
     ``detector_efficiency * transmission(worst arm)`` and the binned CHSH
-    decays with the square of the arm transmission.  Every repetition is a
-    round: ``herald_probability`` is 1.
+    decays with the square of the arm transmission.  That loss sits equally
+    on all four measured modes, so it is simulated exactly as that less
+    efficient detector (``_detector``) on the unattenuated source.  Every
+    repetition is a round: ``herald_probability`` is 1.
     """
-    state = _pair_state(scenario)
     worst_arm = max(scenario.source_position, 1.0 - scenario.source_position)
     arm_t = distance_to_transmission(
         worst_arm * scenario.distance_km, scenario.attenuation_db_per_km
     )
-    state = _lossy(state, (0, 1, 2, 3), arm_t)
-    return _result(scenario, _measure(state, scenario), 1.0)
+    table = _measure(_pair_state(scenario), _detector(scenario, arm_t))
+    return _result(scenario, table, 1.0)
 
 
 def run_local_heralding(scenario: Scenario) -> RunResult:
@@ -455,7 +467,10 @@ def run_local_heralding(scenario: Scenario) -> RunResult:
     state = polarization_singlet()
     state = _depolarize_pair(state, 2, 3, scenario.node_fidelity)
     arm_t = distance_to_transmission(scenario.distance_km, scenario.attenuation_db_per_km)
-    state = _lossy(state, (2, 3), arm_t)
+    # Bob's fiber loss does not commute with the amplifier's Bell-state
+    # measurement, so it stays an explicit channel.
+    if arm_t < 1.0:
+        state = loss_channel(loss_channel(state, 2, arm_t), 3, arm_t)
     record = qubit_amplifier(
         state,
         (2, 3),
@@ -465,7 +480,7 @@ def run_local_heralding(scenario: Scenario) -> RunResult:
     )
     if record.conditional_state is None:
         raise NeverHeraldsError("amplifier never heralds under this scenario")
-    table = _measure(record.conditional_state, scenario)
+    table = _measure(record.conditional_state, _detector(scenario))
     return _result(scenario, table, record.success_probability)
 
 
@@ -479,9 +494,17 @@ def run_third_party(scenario: Scenario) -> RunResult:
     emission here: the swap's well-known multi-pair false heralds are a
     property of the sources, not of the architecture, and are exposed
     separately by the photonics layer.
+
+    The fiber loss ``half_t`` on the four travelling modes is simulated as
+    the station's detector efficiency ``detector_efficiency * half_t``
+    (``_detector``): the station's beamsplitters act on modes (2, 4) and
+    (3, 5), each of which loses the same ``half_t``, so the loss commutes
+    with them onto the detectors.  Alice's and Bob's own modes cross no
+    fiber and keep the plain detector.
     """
     state = _swap_link(scenario)
-    bsm = bell_state_measurement(state, (2, 3), (4, 5), _detector(scenario))
+    station = _detector(scenario, _half_transmission(scenario))
+    bsm = bell_state_measurement(state, (2, 3), (4, 5), station)
     # Remaining modes: (aH, aV, bH, bV).  Feed-forward: phase-flip Bob's V
     # mode on a psi+ herald to map psi+ to psi-.
     heralds = [
@@ -492,7 +515,7 @@ def run_third_party(scenario: Scenario) -> RunResult:
     if not heralds:
         raise NeverHeraldsError("the swap station never heralds under this scenario")
     herald = sum(p for p, _ in heralds)
-    return _result(scenario, _measure(mix(heralds), scenario), herald)
+    return _result(scenario, _measure(mix(heralds), _detector(scenario)), herald)
 
 
 _RUNNERS = {
@@ -530,7 +553,9 @@ def charlie_independence_residual(scenario: Scenario) -> float:
     measurements act on modes the station never touches.  This check runs
     the measurement rotations *before* the Bell-state measurement (the
     operations commute) and compares the herald probability across all
-    setting pairs.
+    setting pairs.  As in ``run_third_party``, the equal fiber loss on the
+    station's four input modes is its detector efficiency
+    ``detector_efficiency * half_t``.
 
     Returns:
         ``max - min`` of the herald probability over the setting pairs;
@@ -539,7 +564,7 @@ def charlie_independence_residual(scenario: Scenario) -> float:
     if scenario.architecture != "third_party":
         raise ValueError("independence check applies to the third_party architecture")
     state = _swap_link(scenario)
-    detector = _detector(scenario)
+    detector = _detector(scenario, _half_transmission(scenario))
     herald_probs = []
     for alice_angle in ALICE_ANGLES:
         for bob_angle in BOB_ANGLES:

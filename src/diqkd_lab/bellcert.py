@@ -280,6 +280,40 @@ def _eta_threshold(
     return float(np.clip(eta, 0.0, 1.0)), e_tot
 
 
+# Maps the search vector ``(theta, a0, a1, b0, b1)`` to the angles whose
+# cosines and sines the family's correlators use, ``(2 theta, a0, a1, b0, b1)``.
+_OBJECTIVE_ANGLE_SCALE = np.array([2.0, 1.0, 1.0, 1.0, 1.0])
+
+
+def _threshold_objective(params: np.ndarray) -> float:
+    """Nelder-Mead objective of the optimized ``critical_efficiency`` search.
+
+    The critical efficiency where the family state violates CHSH, and
+    outside the violation region a slope that guides the optimizer towards
+    violating configurations.  It is the value of ``_eta_threshold(
+    *_family_correlations(...))``, bit for bit: one vectorized cosine and
+    sine, then scalar float arithmetic in exactly the operation order of
+    those two functions (``_CHSH_SIGNS`` sums to ``(2, 0)`` along both axes,
+    so each marginal term is twice its setting-0 value).  Going through
+    2-element arrays costs ~20 numpy calls per evaluation, several thousand
+    evaluations per search.
+    """
+    angles = params * _OBJECTIVE_ANGLE_SCALE
+    c2t, ca0, ca1, cb0, cb1 = np.cos(angles).tolist()
+    s2t, sa0, sa1, sb0, sb1 = np.sin(angles).tolist()
+    e_tot = (
+        (ca0 * cb0 + s2t * sa0 * sb0)
+        + (ca0 * cb1 + s2t * sa0 * sb1)
+        + (ca1 * cb0 + s2t * sa1 * sb0)
+        - (ca1 * cb1 + s2t * sa1 * sb1)
+    )
+    if e_tot <= 2.0:
+        return 1.0 + (2.0 - e_tot)
+    m = 2.0 * (ca0 * c2t) + 2.0 * (cb0 * c2t)
+    eta = (4.0 - m) / (e_tot - m + 2.0)
+    return min(max(eta, 0.0), 1.0)
+
+
 def critical_efficiency(
     state: DensityOperator | None = None,
     alice_angles: Sequence[float] | None = None,
@@ -326,19 +360,10 @@ def critical_efficiency(
         theta = None
         corr, ma, mb = _state_correlations(state, aa, bb)
     else:
-
-        def objective(params: np.ndarray) -> float:
-            eta, e_tot = _eta_threshold(
-                *_family_correlations(params[0], params[1:3], params[3:5])
-            )
-            # Outside the violation region, fall back to a slope that guides
-            # the optimizer towards violating configurations.
-            return eta if e_tot > 2.0 else 1.0 + (2.0 - e_tot)
-
         # The search needs ~2.1k evaluations: SciPy's default cap of 1000
         # would stop it early, at a different point.
         best = minimize(
-            objective,
+            _threshold_objective,
             np.array(_THRESHOLD_START),
             method="Nelder-Mead",
             options={"xatol": 1e-5, "fatol": 1e-12, "maxiter": 8000, "maxfev": 12000},

@@ -19,6 +19,18 @@ from diqkd_lab.architectures import (
     run,
     secret_bits_per_second,
 )
+from diqkd_lab.photonics import (
+    DetectorModel,
+    bell_state_measurement,
+    loss_channel,
+    mix,
+    permute_modes,
+    phase_shift,
+    polarization_correlation_table,
+    polarization_singlet,
+    spdc_source,
+    tensor_modes,
+)
 from diqkd_lab.qstate import DensityOperator, born_table, inefficient_qubit_povm, singlet
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
@@ -275,6 +287,80 @@ def test_charlie_outcome_is_setting_independent():
         Scenario(architecture="third_party", pair_prob=0.01, distance_km=10.0)
     )
     assert residual < 1e-12
+
+
+# ----------------------------------------------------------------------
+# Fiber loss as detector efficiency
+# ----------------------------------------------------------------------
+
+
+def _explicit_loss_run(scenario: Scenario) -> tuple[np.ndarray, float]:
+    """Table and herald probability of ``standard`` or ``third_party`` with
+    fiber loss applied photon by photon, as ``loss_channel`` on every
+    travelling mode in front of the plain detectors."""
+    detector = DetectorModel(scenario.detector_efficiency, scenario.dark_count_prob)
+
+    def source(n_pair_max):
+        if scenario.pair_prob == 0.0:
+            state = polarization_singlet()
+        else:
+            state = spdc_source(scenario.pair_prob, n_pair_max=n_pair_max)
+        if scenario.node_fidelity == 1.0:
+            return state
+        # The depolarizing channel on Bob's (H, V) modes 2 and 3.
+        lam = 4.0 * (1.0 - scenario.node_fidelity) / 3.0
+        z = phase_shift(state, 3, np.pi)
+        parts = (state, permute_modes(state, (0, 1, 3, 2)), z, permute_modes(z, (0, 1, 3, 2)))
+        return mix(zip((1.0 - 0.75 * lam, 0.25 * lam, 0.25 * lam, 0.25 * lam), parts))
+
+    def lossy(state, modes, length_km):
+        t = arm_transmission(length_km, scenario.attenuation_db_per_km)
+        for mode in modes:
+            state = loss_channel(state, mode, t)
+        return state
+
+    if scenario.architecture == "standard":
+        position = scenario.source_position
+        arm_km = max(position, 1.0 - position) * scenario.distance_km
+        state, herald = lossy(source(2), (0, 1, 2, 3), arm_km), 1.0
+    else:
+        right = permute_modes(source(1), (2, 3, 0, 1))
+        link = lossy(tensor_modes(source(1), right), (2, 3, 4, 5), scenario.distance_km / 2.0)
+        bsm = bell_state_measurement(link, (2, 3), (4, 5), detector)
+        heralds = [
+            (o.probability, phase_shift(o.state, 3, np.pi) if o.label == "psi+" else o.state)
+            for o in bsm.outcomes
+            if o.state is not None
+        ]
+        state, herald = mix(heralds), sum(p for p, _ in heralds)
+    table = polarization_correlation_table(
+        state, (0, 1), (2, 3), ALICE_ANGLES, BOB_ANGLES, detector
+    )
+    return table.probabilities, herald
+
+
+FOLDED_LOSS_CASES = [
+    dict(architecture=a, distance_km=d, node_fidelity=f, pair_prob=p, source_position=x)
+    for a in ("standard", "third_party")
+    for d in (0.0, 25.0, 100.0)
+    for f in (1.0, 0.97)
+    for p in (0.0, 0.05)
+    for x in ((0.0, 0.5) if a == "standard" else (0.5,))
+]
+FOLDED_LOSS_IDS = [
+    "{architecture}-{distance_km:g}km-F{node_fidelity:g}-p{pair_prob:g}"
+    "-x{source_position:g}".format(**c)
+    for c in FOLDED_LOSS_CASES
+]
+
+
+@pytest.mark.parametrize("fields", FOLDED_LOSS_CASES, ids=FOLDED_LOSS_IDS)
+def test_fiber_loss_folded_into_detectors_matches_explicit_loss(fields):
+    scenario = Scenario(detector_efficiency=0.95, dark_count_prob=1e-6, **fields)
+    table, herald = _explicit_loss_run(scenario)
+    result = run(scenario)
+    np.testing.assert_allclose(result.table.probabilities, table, rtol=0.0, atol=1e-14)
+    assert result.herald_probability == pytest.approx(herald, rel=1e-12)
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ from diqkd_lab.bellcert import (
     _eta_threshold,
     _family_correlations,
     _postselected_chsh,
+    _threshold_objective,
     FAMILY_ALICE_ANGLES,
     FAMILY_BOB_ANGLES,
     SINGLET_ALICE_ANGLES,
@@ -110,6 +111,31 @@ def test_critical_efficiency_fixed_singlet():
     assert res.eta_critical == pytest.approx(2.0 * (np.sqrt(2.0) - 1.0), abs=1e-5)
 
 
+def _array_objective(params):
+    """The threshold search's objective in array form, the scalar one's reference."""
+    eta, e_tot = _eta_threshold(*_family_correlations(params[0], params[1:3], params[3:5]))
+    return eta if e_tot > 2.0 else 1.0 + (2.0 - e_tot)
+
+
+def test_scalar_threshold_objective_is_bit_identical_to_the_array_form():
+    # Half the vectors anywhere, half near the family's Tsirelson point, so
+    # both the violating branch (value <= 1) and the fallback slope are hit.
+    rng = np.random.default_rng(2016)
+    centre = np.array([np.pi / 4, *FAMILY_ALICE_ANGLES, *FAMILY_BOB_ANGLES])
+    params = np.concatenate(
+        [
+            rng.uniform(-np.pi, np.pi, size=(5000, 5)),
+            centre + rng.normal(scale=0.3, size=(5000, 5)),
+        ]
+    )
+    violating = 0
+    for p in params:
+        expected = _array_objective(p)
+        assert _threshold_objective(p) == expected, p.tolist()
+        violating += expected <= 1.0
+    assert 1000 < violating < len(params) - 1000
+
+
 def _threshold_start_family_winner():
     """Best of the 24-start Nelder-Mead family over ``(theta, angles)``.
 
@@ -117,13 +143,6 @@ def _threshold_start_family_winner():
     of theta times four angle sets, each searched with the library's
     objective and options, the lowest objective value winning.
     """
-
-    def objective(params):
-        eta, e_tot = _eta_threshold(
-            *_family_correlations(params[0], params[1:3], params[3:5])
-        )
-        return eta if e_tot > 2.0 else 1.0 + (2.0 - e_tot)
-
     angle_sets = (
         (*FAMILY_ALICE_ANGLES, *FAMILY_BOB_ANGLES),
         (*SINGLET_ALICE_ANGLES, *SINGLET_BOB_ANGLES),
@@ -134,7 +153,7 @@ def _threshold_start_family_winner():
     for theta in (0.02, 0.05, 0.1, 0.2, 0.4, np.pi / 4):
         for angles in angle_sets:
             res = minimize(
-                objective,
+                _array_objective,
                 np.array([theta, *angles], dtype=float),
                 method="Nelder-Mead",
                 options={"xatol": 1e-5, "fatol": 1e-12, "maxiter": 8000, "maxfev": 12000},

@@ -426,6 +426,19 @@ def test_validate_command_roundtrip(tmp_path, capsys):
     assert data["distance_km"] == 3.0
 
 
+def test_successive_main_calls_share_the_parser_but_not_its_values(tmp_path, monkeypatch):
+    path = write_scenario(tmp_path, "s.json", {})
+    seen = []
+    monkeypatch.setitem(cli._COMMANDS, "validate", lambda parsed, args: seen.append(args) or 0)
+    argv = ["validate", "--scenario", path, "--seed", "7", "--out", "o.txt", "--jobs", "3"]
+    assert main(argv) == 0
+    assert main(["validate", "--scenario", path]) == 0
+    first, second = (vars(args) for args in seen)
+    assert (first["seed"], first["out"], first["jobs"]) == (7, "o.txt", 3)
+    assert (second["seed"], second["out"], second["jobs"]) == (None, None, 1)
+    assert cli._build_parser() is cli._build_parser()
+
+
 def test_main_reports_errors_on_stderr(tmp_path, capsys):
     path = write_scenario(tmp_path, "s.json", {"bogus": 1})
     assert main(["validate", "--scenario", path]) == 2

@@ -1,5 +1,7 @@
 """Tests for the sparse Fock-space optics layer."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -262,6 +264,39 @@ def test_threshold_detect_heralds_and_discards():
     assert nothing is None
 
 
+def _lossy(state, modes, transmission):
+    for mode in modes:
+        state = loss_channel(state, mode, transmission)
+    return state
+
+
+@pytest.mark.parametrize("n_pair_max", [2, 3])
+def test_loss_before_threshold_detectors_is_detector_efficiency(n_pair_max):
+    """Loss ``t`` on every watched mode equals detectors of efficiency ``eta t``."""
+    state = spdc_source(0.2, n_pair_max=n_pair_max)
+    t = 0.37
+    detector = DetectorModel(efficiency=0.9, dark_count_prob=1e-3)
+    folded = DetectorModel(efficiency=0.9 * t, dark_count_prob=1e-3)
+    for watched in ((0, 1, 2, 3), (1, 2), (3,)):
+        np.testing.assert_allclose(
+            detection_probabilities(_lossy(state, watched, t), watched, detector),
+            detection_probabilities(state, watched, folded),
+            rtol=0.0,
+            atol=1e-14,
+        )
+    lossy = _lossy(state, (0, 2), t)
+    for pattern in itertools.product((False, True), repeat=2):
+        prob, conditional = threshold_detect(lossy, (0, 2), detector, pattern)
+        prob_folded, conditional_folded = threshold_detect(state, (0, 2), folded, pattern)
+        assert prob == pytest.approx(prob_folded, rel=0.0, abs=1e-14)
+        np.testing.assert_allclose(
+            mode_density(conditional, (0, 1)),
+            mode_density(conditional_folded, (0, 1)),
+            rtol=0.0,
+            atol=1e-14,
+        )
+
+
 def test_mode_indices_must_be_distinct_integer_modes():
     state = fock([1, 0, 2], 3)
     detector = DetectorModel()
@@ -432,6 +467,25 @@ def test_entanglement_swapping_success_probability():
         assert outcome.state.n_modes == 4
     labels = sorted(outcome.label for outcome in result.outcomes)
     assert labels == ["psi+", "psi+", "psi-", "psi-"]
+
+
+@pytest.mark.parametrize("n_pair_max", [1, 2])
+def test_equal_loss_on_bell_measurement_inputs_is_detector_efficiency(n_pair_max):
+    """Equal loss on all four inputs commutes with the BSM's beamsplitters."""
+    right = permute_modes(spdc_source(0.1, n_pair_max=n_pair_max), (2, 3, 0, 1))
+    link = tensor_modes(spdc_source(0.1, n_pair_max=n_pair_max), right)
+    t = 0.3
+    lossy = bell_state_measurement(
+        _lossy(link, (2, 3, 4, 5), t), (2, 3), (4, 5), DetectorModel(0.95, 1e-3)
+    )
+    folded = bell_state_measurement(link, (2, 3), (4, 5), DetectorModel(0.95 * t, 1e-3))
+    assert lossy.success_probability == pytest.approx(folded.success_probability, rel=1e-12)
+    for a, b in zip(lossy.outcomes, folded.outcomes):
+        assert (a.label, a.pattern) == (b.label, b.pattern)
+        assert a.probability == pytest.approx(b.probability, rel=1e-12)
+        np.testing.assert_allclose(
+            mode_density(a.state, range(4)), mode_density(b.state, range(4)), rtol=0.0, atol=1e-14
+        )
 
 
 def test_amplifier_herald_probability_closed_forms():
