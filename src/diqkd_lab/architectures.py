@@ -514,8 +514,7 @@ def run_third_party(scenario: Scenario) -> RunResult:
     ]
     if not heralds:
         raise NeverHeraldsError("the swap station never heralds under this scenario")
-    herald = sum(p for p, _ in heralds)
-    return _result(scenario, _measure(mix(heralds), _detector(scenario)), herald)
+    return _result(scenario, _measure(mix(heralds), _detector(scenario)), bsm.success_probability)
 
 
 _RUNNERS = {

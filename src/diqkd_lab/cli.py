@@ -326,11 +326,18 @@ def sweep_rows(
         return list(pool.map(_sweep_point, points))
 
 
+def _write(out: str, data: bytes) -> None:
+    try:
+        Path(out).write_bytes(data)
+    except OSError as exc:
+        raise CliError(f"cannot write {out}: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_bytes(text.encode("utf-8"))
+        _write(out, text.encode("utf-8"))
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
@@ -422,7 +429,7 @@ def _cmd_session(parsed: ScenarioFile, args: argparse.Namespace) -> int:
     sys.stdout.write("\n".join(lines) + "\n")
     out = args.out or parsed.out
     if out is not None:
-        Path(out).write_bytes(serialize_transcript(outcome.transcript))
+        _write(out, serialize_transcript(outcome.transcript))
     return 0
 
 

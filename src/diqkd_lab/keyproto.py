@@ -96,8 +96,10 @@ class MessageKind(IntEnum):
 class ProtocolMessage:
     """One record on the authenticated public channel.
 
+    A message's sequence number is its position in the transcript, counted
+    from 0; it is written on serialization, not stored.
+
     Attributes:
-        seq: Position in the transcript, starting at 0.
         kind: Message type.
         payload: Kind-specific bytes: setting/index lists as little-endian
             u32 arrays, bit strings packed MSB-first, seeds as 32 raw
@@ -106,7 +108,6 @@ class ProtocolMessage:
             not serialized).
     """
 
-    seq: int
     kind: MessageKind
     payload: bytes
     sender: str
@@ -263,18 +264,23 @@ def _verify_digest(bits: np.ndarray) -> bytes:
 def serialize_transcript(messages: Sequence[ProtocolMessage]) -> bytes:
     """Encode messages as ``{u32 seq, u8 kind, u32 length, payload}`` records.
 
-    All integers are little-endian; the sender is implicit in the protocol
-    choreography and not serialized.
+    ``seq`` is the message's position.  All integers are little-endian; the
+    sender is implicit in the protocol choreography and not serialized.
     """
     parts = []
-    for msg in messages:
-        parts.append(struct.pack("<IBI", msg.seq, int(msg.kind), len(msg.payload)))
+    for seq, msg in enumerate(messages):
+        parts.append(struct.pack("<IBI", seq, int(msg.kind), len(msg.payload)))
         parts.append(msg.payload)
     return b"".join(parts)
 
 
 def parse_transcript(data: bytes) -> tuple[tuple[int, MessageKind, bytes], ...]:
-    """Decode a serialized transcript into ``(seq, kind, payload)`` triples."""
+    """Decode a serialized transcript into ``(seq, kind, payload)`` triples.
+
+    Raises:
+        ValueError: On a truncated record, or a record whose ``seq`` is not
+            its position.
+    """
     out = []
     offset = 0
     header = struct.Struct("<IBI")
@@ -282,6 +288,8 @@ def parse_transcript(data: bytes) -> tuple[tuple[int, MessageKind, bytes], ...]:
         if offset + header.size > len(data):
             raise ValueError("truncated transcript header")
         seq, kind, length = header.unpack_from(data, offset)
+        if seq != len(out):
+            raise ValueError(f"transcript record {len(out)} carries sequence number {seq}")
         offset += header.size
         if offset + length > len(data):
             raise ValueError("truncated transcript payload")
@@ -440,23 +448,11 @@ def _block_length(q_hat: float, n: int) -> int:
     return int(min(n, max(1, math.ceil(0.73 / q))))
 
 
-class _Transcript:
-    """Order-keeping message sink shared by both parties."""
+class _Transcript(list):
+    """The messages both parties have sent, in order."""
 
-    def __init__(self, start_seq: int = 0) -> None:
-        self.messages: list[ProtocolMessage] = []
-        self._seq = start_seq
-
-    def send(self, sender: str, kind: MessageKind, payload: bytes) -> ProtocolMessage:
-        msg = ProtocolMessage(seq=self._seq, kind=kind, payload=payload, sender=sender)
-        self._seq += 1
-        self.messages.append(msg)
-        return msg
-
-    def absorb(self, messages: Sequence[ProtocolMessage]) -> None:
-        """Append pre-sequenced messages produced by a sub-protocol."""
-        self.messages.extend(messages)
-        self._seq += len(messages)
+    def send(self, sender: str, kind: MessageKind, payload: bytes) -> None:
+        self.append(ProtocolMessage(kind=kind, payload=payload, sender=sender))
 
 
 def _parity(bits: np.ndarray) -> int:
@@ -469,7 +465,6 @@ def reconcile(
     q_hat: float,
     *,
     permutation_seed: int | bytes = 0,
-    start_seq: int = 0,
 ) -> ReconcileResult:
     """Two-pass interactive parity reconciliation, Alice as reference.
 
@@ -490,14 +485,18 @@ def reconcile(
         bob_bits: String to correct; same length.
         q_hat: Error-rate estimate used only to size blocks.
         permutation_seed: Public seed of the second-pass permutation.
-        start_seq: Sequence number of the first emitted message.
+
+    Returns:
+        A :class:`ReconcileResult` whose ``messages`` a session appends to
+        its transcript; their sequence numbers follow from their positions
+        there.
     """
     alice_bits = np.asarray(alice_bits, dtype=np.uint8)
     bob = np.asarray(bob_bits, dtype=np.uint8).copy()
     if alice_bits.shape != bob.shape or alice_bits.ndim != 1:
         raise ValueError("bit strings must be 1-D and of equal length")
     n = alice_bits.size
-    transcript = _Transcript(start_seq)
+    transcript = _Transcript()
     leakage = 0
     corrections = 0
     if n > 0:
@@ -548,7 +547,7 @@ def reconcile(
         leakage_bits=leakage,
         corrections=corrections,
         verified=verified,
-        messages=tuple(transcript.messages),
+        messages=tuple(transcript),
     )
 
 
@@ -676,14 +675,8 @@ def run_session(
 
         perm_seed = alice_rng.bytes(32)
         transcript.send("alice", MessageKind.HASH_SEED, perm_seed)
-        recon = reconcile(
-            alice_raw,
-            bob_raw,
-            est.q_hat,
-            permutation_seed=perm_seed,
-            start_seq=len(transcript.messages),
-        )
-        transcript.absorb(recon.messages)
+        recon = reconcile(alice_raw, bob_raw, est.q_hat, permutation_seed=perm_seed)
+        transcript.extend(recon.messages)
         leakage = recon.leakage_bits
         if not recon.verified:
             raise ProtocolAbort("reconciliation:verification-failed", sender="bob")
@@ -717,5 +710,5 @@ def run_session(
         n_heralded=int(rounds.heralded.sum()),
         n_raw=n_raw,
         abort_reason=abort_reason,
-        transcript=tuple(transcript.messages),
+        transcript=tuple(transcript),
     )

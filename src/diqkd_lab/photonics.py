@@ -13,10 +13,10 @@ weighted unions of states.
 
 Linear optics conserves photon number, so a two-mode unitary maps each
 ``|n1, n2>`` inside the sector of ``n1 + n2`` photons, and nothing is ever
-cut off: there is no truncation error.  ``n_max`` only bounds dense views
-(:func:`mode_density`, detector tables), and a mixture raises it to the
-largest occupation it holds.  The one approximation left is the sources'
-cut on pair number.
+cut off: there is no truncation error.  A mixture's ``n_max`` is the
+largest occupation it holds, read from its rows; dense views
+(:func:`mode_density`, detector tables) size themselves from it.  The one
+approximation left is the sources' cut on pair number.
 
 Polarization measurements report one outcome per party, coded from its
 two ports' click pattern by ``OUTCOME_CODES``: 0 and 1 for a click in the
@@ -115,15 +115,12 @@ class ModeMixture:
             ``(nnz, n_modes)``.
         amp: Complex amplitude of each row, shape ``(nnz,)``; every branch
             is normalized.
-        n_max: Bound of dense views; raised on construction to the largest
-            occupation present.
     """
 
     weights: np.ndarray
     branch: np.ndarray
     occ: np.ndarray
     amp: np.ndarray
-    n_max: int = 0
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float)
@@ -147,10 +144,10 @@ class ModeMixture:
             raise DimensionMismatchError("branch indices must ascend within [0, k)")
         if (occ < 0).any():
             raise DimensionMismatchError("occupations must be non-negative")
-        negative = np.flatnonzero(weights < -1e-12)
-        if negative.size:
-            i = negative[0]
-            raise StateValidationError(f"branch {i} has negative weight {weights[i]}")
+        # Comparisons written so that NaN fails them.
+        if not weights.min() >= -1e-12:
+            i = np.flatnonzero(~(weights >= -1e-12))[0]
+            raise StateValidationError(f"branch {i} has invalid weight {weights[i]}")
         keep = weights > BRANCH_PRUNE_TOL
         if not keep.any():
             raise StateValidationError("all branches have zero weight")
@@ -159,17 +156,16 @@ class ModeMixture:
             weights, branch = weights[keep], (np.cumsum(keep) - 1)[branch[rows]]
             occ, amp = occ[rows], amp[rows]
         total = weights.sum()
-        if abs(total - 1.0) > 1e-7:
+        if not abs(total - 1.0) <= 1e-7:
             raise StateValidationError(f"mixture weights sum to {total!r}, expected 1")
         norms = np.sqrt(np.bincount(branch, amp.real**2 + amp.imag**2, minlength=weights.size))
-        off = np.flatnonzero(np.abs(norms - 1.0) > 1e-7)
-        if off.size:
-            i = off[0]
+        off = np.abs(norms - 1.0)
+        if not off.max() <= 1e-7:
+            i = np.flatnonzero(~(off <= 1e-7))[0]
             raise StateValidationError(f"branch {i} is not normalized: |psi| = {norms[i]!r}")
         for name, arr in (("weights", weights), ("branch", branch), ("occ", occ), ("amp", amp)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        object.__setattr__(self, "n_max", max(int(self.n_max), int(occ.max(initial=0))))
 
     @property
     def branches(self) -> tuple[tuple[float, slice], ...]:
@@ -180,6 +176,11 @@ class ModeMixture:
     @property
     def n_modes(self) -> int:
         return self.occ.shape[1]
+
+    @property
+    def n_max(self) -> int:
+        """Largest occupation of any mode; dense views span ``0..n_max`` per mode."""
+        return int(self.occ.max(initial=0))
 
     def probability(self, occupations: Sequence[int]) -> float:
         """Probability of finding exactly the given photon numbers."""
@@ -209,10 +210,10 @@ def _mode_indices(state: ModeMixture, modes: Iterable[int]) -> list[int]:
     return [int(k) for k in modes]
 
 
-def _pure(rows: dict[tuple[int, ...], float], n_max: int) -> ModeMixture:
+def _pure(rows: dict[tuple[int, ...], float]) -> ModeMixture:
     """One pure branch of the nonzero ``{occupations: amplitude}`` rows, in ascending order."""
     occ = sorted(o for o, a in rows.items() if a != 0)
-    return ModeMixture(np.ones(1), np.zeros(len(occ), np.intp), occ, [rows[o] for o in occ], n_max)
+    return ModeMixture(np.ones(1), np.zeros(len(occ), np.intp), occ, [rows[o] for o in occ])
 
 
 def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -234,15 +235,15 @@ def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return src, np.arange(src.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _merged(weights, branch, occ, amp, n_max: int) -> ModeMixture:
+def _merged(weights, branch, occ, amp) -> ModeMixture:
     """Sum duplicate ``(branch, occupations)`` rows and drop the ones that cancel."""
     keys, index = _distinct(branch, occ)
     amp = np.bincount(index, amp.real) + 1j * np.bincount(index, amp.imag)
     keep = amp.real**2 + amp.imag**2 > BRANCH_PRUNE_TOL
-    return ModeMixture(weights, keys[keep, 0], keys[keep, 1:], amp[keep], n_max)
+    return ModeMixture(weights, keys[keep, 0], keys[keep, 1:], amp[keep])
 
 
-def _split(weights, branch, key, occ, amp, n_max: int, like=1.0, total=1.0) -> ModeMixture:
+def _split(weights, branch, key, occ, amp, like=1.0, total=1.0) -> ModeMixture:
     """Split every branch by ``key`` into normalized pure branches.
 
     The rows of branch ``b`` with one key value form a new branch of weight
@@ -262,23 +263,20 @@ def _split(weights, branch, key, occ, amp, n_max: int, like=1.0, total=1.0) -> M
         branch=(np.cumsum(keep) - 1)[index[rows]],
         occ=occ[rows],
         amp=amp[rows] / np.sqrt(mass[index[rows]]),
-        n_max=n_max,
     )
 
 
-def vacuum(n_modes: int, n_max: int) -> ModeMixture:
+def vacuum(n_modes: int) -> ModeMixture:
     """The all-modes vacuum state."""
-    return _pure({(0,) * n_modes: 1.0}, n_max)
+    return _pure({(0,) * n_modes: 1.0})
 
 
-def fock(occupations: Sequence[int], n_max: int) -> ModeMixture:
+def fock(occupations: Sequence[int]) -> ModeMixture:
     """A Fock basis state ``|n1, ..., nk>``."""
     occupations = tuple(occupations)
-    if not all(isinstance(n, numbers.Integral) and 0 <= n <= n_max for n in occupations):
-        raise DimensionMismatchError(
-            f"occupations {occupations} must be integers in 0..n_max={n_max}"
-        )
-    return _pure({tuple(int(n) for n in occupations): 1.0}, n_max)
+    if not all(isinstance(n, numbers.Integral) and n >= 0 for n in occupations):
+        raise DimensionMismatchError(f"occupations {occupations} must be non-negative integers")
+    return _pure({tuple(int(n) for n in occupations): 1.0})
 
 
 def mix(parts: Iterable[tuple[float, ModeMixture]]) -> ModeMixture:
@@ -295,7 +293,6 @@ def mix(parts: Iterable[tuple[float, ModeMixture]]) -> ModeMixture:
         branch=np.concatenate([m.branch + o for (_, m), o in zip(mixtures, offsets)]),
         occ=np.concatenate([m.occ for _, m in mixtures]),
         amp=np.concatenate([m.amp for _, m in mixtures]),
-        n_max=max(m.n_max for _, m in mixtures),
     )
 
 
@@ -313,7 +310,6 @@ def tensor_modes(first: ModeMixture, second: ModeMixture) -> ModeMixture:
         branch=branch[order],
         occ=np.hstack([first.occ[r1], second.occ[r2]]),
         amp=first.amp[r1] * second.amp[r2],
-        n_max=max(first.n_max, second.n_max),
     )
 
 
@@ -322,14 +318,14 @@ def permute_modes(state: ModeMixture, order: Sequence[int]) -> ModeMixture:
     order = _mode_indices(state, order)
     if len(order) != state.n_modes:
         raise DimensionMismatchError(f"invalid mode order {order} for {state.n_modes} modes")
-    return ModeMixture(state.weights, state.branch, state.occ[:, order], state.amp, state.n_max)
+    return ModeMixture(state.weights, state.branch, state.occ[:, order], state.amp)
 
 
 def phase_shift(state: ModeMixture, mode: int, phase_per_photon: float) -> ModeMixture:
     """Multiply amplitudes by ``exp(i * phase * n_mode)`` (a mode phase shift)."""
     (mode,) = _mode_indices(state, [mode])
     phases = np.exp(1j * phase_per_photon * state.occ[:, mode])
-    return ModeMixture(state.weights, state.branch, state.occ, state.amp * phases, state.n_max)
+    return ModeMixture(state.weights, state.branch, state.occ, state.amp * phases)
 
 
 def mode_density(state: ModeMixture, modes: Sequence[int]) -> np.ndarray:
@@ -340,7 +336,8 @@ def mode_density(state: ModeMixture, modes: Sequence[int]) -> np.ndarray:
         modes: Mode indices to keep, in the order they should appear.
 
     Returns:
-        Density matrix of dimension ``(n_max + 1) ** len(modes)``.
+        Density matrix of dimension ``(state.n_max + 1) ** len(modes)``,
+        the largest occupation in the whole state bounding every kept mode.
     """
     modes = _mode_indices(state, modes)
     d = state.n_max + 1
@@ -394,7 +391,7 @@ def _unitary_pair_op(m: ModeMixture, i: int, j: int, phi: float) -> ModeMixture:
     occ = m.occ[src]
     occ[:, i], occ[:, j] = k, total[src] - k
     amp = m.amp[src] * blocks[total[src], k, first[src]]
-    return _merged(m.weights, m.branch[src], occ, amp, m.n_max)
+    return _merged(m.weights, m.branch[src], occ, amp)
 
 
 def beamsplitter(state: ModeMixture, mode_a: int, mode_b: int, transmission: float) -> ModeMixture:
@@ -446,7 +443,7 @@ def loss_channel(state: ModeMixture, mode: int, transmission: float) -> ModeMixt
     kraus = np.sqrt(comb(n[src], lost) * eta**kept * (1.0 - eta) ** lost)
     occ = state.occ[src]
     occ[:, mode] = kept
-    return _split(state.weights, state.branch[src], lost, occ, state.amp[src] * kraus, state.n_max)
+    return _split(state.weights, state.branch[src], lost, occ, state.amp[src] * kraus)
 
 
 def distance_to_transmission(length_km: float, attenuation_db_per_km: float = 0.2) -> float:
@@ -455,8 +452,9 @@ def distance_to_transmission(length_km: float, attenuation_db_per_km: float = 0.
     ``T = 10 ** (-attenuation * L / 10)``; the default 0.2 dB/km is standard
     telecom fiber.
     """
-    if length_km < 0:
-        raise ValueError(f"length must be non-negative, got {length_km}")
+    for name, value in (("length_km", length_km), ("attenuation_db_per_km", attenuation_db_per_km)):
+        if not 0.0 <= value < math.inf:
+            raise ValueError(f"{name} must be non-negative and finite, got {value}")
     return float(10.0 ** (-attenuation_db_per_km * length_km / 10.0))
 
 
@@ -561,7 +559,7 @@ def threshold_detect(
         return total, None
     rest = [k for k in range(state.n_modes) if k not in modes]
     return total, _split(
-        state.weights, state.branch, content, state.occ[:, rest], state.amp, state.n_max, like, total
+        state.weights, state.branch, content, state.occ[:, rest], state.amp, like, total
     )
 
 
@@ -705,7 +703,7 @@ def spdc_source(pair_prob: float, n_pair_max: int = 2) -> ModeMixture:
             occupation of any mode.
 
     Returns:
-        A pure four-mode state with ``n_max = n_pair_max``.
+        A pure four-mode state; for ``p > 0`` its ``n_max`` is ``n_pair_max``.
     """
     # The normalized n-pair term is sum_k (-1)^(n-k) |k, n-k, n-k, k> / sqrt(n+1).
     rows = {
@@ -713,15 +711,12 @@ def spdc_source(pair_prob: float, n_pair_max: int = 2) -> ModeMixture:
         for n, weight in enumerate(_pair_weights(pair_prob, n_pair_max))
         for k in range(n + 1)
     }
-    return _pure(rows, n_pair_max)
+    return _pure(rows)
 
 
 def polarization_singlet() -> ModeMixture:
-    """One polarization singlet ``(|HV> - |VH>)/sqrt(2)`` on modes ``(a_H, a_V, b_H, b_V)``.
-
-    Its dense view holds up to two photons per mode (``n_max = 2``).
-    """
-    return _pure({(1, 0, 0, 1): 1.0 / np.sqrt(2.0), (0, 1, 1, 0): -1.0 / np.sqrt(2.0)}, 2)
+    """One polarization singlet ``(|HV> - |VH>)/sqrt(2)`` on modes ``(a_H, a_V, b_H, b_V)``."""
+    return _pure({(1, 0, 0, 1): 1.0 / np.sqrt(2.0), (0, 1, 1, 0): -1.0 / np.sqrt(2.0)})
 
 
 def heralded_single_photon(
@@ -784,14 +779,16 @@ class BsmResult:
     """All heralding outcomes of a linear-optics Bell-state measurement.
 
     Attributes:
-        success_probability: Total probability of the four heralding
-            patterns.
         outcomes: The four patterns; labels identify the Bell state onto
             which the measured qubit pair was projected.
     """
 
-    success_probability: float
     outcomes: tuple[BsmOutcome, ...]
+
+    @property
+    def success_probability(self) -> float:
+        """Total probability of the four heralding patterns."""
+        return float(sum(o.probability for o in self.outcomes))
 
 
 _BSM_PATTERNS: tuple[tuple[str, tuple[bool, bool, bool, bool]], ...] = (
@@ -833,14 +830,12 @@ def bell_state_measurement(
     mixed = beamsplitter(mixed, v1, v2, 0.5)
     measured = (h1, v1, h2, v2)
     outcomes = []
-    total = 0.0
     for label, pattern in _BSM_PATTERNS:
         prob, conditional = threshold_detect(mixed, measured, detector, pattern)
-        total += prob
         outcomes.append(
             BsmOutcome(label=label, pattern=pattern, probability=float(prob), state=conditional)
         )
-    return BsmResult(success_probability=float(total), outcomes=tuple(outcomes))
+    return BsmResult(outcomes=tuple(outcomes))
 
 
 # --------------------------------------------------------------------------
@@ -915,13 +910,13 @@ def qubit_amplifier(
     detector = detector or DetectorModel()
     trigger_detector = trigger_detector or detector
     in_h, in_v = _mode_indices(state, input_modes)
-    n_modes, n_max = state.n_modes, state.n_max
+    n_modes = state.n_modes
 
     # Ancilla preparation on four new modes (tH, rH, tV, rV), appended after
     # the existing ones.
     trigger_prob = 1.0
     if ancilla_pair_prob is None:
-        ancilla_h = ancilla_v = fock([1], n_max)
+        ancilla_h = ancilla_v = fock([1])
     else:
         # The H and V ancillas come from two independent, identical sources.
         source = heralded_single_photon(ancilla_pair_prob, trigger_detector)
@@ -931,8 +926,8 @@ def qubit_amplifier(
         ancilla_h = ancilla_v = source.conditional_state
 
     t_h, r_h, t_v, r_v = n_modes, n_modes + 1, n_modes + 2, n_modes + 3
-    work = tensor_modes(state, tensor_modes(ancilla_h, vacuum(1, n_max)))
-    work = tensor_modes(work, tensor_modes(ancilla_v, vacuum(1, n_max)))
+    work = tensor_modes(state, tensor_modes(ancilla_h, vacuum(1)))
+    work = tensor_modes(work, tensor_modes(ancilla_v, vacuum(1)))
     work = beamsplitter(work, t_h, r_h, transmission)
     work = beamsplitter(work, t_v, r_v, transmission)
 
@@ -957,7 +952,7 @@ def qubit_amplifier(
         if outcome.pattern[1]:
             corrected = phase_shift(corrected, out_v, np.pi)
         heralds.append((outcome.probability, corrected))
-    success = sum(p for p, _ in heralds)
+    success = bsm.success_probability
     if success <= BRANCH_PRUNE_TOL:
         return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
     conditional = mix(heralds)
@@ -997,4 +992,11 @@ def amplifier_success_probability(
     on a single-photon input gives 0.82 times this value at ``p = 0.011``
     and 0.811 as ``p -> 0``.
     """
+    for name, value in (
+        ("detector_efficiency", detector_efficiency),
+        ("transmission", transmission),
+        ("pair_prob", pair_prob),
+    ):
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"{name} must lie in [0, 1], got {value}")
     return float(detector_efficiency**2 * (1.0 - transmission) * pair_prob**2)

@@ -162,15 +162,16 @@ class Povm:
                 raise DimensionMismatchError(
                     f"POVM effect {i} has shape {eff.shape}, expected {(dim, dim)}"
                 )
-            if _hermiticity_error(eff) > ATOL_STATE:
+            # Comparisons written so that NaN fails them.
+            if not _hermiticity_error(eff) <= ATOL_STATE:
                 raise StateValidationError(f"POVM effect {i} is not Hermitian")
             min_eig = float(np.linalg.eigvalsh((eff + eff.conj().T) / 2)[0])
-            if min_eig < -ATOL_STATE:
+            if not min_eig >= -ATOL_STATE:
                 raise StateValidationError(
                     f"POVM effect {i} is not positive semidefinite (min eig {min_eig:.3e})"
                 )
             total = total + eff
-        if np.max(np.abs(total - np.eye(dim))) > ATOL_STATE:
+        if not np.max(np.abs(total - np.eye(dim))) <= ATOL_STATE:
             raise StateValidationError("POVM effects do not sum to the identity")
         object.__setattr__(self, "effects", mats)
 
@@ -202,12 +203,13 @@ class CorrelationTable:
             raise StateValidationError(
                 f"probabilities must have shape (n_x, n_y, n_a, n_b), got {arr.shape}"
             )
-        if np.min(arr, initial=0.0) < -1e-9:
+        # Comparisons written so that NaN fails them.
+        if not np.min(arr, initial=0.0) >= -1e-9:
             raise StateValidationError(
-                f"negative probability {np.min(arr):.3e} in correlation table"
+                f"negative or NaN probability {np.min(arr):.3e} in correlation table"
             )
         sums = arr.sum(axis=(2, 3))
-        if np.max(np.abs(sums - 1.0)) > 1e-7:
+        if not np.max(np.abs(sums - 1.0)) <= 1e-7:
             raise StateValidationError(
                 "each setting pair must carry a normalized distribution; "
                 f"worst deviation {np.max(np.abs(sums - 1.0)):.3e}"

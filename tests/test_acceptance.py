@@ -140,7 +140,7 @@ def test_c06_amplifier_success_probability_magnitude():
 
     detector = DetectorModel(efficiency=eta_d)
     record = qubit_amplifier(
-        fock([1, 0], 4),
+        fock([1, 0]),
         (0, 1),
         transmission,
         detector=detector,
@@ -153,7 +153,7 @@ def test_c06_amplifier_success_probability_magnitude():
     # Context for the magnitude check: the same circuit heralding on vacuum
     # (photon lost in flight) and the formula at a tenth of the pair rate.
     vacuum_record = qubit_amplifier(
-        loss_channel(loss_channel(fock([1, 0], 4), 0, 1e-12), 1, 1e-12),
+        loss_channel(loss_channel(fock([1, 0]), 0, 1e-12), 1, 1e-12),
         (0, 1),
         transmission,
         detector=detector,
@@ -173,7 +173,7 @@ def test_c06_amplifier_success_probability_magnitude():
 
 def test_c07_amplifier_gain_herald_tradeoff():
     # (|vac> + |1_H>)/sqrt(2) on an (H, V) mode pair.
-    qubit = ModeMixture([1.0], [0, 0], [[0, 0], [1, 0]], [1.0 / np.sqrt(2.0)] * 2, n_max=2)
+    qubit = ModeMixture([1.0], [0, 0], [[0, 0], [1, 0]], [1.0 / np.sqrt(2.0)] * 2)
     lossy_input = loss_channel(qubit, 0, 0.4)
     gains, heralds = [], []
     transmissions = np.linspace(0.9, 0.999, 8)

@@ -457,6 +457,15 @@ def test_main_reports_errors_on_stderr(tmp_path, capsys):
     assert "error: theta must be a finite number, got nan" in capsys.readouterr().err
 
 
+def test_unwritable_out_is_a_cli_error(tmp_path, capsys):
+    path = write_scenario(tmp_path, "s.json", {"rounds": 1000})
+    out = tmp_path / "missing" / "x"
+    for command in ("validate", "session"):
+        assert main([command, "--scenario", path, "--out", str(out)]) == 2
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert not out.parent.exists()
+
+
 def test_format_number_switches_notation():
     assert format_number(0.5) == "0.500000"
     assert format_number(1e-4) == "1.000000e-04"

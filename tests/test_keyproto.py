@@ -40,23 +40,33 @@ def make_records(cells, heralded=True):
 
 def test_transcript_roundtrip():
     messages = [
-        ProtocolMessage(seq=0, kind=MessageKind.BASIS_ANNOUNCE, payload=b"\x01\x00\x00\x00", sender="alice"),
-        ProtocolMessage(seq=1, kind=MessageKind.HASH_SEED, payload=bytes(range(32)), sender="alice"),
-        ProtocolMessage(seq=2, kind=MessageKind.DONE, payload=b"", sender="bob"),
+        ProtocolMessage(kind=MessageKind.BASIS_ANNOUNCE, payload=b"\x01\x00\x00\x00", sender="alice"),
+        ProtocolMessage(kind=MessageKind.HASH_SEED, payload=bytes(range(32)), sender="alice"),
+        ProtocolMessage(kind=MessageKind.DONE, payload=b"", sender="bob"),
     ]
     blob = serialize_transcript(messages)
     parsed = parse_transcript(blob)
     assert [(s, k, p) for s, k, p in parsed] == [
-        (m.seq, m.kind, m.payload) for m in messages
+        (seq, m.kind, m.payload) for seq, m in enumerate(messages)
     ]
 
 
 def test_parse_transcript_rejects_truncation():
     blob = serialize_transcript(
-        [ProtocolMessage(seq=0, kind=MessageKind.DONE, payload=b"xy", sender="alice")]
+        [ProtocolMessage(kind=MessageKind.DONE, payload=b"xy", sender="alice")]
     )
     with pytest.raises(ValueError):
         parse_transcript(blob[:-1])
+
+
+def test_parse_transcript_rejects_a_sequence_number_off_its_position():
+    messages = [ProtocolMessage(kind=MessageKind.DONE, payload=b"", sender="bob")] * 2
+    blob = bytearray(serialize_transcript(messages))
+    assert [m[0] for m in parse_transcript(bytes(blob))] == [0, 1]
+    # The second record's u32 sequence number starts after the first 9-byte header.
+    blob[9:13] = (7).to_bytes(4, "little")
+    with pytest.raises(ValueError, match="record 1 carries sequence number 7"):
+        parse_transcript(bytes(blob))
 
 
 # ----------------------------------------------------------------------
@@ -212,11 +222,10 @@ def test_reconcile_messages_alternate_parity_queries():
     alice = rng.integers(0, 2, size=200, dtype=np.uint8)
     bob = alice.copy()
     bob[40] ^= 1
-    res = reconcile(alice, bob, q_hat=1 / 200, permutation_seed=4, start_seq=10)
+    res = reconcile(alice, bob, q_hat=1 / 200, permutation_seed=4)
     kinds = {m.kind for m in res.messages}
     assert MessageKind.PARITY_QUERY in kinds
     assert MessageKind.PARITY_REPLY in kinds
-    assert [m.seq for m in res.messages] == list(range(10, 10 + len(res.messages)))
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Tests for the sparse Fock-space optics layer."""
 
+import inspect
 import itertools
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from diqkd_lab import architectures
+from diqkd_lab import architectures, photonics
 from diqkd_lab.architectures import ALICE_ANGLES, BOB_ANGLES, Scenario
 from diqkd_lab.bellcert import bin_no_click
 from diqkd_lab.photonics import (
@@ -40,22 +41,22 @@ from diqkd_lab.photonics import (
 from diqkd_lab.qstate import DimensionMismatchError, StateValidationError
 
 
-def pure(occ, amp, n_max: int) -> ModeMixture:
+def pure(occ, amp) -> ModeMixture:
     """One pure branch holding the normalized amplitudes ``amp`` on the Fock rows ``occ``."""
     amp = np.asarray(amp, dtype=complex)
-    return ModeMixture([1.0], np.zeros(len(occ), int), occ, amp / np.linalg.norm(amp), n_max)
+    return ModeMixture([1.0], np.zeros(len(occ), int), occ, amp / np.linalg.norm(amp))
 
 
-def equal_superposition_qubit(n_max: int = 2) -> ModeMixture:
+def equal_superposition_qubit() -> ModeMixture:
     """(|vac> + |1_H>)/sqrt(2) on an (H, V) mode pair."""
-    return pure([[0, 0], [1, 0]], [1.0, 1.0], n_max)
+    return pure([[0, 0], [1, 0]], [1.0, 1.0])
 
 
 def test_fock_and_vacuum_basics():
-    v = vacuum(2, 3)
-    assert v.n_modes == 2 and v.n_max == 3
+    v = vacuum(2)
+    assert v.n_modes == 2 and v.n_max == 0
     assert v.probability([0, 0]) == pytest.approx(1.0)
-    f = fock([2, 1], 3)
+    f = fock([2, 1])
     assert f.probability([2, 1]) == pytest.approx(1.0)
     assert f.probability([1, 1]) == 0.0
 
@@ -63,18 +64,32 @@ def test_fock_and_vacuum_basics():
 def test_fock_rejects_non_integral_occupations():
     """A fractional occupation is an error, not truncated to |1, 0>."""
     with pytest.raises(DimensionMismatchError):
-        fock([1.7, 0], 2)
-    numpy_int = fock([np.int64(1), 0], 2)
-    plain = fock([1, 0], 2)
+        fock([1.7, 0])
+    numpy_int = fock([np.int64(1), 0])
+    plain = fock([1, 0])
     np.testing.assert_array_equal(numpy_int.occ, plain.occ)
     np.testing.assert_array_equal(numpy_int.amp, plain.amp)
     np.testing.assert_array_equal(numpy_int.weights, plain.weights)
     assert numpy_int.n_max == plain.n_max
 
 
+def test_n_max_is_the_largest_occupation():
+    assert fock([5, 0]).n_max == 5
+    assert polarization_singlet().n_max == 1
+    assert spdc_source(0.1, n_pair_max=3).n_max == 3
+
+
+def test_no_photonics_function_takes_n_max():
+    functions = [getattr(photonics, name) for name in photonics.__all__]
+    functions = [f for f in functions if inspect.isfunction(f)]
+    assert fock in functions and vacuum in functions
+    for function in functions:
+        assert "n_max" not in inspect.signature(function).parameters, function.__name__
+
+
 def test_mode_state_requires_normalization():
     with pytest.raises(StateValidationError):
-        ModeMixture(weights=[1.0], branch=[0], occ=[[0, 0]], amp=[0.5], n_max=1)
+        ModeMixture(weights=[1.0], branch=[0], occ=[[0, 0]], amp=[0.5])
 
 
 def test_mixture_weights_must_sum_to_one():
@@ -82,12 +97,21 @@ def test_mixture_weights_must_sum_to_one():
         ModeMixture(weights=[0.4, 0.4], branch=[0, 1], occ=[[0], [0]], amp=[1.0, 1.0])
 
 
+def test_mixture_rejects_nan_amplitudes_and_weights():
+    with pytest.raises(StateValidationError, match="not normalized"):
+        phase_shift(fock([1]), 0, np.nan)
+    with pytest.raises(StateValidationError, match="branch 1 has invalid weight nan"):
+        ModeMixture(weights=[1.0, np.nan], branch=[0, 1], occ=[[0], [1]], amp=[1.0, 1.0])
+    with pytest.raises(StateValidationError):
+        polarization_correlation_table(polarization_singlet(), (0, 1), (2, 3), [np.nan], [0.0])
+
+
 def test_stacked_ops_match_branch_by_branch():
     """Acting on a whole mixture equals acting on each pure branch and mixing."""
     rng = np.random.default_rng(7)
     # Two photons at most, so the dense views stay small.
     occ = [o for o in np.ndindex(3, 3, 3) if sum(o) <= 2]
-    states = [pure(occ, [rng.normal() + 1j * rng.normal() for _ in occ], 2) for _ in range(3)]
+    states = [pure(occ, [rng.normal() + 1j * rng.normal() for _ in occ]) for _ in range(3)]
     probs = (0.5, 0.3, 0.2)
     mixture = mix(zip(probs, states))
     detector = DetectorModel(efficiency=0.7, dark_count_prob=0.05)
@@ -95,7 +119,7 @@ def test_stacked_ops_match_branch_by_branch():
         lambda s: beamsplitter(s, 0, 2, 0.3),
         lambda s: loss_channel(s, 1, 0.6),
         lambda s: permute_modes(s, (2, 0, 1)),
-        lambda s: tensor_modes(s, loss_channel(fock([1], 2), 0, 0.5)),
+        lambda s: tensor_modes(s, loss_channel(fock([1]), 0, 0.5)),
     )
     for op in ops:
         stacked = op(mixture)
@@ -116,39 +140,39 @@ def test_stacked_ops_match_branch_by_branch():
 
 
 def test_tensor_and_permute():
-    joint = tensor_modes(fock([1], 2), fock([2], 2))
+    joint = tensor_modes(fock([1]), fock([2]))
     assert joint.probability([1, 2]) == pytest.approx(1.0)
     swapped = permute_modes(joint, [1, 0])
     assert swapped.probability([2, 1]) == pytest.approx(1.0)
 
 
 def test_mode_density_of_single_photon():
-    rho = mode_density(fock([1, 0], 1), [0])
+    rho = mode_density(fock([1, 0]), [0])
     np.testing.assert_allclose(rho, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_beamsplitter_transmission_statistics():
-    out = beamsplitter(fock([1, 0], 1), 0, 1, 0.7)
+    out = beamsplitter(fock([1, 0]), 0, 1, 0.7)
     assert out.probability([1, 0]) == pytest.approx(0.7, abs=1e-12)
     assert out.probability([0, 1]) == pytest.approx(0.3, abs=1e-12)
 
 
 def test_hong_ou_mandel_dip():
     """Two indistinguishable photons on a balanced splitter never split."""
-    out = beamsplitter(fock([1, 1], 2), 0, 1, 0.5)
+    out = beamsplitter(fock([1, 1]), 0, 1, 0.5)
     assert out.probability([1, 1]) == pytest.approx(0.0, abs=1e-12)
     assert out.probability([2, 0]) == pytest.approx(0.5, abs=1e-12)
     assert out.probability([0, 2]) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_beamsplitter_has_no_truncation():
-    """Photons past the nominal ``n_max`` interfere exactly."""
-    fits = mix([(0.5, fock([1, 1], 3)), (0.5, fock([3, 0], 3))])
+    """Photons past the input's ``n_max`` interfere exactly."""
+    fits = mix([(0.5, fock([1, 1])), (0.5, fock([3, 0]))])
     out = beamsplitter(fits, 0, 1, 0.5)
     # |3, 0> splits binomially; |1, 1> bunches and never reaches |2, 1>.
     assert out.probability([2, 1]) == pytest.approx(0.5 * 3 / 8, abs=1e-12)
-    # Four photons across a pair whose input bound is three.
-    out = beamsplitter(fock([2, 2], 3), 0, 1, 0.5)
+    # Four photons across a pair whose input holds at most two per mode.
+    out = beamsplitter(fock([2, 2]), 0, 1, 0.5)
     assert out.probability([4, 0]) == pytest.approx(3 / 8, abs=1e-12)
     assert out.probability([0, 4]) == pytest.approx(3 / 8, abs=1e-12)
     assert out.probability([2, 2]) == pytest.approx(1 / 4, abs=1e-12)
@@ -159,7 +183,7 @@ def test_pair_unitary_matches_dense_generator():
     """Sector by sector equals ``expm`` of the generator on a dense truncation."""
     rng = np.random.default_rng(3)
     occ = [o for o in np.ndindex(4, 4, 4) if o[0] + o[2] <= 3]
-    state = pure(occ, [rng.normal() + 1j * rng.normal() for _ in occ], 3)
+    state = pure(occ, [rng.normal() + 1j * rng.normal() for _ in occ])
     arr = np.zeros((4, 4, 4), dtype=complex)
     arr[tuple(state.occ.T)] = state.amp
     # A dense truncation at 3 photons per mode holds every sector of up to
@@ -202,7 +226,7 @@ def test_distinct_fallback_matches_mixed_radix_keys():
 
 
 def test_mix_concatenates_and_renormalizes():
-    mixed = mix([(0.2, fock([1], 2)), (0.6, loss_channel(fock([2], 2), 0, 0.5))])
+    mixed = mix([(0.2, fock([1])), (0.6, loss_channel(fock([2]), 0, 0.5))])
     assert len(mixed.branches) == 4
     assert mixed.weights.sum() == pytest.approx(1.0, abs=1e-15)
     assert mixed.probability([1]) == pytest.approx(0.25 + 0.75 * 0.5, abs=1e-12)
@@ -212,12 +236,12 @@ def test_mix_concatenates_and_renormalizes():
 def test_polarization_rotation_is_bloch_angle():
     """A rotation by theta sends P(H) to cos^2(theta / 2)."""
     for theta in (0.0, 0.4, np.pi / 2, np.pi):
-        out = polarization_rotation(fock([1, 0], 1), 0, 1, theta)
+        out = polarization_rotation(fock([1, 0]), 0, 1, theta)
         assert out.probability([1, 0]) == pytest.approx(np.cos(theta / 2) ** 2, abs=1e-12)
 
 
 def test_loss_channel_single_photon():
-    mix = loss_channel(fock([1], 1), 0, 0.6)
+    mix = loss_channel(fock([1]), 0, 0.6)
     assert mix.probability([1]) == pytest.approx(0.6, abs=1e-12)
     assert mix.probability([0]) == pytest.approx(0.4, abs=1e-12)
 
@@ -226,6 +250,15 @@ def test_distance_to_transmission():
     assert distance_to_transmission(0.0) == pytest.approx(1.0)
     assert distance_to_transmission(15.0) == pytest.approx(10 ** (-0.3), abs=1e-15)
     assert distance_to_transmission(10.0, 0.5) == pytest.approx(10 ** (-0.5), abs=1e-15)
+    for args, name in (
+        ((np.nan,), "length_km"),
+        ((-1.0,), "length_km"),
+        ((np.inf,), "length_km"),
+        ((10.0, -0.2), "attenuation_db_per_km"),
+        ((10.0, np.nan), "attenuation_db_per_km"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            distance_to_transmission(*args)
 
 
 def test_detector_click_probability():
@@ -246,20 +279,20 @@ def test_detector_model_validation():
 
 
 def test_detection_probabilities_single_photon():
-    probs = detection_probabilities(fock([1, 0], 1), (0, 1), DetectorModel())
+    probs = detection_probabilities(fock([1, 0]), (0, 1), DetectorModel())
     assert probs[1, 0] == pytest.approx(1.0, abs=1e-12)
-    lossy = detection_probabilities(fock([1, 0], 1), (0, 1), DetectorModel(efficiency=0.3))
+    lossy = detection_probabilities(fock([1, 0]), (0, 1), DetectorModel(efficiency=0.3))
     assert lossy[1, 0] == pytest.approx(0.3, abs=1e-12)
     assert lossy[0, 0] == pytest.approx(0.7, abs=1e-12)
 
 
 def test_threshold_detect_heralds_and_discards():
-    state = tensor_modes(fock([1], 1), fock([1], 1))
+    state = tensor_modes(fock([1]), fock([1]))
     prob, conditional = threshold_detect(state, (1,), DetectorModel(efficiency=0.5), (True,))
     assert prob == pytest.approx(0.5, abs=1e-12)
     assert conditional.n_modes == 1
     assert conditional.probability([1]) == pytest.approx(1.0, abs=1e-12)
-    zero, nothing = threshold_detect(vacuum(2, 1), (0,), DetectorModel(), (True,))
+    zero, nothing = threshold_detect(vacuum(2), (0,), DetectorModel(), (True,))
     assert zero == pytest.approx(0.0, abs=1e-15)
     assert nothing is None
 
@@ -298,7 +331,7 @@ def test_loss_before_threshold_detectors_is_detector_efficiency(n_pair_max):
 
 
 def test_mode_indices_must_be_distinct_integer_modes():
-    state = fock([1, 0, 2], 3)
+    state = fock([1, 0, 2])
     detector = DetectorModel()
     bad_calls = (
         # Negative and past-the-end indices.
@@ -491,9 +524,9 @@ def test_equal_loss_on_bell_measurement_inputs_is_detector_efficiency(n_pair_max
 def test_amplifier_herald_probability_closed_forms():
     """Ideal ancillas: heralds at 1 - T on a photon and (1 - T)^2 on vacuum."""
     t = 0.8
-    photon = qubit_amplifier(fock([1, 0], 2), (0, 1), t)
+    photon = qubit_amplifier(fock([1, 0]), (0, 1), t)
     assert photon.success_probability == pytest.approx(1.0 - t, abs=1e-12)
-    vac = qubit_amplifier(vacuum(2, 2), (0, 1), t)
+    vac = qubit_amplifier(vacuum(2), (0, 1), t)
     assert vac.success_probability == pytest.approx((1.0 - t) ** 2, abs=1e-12)
     sup = qubit_amplifier(equal_superposition_qubit(), (0, 1), t)
     assert sup.success_probability == pytest.approx(
@@ -523,8 +556,16 @@ def test_amplifier_success_probability_formula():
     assert amplifier_success_probability(0.9, 0.99, 0.011) == pytest.approx(
         0.9**2 * 0.01 * 0.011**2, rel=1e-12
     )
+    for args, name in (
+        ((1.1, 0.5, 0.01), "detector_efficiency"),
+        ((0.9, 1.5, 0.01), "transmission"),
+        ((0.9, 0.5, -0.01), "pair_prob"),
+        ((0.9, 0.5, np.nan), "pair_prob"),
+    ):
+        with pytest.raises(ValueError, match=name):
+            amplifier_success_probability(*args)
 
 
 def test_amplifier_rejects_bad_transmission():
     with pytest.raises(ValueError):
-        qubit_amplifier(fock([1, 0], 1), (0, 1), 1.0)
+        qubit_amplifier(fock([1, 0]), (0, 1), 1.0)

@@ -69,6 +69,11 @@ def test_povm_requires_completeness():
         Povm(effects=(0.5 * np.eye(2), 0.4 * np.eye(2)))
 
 
+def test_povm_rejects_nan_effects():
+    with pytest.raises(StateValidationError):
+        Povm(effects=(np.full((2, 2), np.nan), np.eye(2)))
+
+
 def test_inefficient_povm_outcomes():
     p = inefficient_qubit_povm(0.7, 0.6)
     assert len(p.effects) == 3
@@ -119,3 +124,8 @@ def test_correlation_table_rejects_unnormalized():
     probs = np.full((1, 1, 2, 2), 0.3)
     with pytest.raises(StateValidationError):
         CorrelationTable(probabilities=probs)
+
+
+def test_correlation_table_rejects_nan():
+    with pytest.raises(StateValidationError, match="NaN probability nan"):
+        CorrelationTable(probabilities=np.full((1, 1, 2, 2), np.nan))

@@ -70,7 +70,7 @@ def test_traced_runs_reach_every_photonics_op():
             Scenario(architecture="third_party", distance_km=5.0)
         )
         photonics.detection_probabilities(
-            photonics.fock([1, 0], 1), (0, 1), photonics.DetectorModel()
+            photonics.fock([1, 0]), (0, 1), photonics.DetectorModel()
         )
     finally:
         tracer.uninstall()
