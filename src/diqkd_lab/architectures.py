@@ -31,6 +31,7 @@ import dataclasses
 import math
 import numbers
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
@@ -353,13 +354,17 @@ def _depolarize_pair(state: ModeMixture, h_mode: int, v_mode: int, fidelity: flo
     )
 
 
-def _pair_state(scenario: Scenario, n_pair_max: int = 2) -> ModeMixture:
-    """Source output on modes (aH, aV, bH, bV)."""
-    if scenario.pair_prob == 0.0:
+@lru_cache(maxsize=32)
+def _pair_state(pair_prob: float, node_fidelity: float, n_pair_max: int = 2) -> ModeMixture:
+    """Source output on modes (aH, aV, bH, bV).
+
+    Cached: nothing along a distance sweep changes a source.
+    """
+    if pair_prob == 0.0:
         state = polarization_singlet()
     else:
-        state = spdc_source(scenario.pair_prob, n_pair_max=n_pair_max)
-    return _depolarize_pair(state, 2, 3, scenario.node_fidelity)
+        state = spdc_source(pair_prob, n_pair_max=n_pair_max)
+    return _depolarize_pair(state, 2, 3, node_fidelity)
 
 
 def _detector(scenario: Scenario, transmission: float = 1.0) -> DetectorModel:
@@ -381,7 +386,8 @@ def _detector(scenario: Scenario, transmission: float = 1.0) -> DetectorModel:
     )
 
 
-def _swap_link(scenario: Scenario) -> ModeMixture:
+@lru_cache(maxsize=32)
+def _swap_link(pair_prob: float, node_fidelity: float) -> ModeMixture:
     """Both third_party sources before the swap, unattenuated.
 
     Alice keeps modes (0, 1) of her pair and Bob modes (6, 7) of his; the
@@ -390,13 +396,13 @@ def _swap_link(scenario: Scenario) -> ModeMixture:
     (``_half_transmission``) and meet only the station's balanced
     beamsplitters, so their loss is folded into the station's detector
     (``_detector``) instead of being applied here.  Sources are truncated
-    to single-pair emission.
+    to single-pair emission.  The link depends on no distance, so it is
+    cached on the two source parameters and built once per sweep.
     """
-    left = _pair_state(scenario, n_pair_max=1)
+    source = _pair_state(pair_prob, node_fidelity, n_pair_max=1)
     # Swap the right source's halves so its travelling modes come first:
     # global layout (aH aV | c1H c1V c2H c2V | bH bV).
-    right = permute_modes(_pair_state(scenario, n_pair_max=1), (2, 3, 0, 1))
-    return tensor_modes(left, right)
+    return tensor_modes(source, permute_modes(source, (2, 3, 0, 1)))
 
 
 def _half_transmission(scenario: Scenario) -> float:
@@ -448,7 +454,8 @@ def run_standard(scenario: Scenario) -> RunResult:
     arm_t = distance_to_transmission(
         worst_arm * scenario.distance_km, scenario.attenuation_db_per_km
     )
-    table = _measure(_pair_state(scenario), _detector(scenario, arm_t))
+    state = _pair_state(scenario.pair_prob, scenario.node_fidelity)
+    table = _measure(state, _detector(scenario, arm_t))
     return _result(scenario, table, 1.0)
 
 
@@ -464,8 +471,8 @@ def run_local_heralding(scenario: Scenario) -> RunResult:
     loss.  ``pair_prob`` parameterizes the amplifier's triggered ancilla
     sources; the entangled-pair source itself is ideal.
     """
-    state = polarization_singlet()
-    state = _depolarize_pair(state, 2, 3, scenario.node_fidelity)
+    # The entangled-pair source is ideal whatever ``pair_prob`` is.
+    state = _pair_state(0.0, scenario.node_fidelity)
     arm_t = distance_to_transmission(scenario.distance_km, scenario.attenuation_db_per_km)
     # Bob's fiber loss does not commute with the amplifier's Bell-state
     # measurement, so it stays an explicit channel.
@@ -502,7 +509,7 @@ def run_third_party(scenario: Scenario) -> RunResult:
     with them onto the detectors.  Alice's and Bob's own modes cross no
     fiber and keep the plain detector.
     """
-    state = _swap_link(scenario)
+    state = _swap_link(scenario.pair_prob, scenario.node_fidelity)
     station = _detector(scenario, _half_transmission(scenario))
     bsm = bell_state_measurement(state, (2, 3), (4, 5), station)
     # Remaining modes: (aH, aV, bH, bV).  Feed-forward: phase-flip Bob's V
@@ -562,7 +569,7 @@ def charlie_independence_residual(scenario: Scenario) -> float:
     """
     if scenario.architecture != "third_party":
         raise ValueError("independence check applies to the third_party architecture")
-    state = _swap_link(scenario)
+    state = _swap_link(scenario.pair_prob, scenario.node_fidelity)
     detector = _detector(scenario, _half_transmission(scenario))
     herald_probs = []
     for alice_angle in ALICE_ANGLES:

@@ -124,8 +124,8 @@ class ModeMixture:
 
     def __post_init__(self) -> None:
         weights = np.array(self.weights, dtype=float)
-        branch = np.asarray(self.branch, dtype=np.intp)
-        occ = np.asarray(self.occ, dtype=np.intp)
+        branch = _index_array(self.branch, "branch")
+        occ = _index_array(self.occ, "occ")
         amp = np.asarray(self.amp, dtype=complex)
         if not (
             weights.ndim == branch.ndim == 1
@@ -139,19 +139,20 @@ class ModeMixture:
             )
         if weights.size == 0:
             raise StateValidationError("a mixture needs at least one branch")
-        ascending = (np.diff(branch) >= 0).all()
+        ascending = (branch[1:] >= branch[:-1]).all()
         if branch.size and not (ascending and 0 <= branch[0] and branch[-1] < weights.size):
             raise DimensionMismatchError("branch indices must ascend within [0, k)")
-        if (occ < 0).any():
+        if occ.min(initial=0) < 0:
             raise DimensionMismatchError("occupations must be non-negative")
         # Comparisons written so that NaN fails them.
-        if not weights.min() >= -1e-12:
+        lightest = weights.min()
+        if not lightest >= -1e-12:
             i = np.flatnonzero(~(weights >= -1e-12))[0]
             raise StateValidationError(f"branch {i} has invalid weight {weights[i]}")
-        keep = weights > BRANCH_PRUNE_TOL
-        if not keep.any():
-            raise StateValidationError("all branches have zero weight")
-        if not keep.all():
+        if not lightest > BRANCH_PRUNE_TOL:
+            keep = weights > BRANCH_PRUNE_TOL
+            if not keep.any():
+                raise StateValidationError("all branches have zero weight")
             rows = keep[branch]
             weights, branch = weights[keep], (np.cumsum(keep) - 1)[branch[rows]]
             occ, amp = occ[rows], amp[rows]
@@ -200,6 +201,19 @@ class ModeMixture:
 ModeState = ModeMixture
 
 
+def _index_array(values, name: str) -> np.ndarray:
+    """``values`` as an ``intp`` array, rejecting entries that are not whole numbers."""
+    values = np.asarray(values)
+    if values.dtype.kind in "iub":
+        return values.astype(np.intp, copy=False)
+    with np.errstate(invalid="ignore"):
+        whole = values.astype(np.intp)
+    wrong = whole != values
+    if wrong.any():
+        raise DimensionMismatchError(f"{name} must hold whole numbers, got {values[wrong][0]}")
+    return whole
+
+
 def _mode_indices(state: ModeMixture, modes: Iterable[int]) -> list[int]:
     """``modes`` as a list, checked to be distinct integer modes of ``state``."""
     modes = list(modes)
@@ -243,15 +257,16 @@ def _merged(weights, branch, occ, amp) -> ModeMixture:
     return ModeMixture(weights, keys[keep, 0], keys[keep, 1:], amp[keep])
 
 
-def _split(weights, branch, key, occ, amp, like=1.0, total=1.0) -> ModeMixture:
-    """Split every branch by ``key`` into normalized pure branches.
+def _split(weights, grouping, occ, amp, like=1.0, total=1.0) -> ModeMixture:
+    """Split every branch by a key into normalized pure branches.
 
-    The rows of branch ``b`` with one key value form a new branch of weight
-    ``weights[b] * like * |rows|^2 / total``, where ``like`` (one value per
-    row) is constant on it.  New branches whose unweighted ``like *
-    |rows|^2`` is at most ``BRANCH_PRUNE_TOL`` are dropped.
+    ``grouping`` is ``_distinct(branch, key)`` of the rows.  The rows of
+    branch ``b`` with one key value form a new branch of weight ``weights[b]
+    * like * |rows|^2 / total``, where ``like`` (one value per row) is
+    constant on it.  New branches whose unweighted ``like * |rows|^2`` is at
+    most ``BRANCH_PRUNE_TOL`` are dropped.
     """
-    groups, index = _distinct(branch, key)
+    groups, index = grouping
     power = amp.real**2 + amp.imag**2
     mass = np.bincount(index, power)
     kept_mass = np.bincount(index, power * like)
@@ -284,8 +299,19 @@ def mix(parts: Iterable[tuple[float, ModeMixture]]) -> ModeMixture:
 
     The parts' branches are concatenated, each weighted by its probability,
     and the weights renormalized, so the probabilities need not sum to one.
+
+    Raises:
+        ValueError: When there are no parts, a probability is negative or not
+            finite, or the probabilities sum to zero.
     """
     mixtures = [(float(p), m) for p, m in parts]
+    if not mixtures:
+        raise ValueError("a mixture needs at least one part")
+    for p, _ in mixtures:
+        if not 0.0 <= p < math.inf:
+            raise ValueError(f"mixture probability {p} must be non-negative and finite")
+    if not any(p > 0.0 for p, _ in mixtures):
+        raise ValueError("mixture probabilities sum to zero")
     offsets = np.cumsum([0] + [m.weights.size for _, m in mixtures])
     weights = np.concatenate([p * m.weights for p, m in mixtures])
     return ModeMixture(
@@ -443,7 +469,8 @@ def loss_channel(state: ModeMixture, mode: int, transmission: float) -> ModeMixt
     kraus = np.sqrt(comb(n[src], lost) * eta**kept * (1.0 - eta) ** lost)
     occ = state.occ[src]
     occ[:, mode] = kept
-    return _split(state.weights, state.branch[src], lost, occ, state.amp[src] * kraus)
+    grouping = _distinct(state.branch[src], lost)
+    return _split(state.weights, grouping, occ, state.amp[src] * kraus)
 
 
 def distance_to_transmission(length_km: float, attenuation_db_per_km: float = 0.2) -> float:
@@ -529,7 +556,9 @@ def threshold_detect(
     The detection is destructive: the measured modes are removed and the
     survivors form a mixture over the possible Fock contents of the absorbed
     modes (coherence within a content class is preserved, which is what
-    makes interference-based heralding work).
+    makes interference-based heralding work).  This is the one-pattern case
+    of ``_detect_patterns``, which :func:`bell_state_measurement` calls with
+    all its heralding patterns at once.
 
     Args:
         state: Input state.
@@ -542,25 +571,48 @@ def threshold_detect(
         pattern has (numerically) zero probability, or when all modes were
         measured.
     """
+    (outcome,) = _detect_patterns(state, modes, detector, [pattern])
+    return outcome
+
+
+def _detect_patterns(
+    state: ModeMixture,
+    modes: Sequence[int],
+    detector: DetectorModel,
+    patterns: Sequence[Sequence[bool]],
+) -> list[tuple[float, ModeMixture | None]]:
+    """``threshold_detect`` for each of ``patterns`` on the same state and modes.
+
+    The measured contents, the detector's outcome matrix and the grouping of
+    rows by branch and content do not depend on the pattern, so they are
+    computed once and every pattern only weighs and splits the rows.
+    """
     modes = _mode_indices(state, modes)
-    pattern = [int(bool(c)) for c in pattern]
-    if len(pattern) != len(modes):
+    patterns = [[int(bool(c)) for c in pattern] for pattern in patterns]
+    if any(len(pattern) != len(modes) for pattern in patterns):
         raise DimensionMismatchError("pattern length must match number of measured modes")
     content = state.occ[:, modes]
-    # Probability of the pattern given each row's Fock content of the measured modes.
-    like = detector.outcome_matrix(state.n_max)[content, pattern].prod(axis=1)
-    # Not ``_row_probabilities() @ like``: rounding each weighted row first
-    # moves herald probabilities in their last bit.
+    outcomes = detector.outcome_matrix(state.n_max)
     power = state.amp.real**2 + state.amp.imag**2
-    total = float(state.weights[state.branch] @ (power * like))
-    if total <= BRANCH_PRUNE_TOL:
-        return 0.0, None
-    if len(modes) == state.n_modes:
-        return total, None
+    row_weights = state.weights[state.branch]
     rest = [k for k in range(state.n_modes) if k not in modes]
-    return total, _split(
-        state.weights, state.branch, content, state.occ[:, rest], state.amp, like, total
-    )
+    if rest:
+        grouping, survivors = _distinct(state.branch, content), state.occ[:, rest]
+    results = []
+    for pattern in patterns:
+        # Probability of the pattern given each row's Fock content of the measured modes.
+        like = outcomes[content, pattern].prod(axis=1)
+        # Not ``_row_probabilities() @ like``: rounding each weighted row first
+        # moves herald probabilities in their last bit.
+        total = float(row_weights @ (power * like))
+        if total <= BRANCH_PRUNE_TOL:
+            results.append((0.0, None))
+        elif not rest:
+            results.append((total, None))
+        else:
+            split = _split(state.weights, grouping, survivors, state.amp, like, total)
+            results.append((total, split))
+    return results
 
 
 @lru_cache(maxsize=128)
@@ -814,6 +866,11 @@ def bell_state_measurement(
     states bunch and never produce orthogonal coincidences, capping the
     linear-optics success probability at 1/2 for unentangled inputs).
 
+    The four patterns are detected in one pass (``_detect_patterns``): the
+    rows are grouped by branch and measured content once, and each
+    outcome equals :func:`threshold_detect` of its pattern on the
+    interfered state.
+
     Args:
         state: Input state; the four measured modes are absorbed.
         modes_1: ``(H, V)`` modes of the first qubit.
@@ -828,14 +885,15 @@ def bell_state_measurement(
     h1, v1, h2, v2 = _mode_indices(state, (*modes_1, *modes_2))
     mixed = beamsplitter(state, h1, h2, 0.5)
     mixed = beamsplitter(mixed, v1, v2, 0.5)
-    measured = (h1, v1, h2, v2)
-    outcomes = []
-    for label, pattern in _BSM_PATTERNS:
-        prob, conditional = threshold_detect(mixed, measured, detector, pattern)
-        outcomes.append(
-            BsmOutcome(label=label, pattern=pattern, probability=float(prob), state=conditional)
+    detected = _detect_patterns(
+        mixed, (h1, v1, h2, v2), detector, [pattern for _, pattern in _BSM_PATTERNS]
+    )
+    return BsmResult(
+        outcomes=tuple(
+            BsmOutcome(label=label, pattern=pattern, probability=prob, state=conditional)
+            for (label, pattern), (prob, conditional) in zip(_BSM_PATTERNS, detected)
         )
-    return BsmResult(outcomes=tuple(outcomes))
+    )
 
 
 # --------------------------------------------------------------------------
@@ -867,6 +925,36 @@ def _qubit_populations(state: ModeMixture, h_mode: int, v_mode: int) -> tuple[fl
     return float(prob[photons == 0].sum()), float(prob[photons == 1].sum())
 
 
+@lru_cache(maxsize=32)
+def _amplifier_ancillas(
+    transmission: float, ancilla_pair_prob: float | None, trigger_detector: DetectorModel
+) -> tuple[float, ModeMixture | None]:
+    """The amplifier's ancillas, split on their beamsplitters, on modes (tH, rH, tV, rV).
+
+    Each ancilla photon meets vacuum on a beamsplitter of transmission
+    ``transmission``; the H and V ancillas come from two independent,
+    identical sources.  They never touch the input before the Bell-state
+    measurement, so they are prepared apart from it, once per setting.
+
+    Returns:
+        ``(trigger_prob, block)``: the probability that both ancilla sources
+        herald (1 for ideal single photons, ``ancilla_pair_prob`` None) and
+        the four-mode ancilla state, or ``(0.0, None)`` when the sources
+        never herald.
+    """
+    trigger_prob = 1.0
+    if ancilla_pair_prob is None:
+        ancilla = fock([1])
+    else:
+        source = heralded_single_photon(ancilla_pair_prob, trigger_detector)
+        if source.conditional_state is None:
+            return 0.0, None
+        trigger_prob = source.success_probability * source.success_probability
+        ancilla = source.conditional_state
+    split = beamsplitter(tensor_modes(ancilla, vacuum(1)), 0, 1, transmission)
+    return trigger_prob, tensor_modes(split, split)
+
+
 def qubit_amplifier(
     state: ModeMixture,
     input_modes: tuple[int, int],
@@ -883,6 +971,10 @@ def qubit_amplifier(
     transmitted ancilla modes while re-weighting vacuum against photon
     amplitudes by ``sqrt(T / (1 - T))``.  Pattern-dependent phase flips are
     corrected by feed-forward, so all four heralds yield the same state.
+    The split ancillas never meet the input before the Bell-state
+    measurement, so they are prepared apart from it (``_amplifier_ancillas``,
+    cached per ``T``, ancilla source and trigger detector) and joined to it
+    by one tensor product.
 
     With ``ancilla_pair_prob`` set, each ancilla photon comes from a
     triggered pair source (see :func:`heralded_single_photon`) instead of an
@@ -911,26 +1003,12 @@ def qubit_amplifier(
     trigger_detector = trigger_detector or detector
     in_h, in_v = _mode_indices(state, input_modes)
     n_modes = state.n_modes
-
-    # Ancilla preparation on four new modes (tH, rH, tV, rV), appended after
-    # the existing ones.
-    trigger_prob = 1.0
-    if ancilla_pair_prob is None:
-        ancilla_h = ancilla_v = fock([1])
-    else:
-        # The H and V ancillas come from two independent, identical sources.
-        source = heralded_single_photon(ancilla_pair_prob, trigger_detector)
-        if source.conditional_state is None:
-            return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
-        trigger_prob = source.success_probability * source.success_probability
-        ancilla_h = ancilla_v = source.conditional_state
-
-    t_h, r_h, t_v, r_v = n_modes, n_modes + 1, n_modes + 2, n_modes + 3
-    work = tensor_modes(state, tensor_modes(ancilla_h, vacuum(1)))
-    work = tensor_modes(work, tensor_modes(ancilla_v, vacuum(1)))
-    work = beamsplitter(work, t_h, r_h, transmission)
-    work = beamsplitter(work, t_v, r_v, transmission)
-
+    trigger_prob, ancillas = _amplifier_ancillas(transmission, ancilla_pair_prob, trigger_detector)
+    if ancillas is None:
+        return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
+    # The ancillas' four modes (tH, rH, tV, rV) come after the existing ones.
+    work = tensor_modes(state, ancillas)
+    r_h, r_v = n_modes + 1, n_modes + 3
     vac_in, single_in = _qubit_populations(state, in_h, in_v)
 
     bsm = bell_state_measurement(work, (in_h, in_v), (r_h, r_v), detector)

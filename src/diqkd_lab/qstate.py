@@ -203,6 +203,10 @@ class CorrelationTable:
             raise StateValidationError(
                 f"probabilities must have shape (n_x, n_y, n_a, n_b), got {arr.shape}"
             )
+        if arr.size == 0:
+            raise StateValidationError(
+                f"probabilities need at least one setting and outcome per axis, got {arr.shape}"
+            )
         # Comparisons written so that NaN fails them.
         if not np.min(arr, initial=0.0) >= -1e-9:
             raise StateValidationError(

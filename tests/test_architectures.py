@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from diqkd_lab import architectures, photonics
 from diqkd_lab.architectures import (
     ALICE_ANGLES,
     ARCHITECTURES,
@@ -393,6 +394,45 @@ def test_run_covers_all_architectures():
         result = run(Scenario(architecture=name))
         assert isinstance(result, RunResult)
         assert 0.0 <= result.herald_probability <= 1.0
+
+
+# ----------------------------------------------------------------------
+# Cached sources and ancillas
+# ----------------------------------------------------------------------
+
+SOURCE_CACHES = (
+    architectures._pair_state,
+    architectures._swap_link,
+    photonics._amplifier_ancillas,
+)
+
+
+def assert_same_result(a: RunResult, b: RunResult):
+    np.testing.assert_array_equal(a.table.probabilities, b.table.probabilities)
+    assert (a.herald_probability, a.chsh, a.qber, a.key_rate) == (
+        b.herald_probability, b.chsh, b.qber, b.key_rate
+    )
+
+
+@pytest.mark.parametrize("name", ARCHITECTURES)
+def test_cached_sources_are_keyed_on_every_input(name):
+    """Interleaved runs that share caches equal runs that start from empty ones."""
+    base = dict(
+        architecture=name, distance_km=20.0, pair_prob=0.01,
+        detector_efficiency=0.95, dark_count_prob=1e-6,
+    )
+    variants = (
+        {}, {"pair_prob": 0.02}, {"pair_prob": 0.0}, {"node_fidelity": 0.97},
+        {"amplifier_transmission": 0.9}, {"detector_efficiency": 0.8},
+        {"dark_count_prob": 1e-4},
+    )
+    scenarios = [Scenario(**{**base, **v}) for v in variants]
+    assert all(cache.cache_info().maxsize is not None for cache in SOURCE_CACHES)
+    shared = [run(s) for s in scenarios + scenarios[::-1]]
+    for scenario, result in zip(scenarios + scenarios[::-1], shared):
+        for cache in SOURCE_CACHES:
+            cache.cache_clear()
+        assert_same_result(result, run(scenario))
 
 
 # ----------------------------------------------------------------------

@@ -233,6 +233,36 @@ def test_mix_concatenates_and_renormalizes():
     assert mixed.probability([0]) == pytest.approx(0.75 * 0.25, abs=1e-12)
 
 
+def test_mix_rejects_bad_probabilities():
+    with pytest.raises(ValueError, match="probability -2.0"):
+        mix([(-2.0, fock([1])), (-1.0, fock([0]))])
+    with pytest.raises(ValueError, match="probability -1.0"):
+        mix([(-1.0, fock([1]))])
+    with pytest.raises(ValueError, match="probability nan"):
+        mix([(np.nan, fock([1])), (1.0, fock([0]))])
+    with pytest.raises(ValueError, match="probability inf"):
+        mix([(np.inf, fock([1]))])
+    with pytest.raises(ValueError, match="at least one part"):
+        mix([])
+    with pytest.raises(ValueError, match="sum to zero"):
+        mix([(0.0, fock([1]))])
+    # A zero-probability part beside a positive one is allowed and dropped.
+    assert mix([(0.0, fock([1])), (2.0, fock([0]))]).probability([0]) == 1.0
+
+
+def test_mixture_rejects_fractional_occupations_and_branches():
+    with pytest.raises(DimensionMismatchError, match="occ must hold whole numbers, got 1.7"):
+        ModeMixture([1.0], [0], [[1.7]], [1.0])
+    with pytest.raises(DimensionMismatchError, match="branch must hold whole numbers, got 0.5"):
+        ModeMixture([1.0], [0.5], [[1]], [1.0])
+    with pytest.raises(DimensionMismatchError, match="occ must hold whole numbers, got nan"):
+        ModeMixture([1.0], [0], [[np.nan]], [1.0])
+    # Whole numbers stored as floats are accepted.
+    state = ModeMixture([1.0], [0.0], [[1.0, 0.0]], [1.0])
+    np.testing.assert_array_equal(state.occ, [[1, 0]])
+    assert state.occ.dtype == np.intp and state.branch.dtype == np.intp
+
+
 def test_polarization_rotation_is_bloch_angle():
     """A rotation by theta sends P(H) to cos^2(theta / 2)."""
     for theta in (0.0, 0.4, np.pi / 2, np.pi):
@@ -500,6 +530,87 @@ def test_entanglement_swapping_success_probability():
         assert outcome.state.n_modes == 4
     labels = sorted(outcome.label for outcome in result.outcomes)
     assert labels == ["psi+", "psi+", "psi-", "psi-"]
+
+
+def assert_same_mixture(a: ModeMixture, b: ModeMixture):
+    for field in ("weights", "branch", "occ", "amp"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
+
+
+@pytest.mark.parametrize(
+    "link, detector",
+    [
+        (tensor_modes(polarization_singlet(), polarization_singlet()), DetectorModel()),
+        (
+            tensor_modes(
+                spdc_source(0.1, n_pair_max=2),
+                permute_modes(spdc_source(0.1, n_pair_max=2), (2, 3, 0, 1)),
+            ),
+            DetectorModel(0.9, 1e-3),
+        ),
+    ],
+    ids=["two-singlets", "two-pair-spdc-dark-counts"],
+)
+def test_bell_state_measurement_is_threshold_detect_per_pattern(link, detector):
+    """Detecting all four patterns at once gives exactly the one-pattern results."""
+    mixed = beamsplitter(beamsplitter(link, 2, 4, 0.5), 3, 5, 0.5)
+    result = bell_state_measurement(link, (2, 3), (4, 5), detector)
+    assert len(result.outcomes) == 4
+    for outcome in result.outcomes:
+        prob, state = threshold_detect(mixed, (2, 3, 4, 5), detector, outcome.pattern)
+        assert outcome.probability == prob
+        assert_same_mixture(outcome.state, state)
+
+
+def joint_amplifier(state, input_modes, t, detector, ancilla_pair_prob):
+    """``qubit_amplifier`` with its ancillas tensored onto the input one by one
+    and split there, as ``(success_probability, conditional_state)``."""
+    n = state.n_modes
+    trigger = 1.0
+    ancilla = fock([1])
+    if ancilla_pair_prob is not None:
+        source = heralded_single_photon(ancilla_pair_prob, detector)
+        trigger, ancilla = source.success_probability**2, source.conditional_state
+    work = tensor_modes(state, tensor_modes(ancilla, vacuum(1)))
+    work = tensor_modes(work, tensor_modes(ancilla, vacuum(1)))
+    work = beamsplitter(beamsplitter(work, n, n + 1, t), n + 2, n + 3, t)
+    bsm = bell_state_measurement(work, input_modes, (n + 1, n + 3), detector)
+    heralds = []
+    for o in bsm.outcomes:
+        if o.state is not None:
+            corrected = phase_shift(o.state, n - 2, np.pi) if o.pattern[0] else o.state
+            corrected = phase_shift(corrected, n - 1, np.pi) if o.pattern[1] else corrected
+            heralds.append((o.probability, corrected))
+    order = list(range(n - 2))
+    for position, mode in sorted(zip(input_modes, (n - 2, n - 1))):
+        order.insert(position, mode)
+    return trigger * bsm.success_probability, permute_modes(mix(heralds), order)
+
+
+AMPLIFIER_INPUTS = {
+    "singlet-with-loss": (loss_channel(loss_channel(polarization_singlet(), 2, 0.3), 3, 0.3), (2, 3)),
+    "vacuum": (vacuum(2), (0, 1)),
+    "superposition": (equal_superposition_qubit(), (0, 1)),
+}
+
+
+@pytest.mark.parametrize("ancilla_pair_prob", [None, 0.05], ids=["ideal", "pair-source"])
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("name", sorted(AMPLIFIER_INPUTS))
+def test_amplifier_matches_joint_pipeline(name, t, ancilla_pair_prob):
+    """Ancillas prepared apart from the input give the joint pipeline's herald."""
+    state, input_modes = AMPLIFIER_INPUTS[name]
+    detector = DetectorModel(0.9, 1e-3)
+    record = qubit_amplifier(state, input_modes, t, detector, ancilla_pair_prob)
+    success, conditional = joint_amplifier(state, input_modes, t, detector, ancilla_pair_prob)
+    assert record.success_probability == pytest.approx(success, rel=1e-12)
+    modes = range(state.n_modes)
+    np.testing.assert_allclose(
+        mode_density(record.conditional_state, modes),
+        mode_density(conditional, modes),
+        rtol=0.0,
+        atol=1e-14,
+    )
 
 
 @pytest.mark.parametrize("n_pair_max", [1, 2])

@@ -1,5 +1,7 @@
 """Tests for the density-operator layer."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -129,3 +131,9 @@ def test_correlation_table_rejects_unnormalized():
 def test_correlation_table_rejects_nan():
     with pytest.raises(StateValidationError, match="NaN probability nan"):
         CorrelationTable(probabilities=np.full((1, 1, 2, 2), np.nan))
+
+
+def test_correlation_table_rejects_empty_axes():
+    for shape in ((0, 1, 2, 2), (1, 0, 2, 2), (1, 1, 0, 2), (1, 1, 2, 0)):
+        with pytest.raises(StateValidationError, match=re.escape(str(shape))):
+            CorrelationTable(probabilities=np.zeros(shape))

@@ -65,12 +65,17 @@ def test_traced_runs_reach_every_photonics_op():
         for name in ARCHITECTURES:
             architectures.run(Scenario(architecture=name, pair_prob=0.01, distance_km=5.0))
         # The runners measure by the Born rule and neither rotate nor call
-        # detection_probabilities; these two calls reach both ops.
+        # detection_probabilities, and a Bell-state measurement detects all
+        # its patterns at once without threshold_detect; these three calls
+        # reach those ops.
         architectures.charlie_independence_residual(
             Scenario(architecture="third_party", distance_km=5.0)
         )
         photonics.detection_probabilities(
             photonics.fock([1, 0]), (0, 1), photonics.DetectorModel()
+        )
+        photonics.threshold_detect(
+            photonics.fock([1, 0]), (0,), photonics.DetectorModel(), (True,)
         )
     finally:
         tracer.uninstall()
