@@ -37,7 +37,6 @@ from enum import IntEnum
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
 
 from diqkd_lab.architectures import (
     CHSH_TERMS,
@@ -299,8 +298,10 @@ def parse_transcript(data: bytes) -> tuple[tuple[int, MessageKind, bytes], ...]:
 
 
 def _seed_sequence(seed: int | bytes) -> np.random.SeedSequence:
-    """Seed from an integer, or from bytes read as little-endian u32 words."""
+    """Seed from an integer, or from 32 bytes read as little-endian u32 words."""
     if isinstance(seed, bytes):
+        if len(seed) != 32:
+            raise ValueError(f"byte seeds must be 32 bytes, got {len(seed)}")
         return np.random.SeedSequence(np.frombuffer(seed, dtype="<u4").tolist())
     return np.random.SeedSequence(seed)
 
@@ -496,11 +497,12 @@ def reconcile(
     if alice_bits.shape != bob.shape or alice_bits.ndim != 1:
         raise ValueError("bit strings must be 1-D and of equal length")
     n = alice_bits.size
+    rng = np.random.default_rng(_seed_sequence(permutation_seed))
     transcript = _Transcript()
     leakage = 0
     corrections = 0
     if n > 0:
-        permutation = np.random.default_rng(_seed_sequence(permutation_seed)).permutation(n)
+        permutation = rng.permutation(n)
         k1 = _block_length(q_hat, n)
         passes = (
             (np.arange(n), k1),
@@ -592,12 +594,32 @@ def privacy_amplify(
         raise ValueError(f"rate must lie in [0, 1], got {rate}")
     n = bits.size
     m = max(0, math.floor(n * rate) - leakage_bits - _SECURITY_MARGIN)
-    if isinstance(seed, bytes) and len(seed) != 32:
-        raise ValueError(f"byte seeds must be 32 bytes, got {len(seed)}")
+    # Seeded before the empty-output return, so a bad seed is always rejected.
+    rng = np.random.default_rng(_seed_sequence(seed))
     if m == 0:
         return np.zeros(0, dtype=np.uint8)
-    t = np.random.default_rng(_seed_sequence(seed)).integers(0, 2, size=n + m - 1, dtype=np.uint8)
+    t = rng.integers(0, 2, size=n + m - 1, dtype=np.uint8)
     return _toeplitz_hash(t, bits)
+
+
+def _fast_len(target: int) -> int:
+    """Smallest 2·3·5-smooth integer ``>= target``, for ``target >= 1``.
+
+    The FFT length ``scipy.fft.next_fast_len(target, real=True)`` picks:
+    for each ``3^i 5^j`` below the best length so far, the least power-of-two
+    multiple that reaches ``target``.
+    """
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            length = p35 << ((target - 1) // p35).bit_length()
+            if length < best:
+                best = length
+            p35 *= 3
+        p5 *= 5
+    return best
 
 
 def _toeplitz_hash(t: np.ndarray, bits: np.ndarray) -> np.ndarray:
@@ -607,8 +629,9 @@ def _toeplitz_hash(t: np.ndarray, bits: np.ndarray) -> np.ndarray:
     # Row i of T is t[i], t[i+1], ..., t[i+n-1] read against reversed bits:
     # (T @ bits)[i] = sum_j t[i - j + n - 1] bits[j] = conv(t, bits)[n - 1 + i].
     # numpy.fft rather than scipy.fft: scipy caches a plan per length, and
-    # every session hashes a different length.
-    size = next_fast_len(n + m - 1, real=True)
+    # every session hashes a different length.  _fast_len picks the same
+    # 2·3·5-smooth length as scipy.fft.next_fast_len, without importing scipy.
+    size = _fast_len(n + m - 1)
     product = np.fft.irfft(np.fft.rfft(t, size) * np.fft.rfft(bits, size), size)[n - 1 : n - 1 + m]
     counts = np.rint(product)
     slack = float(np.max(np.abs(product - counts)))

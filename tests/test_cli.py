@@ -473,16 +473,61 @@ def test_format_number_switches_notation():
     assert format_number(-2e-5) == "-2.000000e-05"
 
 
-def test_module_entry_point(tmp_path):
-    path = write_scenario(tmp_path, "s.json", {"theta": 0.0})
-    # The child process imports the same package as this one.
+def run_python(*args):
+    """Run ``python *args`` in a child process that imports the same package as this one."""
     src = str(Path(cli.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    proc = subprocess.run(
-        [sys.executable, "-m", "diqkd_lab.cli", "threshold", "--scenario", path],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
+
+
+def test_module_entry_point(tmp_path):
+    path = write_scenario(tmp_path, "s.json", {"theta": 0.0})
+    proc = run_python("-m", "diqkd_lab.cli", "threshold", "--scenario", path)
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "no violation"
+
+
+# Python source for the sorted names of the loaded scipy modules.
+LOADED_SCIPY = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')"
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy.optimize alone was ~0.7 s of a ~1 s import, and only the
+    # optimized threshold search uses it.
+    proc = run_python("-c", f"import sys, diqkd_lab.cli; print({LOADED_SCIPY})")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_only_the_optimized_threshold_imports_scipy(tmp_path):
+    axis = {"parameter": "distance_km", "min": 0, "max": 10, "steps": 2}
+    runs = (
+        ("sweep", write_scenario(tmp_path, "sweep.json", {"sweep": axis})),
+        ("attack", write_scenario(tmp_path, "attack.json", {"etas": [0.9, 0.7]})),
+        ("session", write_scenario(tmp_path, "session.json", {"rounds": 20_000})),
+        ("threshold", write_scenario(tmp_path, "threshold.json", {"theta": 0.5})),
+        ("threshold", write_scenario(tmp_path, "optimize.json", {"optimize": True})),
+    )
+    script = (
+        "import contextlib, io, sys\n"
+        "from diqkd_lab.cli import main\n"
+        "for verb, path in zip(sys.argv[1::2], sys.argv[2::2]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main([verb, '--scenario', path]) == 0\n"
+        f"    loaded = {LOADED_SCIPY}\n"
+        "    print(verb, bool(loaded), 'scipy.optimize' in loaded)\n"
+    )
+    proc = run_python("-c", script, *(arg for run in runs for arg in run))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "sweep False False",
+        "attack False False",
+        "session False False",
+        "threshold False False",
+        "threshold True True",
+    ]

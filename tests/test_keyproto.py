@@ -217,6 +217,14 @@ def test_reconcile_flags_residual_errors():
     assert not res.verified
 
 
+def test_reconcile_rejects_malformed_byte_seeds():
+    bits = np.zeros(64, dtype=np.uint8)
+    for n in (64, 0):
+        for seed in (b"", b"abc"):
+            with pytest.raises(ValueError, match="byte seeds must be 32 bytes"):
+                reconcile(bits[:n], bits[:n], 0.05, permutation_seed=seed)
+
+
 def test_reconcile_messages_alternate_parity_queries():
     rng = np.random.default_rng(8)
     alice = rng.integers(0, 2, size=200, dtype=np.uint8)
@@ -291,6 +299,18 @@ def test_privacy_amplify_output_length():
     for rate in (1.5, float("nan")):
         with pytest.raises(ValueError, match="rate must lie in"):
             privacy_amplify(bits[:100], 0, rate, seed=0)
+
+
+def test_fast_len_matches_scipy_next_fast_len():
+    from scipy.fft import next_fast_len
+
+    targets = list(range(1, 200_001))
+    for base, top in ((2, 27), (3, 17), (5, 12)):
+        targets += [base**e + d for e in range(1, top) for d in (-1, 0, 1)]
+    targets += np.random.default_rng(16).integers(1, 10**8, size=2000).tolist()
+    assert [keyproto._fast_len(t) for t in targets] == [
+        next_fast_len(t, real=True) for t in targets
+    ]
 
 
 def test_privacy_amplify_seed_sensitivity():

@@ -2,6 +2,7 @@
 
 import inspect
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from diqkd_lab.photonics import (
     DetectorModel,
     ModeMixture,
     _click_povms,
+    _binomials,
     _distinct,
     _sector_blocks,
     amplifier_success_probability,
@@ -276,6 +278,22 @@ def test_loss_channel_single_photon():
     assert mix.probability([0]) == pytest.approx(0.4, abs=1e-12)
 
 
+def test_binomial_table_is_exact():
+    top = 40
+    table = _binomials(top)
+    assert not table.flags.writeable
+    exact = [[float(math.comb(n, k)) for k in range(top + 1)] for n in range(top + 1)]
+    assert table.tolist() == exact
+    # scipy.special.comb returns the same floats while n <= 30, so loss
+    # weights did not move when it was replaced; it is one ulp low at
+    # C(31, 14), and no source here puts 31 photons in one mode.
+    from scipy.special import comb
+
+    n, k = np.indices((31, 31))
+    np.testing.assert_array_equal(table[:31, :31], comb(n, k))
+    assert comb(31, 14) != table[31, 14]
+
+
 def test_distance_to_transmission():
     assert distance_to_transmission(0.0) == pytest.approx(1.0)
     assert distance_to_transmission(15.0) == pytest.approx(10 ** (-0.3), abs=1e-15)
@@ -378,10 +396,18 @@ def test_mode_indices_must_be_distinct_integer_modes():
         lambda: loss_channel(state, 1.0, 0.5),
         lambda: polarization_rotation(state, 0, 1.5, 0.3),
         lambda: permute_modes(state, (2, 0.9, 1)),
+        lambda: phase_shift(state, "0", np.pi),
+        lambda: permute_modes(state, ("2", 0, 1)),
+        # Duplicates and out-of-range modes as numpy integers.
+        lambda: permute_modes(state, np.array([2, 0, 0])),
+        lambda: phase_shift(state, np.int64(3), np.pi),
     )
     for call in bad_calls:
         with pytest.raises(DimensionMismatchError):
             call()
+    # numpy integers pass the numbers.Integral check behind the int fast path.
+    assert_same_mixture(permute_modes(state, np.array([2, 0, 1])), permute_modes(state, (2, 0, 1)))
+    assert_same_mixture(loss_channel(state, np.int64(2), 0.5), loss_channel(state, 2, 0.5))
     pair = polarization_singlet()
     with pytest.raises(DimensionMismatchError):
         polarization_correlation_table(pair, (0, 1), (1, 2), [0.0], [0.0])
