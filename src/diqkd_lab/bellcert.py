@@ -22,8 +22,9 @@ correlators have the closed form::
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -313,18 +314,112 @@ def _threshold_objective(params: np.ndarray) -> float:
     return min(max(eta, 0.0), 1.0)
 
 
-def minimize(*args, **kwargs):
-    """``scipy.optimize.minimize``, imported on the first call.
+class _Minimum(NamedTuple):
+    """Where a :func:`minimize` search ended, and what it cost."""
 
-    scipy.optimize takes most of this package's import time and only the
-    optimized ``critical_efficiency`` search needs it.  The shim is a
-    module-level name, not an import inside that search, because the bench
-    tracer wraps ``bellcert.minimize`` by name and reads the ``nfev`` of
-    the ``OptimizeResult`` it returns.
+    x: np.ndarray
+    fun: float
+    nfev: int
+    nit: int
+
+
+class _EvaluationCapReached(Exception):
+    """Raised in place of an objective evaluation past ``maxfev``."""
+
+
+def minimize(
+    objective: Callable[[np.ndarray], float],
+    x0: Sequence[float],
+    *,
+    xatol: float,
+    fatol: float,
+    maxiter: int,
+    maxfev: int,
+) -> _Minimum:
+    """Nelder-Mead minimum of ``objective`` from ``x0``.
+
+    Step for step SciPy 1.17's ``minimize(method="Nelder-Mead")`` with no
+    bounds, ``adaptive=False`` and its default initial simplex, so ``x``,
+    ``fun``, ``nfev`` and ``nit`` equal SciPy's bit for bit
+    (``test_minimize_is_scipy_nelder_mead_bit_for_bit``).  That takes
+    SciPy's exact arithmetic: the centroid is a sequential row sum from
+    0.0 divided by N, and the vertices are ordered by ``np.argsort``,
+    which is not stable on every host, so tied objective values (the
+    threshold objective clips to [0, 1]) order as they do in SciPy.  An
+    evaluation past ``maxfev`` is not made: its iteration is abandoned
+    and the vertices re-sorted.  ``maxiter`` counts iterations from 1.
+    A module-level name because the bench tracer wraps
+    ``bellcert.minimize`` and reads ``nfev`` from its result.
     """
-    from scipy.optimize import minimize as scipy_minimize
+    n = len(x0)
+    start = [float(v) for v in x0]
+    sim = [start]
+    for k in range(n):
+        vertex = list(start)
+        vertex[k] = (1 + 0.05) * vertex[k] if vertex[k] != 0 else 0.00025
+        sim.append(vertex)
+    fsim = [math.inf] * (n + 1)
+    nfev = 0
 
-    return scipy_minimize(*args, **kwargs)
+    def evaluate(vertex: list[float]) -> float:
+        nonlocal nfev
+        if nfev >= maxfev:
+            raise _EvaluationCapReached
+        nfev += 1
+        return float(objective(np.array(vertex)))
+
+    def sort() -> None:
+        order = np.argsort(fsim).tolist()
+        sim[:] = [sim[i] for i in order]
+        fsim[:] = [fsim[i] for i in order]
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _EvaluationCapReached:
+        pass
+    sort()
+    sort()  # as SciPy does: argsort need not leave sorted ties in place
+    nit = 1
+    while nfev < maxfev and nit < maxiter:
+        best, worst = sim[0], sim[-1]
+        if all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best)) and all(
+            abs(fsim[0] - f) <= fatol for f in fsim[1:]
+        ):
+            break
+        total = [0.0] * n
+        for v in sim[:-1]:
+            total = [t + c for t, c in zip(total, v)]
+        xbar = [t / n for t in total]
+        try:
+            xr = [2 * c - w for c, w in zip(xbar, worst)]
+            fxr = evaluate(xr)
+            if fxr < fsim[0]:
+                xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
+                fxe = evaluate(xe)
+                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction
+                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = evaluate(xc)
+                    shrink = not fxc <= fxr
+                else:  # inside contraction
+                    xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                    fxc = evaluate(xc)
+                    shrink = not fxc < fsim[-1]
+                if not shrink:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = [b + 0.5 * (c - b) for b, c in zip(best, sim[j])]
+                        fsim[j] = evaluate(sim[j])
+            nit += 1
+        except _EvaluationCapReached:
+            pass
+        sort()
+    return _Minimum(x=np.array(sim[0]), fun=fsim[0], nfev=nfev, nit=nit)
 
 
 def critical_efficiency(
@@ -338,13 +433,15 @@ def critical_efficiency(
     gives the closed-form threshold of that configuration, its correlators
     taken from the exact Born-rule pipeline; the maximally entangled state
     at its optimal angles yields the textbook symmetric threshold
-    ``2 (sqrt(2) - 1) ~ 0.8284``.  With no arguments one Nelder-Mead search
-    from ``_THRESHOLD_START`` optimizes the partially entangled family
-    ``cos(theta)|00> + sin(theta)|11>`` and all four angles using
-    closed-form correlators; pushing ``theta -> 0`` drives the symmetric
-    threshold towards its known infimum of 2/3.  This form has no inputs,
-    so one start suffices: its result is the best of the 24-start family
-    that ``test_optimized_threshold_is_best_of_the_start_family`` reruns.
+    ``2 (sqrt(2) - 1) ~ 0.8284``.  With no arguments one search by the
+    in-house Nelder-Mead :func:`minimize` from ``_THRESHOLD_START``
+    optimizes the partially entangled family ``cos(theta)|00> +
+    sin(theta)|11>`` and all four angles using closed-form correlators;
+    pushing ``theta -> 0`` drives the symmetric threshold towards its known
+    infimum of 2/3.  This form has no inputs, so one start suffices: its
+    result is the best of the 24-start family that
+    ``test_optimized_threshold_is_best_of_the_start_family`` reruns with
+    SciPy's Nelder-Mead.
 
     Args:
         state: Fixed two-qubit state, or None to optimize over the family.
@@ -373,13 +470,15 @@ def critical_efficiency(
         theta = None
         corr, ma, mb = _state_correlations(state, aa, bb)
     else:
-        # The search needs ~2.1k evaluations: SciPy's default cap of 1000
-        # would stop it early, at a different point.
+        # The search ends on its tolerances after 2082 evaluations and 1193
+        # iterations, well inside both caps.
         best = minimize(
             _threshold_objective,
-            np.array(_THRESHOLD_START),
-            method="Nelder-Mead",
-            options={"xatol": 1e-5, "fatol": 1e-12, "maxiter": 8000, "maxfev": 12000},
+            _THRESHOLD_START,
+            xatol=1e-5,
+            fatol=1e-12,
+            maxiter=8000,
+            maxfev=12000,
         )
         theta = float(best.x[0])
         aa, bb = best.x[1:3], best.x[3:5]

@@ -230,6 +230,8 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
         if not isinstance(data["etas"], list):
             raise CliError(f"etas must be a list of numbers, got {data['etas']!r}")
         etas = tuple(_number(float, v, "etas") for v in data["etas"])
+        if not etas:
+            raise CliError("etas must not be empty")
         for eta in etas:
             if not 0.0 < eta <= 1.0:
                 raise CliError(f"etas entries must lie in (0, 1], got {eta}")

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from diqkd_lab import bellcert
 from diqkd_lab.bellcert import (
     _CLICK_A,
     _CLICK_B,
     _COIN,
     _MIN_COINCIDENCE,
+    _THRESHOLD_START,
     _candidate_ensemble,
     _eta_threshold,
     _family_correlations,
@@ -176,6 +178,80 @@ def test_optimized_threshold_is_best_of_the_start_family():
     assert res.violation_at_unit_efficiency == (e_tot > 2.0)
     assert res.eta_critical == pytest.approx(0.6666675784498227, abs=1e-12)
     assert res.theta == pytest.approx(7.3564410039596995e-06, abs=1e-12)
+
+
+# The optimized threshold search's options.
+_LIBRARY_OPTIONS = {"xatol": 1e-5, "fatol": 1e-12, "maxiter": 8000, "maxfev": 12000}
+
+
+def _search_matches_scipy(objective, x0, **options):
+    """``bellcert.minimize``'s result, after checking it is SciPy's bit for bit."""
+    ours = bellcert.minimize(objective, x0, **options)
+    ref = minimize(objective, np.array(x0, dtype=float), method="Nelder-Mead", options=options)
+    assert (ours.x.tobytes(), ours.fun, ours.nfev, ours.nit) == (
+        ref.x.tobytes(),
+        ref.fun,
+        ref.nfev,
+        ref.nit,
+    )
+    return ours
+
+
+def test_minimize_is_scipy_nelder_mead_bit_for_bit():
+    res = _search_matches_scipy(_threshold_objective, _THRESHOLD_START, **_LIBRARY_OPTIONS)
+    assert (res.nfev, res.nit) == (2082, 1193)
+
+
+def test_minimize_matches_scipy_from_random_starts():
+    # Every fourth start has zero coordinates, which the initial simplex
+    # steps by 0.00025 instead of scaling by 1.05.
+    rng = np.random.default_rng(17)
+    for i in range(40):
+        x0 = rng.uniform(-np.pi, np.pi, size=5)
+        if i % 4 == 0:
+            x0[rng.choice(5, size=1 + i % 3, replace=False)] = 0.0
+        _search_matches_scipy(_threshold_objective, x0, **_LIBRARY_OPTIONS)
+        _search_matches_scipy(
+            _threshold_objective, x0, xatol=1e-3, fatol=1e-6, maxiter=400, maxfev=600
+        )
+
+
+def _staircase(x):
+    """A quadratic rounded down to quarters: flat steps, so vertex values tie."""
+    return float(np.floor(4.0 * np.sum((x - 0.3) ** 2))) / 4.0
+
+
+def test_minimize_orders_tied_values_as_scipy_does():
+    # Tied vertices are ordered by np.argsort, which need not be stable; a
+    # stable order (Python's sorted) sums the centroid in another order and
+    # leaves SciPy's path on 12 of these 20 starts on an AVX-512 host.
+    seen = []
+
+    def objective(x):
+        seen.append(_staircase(x))
+        return seen[-1]
+
+    rng = np.random.default_rng(7)
+    for x0 in rng.uniform(-2.0, 2.0, size=(20, 4)):
+        seen.clear()
+        _search_matches_scipy(objective, x0, xatol=1e-8, fatol=1e-8, maxiter=300, maxfev=600)
+        assert len(set(seen)) < len(seen) / 2
+
+
+@pytest.mark.parametrize(
+    "maxiter, maxfev",
+    [(8000, 7), (8000, 50), (8000, 200), (3, 12000), (100, 12000)],
+)
+def test_minimize_stops_at_its_caps_as_scipy_does(maxiter, maxfev):
+    # Negative tolerances never converge, so every search ends at a cap.
+    rng = np.random.default_rng(maxiter + maxfev)
+    starts = (_THRESHOLD_START, *rng.uniform(-np.pi, np.pi, size=(5, 5)))
+    for objective in (_threshold_objective, _staircase):
+        for x0 in starts:
+            res = _search_matches_scipy(
+                objective, x0, xatol=-1.0, fatol=-1.0, maxiter=maxiter, maxfev=maxfev
+            )
+            assert res.nfev == maxfev or res.nit == maxiter
 
 
 def test_critical_efficiency_reports_no_violation():

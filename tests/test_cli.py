@@ -341,6 +341,15 @@ def test_unrelated_runtime_errors_propagate(tmp_path, monkeypatch):
         main(["sweep", "--scenario", path])
 
 
+def test_attack_rejects_an_empty_etas_list(tmp_path, capsys):
+    # An empty list printed a header-only CSV and exited 0.
+    path = write_scenario(tmp_path, "s.json", {"etas": []})
+    assert main(["attack", "--scenario", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: etas must not be empty" in captured.err
+
+
 def test_sweep_command_requires_axis(tmp_path, capsys):
     path = write_scenario(tmp_path, "s.json", {})
     assert main(["sweep", "--scenario", path]) == 2
@@ -497,14 +506,14 @@ LOADED_SCIPY = "sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy.optimize alone was ~0.7 s of a ~1 s import, and only the
-    # optimized threshold search uses it.
+    # scipy.optimize alone was ~0.7 s of a ~1 s import; the package needs
+    # none of scipy, which only the tests use.
     proc = run_python("-c", f"import sys, diqkd_lab.cli; print({LOADED_SCIPY})")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
 
 
-def test_only_the_optimized_threshold_imports_scipy(tmp_path):
+def test_no_verb_loads_scipy(tmp_path):
     axis = {"parameter": "distance_km", "min": 0, "max": 10, "steps": 2}
     runs = (
         ("sweep", write_scenario(tmp_path, "sweep.json", {"sweep": axis})),
@@ -529,5 +538,5 @@ def test_only_the_optimized_threshold_imports_scipy(tmp_path):
         "attack False False",
         "session False False",
         "threshold False False",
-        "threshold True True",
+        "threshold False False",
     ]
