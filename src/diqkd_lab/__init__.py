@@ -9,7 +9,7 @@ and ``photonics`` load ``qstate``, ``architectures`` loads those three,
 them all.
 
 * :mod:`diqkd_lab.qstate` — density operators, POVMs, Born rule.
-* :mod:`diqkd_lab.bellcert` — Bell functionals, local bounds, detection
+* :mod:`diqkd_lab.bellcert` — CHSH, its local bound, detection
   loopholes, critical efficiencies.
 * :mod:`diqkd_lab.photonics` — Fock-space optics: sources, beamsplitters,
   loss, threshold detectors, Bell-state measurement, qubit amplifier.

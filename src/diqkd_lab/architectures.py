@@ -32,16 +32,15 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
 
 import numpy as np
 
 from diqkd_lab.bellcert import (
     SINGLET_ALICE_ANGLES,
     SINGLET_BOB_ANGLES,
-    bell_value,
+    CHSH_SIGNS,
     bin_no_click,
-    chsh_functional,
+    chsh,
 )
 from diqkd_lab.photonics import (
     DOUBLE_CLICK,
@@ -94,7 +93,7 @@ CHSH_BOB_SETTINGS = (1, 2)
 #: ``((x, y), sign)`` for each correlator of the CHSH test, in summation order.
 CHSH_TERMS = tuple(
     ((x, y), float(w))
-    for x, row in enumerate(chsh_functional().correlator_weights)
+    for x, row in enumerate(CHSH_SIGNS)
     for y, w in zip(CHSH_BOB_SETTINGS, row)
 )
 
@@ -175,6 +174,7 @@ class Scenario:
             "detector_efficiency": self.detector_efficiency,
             "dark_count_prob": self.dark_count_prob,
             "source_position": self.source_position,
+            "node_fidelity": self.node_fidelity,
         }
         for name, value in unit.items():
             if not 0.0 <= value <= 1.0:
@@ -185,23 +185,6 @@ class Scenario:
             raise ValueError(
                 f"amplifier_transmission must lie in (0, 1), got {self.amplifier_transmission}"
             )
-        if not 0.0 <= self.node_fidelity <= 1.0:
-            raise ValueError(
-                f"node_fidelity must lie in [0, 1], got {self.node_fidelity}"
-            )
-
-    def to_dict(self) -> dict:
-        """Plain-dict form (JSON friendly)."""
-        return dataclasses.asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Scenario":
-        """Build a scenario from a mapping, rejecting unknown keys by name."""
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown scenario fields: {', '.join(unknown)}")
-        return cls(**dict(data))
 
 
 def matter_node_scenario(**overrides) -> Scenario:
@@ -284,7 +267,7 @@ def _chsh_from_table(table: CorrelationTable) -> float:
     """Fair-binned CHSH of the (2 x 3)-setting table on Bob's test settings."""
     p = table.probabilities
     sub = CorrelationTable(probabilities=p[:, list(CHSH_BOB_SETTINGS)])
-    return bell_value(bin_no_click(sub), chsh_functional())
+    return chsh(bin_no_click(sub))
 
 
 def _sifted_qber(table: CorrelationTable) -> tuple[float, float]:

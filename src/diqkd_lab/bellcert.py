@@ -1,8 +1,7 @@
 """Bell-inequality certification with finite detection efficiency.
 
-Tools to score correlation tables against linear correlator functionals
-(weights on ``<A_x B_y>`` only, CHSH among them), compute
-local-hidden-variable bounds by strategy enumeration, fold no-click events
+Tools to score correlation tables with CHSH, compute its
+local-hidden-variable bound by strategy enumeration, fold no-click events
 into regular outcomes (the fair-binning rule that closes the detection
 loophole), locate the critical detection efficiency for losses equal on
 both sides, and quantify how hard a classical adversary can fake a
@@ -33,17 +32,14 @@ from diqkd_lab.qstate import (
     DensityOperator,
     DimensionMismatchError,
     born_table,
-    inefficient_qubit_povm,
     projective_qubit_povm,
 )
 
 __all__ = [
-    "BellFunctional",
-    "chsh_functional",
-    "bell_value",
+    "CHSH_SIGNS",
+    "chsh",
     "local_bound",
     "bin_no_click",
-    "binned_chsh",
     "partially_entangled_state",
     "EfficiencyThresholdResult",
     "critical_efficiency",
@@ -66,48 +62,16 @@ SINGLET_BOB_ANGLES = (5 * np.pi / 4, 3 * np.pi / 4)
 _THRESHOLD_START = (0.1, *SINGLET_ALICE_ANGLES, *SINGLET_BOB_ANGLES)
 
 
-@dataclass(frozen=True)
-class BellFunctional:
-    """A linear functional on correlators, ``sum_xy w[x,y] <A_x B_y>``.
-
-    Attributes:
-        correlator_weights: ``w``, shape ``(n_x, n_y)``.
-    """
-
-    correlator_weights: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.correlator_weights, dtype=float, copy=True)
-        if w.ndim != 2:
-            raise DimensionMismatchError(
-                f"correlator weights must be 2-D (n_x, n_y), got shape {w.shape}"
-            )
-        w.setflags(write=False)
-        object.__setattr__(self, "correlator_weights", w)
-
-    @property
-    def n_alice_settings(self) -> int:
-        return self.correlator_weights.shape[0]
-
-    @property
-    def n_bob_settings(self) -> int:
-        return self.correlator_weights.shape[1]
-
-
-# Signs of the CHSH correlators <A0B0>, <A0B1>, <A1B0>, <A1B1>.
-_CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
-
-
-def chsh_functional() -> BellFunctional:
-    """The CHSH functional ``<A0B0> + <A0B1> + <A1B0> - <A1B1>``."""
-    return BellFunctional(correlator_weights=_CHSH_SIGNS)
+#: Signs of the CHSH correlators ``[[<A0B0>, <A0B1>], [<A1B0>, <A1B1>]]``.
+CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
+CHSH_SIGNS.setflags(write=False)
 
 
 def _correlators(p: np.ndarray) -> np.ndarray:
     """``<A_x B_y>`` for every setting pair of a binary-outcome table's probabilities."""
     if p.shape[2] != 2 or p.shape[3] != 2:
         raise DimensionMismatchError(
-            "Bell functionals act on binary-outcome tables; call bin_no_click first"
+            "CHSH acts on binary-outcome tables; call bin_no_click first"
         )
     return p[:, :, 0, 0] + p[:, :, 1, 1] - p[:, :, 0, 1] - p[:, :, 1, 0]
 
@@ -124,32 +88,23 @@ def _correlators_and_marginals(
     return corr, marg_a, marg_b
 
 
-def bell_value(table: CorrelationTable, functional: BellFunctional) -> float:
-    """Evaluate a Bell functional on a binary-outcome correlation table."""
+def chsh(table: CorrelationTable) -> float:
+    """CHSH value ``<A0B0> + <A0B1> + <A1B0> - <A1B1>`` of a binary-outcome table."""
     corr = _correlators(table.probabilities)
-    w = functional.correlator_weights
-    if corr.shape != w.shape:
-        raise DimensionMismatchError(
-            f"table has {corr.shape} settings, functional expects {w.shape}"
-        )
-    return float(np.sum(w * corr))
+    if corr.shape != CHSH_SIGNS.shape:
+        raise DimensionMismatchError(f"CHSH needs 2 x 2 settings, table has {corr.shape}")
+    return float(np.sum(CHSH_SIGNS * corr))
 
 
-def _sign_patterns(n: int) -> np.ndarray:
-    """All 2^n vectors in {-1, +1}^n, one per row."""
-    grid = ((np.arange(2**n)[:, None] >> np.arange(n)[None, :]) & 1).astype(float)
-    return 1.0 - 2.0 * grid
+def local_bound() -> float:
+    """Maximum of CHSH over deterministic local strategies.
 
-
-def local_bound(functional: BellFunctional) -> float:
-    """Maximum of the functional over deterministic local strategies.
-
-    Enumerates all ``2^(n_x + n_y)`` deterministic +-1 assignments; for CHSH
-    that is 16 strategies and the bound is 2.
+    Enumerates all 16 deterministic +-1 assignments to the two settings of
+    each party; the bound is 2.
     """
-    a_signs = _sign_patterns(functional.n_alice_settings)
-    b_signs = _sign_patterns(functional.n_bob_settings)
-    return float((a_signs @ functional.correlator_weights @ b_signs.T).max())
+    # One row per assignment of +-1 to a party's two settings.
+    signs = np.array([(a, b) for a in (1.0, -1.0) for b in (1.0, -1.0)])
+    return float((signs @ CHSH_SIGNS @ signs.T).max())
 
 
 def bin_no_click(table: CorrelationTable) -> CorrelationTable:
@@ -177,31 +132,6 @@ def bin_no_click(table: CorrelationTable) -> CorrelationTable:
     if n_a > 2 and n_b > 2:
         folded[:, :, 0, 0] += p[:, :, 2:, 2:].sum(axis=(2, 3))
     return CorrelationTable(probabilities=folded)
-
-
-def binned_chsh(
-    state: DensityOperator,
-    alice_angles: Sequence[float],
-    bob_angles: Sequence[float],
-    eta_alice: float = 1.0,
-    eta_bob: float = 1.0,
-) -> float:
-    """CHSH value of a two-qubit state with lossy detectors and fair binning.
-
-    Runs the full Born-rule pipeline: three-outcome inefficient measurements,
-    no-click outcomes folded to outcome 0, CHSH evaluated on the binary table.
-
-    Args:
-        state: Two-qubit state.
-        alice_angles: Two measurement angles for Alice.
-        bob_angles: Two measurement angles for Bob.
-        eta_alice: Alice's detection efficiency.
-        eta_bob: Bob's detection efficiency.
-    """
-    alice = [inefficient_qubit_povm(t, eta_alice) for t in alice_angles]
-    bob = [inefficient_qubit_povm(t, eta_bob) for t in bob_angles]
-    table = born_table(state, alice, bob)
-    return bell_value(bin_no_click(table), chsh_functional())
 
 
 def partially_entangled_state(theta: float) -> DensityOperator:
@@ -270,9 +200,9 @@ def _eta_threshold(
     Returns:
         ``(eta_critical, chsh_at_unit_efficiency)``.
     """
-    e_tot = float(np.sum(_CHSH_SIGNS * corr))
-    m_a = float(_CHSH_SIGNS.sum(axis=1) @ marg_a)
-    m_b = float(_CHSH_SIGNS.sum(axis=0) @ marg_b)
+    e_tot = float(np.sum(CHSH_SIGNS * corr))
+    m_a = float(CHSH_SIGNS.sum(axis=1) @ marg_a)
+    m_b = float(CHSH_SIGNS.sum(axis=0) @ marg_b)
     if e_tot <= 2.0:
         return 1.0, e_tot
     m = m_a + m_b
@@ -293,7 +223,7 @@ def _threshold_objective(params: np.ndarray) -> float:
     violating configurations.  It is the value of ``_eta_threshold(
     *_family_correlations(...))``, bit for bit: one vectorized cosine and
     sine, then scalar float arithmetic in exactly the operation order of
-    those two functions (``_CHSH_SIGNS`` sums to ``(2, 0)`` along both axes,
+    those two functions (``CHSH_SIGNS`` sums to ``(2, 0)`` along both axes,
     so each marginal term is twice its setting-0 value).  Going through
     2-element arrays costs ~20 numpy calls per evaluation, several thousand
     evaluations per search.
@@ -545,7 +475,7 @@ def _pair_tensors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 
 
 _COIN, _SIGNED, _CLICK_A, _CLICK_B = _pair_tensors()
-_CHSH_SIGNS_FLAT = _CHSH_SIGNS.reshape(4)
+_CHSH_SIGNS_FLAT = CHSH_SIGNS.reshape(4)
 
 # Smallest admissible coincidence probability per setting pair: an ensemble
 # that never produces coincidences in some cell would be rejected by any

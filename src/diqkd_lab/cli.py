@@ -78,17 +78,19 @@ class CliError(ValueError):
 class SweepAxis:
     """One swept scenario parameter.
 
+    The fields are the keys of a scenario file's ``sweep`` object.
+
     Attributes:
         parameter: Scenario field name (numeric fields only).
-        lo: First axis value.
-        hi: Last axis value.
+        min: First axis value.
+        max: Last axis value.
         steps: Number of points (1 reproduces a direct run).
         scale: ``"linear"`` or ``"log"``.
     """
 
     parameter: str
-    lo: float
-    hi: float
+    min: float
+    max: float
     steps: int
     scale: str = "linear"
 
@@ -105,41 +107,36 @@ class SweepAxis:
             raise CliError(f"sweep steps must be >= 1, got {self.steps}")
         if self.scale not in ("linear", "log"):
             raise CliError(f"sweep scale must be 'linear' or 'log', got {self.scale!r}")
-        if self.scale == "log" and (self.lo <= 0 or self.hi <= 0):
+        if self.scale == "log" and (self.min <= 0 or self.max <= 0):
             raise CliError("log-scale sweep bounds must be positive")
 
     def values(self) -> np.ndarray:
         if self.scale == "log":
-            return np.geomspace(self.lo, self.hi, self.steps)
-        return np.linspace(self.lo, self.hi, self.steps)
+            return np.geomspace(self.min, self.max, self.steps)
+        return np.linspace(self.min, self.max, self.steps)
 
 
 @dataclass(frozen=True)
 class ScenarioFile:
-    """Parsed scenario file: the scenario plus command settings."""
+    """Parsed scenario file: the scenario plus command settings.
+
+    The fields other than ``scenario`` are the file's command-setting keys;
+    the scenario's own fields sit beside them in the file.
+    """
 
     scenario: Scenario
-    sweep: SweepAxis | None = None
-    seed: int = 0
-    out: str | None = None
-    rounds: int = 100_000
-    sample_fraction: float = 0.1
-    optimize: bool = False
-    theta: float | None = None
-    etas: tuple[float, ...] | None = None
+    sweep: SweepAxis | None
+    seed: int
+    out: str | None
+    rounds: int
+    sample_fraction: float
+    optimize: bool
+    theta: float | None
+    etas: tuple[float, ...] | None
 
 
-_AXIS_KEYS = {"parameter", "min", "max", "steps", "scale"}
-_COMMAND_KEYS = {
-    "sweep",
-    "seed",
-    "out",
-    "rounds",
-    "sample_fraction",
-    "optimize",
-    "theta",
-    "etas",
-}
+_AXIS_KEYS = {f.name for f in dataclasses.fields(SweepAxis)}
+_COMMAND_KEYS = {f.name for f in dataclasses.fields(ScenarioFile)} - {"scenario"}
 
 
 def _number(kind: type, value, key: str):
@@ -193,9 +190,7 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
         raise CliError(f"unknown scenario file keys: {', '.join(unknown)}")
 
     try:
-        scenario = Scenario.from_dict(
-            {k: v for k, v in data.items() if k in scenario_keys}
-        )
+        scenario = Scenario(**{k: v for k, v in data.items() if k in scenario_keys})
     except (TypeError, ValueError) as exc:
         raise CliError(f"invalid scenario in {path}: {exc}") from exc
 
@@ -212,16 +207,16 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
             raise CliError(f"sweep is missing keys: {', '.join(missing)}")
         axis = SweepAxis(
             parameter=str(raw_axis["parameter"]),
-            lo=_number(float, raw_axis["min"], "sweep min"),
-            hi=_number(float, raw_axis["max"], "sweep max"),
+            min=_number(float, raw_axis["min"], "sweep min"),
+            max=_number(float, raw_axis["max"], "sweep max"),
             steps=_integer(raw_axis["steps"], "sweep steps"),
             scale=str(raw_axis.get("scale", "linear")),
         )
         # Every scenario range is an interval and both axis scales hit their
         # ends exactly, so checking the two ends checks every point.
-        for end, value in (("min", axis.lo), ("max", axis.hi)):
+        for end in ("min", "max"):
             try:
-                dataclasses.replace(scenario, **{axis.parameter: value})
+                dataclasses.replace(scenario, **{axis.parameter: getattr(axis, end)})
             except ValueError as exc:
                 raise CliError(f"sweep {end} out of range: {exc}") from exc
 
@@ -266,26 +261,13 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
 
 
 def serialize_scenario_file(parsed: ScenarioFile) -> str:
-    """Normalized JSON form; parsing it back reproduces the same settings."""
-    data: dict = dict(parsed.scenario.to_dict())
-    data["seed"] = parsed.seed
-    data["rounds"] = parsed.rounds
-    data["sample_fraction"] = parsed.sample_fraction
-    data["optimize"] = parsed.optimize
-    if parsed.out is not None:
-        data["out"] = parsed.out
-    if parsed.theta is not None:
-        data["theta"] = parsed.theta
-    if parsed.etas is not None:
-        data["etas"] = list(parsed.etas)
-    if parsed.sweep is not None:
-        data["sweep"] = {
-            "parameter": parsed.sweep.parameter,
-            "min": parsed.sweep.lo,
-            "max": parsed.sweep.hi,
-            "steps": parsed.sweep.steps,
-            "scale": parsed.sweep.scale,
-        }
+    """Normalized JSON form; parsing it back reproduces the same settings.
+
+    The settings left unset (``None``) are omitted, and the scenario's
+    fields sit beside the command settings, as in the file.
+    """
+    data = {k: v for k, v in dataclasses.asdict(parsed).items() if v is not None}
+    data.update(data.pop("scenario"))
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
 

@@ -786,26 +786,25 @@ def polarization_singlet() -> ModeMixture:
     return _pure({(1, 0, 0, 1): 1.0 / np.sqrt(2.0), (0, 1, 1, 0): -1.0 / np.sqrt(2.0)})
 
 
-def heralded_single_photon(
-    pair_prob: float, trigger_detector: DetectorModel, n_pair_max: int = 2
-) -> "HeraldRecord":
+def heralded_single_photon(pair_prob: float, trigger_detector: DetectorModel) -> "HeraldRecord":
     """Single-photon source: photon-pair emitter with a triggered idler arm.
 
     The source emits ``n`` signal/idler photon pairs with probability
     proportional to ``(1 - p) p^n``; a threshold detector watches the idler
     arm, and a click heralds the signal mode.  Because the trigger cannot
     count photons, the heralded state carries an ``n >= 2`` contamination
-    tail — the mechanism behind false amplifier heralds at high gain.
+    tail — the mechanism behind false amplifier heralds at high gain.  Pair
+    numbers above two are cut, as in :func:`spdc_source`'s default.
 
     Args:
         pair_prob: Pair emission parameter ``p``.
         trigger_detector: Detector on the idler arm.
-        n_pair_max: Largest retained pair number.
 
     Returns:
         A :class:`HeraldRecord` whose ``conditional_state`` is the
         single-mode signal state given a trigger click.
     """
+    n_pair_max = 2
     weights = _pair_weights(pair_prob, n_pair_max)
     # Branch n: n pairs emitted and the trigger clicked; the signal holds |n>.
     clicks = weights * trigger_detector.outcome_matrix(n_pair_max)[:, 1]

@@ -23,8 +23,7 @@ from diqkd_lab.architectures import (
 from diqkd_lab.bellcert import (
     SINGLET_ALICE_ANGLES,
     SINGLET_BOB_ANGLES,
-    bell_value,
-    chsh_functional,
+    chsh,
     critical_efficiency,
     local_bound,
     loophole_attack,
@@ -56,7 +55,7 @@ def test_c01_tsirelson_value_from_born_rule():
         [projective_qubit_povm(t) for t in SINGLET_ALICE_ANGLES],
         [projective_qubit_povm(t) for t in SINGLET_BOB_ANGLES],
     )
-    value = bell_value(table, chsh_functional())
+    value = chsh(table)
     err = abs(value - TSIRELSON)
     _report(
         1,
@@ -67,7 +66,7 @@ def test_c01_tsirelson_value_from_born_rule():
 
 
 def test_c02_local_bound_exact_by_enumeration():
-    bound = local_bound(chsh_functional())
+    bound = local_bound()
     _report(
         2,
         "deterministic-strategy enumeration gives CHSH local bound exactly 2",

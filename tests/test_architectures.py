@@ -32,7 +32,13 @@ from diqkd_lab.photonics import (
     spdc_source,
     tensor_modes,
 )
-from diqkd_lab.qstate import DensityOperator, born_table, inefficient_qubit_povm, singlet
+from diqkd_lab.qstate import (
+    DensityOperator,
+    DimensionMismatchError,
+    born_table,
+    inefficient_qubit_povm,
+    singlet,
+)
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
@@ -82,13 +88,6 @@ def test_scenario_validation_messages():
         Scenario(amplifier_transmission=1.0)
     with pytest.raises(ValueError, match=r"node_fidelity must lie in \[0, 1\], got 1.5"):
         Scenario(node_fidelity=1.5)
-
-
-def test_scenario_dict_roundtrip():
-    s = Scenario(architecture="third_party", distance_km=12.5, pair_prob=0.01)
-    assert Scenario.from_dict(s.to_dict()) == s
-    with pytest.raises(ValueError, match="unknown scenario fields: bogus"):
-        Scenario.from_dict({"bogus": 1})
 
 
 def test_matter_node_preset():
@@ -512,3 +511,34 @@ def test_pinned_run_values(name, chsh, qber, rate, herald):
     assert result.qber == pytest.approx(qber, abs=1e-12)
     assert result.key_rate == pytest.approx(rate, abs=1e-12)
     assert result.herald_probability == pytest.approx(herald, rel=1e-9)
+
+
+# Each case: a call that must be rejected, the exception and the message
+# naming the rejected input.
+REJECTED_INPUTS = (
+    (
+        lambda: charlie_independence_residual(Scenario()),
+        ValueError,
+        "independence check applies to the third_party architecture",
+    ),
+    (lambda: binary_entropy(1.5), ValueError, r"probability must lie in \[0, 1\], got 1.5"),
+    (lambda: devetak_winter_rate(1.5, 2.5), ValueError, r"qber must lie in \[0, 1\], got 1.5"),
+    (
+        lambda: key_rate(
+            born_table(
+                singlet(),
+                [inefficient_qubit_povm(t, 1.0) for t in ALICE_ANGLES],
+                [inefficient_qubit_povm(t, 1.0) for t in ALICE_ANGLES],
+            )
+        ),
+        DimensionMismatchError,
+        r"expected a \(2, 3\)-setting table, got \(2, 2\)",
+    ),
+)
+
+
+def test_rejected_inputs_name_the_input():
+    # One test over a case table so the test keeps a single, stable id.
+    for call, error, message in REJECTED_INPUTS:
+        with pytest.raises(error, match=message):
+            call()

@@ -15,15 +15,14 @@ from diqkd_lab.bellcert import (
     _eta_threshold,
     _family_correlations,
     _postselected_chsh,
+    _strategy_index,
     _threshold_objective,
     FAMILY_ALICE_ANGLES,
     FAMILY_BOB_ANGLES,
     SINGLET_ALICE_ANGLES,
     SINGLET_BOB_ANGLES,
-    bell_value,
     bin_no_click,
-    binned_chsh,
-    chsh_functional,
+    chsh,
     critical_efficiency,
     local_bound,
     loophole_attack,
@@ -33,6 +32,8 @@ from diqkd_lab.bellcert import (
 )
 from diqkd_lab.qstate import (
     CorrelationTable,
+    DensityOperator,
+    DimensionMismatchError,
     born_table,
     inefficient_qubit_povm,
     projective_qubit_povm,
@@ -52,20 +53,13 @@ def singlet_table(eta: float = 1.0) -> CorrelationTable:
     return born_table(singlet(), alice, bob)
 
 
-def test_chsh_functional_shape():
-    f = chsh_functional()
-    assert f.n_alice_settings == 2
-    assert f.n_bob_settings == 2
-    np.testing.assert_allclose(np.abs(f.correlator_weights), 1.0)
-
-
 def test_singlet_reaches_tsirelson():
-    value = bell_value(singlet_table(), chsh_functional())
+    value = chsh(singlet_table())
     assert value == pytest.approx(TSIRELSON, abs=1e-12)
 
 
 def test_local_bound_of_chsh_is_two():
-    assert local_bound(chsh_functional()) == 2.0
+    assert local_bound() == 2.0
 
 
 def test_bin_no_click_preserves_binary_tables():
@@ -89,7 +83,7 @@ def test_binned_chsh_matches_closed_form():
     """Binned CHSH of the singlet is eta^2 * 2 sqrt(2) + 2 (1 - eta)^2."""
     for eta in (1.0, 0.9, 0.8284271247461903, 0.7):
         expected = eta**2 * TSIRELSON + 2.0 * (1.0 - eta) ** 2
-        got = binned_chsh(singlet(), SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES, eta, eta)
+        got = chsh(bin_no_click(singlet_table(eta)))
         assert got == pytest.approx(expected, abs=1e-12)
 
 
@@ -101,7 +95,7 @@ def test_partially_entangled_family_endpoints():
         [projective_qubit_povm(t) for t in FAMILY_ALICE_ANGLES],
         [projective_qubit_povm(t) for t in FAMILY_BOB_ANGLES],
     )
-    assert bell_value(table, chsh_functional()) == pytest.approx(TSIRELSON, abs=1e-9)
+    assert chsh(table) == pytest.approx(TSIRELSON, abs=1e-9)
 
 
 def test_critical_efficiency_fixed_singlet():
@@ -339,3 +333,53 @@ def test_constrained_search_never_beats_closed_form_attack():
 
 def test_nosignalling_residual_of_quantum_table():
     assert nosignalling_residual(singlet_table(eta=0.9)) < 1e-12
+
+
+def test_attack_ensemble_without_coincidences_scores_minus_infinity():
+    """An ensemble that never clicks leaves every CHSH cell without coincidences."""
+    weights = np.zeros(_COIN.shape[0])
+    weights[_strategy_index((0, 0), (1.0, 1.0), (0, 0), (1.0, 1.0))] = 1.0
+    assert _postselected_chsh(weights) == -np.inf
+
+
+# Each case: a call that must be rejected, the exception and the message
+# naming the rejected input.
+REJECTED_INPUTS = (
+    (lambda: chsh(singlet_table(0.8)), DimensionMismatchError, "call bin_no_click first"),
+    (
+        lambda: chsh(
+            born_table(
+                singlet(),
+                [projective_qubit_povm(t) for t in SINGLET_ALICE_ANGLES],
+                [projective_qubit_povm(t) for t in (0.0, 1.0, 2.0)],
+            )
+        ),
+        DimensionMismatchError,
+        r"CHSH needs 2 x 2 settings, table has \(2, 3\)",
+    ),
+    (
+        lambda: critical_efficiency(
+            DensityOperator.from_pure([1, 0, 0], (3,)), SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES
+        ),
+        DimensionMismatchError,
+        "critical_efficiency expects a two-qubit state",
+    ),
+    (
+        lambda: critical_efficiency(singlet(), (0.0, 1.0, 2.0), SINGLET_BOB_ANGLES),
+        DimensionMismatchError,
+        "CHSH needs exactly two angles per party",
+    ),
+    (lambda: loophole_attack(0.0), ValueError, r"eta must lie in \(0, 1\], got 0.0"),
+    (
+        lambda: bin_no_click(CorrelationTable(np.ones((1, 1, 1, 1)))),
+        DimensionMismatchError,
+        "binning needs at least two outcomes per party",
+    ),
+)
+
+
+def test_rejected_inputs_name_the_input():
+    # One test over a case table so the test keeps a single, stable id.
+    for call, error, message in REJECTED_INPUTS:
+        with pytest.raises(error, match=message):
+            call()

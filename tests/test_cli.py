@@ -185,27 +185,88 @@ def test_serialize_scenario_file_is_stable(tmp_path):
     assert first == second
 
 
+VALIDATED_GOLDEN = """\
+{
+  "amplifier_transmission": 0.99,
+  "architecture": "local_heralding",
+  "attenuation_db_per_km": 0.2,
+  "dark_count_prob": 0.0,
+  "detector_efficiency": 1.0,
+  "distance_km": 0.0,
+  "etas": [
+    1.0,
+    0.8
+  ],
+  "node_fidelity": 1.0,
+  "optimize": false,
+  "out": "validated.json",
+  "pair_prob": 0.01,
+  "readout_time_s": 0.0,
+  "repetition_rate_hz": 100000000.0,
+  "rounds": 1000000,
+  "sample_fraction": 0.1,
+  "seed": 0,
+  "source_position": 0.5,
+  "sweep": {
+    "max": 0.1,
+    "min": 0.001,
+    "parameter": "pair_prob",
+    "scale": "log",
+    "steps": 5
+  },
+  "theta": 0.3
+}
+"""
+
+
+def test_validate_output_matches_golden(tmp_path, monkeypatch):
+    # The file's own ``out`` sends the output to a path relative to the
+    # working directory.
+    monkeypatch.chdir(tmp_path)
+    path = write_scenario(
+        tmp_path,
+        "s.json",
+        {
+            "architecture": "local_heralding",
+            "pair_prob": 0.01,
+            "sweep": {
+                "parameter": "pair_prob",
+                "min": 0.001,
+                "max": 0.1,
+                "steps": 5,
+                "scale": "log",
+            },
+            "out": "validated.json",
+            "theta": 0.3,
+            "etas": [1.0, 0.8],
+            "rounds": 1e6,
+        },
+    )
+    assert main(["validate", "--scenario", path]) == 0
+    assert (tmp_path / "validated.json").read_text() == VALIDATED_GOLDEN
+
+
 # ----------------------------------------------------------------------
 # Sweep axes
 # ----------------------------------------------------------------------
 
 
 def test_sweep_axis_values_linear_and_log():
-    lin = SweepAxis(parameter="distance_km", lo=0.0, hi=4.0, steps=5)
+    lin = SweepAxis(parameter="distance_km", min=0.0, max=4.0, steps=5)
     np.testing.assert_allclose(lin.values(), [0.0, 1.0, 2.0, 3.0, 4.0])
-    log = SweepAxis(parameter="pair_prob", lo=1e-3, hi=1e-1, steps=3, scale="log")
+    log = SweepAxis(parameter="pair_prob", min=1e-3, max=1e-1, steps=3, scale="log")
     np.testing.assert_allclose(log.values(), [1e-3, 1e-2, 1e-1], rtol=1e-12)
 
 
 def test_sweep_axis_validation():
     with pytest.raises(CliError, match="sweep"):
-        SweepAxis(parameter="architecture", lo=0.0, hi=1.0, steps=2)
+        SweepAxis(parameter="architecture", min=0.0, max=1.0, steps=2)
     with pytest.raises(CliError, match="steps"):
-        SweepAxis(parameter="distance_km", lo=0.0, hi=1.0, steps=0)
+        SweepAxis(parameter="distance_km", min=0.0, max=1.0, steps=0)
     with pytest.raises(CliError, match="log-scale"):
-        SweepAxis(parameter="distance_km", lo=0.0, hi=1.0, steps=2, scale="log")
+        SweepAxis(parameter="distance_km", min=0.0, max=1.0, steps=2, scale="log")
     with pytest.raises(CliError, match="sweep scale must be 'linear' or 'log', got 'cubic'"):
-        SweepAxis(parameter="distance_km", lo=0.0, hi=1.0, steps=2, scale="cubic")
+        SweepAxis(parameter="distance_km", min=0.0, max=1.0, steps=2, scale="cubic")
 
 
 def test_sweep_rows_parallel_matches_serial(tmp_path):

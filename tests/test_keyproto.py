@@ -470,3 +470,38 @@ def test_run_session_matches_golden_digests():
         assert outcome.abort_reason == reason, case
         assert outcome.transcript[-1].sender == sender, case
         assert session_digest(outcome) == digest, case
+
+
+# Each case: a call that must be rejected, the exception and the message
+# naming the rejected input.
+REJECTED_INPUTS = (
+    (lambda: simulate_rounds(Scenario(), 0, 1), ValueError, "n_rounds must be positive, got 0"),
+    (
+        lambda: privacy_amplify(np.zeros((2, 4), dtype=np.uint8), 0, 0.5, 1),
+        ValueError,
+        "bits must be a 1-D array",
+    ),
+    (
+        lambda: privacy_amplify(np.zeros(8, dtype=np.uint8), -1, 0.5, 1),
+        ValueError,
+        "leakage_bits must be non-negative",
+    ),
+    (
+        lambda: sift(simulate_rounds(Scenario(), 100, 1), 1.0, np.random.default_rng(0)),
+        ValueError,
+        r"sample_fraction must lie in \[0, 1\), got 1.0",
+    ),
+    (
+        lambda: reconcile(np.zeros(4, dtype=np.uint8), np.zeros(5, dtype=np.uint8), 0.01),
+        ValueError,
+        "bit strings must be 1-D and of equal length",
+    ),
+    (lambda: parse_transcript(b"\x00"), ValueError, "truncated transcript header"),
+)
+
+
+def test_rejected_inputs_name_the_input():
+    # One test over a case table so the test keeps a single, stable id.
+    for call, error, message in REJECTED_INPUTS:
+        with pytest.raises(error, match=message):
+            call()

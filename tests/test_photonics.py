@@ -534,7 +534,7 @@ def test_spdc_source_components():
 
 def test_heralded_single_photon_statistics():
     p = 0.1
-    rec = heralded_single_photon(p, DetectorModel(), n_pair_max=2)
+    rec = heralded_single_photon(p, DetectorModel())
     weights = np.array([(1 - p) * p**n for n in range(3)])
     weights /= weights.sum()
     assert rec.success_probability == pytest.approx(weights[1] + weights[2], abs=1e-12)
@@ -559,8 +559,6 @@ def test_never_triggering_ancilla_source_never_heralds():
 def test_pair_sources_reject_negative_pair_cut():
     with pytest.raises(ValueError, match="n_pair_max must be non-negative"):
         spdc_source(0.1, -1)
-    with pytest.raises(ValueError, match="n_pair_max must be non-negative"):
-        heralded_single_photon(0.1, DetectorModel(), n_pair_max=-1)
 
 
 def test_entanglement_swapping_success_probability():
@@ -723,3 +721,67 @@ def test_amplifier_success_probability_formula():
 def test_amplifier_rejects_bad_transmission():
     with pytest.raises(ValueError):
         qubit_amplifier(fock([1, 0]), (0, 1), 1.0)
+
+
+# Each case: a call that must be rejected, the exception and the message
+# naming the rejected input.
+REJECTED_INPUTS = (
+    (
+        lambda: loss_channel(fock([1]), 0, 1.5),
+        ValueError,
+        r"transmission must lie in \[0, 1\], got 1.5",
+    ),
+    (
+        lambda: beamsplitter(fock([1, 0]), 0, 1, 1.5),
+        ValueError,
+        r"transmission must lie in \[0, 1\], got 1.5",
+    ),
+    (lambda: spdc_source(1.0), ValueError, r"pair_prob must lie in \[0, 1\), got 1.0"),
+    (
+        lambda: permute_modes(polarization_singlet(), (0, 1)),
+        DimensionMismatchError,
+        r"invalid mode order \[0, 1\] for 4 modes",
+    ),
+    (
+        lambda: ModeMixture([1.0], [0], [[1]], [1.0, 0.0]),
+        DimensionMismatchError,
+        r"a mixture needs weights \(k,\), branch \(nnz,\), occ \(nnz, modes\) and amp",
+    ),
+    (
+        lambda: ModeMixture([], [], np.zeros((0, 1)), []),
+        StateValidationError,
+        "a mixture needs at least one branch",
+    ),
+    (
+        lambda: ModeMixture([0.5, 0.5], [1, 0], [[1], [0]], [1.0, 1.0]),
+        DimensionMismatchError,
+        r"branch indices must ascend within \[0, k\)",
+    ),
+    (
+        lambda: ModeMixture([1.0], [0], [[-1]], [1.0]),
+        DimensionMismatchError,
+        "occupations must be non-negative",
+    ),
+    (
+        lambda: ModeMixture([0.0], [0], [[0]], [1.0]),
+        StateValidationError,
+        "all branches have zero weight",
+    ),
+    (
+        lambda: fock([1, 0]).probability([1]),
+        DimensionMismatchError,
+        "1 occupations for 2 modes",
+    ),
+    (
+        lambda: threshold_detect(fock([1, 0]), (0,), DetectorModel(), (True, False)),
+        DimensionMismatchError,
+        "pattern length must match number of measured modes",
+    ),
+)
+
+
+def test_rejected_inputs_name_the_input():
+    # One test over a case table so the test keeps a single, stable id.
+    for call, error, message in REJECTED_INPUTS:
+        with pytest.raises(error, match=message):
+            call()

@@ -137,3 +137,93 @@ def test_correlation_table_rejects_empty_axes():
     for shape in ((0, 1, 2, 2), (1, 0, 2, 2), (1, 1, 0, 2), (1, 1, 2, 0)):
         with pytest.raises(StateValidationError, match=re.escape(str(shape))):
             CorrelationTable(probabilities=np.zeros(shape))
+
+
+# Each case: a call that must be rejected, the exception and the message
+# naming the rejected input.
+REJECTED_INPUTS = (
+    (
+        lambda: DensityOperator.from_pure([0, 0], (2,)),
+        StateValidationError,
+        "cannot normalize the zero vector",
+    ),
+    (lambda: bell_state("phi0"), ValueError, "unknown Bell state 'phi0'"),
+    (
+        lambda: DensityOperator([[1.0, 0.0]], (2,)),
+        StateValidationError,
+        r"density matrix must be a square matrix, got shape \(1, 2\)",
+    ),
+    (
+        lambda: DensityOperator(np.eye(2) / 2, (0,)),
+        DimensionMismatchError,
+        r"subsystem dims must be positive, got \(0,\)",
+    ),
+    (
+        lambda: DensityOperator(np.eye(2) / 2, (4097,)),
+        DimensionMismatchError,
+        "total dimension 4097 exceeds MAX_TOTAL_DIM=4096",
+    ),
+    (lambda: Povm(effects=()), StateValidationError, "a POVM needs at least one effect"),
+    (
+        lambda: Povm(effects=(np.eye(2), np.zeros((3, 3)))),
+        DimensionMismatchError,
+        r"POVM effect 1 has shape \(3, 3\), expected \(2, 2\)",
+    ),
+    (
+        lambda: Povm(effects=(np.diag([2.0, -1.0]), np.diag([-1.0, 2.0]))),
+        StateValidationError,
+        "POVM effect 0 is not positive semidefinite",
+    ),
+    (
+        lambda: CorrelationTable(np.full((2, 2, 2), 0.25)),
+        StateValidationError,
+        r"probabilities must have shape \(n_x, n_y, n_a, n_b\), got \(2, 2, 2\)",
+    ),
+    (
+        lambda: born_table(
+            singlet(), [inefficient_qubit_povm(0.0, 0.5)], [inefficient_qubit_povm(0.0, 0.5)]
+        ).correlator(0, 0),
+        DimensionMismatchError,
+        r"correlators need binary outcomes, table has \(3, 3\)",
+    ),
+    (
+        lambda: born_table(
+            DensityOperator(np.eye(2) / 2, (2,)),
+            [projective_qubit_povm(0.0)],
+            [projective_qubit_povm(0.0)],
+        ),
+        DimensionMismatchError,
+        "born_table expects a bipartite state, got 1 subsystems",
+    ),
+    (
+        lambda: born_table(singlet(), [], [projective_qubit_povm(0.0)]),
+        DimensionMismatchError,
+        "need at least one POVM per party",
+    ),
+    (
+        lambda: born_table(singlet(), [Povm(effects=(np.eye(3),))], [projective_qubit_povm(0.0)]),
+        DimensionMismatchError,
+        "Alice POVM 0 acts on dim 3, state factor has dim 2",
+    ),
+    (
+        lambda: born_table(
+            singlet(),
+            [projective_qubit_povm(0.0)],
+            [inefficient_qubit_povm(0.0, 0.5), projective_qubit_povm(0.0)],
+        ),
+        DimensionMismatchError,
+        "Bob POVM 1 has 2 outcomes, expected 3",
+    ),
+    (
+        lambda: inefficient_qubit_povm(0.0, 1.5),
+        ValueError,
+        r"efficiency must lie in \[0, 1\], got 1.5",
+    ),
+)
+
+
+def test_rejected_inputs_name_the_input():
+    # One test over a case table so the test keeps a single, stable id.
+    for call, error, message in REJECTED_INPUTS:
+        with pytest.raises(error, match=message):
+            call()
