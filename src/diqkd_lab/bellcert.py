@@ -1,22 +1,30 @@
 """Bell-inequality certification with finite detection efficiency.
 
 Tools to score correlation tables with CHSH, compute its
-local-hidden-variable bound by strategy enumeration, fold no-click events
-into regular outcomes (the fair-binning rule that closes the detection
-loophole), locate the critical detection efficiency for losses equal on
-both sides, and quantify how hard a classical adversary can fake a
-violation when no-click rounds are post-selected away instead of binned.
+local-hidden-variable bound by strategy enumeration, and fold no-click
+events into regular outcomes (the fair-binning rule that closes the
+detection loophole).  On top of these sit the two models that answer how
+much detection efficiency a Bell test needs when no-clicks cannot be
+discarded:
+
+* the quantum model, the partially entangled pure-state family
+  ``cos(theta) |00> + sin(theta) |11>``, whose critical efficiency for
+  losses equal on both sides :func:`critical_efficiency` computes at fixed
+  angles or optimizes over ``theta`` and the angles (Eberhard's 2/3);
+* the classical model, deterministic local strategies that may refuse to
+  click, with which :func:`loophole_attack` fakes a violation when no-click
+  rounds are post-selected away instead of binned.
 
 Angle conventions follow :mod:`diqkd_lab.qstate`: a qubit setting ``theta``
 measures ``cos(theta) Z + sin(theta) X`` and outcome 0 carries value +1.
-
-The partially entangled pure-state family used throughout is
-``cos(theta) |00> + sin(theta) |11>`` with ``theta`` in ``(0, pi/4]``;
-``theta = pi/4`` is the maximally entangled state.  For this family the
+``theta = pi/4`` is the maximally entangled state.  For the family the
 correlators have the closed form::
 
     <A(a) B(b)>  = cos(a) cos(b) + sin(2 theta) sin(a) sin(b)
     <A(a)>       = cos(a) cos(2 theta)
+
+The dense Born-rule pipeline of :mod:`diqkd_lab.qstate` is not used here;
+the tests check the closed form against it.
 """
 
 from __future__ import annotations
@@ -27,26 +35,18 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from diqkd_lab.qstate import (
-    CorrelationTable,
-    DensityOperator,
-    DimensionMismatchError,
-    born_table,
-    projective_qubit_povm,
-)
+from diqkd_lab.qstate import CorrelationTable, DimensionMismatchError
 
 __all__ = [
     "CHSH_SIGNS",
     "chsh",
     "local_bound",
     "bin_no_click",
-    "partially_entangled_state",
     "EfficiencyThresholdResult",
     "critical_efficiency",
     "AttackResult",
     "loophole_attack",
     "loophole_attack_curve",
-    "nosignalling_residual",
 ]
 
 # Optimal qubit settings for a CHSH test on the family state (theta = pi/4
@@ -74,18 +74,6 @@ def _correlators(p: np.ndarray) -> np.ndarray:
             "CHSH acts on binary-outcome tables; call bin_no_click first"
         )
     return p[:, :, 0, 0] + p[:, :, 1, 1] - p[:, :, 0, 1] - p[:, :, 1, 0]
-
-
-def _correlators_and_marginals(
-    table: CorrelationTable,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    p = table.probabilities
-    corr = _correlators(p)
-    # Marginals of a non-signalling table do not depend on the other party's
-    # setting; averaging makes the evaluation robust to round-off.
-    marg_a = (p.sum(axis=3)[:, :, 0] - p.sum(axis=3)[:, :, 1]).mean(axis=1)
-    marg_b = (p.sum(axis=2)[:, :, 0] - p.sum(axis=2)[:, :, 1]).mean(axis=0)
-    return corr, marg_a, marg_b
 
 
 def chsh(table: CorrelationTable) -> float:
@@ -134,14 +122,6 @@ def bin_no_click(table: CorrelationTable) -> CorrelationTable:
     return CorrelationTable(probabilities=folded)
 
 
-def partially_entangled_state(theta: float) -> DensityOperator:
-    """The pure state ``cos(theta)|00> + sin(theta)|11>`` as a density operator."""
-    vec = np.zeros(4, dtype=complex)
-    vec[0] = np.cos(theta)
-    vec[3] = np.sin(theta)
-    return DensityOperator.from_pure(vec, dims=(2, 2))
-
-
 @dataclass(frozen=True)
 class EfficiencyThresholdResult:
     """Outcome of a critical-efficiency search.
@@ -150,21 +130,23 @@ class EfficiencyThresholdResult:
         eta_critical: Smallest detection efficiency, the same on both sides,
             at which the binned CHSH value still exceeds the local bound.
             1.0 when no violation exists even with perfect detectors.
-        theta: Entanglement parameter of the optimal family state, or None
-            for a fixed state.
-        alice_angles: Optimal (or supplied) measurement angles.
-        bob_angles: Optimal (or supplied) measurement angles.
-        chsh_at_unit_efficiency: CHSH value of the optimal configuration with
+        theta: Entanglement parameter of the family state, given or optimal.
+        alice_angles: Alice's measurement angles, fixed or optimal.
+        bob_angles: Bob's measurement angles, fixed or optimal.
+        chsh_at_unit_efficiency: CHSH value of the configuration with
             perfect detectors.
-        violation_at_unit_efficiency: Whether that value exceeds 2.
     """
 
     eta_critical: float
-    theta: float | None
+    theta: float
     alice_angles: tuple[float, float]
     bob_angles: tuple[float, float]
     chsh_at_unit_efficiency: float
-    violation_at_unit_efficiency: bool
+
+    @property
+    def violation_at_unit_efficiency(self) -> bool:
+        """Whether ``chsh_at_unit_efficiency`` exceeds the local bound 2."""
+        return self.chsh_at_unit_efficiency > 2.0
 
 
 def _family_correlations(
@@ -176,15 +158,6 @@ def _family_correlations(
         alice_angles
     )[:, None] * np.sin(bob_angles)[None, :]
     return corr, np.cos(alice_angles) * c2t, np.cos(bob_angles) * c2t
-
-
-def _state_correlations(
-    state: DensityOperator, alice_angles: np.ndarray, bob_angles: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Correlators of an arbitrary two-qubit state via the Born pipeline."""
-    alice = [projective_qubit_povm(t) for t in alice_angles]
-    bob = [projective_qubit_povm(t) for t in bob_angles]
-    return _correlators_and_marginals(born_table(state, alice, bob))
 
 
 def _eta_threshold(
@@ -352,31 +325,27 @@ def minimize(
     return _Minimum(x=np.array(sim[0]), fun=fsim[0], nfev=nfev, nit=nit)
 
 
-def critical_efficiency(
-    state: DensityOperator | None = None,
-    alice_angles: Sequence[float] | None = None,
-    bob_angles: Sequence[float] | None = None,
-) -> EfficiencyThresholdResult:
-    """Find the critical symmetric detection efficiency of a fair-binned CHSH test.
+def critical_efficiency(theta: float | None = None) -> EfficiencyThresholdResult:
+    """Critical symmetric detection efficiency of a fair-binned CHSH test.
 
-    Two forms are supported.  A fixed two-qubit state with both angle lists
-    gives the closed-form threshold of that configuration, its correlators
-    taken from the exact Born-rule pipeline; the maximally entangled state
-    at its optimal angles yields the textbook symmetric threshold
-    ``2 (sqrt(2) - 1) ~ 0.8284``.  With no arguments one search by the
-    in-house Nelder-Mead :func:`minimize` from ``_THRESHOLD_START``
-    optimizes the partially entangled family ``cos(theta)|00> +
-    sin(theta)|11>`` and all four angles using closed-form correlators;
-    pushing ``theta -> 0`` drives the symmetric threshold towards its known
-    infimum of 2/3.  This form has no inputs, so one start suffices: its
-    result is the best of the 24-start family that
+    The state is the partially entangled family ``cos(theta)|00> +
+    sin(theta)|11>``, whose correlators :func:`_family_correlations` gives
+    in closed form.  With a ``theta`` the angles are fixed at
+    ``FAMILY_ALICE_ANGLES`` and ``FAMILY_BOB_ANGLES``, the CHSH optimum of
+    the maximally entangled state ``theta = pi/4``, which yields the
+    textbook symmetric threshold ``2 (sqrt(2) - 1) ~ 0.8284``; the singlet
+    at ``SINGLET_*_ANGLES`` has the same correlation table.  Without one,
+    one search by the in-house Nelder-Mead :func:`minimize` from
+    ``_THRESHOLD_START`` optimizes ``theta`` and all four angles; pushing
+    ``theta -> 0`` drives the threshold towards Eberhard's infimum of 2/3.
+    This form has no inputs, so one start suffices: its result is the best
+    of the 24-start family that
     ``test_optimized_threshold_is_best_of_the_start_family`` reruns with
     SciPy's Nelder-Mead.
 
     Args:
-        state: Fixed two-qubit state, or None to optimize over the family.
-        alice_angles: Alice's two angles, given exactly when ``state`` is.
-        bob_angles: Bob's two angles, given exactly when ``state`` is.
+        theta: Entanglement parameter of the family state, or None to
+            optimize it together with the angles.
 
     Returns:
         An :class:`EfficiencyThresholdResult`.  ``eta_critical = 1.0`` with
@@ -384,21 +353,13 @@ def critical_efficiency(
         never violates CHSH and there is nothing to certify.
 
     Raises:
-        ValueError: Unless a state comes with both angle lists or nothing
-            is given.
+        ValueError: If ``theta`` is not finite.
     """
-    given = (state is not None, alice_angles is not None, bob_angles is not None)
-    if any(given) and not all(given):
-        raise ValueError("supply a state with both angle lists, or no arguments")
-    if state is not None:
-        if tuple(state.dims) != (2, 2):
-            raise DimensionMismatchError("critical_efficiency expects a two-qubit state")
-        aa = np.asarray(alice_angles, dtype=float)
-        bb = np.asarray(bob_angles, dtype=float)
-        if aa.shape != (2,) or bb.shape != (2,):
-            raise DimensionMismatchError("CHSH needs exactly two angles per party")
-        theta = None
-        corr, ma, mb = _state_correlations(state, aa, bb)
+    if theta is not None:
+        theta = float(theta)
+        if not math.isfinite(theta):
+            raise ValueError(f"theta must be finite, got {theta}")
+        aa, bb = np.array(FAMILY_ALICE_ANGLES), np.array(FAMILY_BOB_ANGLES)
     else:
         # The search ends on its tolerances after 2082 evaluations and 1193
         # iterations, well inside both caps.
@@ -412,15 +373,13 @@ def critical_efficiency(
         )
         theta = float(best.x[0])
         aa, bb = best.x[1:3], best.x[3:5]
-        corr, ma, mb = _family_correlations(theta, aa, bb)
-    eta, e_tot = _eta_threshold(corr, ma, mb)
+    eta, e_tot = _eta_threshold(*_family_correlations(theta, aa, bb))
     return EfficiencyThresholdResult(
         eta_critical=eta,
         theta=theta,
         alice_angles=(float(aa[0]), float(aa[1])),
         bob_angles=(float(bb[0]), float(bb[1])),
         chsh_at_unit_efficiency=e_tot,
-        violation_at_unit_efficiency=e_tot > 2.0,
     )
 
 
@@ -429,36 +388,13 @@ def critical_efficiency(
 # --------------------------------------------------------------------------
 
 
-def _local_strategies() -> tuple[np.ndarray, np.ndarray]:
-    """All deterministic single-party strategies with optional no-clicks.
-
-    A strategy decides, for each of the two inputs, whether the detector
-    clicks and which +-1 value it reports when it does.  There are nine:
-    one silent strategy, two one-input families of two, and four all-click
-    assignments.
-
-    Returns:
-        ``(clicks, values)`` of shapes ``(9, 2)``; ``values`` entries at
-        non-clicking inputs are placeholders and must be masked by
-        ``clicks``.
-    """
-    clicks, values = [], []
-    for mask in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        options: list[tuple[float, float]] = [(1.0, 1.0)]
-        if mask == (1, 0):
-            options = [(1.0, 1.0), (-1.0, 1.0)]
-        elif mask == (0, 1):
-            options = [(1.0, 1.0), (1.0, -1.0)]
-        elif mask == (1, 1):
-            options = [(a, b) for a in (1.0, -1.0) for b in (1.0, -1.0)]
-        for vals in options:
-            clicks.append(mask)
-            values.append(vals)
-    return np.array(clicks, dtype=float), np.array(values, dtype=float)
-
-
-_CLICKS, _VALUES = _local_strategies()
-_N_STRAT = _CLICKS.shape[0]
+# The nine deterministic single-party strategies with optional no-clicks, as
+# ``(outcome at input 0, outcome at input 1)`` with 0 meaning no click: one
+# silent strategy, two one-input families of two, and four all-click ones.
+_STRATEGIES = ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (1, -1), (-1, 1), (-1, -1))
+_OUTCOMES = np.array(_STRATEGIES, dtype=float)
+_CLICKS = np.abs(_OUTCOMES)
+_N_STRAT = len(_STRATEGIES)
 
 
 def _pair_tensors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -466,9 +402,9 @@ def _pair_tensors() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     ca = _CLICKS[:, None, :, None]  # (9, 1, x, 1)
     cb = _CLICKS[None, :, None, :]  # (1, 9, 1, y)
     coincidence = (ca * cb).reshape(_N_STRAT * _N_STRAT, 4)
-    signed = (
-        ca * cb * _VALUES[:, None, :, None] * _VALUES[None, :, None, :]
-    ).reshape(_N_STRAT * _N_STRAT, 4)
+    signed = (_OUTCOMES[:, None, :, None] * _OUTCOMES[None, :, None, :]).reshape(
+        _N_STRAT * _N_STRAT, 4
+    )
     click_a = np.repeat(_CLICKS, _N_STRAT, axis=0)  # (81, 2): Alice click mask per pair
     click_b = np.tile(_CLICKS, (_N_STRAT, 1))  # (81, 2): Bob click mask per pair
     return coincidence, signed, click_a, click_b
@@ -491,20 +427,9 @@ def _postselected_chsh(weights: np.ndarray) -> float:
     return float(_CHSH_SIGNS_FLAT @ (num / den))
 
 
-def _strategy_index(click_a, values_a, click_b, values_b) -> int:
-    ia = next(
-        i
-        for i in range(_N_STRAT)
-        if np.array_equal(_CLICKS[i], click_a)
-        and all(v == w for v, w, c in zip(_VALUES[i], values_a, click_a) if c)
-    )
-    ib = next(
-        i
-        for i in range(_N_STRAT)
-        if np.array_equal(_CLICKS[i], click_b)
-        and all(v == w for v, w, c in zip(_VALUES[i], values_b, click_b) if c)
-    )
-    return ia * _N_STRAT + ib
+def _strategy_index(alice: tuple[int, int], bob: tuple[int, int]) -> int:
+    """Row of the strategy pair ``(alice, bob)`` in the pair tensors."""
+    return _STRATEGIES.index(alice) * _N_STRAT + _STRATEGIES.index(bob)
 
 
 def _candidate_ensemble(eta: float) -> np.ndarray:
@@ -516,12 +441,12 @@ def _candidate_ensemble(eta: float) -> np.ndarray:
     the cost of diluting the ``<A1 B1>`` cell.
     """
     pairs = [
-        _strategy_index((1, 1), (1.0, 1.0), (1, 0), (1.0, 1.0)),
-        _strategy_index((1, 1), (1.0, -1.0), (0, 1), (1.0, 1.0)),
-        _strategy_index((1, 0), (1.0, 1.0), (1, 1), (1.0, 1.0)),
-        _strategy_index((0, 1), (1.0, 1.0), (1, 1), (1.0, -1.0)),
+        _strategy_index((1, 1), (1, 0)),
+        _strategy_index((1, -1), (0, 1)),
+        _strategy_index((1, 0), (1, 1)),
+        _strategy_index((0, 1), (1, -1)),
     ]
-    always = _strategy_index((1, 1), (1.0, 1.0), (1, 1), (1.0, 1.0))
+    always = _strategy_index((1, 1), (1, 1))
     mu = float(np.clip(4.0 * (1.0 - eta), 0.0, 1.0))
     weights = np.zeros(_N_STRAT * _N_STRAT)
     for p in pairs:
@@ -610,18 +535,3 @@ def loophole_attack_curve(etas: Sequence[float]) -> list[AttackResult]:
         Results aligned with the input order.
     """
     return [loophole_attack(float(eta)) for eta in etas]
-
-
-def nosignalling_residual(table: CorrelationTable) -> float:
-    """Largest marginal shift induced by the other party's setting choice.
-
-    Exactly zero (up to round-off) for any behaviour produced by measuring
-    a shared quantum state with uncommunicating devices; materially positive
-    values flag a modeling bug or a signalling behaviour.
-    """
-    p = table.probabilities
-    marg_a = p.sum(axis=3)  # (x, y, a)
-    marg_b = p.sum(axis=2)  # (x, y, b)
-    res_a = (marg_a.max(axis=1) - marg_a.min(axis=1)).max()
-    res_b = (marg_b.max(axis=0) - marg_b.min(axis=0)).max()
-    return float(max(res_a, res_b))

@@ -35,18 +35,9 @@ from typing import Sequence
 import numpy as np
 
 from diqkd_lab.architectures import NeverHeraldsError, Scenario, run, secret_bits_per_second
-from diqkd_lab.bellcert import (
-    FAMILY_ALICE_ANGLES,
-    FAMILY_BOB_ANGLES,
-    SINGLET_ALICE_ANGLES,
-    SINGLET_BOB_ANGLES,
-    critical_efficiency,
-    loophole_attack_curve,
-    partially_entangled_state,
-)
+from diqkd_lab.bellcert import critical_efficiency, loophole_attack_curve
 from diqkd_lab.keyproto import run_session, serialize_transcript
 from diqkd_lab.photonics import distance_to_transmission
-from diqkd_lab.qstate import singlet
 
 __all__ = [
     "CliError",
@@ -349,16 +340,8 @@ def _cmd_sweep(parsed: ScenarioFile, args: argparse.Namespace) -> int:
 
 
 def _cmd_threshold(parsed: ScenarioFile, args: argparse.Namespace) -> int:
-    if parsed.theta is None:
-        result = critical_efficiency(
-            singlet(), SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES
-        )
-    else:
-        result = critical_efficiency(
-            partially_entangled_state(parsed.theta),
-            FAMILY_ALICE_ANGLES,
-            FAMILY_BOB_ANGLES,
-        )
+    # Without a theta, the singlet: its table equals the family's at pi/4.
+    result = critical_efficiency(np.pi / 4 if parsed.theta is None else parsed.theta)
     if result.violation_at_unit_efficiency:
         lines = [f"eta_critical={format_number(result.eta_critical)}"]
     else:

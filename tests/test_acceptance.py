@@ -76,9 +76,7 @@ def test_c02_local_bound_exact_by_enumeration():
 
 
 def test_c03_critical_efficiency_maximally_entangled():
-    result = critical_efficiency(
-        singlet(), SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES
-    )
+    result = critical_efficiency(np.pi / 4)
     err = abs(result.eta_critical - 0.8284)
     _report(
         3,

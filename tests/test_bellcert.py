@@ -27,8 +27,6 @@ from diqkd_lab.bellcert import (
     local_bound,
     loophole_attack,
     loophole_attack_curve,
-    nosignalling_residual,
-    partially_entangled_state,
 )
 from diqkd_lab.qstate import (
     CorrelationTable,
@@ -87,21 +85,64 @@ def test_binned_chsh_matches_closed_form():
         assert got == pytest.approx(expected, abs=1e-12)
 
 
+def family_state(theta: float) -> DensityOperator:
+    """The pure state ``cos(theta)|00> + sin(theta)|11>``, the Born-rule oracle's input."""
+    return DensityOperator.from_pure([np.cos(theta), 0.0, 0.0, np.sin(theta)], dims=(2, 2))
+
+
+def family_table(theta, alice_angles, bob_angles, eta=1.0) -> CorrelationTable:
+    return born_table(
+        family_state(theta),
+        [inefficient_qubit_povm(t, eta) for t in alice_angles],
+        [inefficient_qubit_povm(t, eta) for t in bob_angles],
+    )
+
+
 def test_partially_entangled_family_endpoints():
-    rho = partially_entangled_state(0.0).matrix
+    rho = family_state(0.0).matrix
     assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-12)
     table = born_table(
-        partially_entangled_state(np.pi / 4),
+        family_state(np.pi / 4),
         [projective_qubit_povm(t) for t in FAMILY_ALICE_ANGLES],
         [projective_qubit_povm(t) for t in FAMILY_BOB_ANGLES],
     )
     assert chsh(table) == pytest.approx(TSIRELSON, abs=1e-9)
 
 
-def test_critical_efficiency_fixed_singlet():
-    res = critical_efficiency(
-        singlet(), SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES
+def test_family_correlations_match_the_born_rule():
+    rng = np.random.default_rng(2016)
+    for theta, *angles in rng.uniform(-np.pi, np.pi, size=(50, 5)):
+        aa, bb = np.array(angles[:2]), np.array(angles[2:])
+        p = family_table(theta, aa, bb).probabilities
+        corr, marg_a, marg_b = _family_correlations(theta, aa, bb)
+        born = (
+            p[:, :, 0, 0] + p[:, :, 1, 1] - p[:, :, 0, 1] - p[:, :, 1, 0],
+            p.sum(axis=3)[:, :, 0] - p.sum(axis=3)[:, :, 1],
+            p.sum(axis=2)[:, :, 0] - p.sum(axis=2)[:, :, 1],
+        )
+        closed = (corr, marg_a[:, None], marg_b[None, :])
+        for got, expected in zip(closed, born):
+            np.testing.assert_allclose(np.broadcast_to(got, (2, 2)), expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("eta", [1.0, 0.9, 0.8])
+def test_singlet_table_is_the_family_table_at_pi_over_4(eta):
+    # Why critical_efficiency(pi / 4) is the singlet's threshold.
+    singlet_at_eta = born_table(
+        singlet(),
+        [inefficient_qubit_povm(t, eta) for t in SINGLET_ALICE_ANGLES],
+        [inefficient_qubit_povm(t, eta) for t in SINGLET_BOB_ANGLES],
     )
+    np.testing.assert_allclose(
+        singlet_at_eta.probabilities,
+        family_table(np.pi / 4, FAMILY_ALICE_ANGLES, FAMILY_BOB_ANGLES, eta).probabilities,
+        rtol=0,
+        atol=1e-15,
+    )
+
+
+def test_critical_efficiency_fixed_singlet():
+    res = critical_efficiency(np.pi / 4)
     assert res.violation_at_unit_efficiency
     assert res.chsh_at_unit_efficiency == pytest.approx(TSIRELSON, abs=1e-9)
     assert res.eta_critical == pytest.approx(2.0 * (np.sqrt(2.0) - 1.0), abs=1e-5)
@@ -249,20 +290,9 @@ def test_minimize_stops_at_its_caps_as_scipy_does(maxiter, maxfev):
 
 
 def test_critical_efficiency_reports_no_violation():
-    res = critical_efficiency(singlet(), (0.0, 0.0), (0.0, 0.0))
+    res = critical_efficiency(0.0)
     assert not res.violation_at_unit_efficiency
     assert res.eta_critical == 1.0
-
-
-def test_critical_efficiency_needs_a_state_with_both_angle_lists_or_nothing():
-    for args in (
-        (singlet(),),
-        (singlet(), SINGLET_ALICE_ANGLES),
-        (None, SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES),
-        (None, None, SINGLET_BOB_ANGLES),
-    ):
-        with pytest.raises(ValueError, match="both angle lists"):
-            critical_efficiency(*args)
 
 
 def test_attack_at_full_efficiency_is_classical():
@@ -331,14 +361,10 @@ def test_constrained_search_never_beats_closed_form_attack():
             assert _constrained_attack_search(eta, seed) <= closed + 1e-9
 
 
-def test_nosignalling_residual_of_quantum_table():
-    assert nosignalling_residual(singlet_table(eta=0.9)) < 1e-12
-
-
 def test_attack_ensemble_without_coincidences_scores_minus_infinity():
     """An ensemble that never clicks leaves every CHSH cell without coincidences."""
     weights = np.zeros(_COIN.shape[0])
-    weights[_strategy_index((0, 0), (1.0, 1.0), (0, 0), (1.0, 1.0))] = 1.0
+    weights[_strategy_index((0, 0), (0, 0))] = 1.0
     assert _postselected_chsh(weights) == -np.inf
 
 
@@ -357,18 +383,7 @@ REJECTED_INPUTS = (
         DimensionMismatchError,
         r"CHSH needs 2 x 2 settings, table has \(2, 3\)",
     ),
-    (
-        lambda: critical_efficiency(
-            DensityOperator.from_pure([1, 0, 0], (3,)), SINGLET_ALICE_ANGLES, SINGLET_BOB_ANGLES
-        ),
-        DimensionMismatchError,
-        "critical_efficiency expects a two-qubit state",
-    ),
-    (
-        lambda: critical_efficiency(singlet(), (0.0, 1.0, 2.0), SINGLET_BOB_ANGLES),
-        DimensionMismatchError,
-        "CHSH needs exactly two angles per party",
-    ),
+    (lambda: critical_efficiency(np.nan), ValueError, "theta must be finite, got nan"),
     (lambda: loophole_attack(0.0), ValueError, r"eta must lie in \(0, 1\], got 0.0"),
     (
         lambda: bin_no_click(CorrelationTable(np.ones((1, 1, 1, 1)))),

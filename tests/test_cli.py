@@ -444,6 +444,26 @@ def test_threshold_command_no_violation(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "no violation"
 
 
+# ``threshold`` output for each scenario-file ``theta``; None is the file without one.
+THRESHOLD_GOLDEN = (
+    (None, "eta_critical=0.828427\nchsh_at_unit_efficiency=2.828427\n"),
+    (0.0, "no violation\nchsh_at_unit_efficiency=1.414214\n"),
+    (0.3, "eta_critical=0.847485\nchsh_at_unit_efficiency=2.212739\n"),
+    (np.pi / 8, "eta_critical=0.792893\nchsh_at_unit_efficiency=2.414214\n"),
+    (-1.0, "no violation\nchsh_at_unit_efficiency=0.128273\n"),
+    (2.5, "no violation\nchsh_at_unit_efficiency=0.058090\n"),
+)
+
+
+@pytest.mark.parametrize(
+    "theta, golden", THRESHOLD_GOLDEN, ids=[str(t) for t, _ in THRESHOLD_GOLDEN]
+)
+def test_threshold_output_matches_golden(tmp_path, capsys, theta, golden):
+    path = write_scenario(tmp_path, "s.json", {} if theta is None else {"theta": theta})
+    assert main(["threshold", "--scenario", path]) == 0
+    assert capsys.readouterr().out == golden
+
+
 def test_attack_command_known_points(tmp_path, capsys):
     path = write_scenario(tmp_path, "s.json", {"etas": [1.0, 0.8, 0.75]})
     assert main(["attack", "--scenario", path]) == 0
