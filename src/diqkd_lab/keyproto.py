@@ -130,7 +130,9 @@ class ProtocolAbort(Exception):
 class Rounds:
     """Measurement rounds as seen by the devices, as same-length columns.
 
-    A round's index is its position in the arrays.
+    A round's index is its position in the arrays.  ``simulate_rounds``
+    fills int8 settings and outcomes and bool herald flags, 5 bytes a
+    round; ``sift`` accepts settings and outcomes of any integer dtype.
 
     Attributes:
         x: Alice's settings (0 or 1).
@@ -328,6 +330,14 @@ def simulate_rounds(
     outcome pair of a heralded round follows the conditional table cell of
     its settings.  Non-heralded rounds record no-clicks.
 
+    The draws come in a fixed order -- ``x``, ``y``, herald flags, then one
+    uniform ``u`` per round -- as int64 and float64 in one call each, and
+    the columns keep them as int8.  Outcomes are sampled per setting cell:
+    one stable sort groups the rounds by cell, and a round's joint outcome
+    index is the number of the cell's cumulative-probability edges ``<= u``.
+    The edges never decrease and the last is clamped to 1.0, above every
+    ``u``, so that count is ``np.searchsorted(edges, u, side="right")``.
+
     Args:
         scenario: Link configuration.
         n_rounds: Number of source repetitions to simulate.
@@ -339,22 +349,35 @@ def simulate_rounds(
     result = run(scenario)
     rng = np.random.default_rng(seed)
     n_x, n_y, _, n_b = result.table.probabilities.shape
-    x = rng.integers(0, n_x, size=n_rounds)
-    y = rng.integers(0, n_y, size=n_rounds)
+    # Drawn as int64 and narrowed: drawing int8 directly gives other values.
+    x = rng.integers(0, n_x, size=n_rounds).astype(np.int8)
+    y = rng.integers(0, n_y, size=n_rounds).astype(np.int8)
     heralded = rng.random(n_rounds) < result.herald_probability
     u = rng.random(n_rounds)
-    # Joint outcome codes a * n_b + b; rounds left unset record no-clicks.
-    joint = np.full(n_rounds, NO_CLICK * n_b + NO_CLICK, dtype=np.int64)
-    for ix in range(n_x):
-        for iy in range(n_y):
-            mask = heralded & (x == ix) & (y == iy)
-            if not mask.any():
-                continue
-            cell = result.table.probabilities[ix, iy].reshape(-1)
-            edges = np.cumsum(cell)
-            edges[-1] = 1.0
-            joint[mask] = np.searchsorted(edges, u[mask], side="right")
-    return Rounds(x=x, y=y, a=joint // n_b, b=joint % n_b, heralded=heralded)
+    # Setting cell x * n_y + y of each round; non-heralded rounds form one
+    # extra group n_x * n_y, which keeps the no-click outcome.
+    cell = x * np.int8(n_y) + y
+    cell[~heralded] = n_x * n_y
+    order = np.argsort(cell, kind="stable")
+    # int8 group labels: int64 ones would widen the sorted column to search it.
+    bounds = np.searchsorted(cell[order], np.arange(n_x * n_y + 1, dtype=np.int8))
+    u = u[order]
+    # Joint outcome codes a * n_b + b, in cell order.
+    grouped = np.zeros(n_rounds, dtype=np.int8)
+    grouped[bounds[-1] :] = NO_CLICK * n_b + NO_CLICK
+    for c, (ix, iy) in enumerate(np.ndindex(n_x, n_y)):
+        u_c = u[bounds[c] : bounds[c + 1]]
+        joint_c = grouped[bounds[c] : bounds[c + 1]]
+        edges = np.cumsum(result.table.probabilities[ix, iy].reshape(-1))
+        edges[-1] = 1.0
+        # A cumsum of non-negative entries never decreases, so the edges <= u are a prefix;
+        # the last edge is 1.0 > u, so their count is searchsorted(side="right") and an outcome.
+        for edge in edges:
+            joint_c += u_c >= edge
+    joint = np.empty_like(grouped)
+    joint[order] = grouped
+    a, b = np.divmod(joint, np.int8(n_b))
+    return Rounds(x=x, y=y, a=a, b=b, heralded=heralded)
 
 
 # --------------------------------------------------------------------------
@@ -369,7 +392,9 @@ def sift(
 
     A uniform random fraction of all heralded rounds is published for
     parameter estimation (it therefore covers every setting pair); the raw
-    key is what remains of the key-basis rounds ``KEY_SETTINGS``.
+    key is what remains of the key-basis rounds ``KEY_SETTINGS``.  Both are
+    selected as round positions, and only the selected rounds' outcomes are
+    binned.
 
     Returns:
         ``(alice_raw_bits, bob_raw_bits, sample)``.
@@ -380,28 +405,24 @@ def sift(
     if not 0.0 <= sample_fraction < 1.0:
         raise ValueError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")
     idx = np.flatnonzero(rounds.heralded)
-    x = rounds.x[idx]
-    y = rounds.y[idx]
-    a_bits = _binned_bit(rounds.a[idx])
-    b_bits = _binned_bit(rounds.b[idx])
     n_sample = int(round(sample_fraction * idx.size))
     if idx.size > 0 and n_sample > 0:
-        chosen = np.sort(rng.choice(idx.size, size=n_sample, replace=False))
+        chosen = idx[np.sort(rng.choice(idx.size, size=n_sample, replace=False))]
     else:
         chosen = np.array([], dtype=np.int64)
-    in_sample = np.zeros(idx.size, dtype=bool)
-    in_sample[chosen] = True
-    raw_mask = (~in_sample) & (x == KEY_SETTINGS[0]) & (y == KEY_SETTINGS[1])
+    raw_mask = rounds.heralded & (rounds.x == KEY_SETTINGS[0]) & (rounds.y == KEY_SETTINGS[1])
+    raw_mask[chosen] = False
+    raw = np.flatnonzero(raw_mask)
     sample = EstimationSample(
-        indices=idx[chosen],
-        x=x[chosen],
-        y=y[chosen],
-        alice_bits=a_bits[chosen],
-        bob_bits=b_bits[chosen],
+        indices=chosen,
+        x=rounds.x[chosen],
+        y=rounds.y[chosen],
+        alice_bits=_binned_bit(rounds.a[chosen]),
+        bob_bits=_binned_bit(rounds.b[chosen]),
     )
-    if int(raw_mask.sum()) < _MIN_RAW_ROUNDS:
+    if raw.size < _MIN_RAW_ROUNDS:
         raise ProtocolAbort("sifting:too-few-raw-rounds")
-    return a_bits[raw_mask], b_bits[raw_mask], sample
+    return _binned_bit(rounds.a[raw]), _binned_bit(rounds.b[raw]), sample
 
 
 def estimate(sample: EstimationSample) -> Estimate:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from diqkd_lab.keyproto import (
     sift,
     simulate_rounds,
 )
+from diqkd_lab.photonics import NO_CLICK
 
 
 def make_records(cells, heralded=True):
@@ -92,17 +94,137 @@ def test_simulate_rounds_marks_non_heralded_as_no_click():
     assert all(getattr(rounds, c).shape == (2000,) for c in COLUMNS)
     assert np.isin(rounds.x, (0, 1)).all() and np.isin(rounds.y, (0, 1, 2)).all()
     assert (~rounds.heralded).any()
-    assert (rounds.a[~rounds.heralded] == 2).all()
-    assert (rounds.b[~rounds.heralded] == 2).all()
+    assert (rounds.a[~rounds.heralded] == NO_CLICK).all()
+    assert (rounds.b[~rounds.heralded] == NO_CLICK).all()
 
 
 def test_simulate_rounds_ideal_statistics():
     rounds = simulate_rounds(Scenario(), 4000, 11)
     assert rounds.heralded.all()
     # Key basis is perfectly correlated for the ideal link.
-    key = (rounds.x == 0) & (rounds.y == 0)
+    key = (rounds.x == KEY_SETTINGS[0]) & (rounds.y == KEY_SETTINGS[1])
     assert key.any(), "expected key-basis rounds"
     assert np.array_equal(rounds.a[key], rounds.b[key])
+
+
+def reference_simulate_rounds(scenario, n_rounds, seed):
+    """Round simulation as one masked ``searchsorted`` per setting cell, in int64 columns."""
+    result = run(scenario)
+    rng = np.random.default_rng(seed)
+    n_x, n_y, _, n_b = result.table.probabilities.shape
+    x = rng.integers(0, n_x, size=n_rounds)
+    y = rng.integers(0, n_y, size=n_rounds)
+    heralded = rng.random(n_rounds) < result.herald_probability
+    u = rng.random(n_rounds)
+    joint = np.full(n_rounds, NO_CLICK * n_b + NO_CLICK, dtype=np.int64)
+    for ix in range(n_x):
+        for iy in range(n_y):
+            mask = heralded & (x == ix) & (y == iy)
+            if not mask.any():
+                continue
+            edges = np.cumsum(result.table.probabilities[ix, iy].reshape(-1))
+            edges[-1] = 1.0
+            joint[mask] = np.searchsorted(edges, u[mask], side="right")
+    return Rounds(x=x, y=y, a=joint // n_b, b=joint % n_b, heralded=heralded)
+
+
+def reference_sift(rounds, sample_fraction, rng):
+    """Sifting on gathered copies of the heralded rounds' columns."""
+    idx = np.flatnonzero(rounds.heralded)
+    x = rounds.x[idx]
+    y = rounds.y[idx]
+    a_bits = (rounds.a[idx] == 1).astype(np.uint8)
+    b_bits = (rounds.b[idx] == 1).astype(np.uint8)
+    n_sample = int(round(sample_fraction * idx.size))
+    if idx.size > 0 and n_sample > 0:
+        chosen = np.sort(rng.choice(idx.size, size=n_sample, replace=False))
+    else:
+        chosen = np.array([], dtype=np.int64)
+    in_sample = np.zeros(idx.size, dtype=bool)
+    in_sample[chosen] = True
+    raw_mask = (~in_sample) & (x == KEY_SETTINGS[0]) & (y == KEY_SETTINGS[1])
+    sample = EstimationSample(
+        indices=idx[chosen],
+        x=x[chosen],
+        y=y[chosen],
+        alice_bits=a_bits[chosen],
+        bob_bits=b_bits[chosen],
+    )
+    if int(raw_mask.sum()) < keyproto._MIN_RAW_ROUNDS:
+        raise ProtocolAbort("sifting:too-few-raw-rounds")
+    return a_bits[raw_mask], b_bits[raw_mask], sample
+
+
+def sifted(sift_fn, rounds, seed):
+    """``sift_fn``'s raw bits and sample fields, or its abort reason, and the next draw."""
+    rng = np.random.default_rng(seed)
+    try:
+        alice_raw, bob_raw, sample = sift_fn(rounds, 0.1, rng)
+    except ProtocolAbort as exc:
+        fields = exc.reason
+    else:
+        fields = [alice_raw, bob_raw] + [
+            getattr(sample, f) for f in ("indices", "x", "y", "alice_bits", "bob_bits")
+        ]
+    return fields, rng.random()
+
+
+def assert_same_sift(rounds, seed, case):
+    (got, got_next), (want, want_next) = (
+        sifted(fn, rounds, seed) for fn in (sift, reference_sift)
+    )
+    assert got_next == want_next, case
+    if isinstance(want, str):
+        assert got == want, case
+        return
+    for g, w in zip(got, want, strict=True):
+        assert g.dtype == w.dtype and np.array_equal(g, w), case
+
+
+# All heralded with zero-probability outcomes; noisy; partly heralded; lossy.
+REFERENCE_SCENARIOS = (
+    Scenario(),
+    Scenario(node_fidelity=0.97),
+    Scenario(architecture="third_party", pair_prob=0.05),
+    Scenario(detector_efficiency=0.5),
+)
+
+
+def test_simulate_rounds_and_sift_match_the_reference():
+    for scenario in REFERENCE_SCENARIOS:
+        for n in (1, 2, 17, 1000, 65537):
+            for seed in (0, 1, 2):
+                case = (scenario, n, seed)
+                rounds = simulate_rounds(scenario, n, seed)
+                expected = reference_simulate_rounds(scenario, n, seed)
+                for c in COLUMNS:
+                    assert np.array_equal(getattr(rounds, c), getattr(expected, c)), (case, c)
+                assert_same_sift(rounds, seed, case)
+                assert_same_sift(expected, seed, case)
+                if expected.heralded.all():
+                    columns = np.column_stack([expected.x, expected.y, expected.a, expected.b])
+                    assert_same_sift(make_records(columns), seed, case)
+
+
+def test_simulate_rounds_keeps_narrow_columns():
+    """int8 settings and outcomes with bool herald flags, in bytes a round under tracemalloc."""
+    rounds = simulate_rounds(Scenario(architecture="third_party", pair_prob=0.05), 1000, 0)
+    assert [getattr(rounds, c).dtype for c in COLUMNS] == [np.dtype(np.int8)] * 4 + [np.dtype(bool)]
+    n = 200_000
+    simulate_rounds(Scenario(), 1, 0)  # warm any per-scenario caches
+    tracemalloc.start()
+    try:
+        rounds = simulate_rounds(Scenario(), n, 0)
+        held, peak = tracemalloc.get_traced_memory()
+        del rounds
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        run_session(Scenario(), n, 0)
+        session_peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert held / n <= 8 and peak / n <= 36, (held / n, peak / n)
+    assert session_peak / n <= 45, session_peak / n
 
 
 # ----------------------------------------------------------------------
