@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -76,6 +77,10 @@ _CONFIDENCE = 1.0 - 1e-6
 _SECURITY_MARGIN = 64
 
 _VERIFY_DIGEST_BITS = 64
+
+#: Equal slices of [0, 1) in the outcome-sampling guide table; a power of two,
+#: so that scaling a uniform by it is exact.
+_BUCKETS = 1024
 
 
 class MessageKind(IntEnum):
@@ -132,7 +137,8 @@ class Rounds:
 
     A round's index is its position in the arrays.  ``simulate_rounds``
     fills int8 settings and outcomes and bool herald flags, 5 bytes a
-    round; ``sift`` accepts settings and outcomes of any integer dtype.
+    round, and needs about 21 bytes a round while it samples them; ``sift``
+    accepts settings and outcomes of any integer dtype.
 
     Attributes:
         x: Alice's settings (0 or 1).
@@ -330,13 +336,14 @@ def simulate_rounds(
     outcome pair of a heralded round follows the conditional table cell of
     its settings.  Non-heralded rounds record no-clicks.
 
-    The draws come in a fixed order -- ``x``, ``y``, herald flags, then one
-    uniform ``u`` per round -- as int64 and float64 in one call each, and
-    the columns keep them as int8.  Outcomes are sampled per setting cell:
-    one stable sort groups the rounds by cell, and a round's joint outcome
-    index is the number of the cell's cumulative-probability edges ``<= u``.
-    The edges never decrease and the last is clamped to 1.0, above every
-    ``u``, so that count is ``np.searchsorted(edges, u, side="right")``.
+    The draws come in a fixed order -- ``x``, ``y``, herald uniforms, then
+    one uniform ``u`` per round -- as int64 and float64 in one call each,
+    and the columns keep them as int8.  A round's joint outcome index is
+    the number of its cell's cumulative-probability edges ``<= u``; with the
+    last edge clamped to 1.0, above every ``u``, that is an outcome.  It is
+    read from a table of ``_BUCKETS`` equal slices of ``[0, 1)`` per cell
+    (a guide table: Chen & Asau, AIIE Trans. 6, 163 (1974)), and counted
+    directly for the rounds whose slice holds an edge.
 
     Args:
         scenario: Link configuration.
@@ -344,40 +351,65 @@ def simulate_rounds(
         seed: Seed for the round generator; fixed seed means identical
             rounds on every call.
     """
+    if isinstance(n_rounds, bool) or not isinstance(n_rounds, numbers.Integral):
+        raise ValueError(f"n_rounds must be an integer, got {n_rounds!r}")
     if n_rounds <= 0:
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
     result = run(scenario)
     rng = np.random.default_rng(seed)
-    n_x, n_y, _, n_b = result.table.probabilities.shape
+    n_x, n_y, n_a, n_b = result.table.probabilities.shape
     # Drawn as int64 and narrowed: drawing int8 directly gives other values.
     x = rng.integers(0, n_x, size=n_rounds).astype(np.int8)
     y = rng.integers(0, n_y, size=n_rounds).astype(np.int8)
-    heralded = rng.random(n_rounds) < result.herald_probability
     u = rng.random(n_rounds)
-    # Setting cell x * n_y + y of each round; non-heralded rounds form one
-    # extra group n_x * n_y, which keeps the no-click outcome.
+    heralded = u < result.herald_probability
+    rng.random(out=u)
+    # Setting cell x * n_y + y of each round; non-heralded rounds take the
+    # extra cell n_x * n_y, whose outcome is always the no-click pair.
     cell = x * np.int8(n_y) + y
     cell[~heralded] = n_x * n_y
-    order = np.argsort(cell, kind="stable")
-    # int8 group labels: int64 ones would widen the sorted column to search it.
-    bounds = np.searchsorted(cell[order], np.arange(n_x * n_y + 1, dtype=np.int8))
-    u = u[order]
-    # Joint outcome codes a * n_b + b, in cell order.
-    grouped = np.zeros(n_rounds, dtype=np.int8)
-    grouped[bounds[-1] :] = NO_CLICK * n_b + NO_CLICK
-    for c, (ix, iy) in enumerate(np.ndindex(n_x, n_y)):
-        u_c = u[bounds[c] : bounds[c + 1]]
-        joint_c = grouped[bounds[c] : bounds[c + 1]]
-        edges = np.cumsum(result.table.probabilities[ix, iy].reshape(-1))
-        edges[-1] = 1.0
-        # A cumsum of non-negative entries never decreases, so the edges <= u are a prefix;
-        # the last edge is 1.0 > u, so their count is searchsorted(side="right") and an outcome.
-        for edge in edges:
-            joint_c += u_c >= edge
-    joint = np.empty_like(grouped)
-    joint[order] = grouped
-    a, b = np.divmod(joint, np.int8(n_b))
+    table, edges = _outcome_table(result.table.probabilities)
+    # Scaling by a power of two is exact: u is k * 2**-53 and each edge a
+    # float64, so edge * _BUCKETS <= u * _BUCKETS exactly when edge <= u.
+    u *= _BUCKETS
+    # Flat index floor(u) * n_cells + cell into the slice-major table, built
+    # in place: a temporary column here raises glibc's dynamic mmap
+    # threshold, and a 1e7-round session then peaks ~27 MB higher.
+    index = u.astype(np.intp)
+    index *= table.shape[1]
+    index += cell
+    joint = table.reshape(-1)[index]
+    del index
+    unresolved = np.flatnonzero(joint < 0)
+    joint[unresolved] = (edges[cell[unresolved]] <= u[unresolved, None]).sum(axis=1)
+    del u
+    codes = np.arange(n_a * n_b)
+    # take, not fancy indexing: this numpy casts an int8 index to intp faster.
+    a = np.take((codes // n_b).astype(np.int8), joint)
+    b = np.take((codes % n_b).astype(np.int8), joint)
     return Rounds(x=x, y=y, a=a, b=b, heralded=heralded)
+
+
+def _outcome_table(probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The guide table of joint outcome codes, and the scaled edges it resolves.
+
+    Returns ``(table, edges)``: ``edges[c]`` are setting cell ``c``'s
+    cumulative outcome probabilities, last clamped to 1.0, times
+    ``_BUCKETS``; ``table[k, c]`` is the number of them ``<= u`` for every
+    scaled ``u`` in ``[k, k + 1)``, or -1 where an edge lies inside that
+    slice.  A last column serves non-heralded rounds: every entry is the
+    no-click pair.
+    """
+    n_x, n_y, n_a, n_b = probabilities.shape
+    edges = np.cumsum(probabilities.reshape(n_x * n_y, n_a * n_b), axis=1)
+    edges[:, -1] = 1.0
+    edges *= _BUCKETS
+    lower = np.arange(_BUCKETS, dtype=np.float64)
+    below = (edges[:, :, None] <= lower).sum(axis=1)
+    before_next = (edges[:, :, None] < lower + 1.0).sum(axis=1)
+    table = np.where(below == before_next, below, -1).T
+    no_click = np.full((_BUCKETS, 1), NO_CLICK * n_b + NO_CLICK)
+    return np.hstack([table, no_click]).astype(np.int8), edges
 
 
 # --------------------------------------------------------------------------
@@ -430,31 +462,38 @@ def estimate(sample: EstimationSample) -> Estimate:
 
     Correlators use the ±1 convention ``(-1)^bit``; the CHSH combination
     sums ``CHSH_TERMS`` and the error rate is read on ``KEY_SETTINGS``.
-    Hoeffding radii split the failure probability ``1 - _CONFIDENCE``
-    evenly over the five estimated quantities, so all radii hold jointly at
-    that confidence.
+    Every term is read from one count of agreeing and disagreeing rounds
+    per setting pair: a correlator is ``(agree - disagree) / n`` and the
+    error rate ``disagree / n``.  Hoeffding radii split the failure
+    probability ``1 - _CONFIDENCE`` evenly over the five estimated
+    quantities, so all radii hold jointly at that confidence.
 
     Raises:
         ProtocolAbort: If any needed setting pair is absent from the sample.
     """
     delta = (1.0 - _CONFIDENCE) / 5.0
     log_term = math.log(2.0 / delta)
-    va = 1.0 - 2.0 * sample.alice_bits.astype(np.float64)
-    vb = 1.0 - 2.0 * sample.bob_bits.astype(np.float64)
+    pairs = [pair for pair, _ in CHSH_TERMS] + [KEY_SETTINGS]
+    n_x = 1 + max(int(sample.x.max(initial=0)), *(sx for sx, _ in pairs))
+    n_y = 1 + max(int(sample.y.max(initial=0)), *(sy for _, sy in pairs))
+    # counts[x][y] is (disagreeing, agreeing) rounds of setting pair (x, y).
+    counts = np.bincount(
+        (sample.x.astype(np.intp) * n_y + sample.y) * 2 + (sample.alice_bits == sample.bob_bits),
+        minlength=n_x * n_y * 2,
+    ).reshape(n_x, n_y, 2).tolist()
+    if any(sum(counts[sx][sy]) == 0 for sx, sy in pairs):
+        raise ProtocolAbort("estimation:missing-setting-pair")
     s_hat = 0.0
     s_radius = 0.0
     for (sx, sy), sign in CHSH_TERMS:
-        mask = (sample.x == sx) & (sample.y == sy)
-        n_xy = int(mask.sum())
-        if n_xy == 0:
-            raise ProtocolAbort("estimation:missing-setting-pair")
-        s_hat += sign * float(np.mean(va[mask] * vb[mask]))
+        disagree, agree = counts[sx][sy]
+        n_xy = disagree + agree
+        # Equal to the mean of the n_xy products ±1.0: their sum is exact.
+        s_hat += sign * ((agree - disagree) / n_xy)
         s_radius += math.sqrt(2.0 * log_term / n_xy)
-    key_mask = (sample.x == KEY_SETTINGS[0]) & (sample.y == KEY_SETTINGS[1])
-    n_key = int(key_mask.sum())
-    if n_key == 0:
-        raise ProtocolAbort("estimation:missing-setting-pair")
-    q_hat = float(np.mean(sample.alice_bits[key_mask] != sample.bob_bits[key_mask]))
+    disagree, agree = counts[KEY_SETTINGS[0]][KEY_SETTINGS[1]]
+    n_key = disagree + agree
+    q_hat = disagree / n_key
     q_radius = math.sqrt(log_term / (2.0 * n_key))
     return Estimate(s_hat=s_hat, q_hat=q_hat, s_radius=s_radius, q_radius=q_radius)
 

@@ -4,12 +4,13 @@ import hashlib
 import math
 import struct
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 from diqkd_lab import keyproto
-from diqkd_lab.architectures import KEY_SETTINGS, Scenario, devetak_winter_rate, run
+from diqkd_lab.architectures import CHSH_TERMS, KEY_SETTINGS, Scenario, devetak_winter_rate, run
 from diqkd_lab.bellcert import bin_no_click
 from diqkd_lab.keyproto import (
     EstimationSample,
@@ -82,7 +83,7 @@ COLUMNS = ("x", "y", "a", "b", "heralded")
 def test_simulate_rounds_is_deterministic():
     scenario = Scenario()
     first = simulate_rounds(scenario, 500, 7)
-    second = simulate_rounds(scenario, 500, 7)
+    second = simulate_rounds(scenario, np.int64(500), 7)
     assert all(np.array_equal(getattr(first, c), getattr(second, c)) for c in COLUMNS)
     third = simulate_rounds(scenario, 500, 8)
     assert not all(np.array_equal(getattr(first, c), getattr(third, c)) for c in COLUMNS)
@@ -181,12 +182,14 @@ def assert_same_sift(rounds, seed, case):
         assert g.dtype == w.dtype and np.array_equal(g, w), case
 
 
-# All heralded with zero-probability outcomes; noisy; partly heralded; lossy.
+# All heralded with zero-probability outcomes; noisy; partly heralded; lossy;
+# rarely heralded.
 REFERENCE_SCENARIOS = (
     Scenario(),
     Scenario(node_fidelity=0.97),
     Scenario(architecture="third_party", pair_prob=0.05),
     Scenario(detector_efficiency=0.5),
+    Scenario(architecture="local_heralding"),
 )
 
 
@@ -223,8 +226,72 @@ def test_simulate_rounds_keeps_narrow_columns():
         session_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert held / n <= 8 and peak / n <= 36, (held / n, peak / n)
+    assert held / n <= 8 and peak / n <= 26, (held / n, peak / n)
     assert session_peak / n <= 45, session_peak / n
+
+
+def direct_count_rounds(probabilities, herald_probability, n_rounds, seed):
+    """Rounds from the same draws, each outcome the count of its cell's edges ``<= u``."""
+    rng = np.random.default_rng(seed)
+    n_x, n_y, _, n_b = probabilities.shape
+    x = rng.integers(0, n_x, size=n_rounds)
+    y = rng.integers(0, n_y, size=n_rounds)
+    heralded = rng.random(n_rounds) < herald_probability
+    u = rng.random(n_rounds)
+    edges = np.cumsum(probabilities.reshape(n_x * n_y, -1), axis=1)
+    edges[:, -1] = 1.0
+    cell_edges = edges[x * n_y + y]
+    joint = (cell_edges <= u[:, None]).sum(axis=1)
+    joint[~heralded] = NO_CLICK * n_b + NO_CLICK
+    # Rounds whose slice of [0, 1) holds one of their cell's edges.
+    scaled = cell_edges * keyproto._BUCKETS
+    bucket = np.floor(u * keyproto._BUCKETS)[:, None]
+    straddled = heralded & ((scaled > bucket) & (scaled < bucket + 1)).any(axis=1)
+    return Rounds(x=x, y=y, a=joint // n_b, b=joint % n_b, heralded=heralded), straddled
+
+
+def outcome_distribution(*entries):
+    """A 16-entry joint outcome distribution; unlisted entries are 0."""
+    return np.array(entries + (0.0,) * (16 - len(entries)))
+
+
+# One joint outcome distribution per setting cell, beyond what a link produces.
+CRAFTED_CELLS = (
+    # Every edge on a slice boundary k / 1024.
+    outcome_distribution(*(np.array([64, 128, 256, 32, 32, 64, 64, 128, 64, 64, 64, 64]) / 1024)),
+    # An edge just below the boundary 512 / 1024, then several inside one slice.
+    outcome_distribution(0.5 - 2.0**-53, 1e-4, 2e-4, 3e-4, 1e-5, 1e-6, 0.2, 0.1, 0.15, 0.049389),
+    # Zero-probability outcomes: repeated edges.
+    outcome_distribution(0.0, 0.0, 0.3, 0.0, 0.0, 0.2, 0.0, 0.0, 0.5),
+    # Partial sums above 1.0 before the last edge is clamped.
+    outcome_distribution(0.7, 0.4, *([0.01] * 14)),
+    # All mass on the first outcome, then all mass on the last.
+    outcome_distribution(1.0),
+    outcome_distribution(*([0.0] * 15), 1.0),
+)
+
+
+def test_simulate_rounds_matches_a_direct_count(monkeypatch):
+    """The guide-table sampler against counting every edge, on crafted tables."""
+    n = 100_000
+    straddled_any = False
+    for shift in (0, 3):
+        cells = CRAFTED_CELLS[shift:] + CRAFTED_CELLS[:shift]
+        probabilities = np.stack(cells).reshape(2, 3, 4, 4)
+        for herald_probability in (0.0, 0.4, 1.0):
+            result = types.SimpleNamespace(
+                table=types.SimpleNamespace(probabilities=probabilities),
+                herald_probability=herald_probability,
+            )
+            monkeypatch.setattr(keyproto, "run", lambda scenario: result)
+            case = (shift, herald_probability)
+            rounds = simulate_rounds(Scenario(), n, shift + 10)
+            expected, straddled = direct_count_rounds(probabilities, herald_probability, n, shift + 10)
+            for c in COLUMNS:
+                assert np.array_equal(getattr(rounds, c), getattr(expected, c)), (case, c)
+            assert straddled.any() == (herald_probability > 0), case
+            straddled_any |= straddled.any()
+    assert straddled_any
 
 
 # ----------------------------------------------------------------------
@@ -283,6 +350,65 @@ def test_estimate_radii_shrink_with_sample_size():
     large = estimate(perfect_sample(300))
     assert large.s_radius < small.s_radius
     assert large.q_radius < small.q_radius
+
+
+def reference_estimate(sample):
+    """Estimation by one mask and mean per setting pair."""
+    delta = (1.0 - keyproto._CONFIDENCE) / 5.0
+    log_term = math.log(2.0 / delta)
+    va = 1.0 - 2.0 * sample.alice_bits.astype(np.float64)
+    vb = 1.0 - 2.0 * sample.bob_bits.astype(np.float64)
+    s_hat = 0.0
+    s_radius = 0.0
+    for (sx, sy), sign in CHSH_TERMS:
+        mask = (sample.x == sx) & (sample.y == sy)
+        n_xy = int(mask.sum())
+        if n_xy == 0:
+            raise ProtocolAbort("estimation:missing-setting-pair")
+        s_hat += sign * float(np.mean(va[mask] * vb[mask]))
+        s_radius += math.sqrt(2.0 * log_term / n_xy)
+    key_mask = (sample.x == KEY_SETTINGS[0]) & (sample.y == KEY_SETTINGS[1])
+    n_key = int(key_mask.sum())
+    if n_key == 0:
+        raise ProtocolAbort("estimation:missing-setting-pair")
+    q_hat = float(np.mean(sample.alice_bits[key_mask] != sample.bob_bits[key_mask]))
+    q_radius = math.sqrt(log_term / (2.0 * n_key))
+    return keyproto.Estimate(s_hat=s_hat, q_hat=q_hat, s_radius=s_radius, q_radius=q_radius)
+
+
+def estimated(estimate_fn, sample):
+    """``estimate_fn``'s four fields, or its abort reason."""
+    try:
+        est = estimate_fn(sample)
+    except ProtocolAbort as exc:
+        return exc.reason
+    return est.s_hat, est.q_hat, est.s_radius, est.q_radius
+
+
+def test_estimate_matches_the_reference():
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 5, 17, 100, 1000, 100_000):
+        for flip_prob in (0.0, 0.1, 0.5):
+            for dtype in (np.int8, np.int64):
+                alice = rng.integers(0, 2, size=n, dtype=np.uint8)
+                sample = EstimationSample(
+                    indices=np.arange(n),
+                    x=rng.integers(0, 2, size=n).astype(dtype),
+                    y=rng.integers(0, 3, size=n).astype(dtype),
+                    alice_bits=alice,
+                    bob_bits=alice ^ (rng.random(n) < flip_prob).astype(np.uint8),
+                )
+                case = (n, flip_prob, dtype)
+                assert estimated(estimate, sample) == estimated(reference_estimate, sample), case
+                # Without one CHSH pair, then without the key pair.
+                for sx, sy in ((1, 2), KEY_SETTINGS):
+                    keep = (sample.x != sx) | (sample.y != sy)
+                    pruned = EstimationSample(
+                        *(getattr(sample, f)[keep] for f in ("indices", "x", "y", "alice_bits", "bob_bits"))
+                    )
+                    got = estimated(estimate, pruned)
+                    assert got == estimated(reference_estimate, pruned), (case, sx, sy)
+                    assert got == "estimation:missing-setting-pair", (case, sx, sy)
 
 
 def test_estimate_requires_every_setting_pair():
@@ -598,6 +724,8 @@ def test_run_session_matches_golden_digests():
 # naming the rejected input.
 REJECTED_INPUTS = (
     (lambda: simulate_rounds(Scenario(), 0, 1), ValueError, "n_rounds must be positive, got 0"),
+    (lambda: simulate_rounds(Scenario(), 3e3, 1), ValueError, "n_rounds must be an integer, got 3000.0"),
+    (lambda: run_session(Scenario(), True, 1), ValueError, "n_rounds must be an integer, got True"),
     (
         lambda: privacy_amplify(np.zeros((2, 4), dtype=np.uint8), 0, 0.5, 1),
         ValueError,
