@@ -285,8 +285,8 @@ def parse_transcript(data: bytes) -> tuple[tuple[int, MessageKind, bytes], ...]:
     """Decode a serialized transcript into ``(seq, kind, payload)`` triples.
 
     Raises:
-        ValueError: On a truncated record, or a record whose ``seq`` is not
-            its position.
+        ValueError: On a truncated record, a record whose ``seq`` is not its
+            position, or a record of unknown kind.
     """
     out = []
     offset = 0
@@ -300,7 +300,11 @@ def parse_transcript(data: bytes) -> tuple[tuple[int, MessageKind, bytes], ...]:
         offset += header.size
         if offset + length > len(data):
             raise ValueError("truncated transcript payload")
-        out.append((seq, MessageKind(kind), bytes(data[offset : offset + length])))
+        try:
+            kind = MessageKind(kind)
+        except ValueError:
+            raise ValueError(f"transcript record {len(out)} has unknown kind {kind}") from None
+        out.append((seq, kind, bytes(data[offset : offset + length])))
         offset += length
     return tuple(out)
 
@@ -544,7 +548,7 @@ def reconcile(
     Args:
         alice_bits: Reference bit string.
         bob_bits: String to correct; same length.
-        q_hat: Error-rate estimate used only to size blocks.
+        q_hat: Error-rate estimate in ``[0, 1]``, used only to size blocks.
         permutation_seed: Public seed of the second-pass permutation.
 
     Returns:
@@ -556,6 +560,8 @@ def reconcile(
     bob = np.asarray(bob_bits, dtype=np.uint8).copy()
     if alice_bits.shape != bob.shape or alice_bits.ndim != 1:
         raise ValueError("bit strings must be 1-D and of equal length")
+    if not 0.0 <= q_hat <= 1.0:
+        raise ValueError(f"q_hat must lie in [0, 1], got {q_hat}")
     n = alice_bits.size
     rng = np.random.default_rng(_seed_sequence(permutation_seed))
     transcript = _Transcript()
@@ -641,13 +647,15 @@ def privacy_amplify(
 
     Args:
         bits: Reconciled key bits.
-        leakage_bits: Reconciliation disclosure to subtract.
+        leakage_bits: Reconciliation disclosure to subtract, an integer.
         rate: Extractable secret fraction (worst-case plug-in key rate).
         seed: Hash seed; 32 announced bytes or an integer.
     """
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1:
         raise ValueError("bits must be a 1-D array")
+    if isinstance(leakage_bits, bool) or not isinstance(leakage_bits, numbers.Integral):
+        raise ValueError(f"leakage_bits must be an integer, got {leakage_bits!r}")
     if leakage_bits < 0:
         raise ValueError("leakage_bits must be non-negative")
     if not 0.0 <= rate <= 1.0:

@@ -2,21 +2,23 @@
 
 States live on ``n_modes`` bosonic modes, always as a :class:`ModeMixture`:
 an explicit ensemble of pure branches that stores only nonzero amplitudes,
-as a weight vector of shape ``(k,)`` and one table row per amplitude (its
-branch, its Fock occupations and its complex value).  Sources,
-:func:`fock` and :func:`vacuum` build one-branch mixtures, and every
-operation takes a mixture and returns one.  No density matrix on the full
-mode space is ever built: loss splits each branch into one pure branch per
-number of lost photons, and destructive threshold detection splits it into
-one branch per Fock content of the measured modes.  :func:`mix` forms
-weighted unions of states.
+one table row per amplitude (its branch, its Fock occupations and its
+complex value).  Branches are not normalized: a branch's weight is the
+squared norm of its amplitudes, so every operation applies its amplitudes
+directly and conditioning rescales them once.  Sources, :func:`fock` and
+:func:`vacuum` build one-branch mixtures, and every operation takes a
+mixture and returns one.  No density matrix on the full mode space is ever
+built: loss splits each branch into one pure branch per number of lost
+photons, and destructive threshold detection splits it into one branch per
+Fock content of the measured modes.  :func:`mix` forms weighted unions of
+states.
 
 Linear optics conserves photon number, so a two-mode unitary maps each
 ``|n1, n2>`` inside the sector of ``n1 + n2`` photons, and nothing is ever
 cut off: there is no truncation error.  A mixture's ``n_max`` is the
-largest occupation it holds, read from its rows; dense views
-(:func:`mode_density`, detector tables) size themselves from it.  The one
-approximation left is the sources' cut on pair number.
+largest occupation it holds, read from its rows; dense views (detector
+tables, click POVMs) size themselves from it.  The one approximation left
+is the sources' cut on pair number.
 
 Polarization measurements report one outcome per party, coded from its
 two ports' click pattern by ``OUTCOME_CODES``: 0 and 1 for a click in the
@@ -63,7 +65,6 @@ __all__ = [
     "tensor_modes",
     "permute_modes",
     "phase_shift",
-    "mode_density",
     "beamsplitter",
     "polarization_rotation",
     "loss_channel",
@@ -79,9 +80,10 @@ __all__ = [
     "amplifier_success_probability",
 ]
 
-# Pure branches below this weight are dropped from mixtures, and amplitudes
-# below it in squared modulus from branches (they carry no probability at
-# double precision).
+# Pure branches of at most this weight are dropped from mixtures, and rows of
+# at most this squared modulus from the linear-optics results (they carry no
+# probability at double precision).  Both are absolute: a row's squared
+# modulus is its probability in the whole mixture.
 BRANCH_PRUNE_TOL = 1e-30
 
 #: Outcome code of each click pattern ``(H port, V port)`` of a polarization
@@ -103,75 +105,69 @@ class ModeMixture:
 
     Row ``r`` holds the amplitude ``amp[r]`` of the Fock state ``|occ[r]>``
     in branch ``branch[r]``; a ``(branch, occupations)`` pair appears at
-    most once.  The arrays are stored without a copy and made read-only.
+    most once.  A branch is the unnormalized vector ``|psi_b>`` of its
+    rows, and its weight is their ``sum |amp|^2``, so the state is ``sum_b
+    |psi_b><psi_b|`` and the squared modulus of a row is its probability.
+    ``BRANCH_PRUNE_TOL`` is therefore an absolute probability: a branch of
+    at most that weight is dropped here, and the linear-optics ops drop
+    rows of at most that squared modulus.  The arrays are stored without a
+    copy and made read-only.
 
     Attributes:
-        weights: Branch weights, shape ``(k,)``; positive and summing to
-            one.  Branches of weight at most ``BRANCH_PRUNE_TOL`` are
-            dropped on construction.
-        branch: Branch of each row, shape ``(nnz,)``, ascending.
+        branch: Branch of each row, shape ``(nnz,)``, ascending.  Branches
+            of weight at most ``BRANCH_PRUNE_TOL`` are dropped on
+            construction and the rest numbered ``0..k-1``, closing gaps.
         occ: Photon number of every mode in each row, shape
             ``(nnz, n_modes)``.
-        amp: Complex amplitude of each row, shape ``(nnz,)``; every branch
-            is normalized.
+        amp: Complex amplitude of each row, shape ``(nnz,)``; the squared
+            moduli of all rows sum to one.
     """
 
-    weights: np.ndarray
     branch: np.ndarray
     occ: np.ndarray
     amp: np.ndarray
 
     def __post_init__(self) -> None:
-        weights = np.array(self.weights, dtype=float)
         branch = _index_array(self.branch, "branch")
         occ = _index_array(self.occ, "occ")
         amp = np.asarray(self.amp, dtype=complex)
         if not (
-            weights.ndim == branch.ndim == 1
+            branch.ndim == 1
             and occ.ndim == 2
             and occ.shape[1] > 0
             and amp.shape == branch.shape == occ.shape[:1]
         ):
             raise DimensionMismatchError(
-                "a mixture needs weights (k,), branch (nnz,), occ (nnz, modes) and amp "
-                f"(nnz,), got {weights.shape}, {branch.shape}, {occ.shape} and {amp.shape}"
+                "a mixture needs branch (nnz,), occ (nnz, modes) and amp (nnz,), "
+                f"got {branch.shape}, {occ.shape} and {amp.shape}"
             )
-        if weights.size == 0:
-            raise StateValidationError("a mixture needs at least one branch")
-        ascending = (branch[1:] >= branch[:-1]).all()
-        if branch.size and not (ascending and 0 <= branch[0] and branch[-1] < weights.size):
-            raise DimensionMismatchError("branch indices must ascend within [0, k)")
+        if branch.size and not ((branch[1:] >= branch[:-1]).all() and 0 <= branch[0]):
+            raise DimensionMismatchError("branch indices must be non-negative and ascend")
         if occ.min(initial=0) < 0:
             raise DimensionMismatchError("occupations must be non-negative")
-        # Comparisons written so that NaN fails them.
-        lightest = weights.min()
-        if not lightest >= -1e-12:
-            i = np.flatnonzero(~(weights >= -1e-12))[0]
-            raise StateValidationError(f"branch {i} has invalid weight {weights[i]}")
-        if not lightest > BRANCH_PRUNE_TOL:
-            keep = weights > BRANCH_PRUNE_TOL
-            if not keep.any():
-                raise StateValidationError("all branches have zero weight")
-            rows = keep[branch]
-            weights, branch = weights[keep], (np.cumsum(keep) - 1)[branch[rows]]
-            occ, amp = occ[rows], amp[rows]
-        total = weights.sum()
+        power = _power(amp)
+        total = power.sum()
+        # Written so that NaN fails it; an empty mixture sums to 0.
         if not abs(total - 1.0) <= 1e-7:
-            raise StateValidationError(f"mixture weights sum to {total!r}, expected 1")
-        norms = np.sqrt(np.bincount(branch, amp.real**2 + amp.imag**2, minlength=weights.size))
-        off = np.abs(norms - 1.0)
-        if not off.max() <= 1e-7:
-            i = np.flatnonzero(~(off <= 1e-7))[0]
-            raise StateValidationError(f"branch {i} is not normalized: |psi| = {norms[i]!r}")
-        for name, arr in (("weights", weights), ("branch", branch), ("occ", occ), ("amp", amp)):
+            raise StateValidationError(f"mixture weights sum to {total}, expected 1")
+        if branch[-1] >= branch.size:
+            # Ids past the row count leave gaps; close them before counting.
+            branch = np.cumsum(np.diff(branch, prepend=branch[0]) > 0)
+        weights = np.bincount(branch, power)
+        if not weights.min() > BRANCH_PRUNE_TOL:
+            keep = weights > BRANCH_PRUNE_TOL
+            rows = keep[branch]
+            branch, occ, amp = (np.cumsum(keep) - 1)[branch[rows]], occ[rows], amp[rows]
+        for name, arr in (("branch", branch), ("occ", occ), ("amp", amp)):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def branches(self) -> tuple[tuple[float, slice], ...]:
         """``(weight, rows)`` per branch; ``occ[rows]`` and ``amp[rows]`` hold its amplitudes."""
-        bounds = np.searchsorted(self.branch, np.arange(self.weights.size + 1)).tolist()
-        return tuple(zip(self.weights.tolist(), map(slice, bounds, bounds[1:])))
+        weights = np.bincount(self.branch, _power(self.amp))
+        bounds = np.searchsorted(self.branch, np.arange(weights.size + 1)).tolist()
+        return tuple(zip(weights.tolist(), map(slice, bounds, bounds[1:])))
 
     @property
     def n_modes(self) -> int:
@@ -188,16 +184,17 @@ class ModeMixture:
         if len(target) != self.n_modes:
             raise DimensionMismatchError(f"{len(target)} occupations for {self.n_modes} modes")
         rows = (self.occ == target).all(axis=1)
-        return float(self._row_probabilities()[rows].sum())
-
-    def _row_probabilities(self) -> np.ndarray:
-        """Probability of each row, ``weights[branch] * |amp|^2``."""
-        return self.weights[self.branch] * (self.amp.real**2 + self.amp.imag**2)
+        return float(_power(self.amp)[rows].sum())
 
 
 # The one state type under its former name, kept because bench/tracing.py
 # imports ``ModeState`` and counts constructions through its __post_init__.
 ModeState = ModeMixture
+
+
+def _power(amp: np.ndarray) -> np.ndarray:
+    """``|amp|^2`` per row: each row's probability in its mixture."""
+    return amp.real**2 + amp.imag**2
 
 
 def _index_array(values, name: str) -> np.ndarray:
@@ -228,7 +225,7 @@ def _mode_indices(state: ModeMixture, modes: Iterable[int]) -> list[int]:
 def _pure(rows: dict[tuple[int, ...], float]) -> ModeMixture:
     """One pure branch of the nonzero ``{occupations: amplitude}`` rows, in ascending order."""
     occ = sorted(o for o, a in rows.items() if a != 0)
-    return ModeMixture(np.ones(1), np.zeros(len(occ), np.intp), occ, [rows[o] for o in occ])
+    return ModeMixture(np.zeros(len(occ), np.intp), occ, [rows[o] for o in occ])
 
 
 def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,36 +247,26 @@ def _spread(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return src, np.arange(src.size) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _merged(weights, branch, occ, amp) -> ModeMixture:
+def _merged(branch, occ, amp) -> ModeMixture:
     """Sum duplicate ``(branch, occupations)`` rows and drop the ones that cancel."""
     keys, index = _distinct(branch, occ)
     amp = np.bincount(index, amp.real) + 1j * np.bincount(index, amp.imag)
-    keep = amp.real**2 + amp.imag**2 > BRANCH_PRUNE_TOL
-    return ModeMixture(weights, keys[keep, 0], keys[keep, 1:], amp[keep])
+    keep = _power(amp) > BRANCH_PRUNE_TOL
+    return ModeMixture(keys[keep, 0], keys[keep, 1:], amp[keep])
 
 
-def _split(weights, grouping, occ, amp, like=1.0, total=1.0) -> ModeMixture:
-    """Split every branch by a key into normalized pure branches.
+def _split(group, occ, amp, scale) -> ModeMixture:
+    """Split every branch by a key into pure branches of amplitudes ``amp * scale``.
 
-    ``grouping`` is ``_distinct(branch, key)`` of the rows.  The rows of
-    branch ``b`` with one key value form a new branch of weight ``weights[b]
-    * like * |rows|^2 / total``, where ``like`` (one value per row) is
-    constant on it.  New branches whose unweighted ``like * |rows|^2`` is at
-    most ``BRANCH_PRUNE_TOL`` are dropped.
+    ``group`` numbers the rows' ``(branch, key)`` pairs in ascending order
+    (the index from ``_distinct``); the rows of one pair form one new
+    branch.  Rows that ``scale`` zeroes are dropped, and so, on
+    construction, are branches left without weight.
     """
-    groups, index = grouping
-    power = amp.real**2 + amp.imag**2
-    mass = np.bincount(index, power)
-    kept_mass = np.bincount(index, power * like)
-    keep = kept_mass > BRANCH_PRUNE_TOL
-    rows = np.flatnonzero(keep[index] & (power > 0))
-    rows = rows[np.argsort(index[rows], kind="stable")]
-    return ModeMixture(
-        weights=weights[groups[keep, 0]] * kept_mass[keep] / total,
-        branch=(np.cumsum(keep) - 1)[index[rows]],
-        occ=occ[rows],
-        amp=amp[rows] / np.sqrt(mass[index[rows]]),
-    )
+    amp = amp * scale
+    rows = np.flatnonzero(amp)
+    rows = rows[np.argsort(group[rows], kind="stable")]
+    return ModeMixture(group[rows], occ[rows], amp[rows])
 
 
 def vacuum(n_modes: int) -> ModeMixture:
@@ -298,8 +285,8 @@ def fock(occupations: Sequence[int]) -> ModeMixture:
 def mix(parts: Iterable[tuple[float, ModeMixture]]) -> ModeMixture:
     """Classical mixture of ``(probability, state)`` parts on the same modes.
 
-    The parts' branches are concatenated, each weighted by its probability,
-    and the weights renormalized, so the probabilities need not sum to one.
+    The parts' branches are concatenated, the amplitudes of each part scaled
+    by ``sqrt(p / sum(p))``, so the probabilities need not sum to one.
 
     Raises:
         ValueError: When there are no parts, a probability is negative or not
@@ -313,13 +300,12 @@ def mix(parts: Iterable[tuple[float, ModeMixture]]) -> ModeMixture:
             raise ValueError(f"mixture probability {p} must be non-negative and finite")
     if not any(p > 0.0 for p, _ in mixtures):
         raise ValueError("mixture probabilities sum to zero")
-    offsets = np.cumsum([0] + [m.weights.size for _, m in mixtures])
-    weights = np.concatenate([p * m.weights for p, m in mixtures])
+    total = sum(p for p, _ in mixtures)
+    offsets = np.cumsum([0] + [m.branch[-1] + 1 for _, m in mixtures])
     return ModeMixture(
-        weights=weights / weights.sum(),
         branch=np.concatenate([m.branch + o for (_, m), o in zip(mixtures, offsets)]),
         occ=np.concatenate([m.occ for _, m in mixtures]),
-        amp=np.concatenate([m.amp for _, m in mixtures]),
+        amp=np.concatenate([m.amp * math.sqrt(p / total) for p, m in mixtures]),
     )
 
 
@@ -327,13 +313,12 @@ def tensor_modes(first: ModeMixture, second: ModeMixture) -> ModeMixture:
     """Tensor product; the second state's modes come after the first's."""
     # Every row of ``first`` pairs with every row of ``second``; branch (i, j)
     # is i * k2 + j, where k2 counts the second's branches, so the pairs are
-    # sorted by it.
+    # sorted by it.  Its weight, w_i w_j, is the product's.
     r1, r2 = np.divmod(np.arange(first.amp.size * second.amp.size), second.amp.size)
-    branch = first.branch[r1] * second.weights.size + second.branch[r2]
+    branch = first.branch[r1] * (second.branch[-1] + 1) + second.branch[r2]
     order = np.argsort(branch, kind="stable")
     r1, r2 = r1[order], r2[order]
     return ModeMixture(
-        weights=np.outer(first.weights, second.weights).ravel(),
         branch=branch[order],
         occ=np.hstack([first.occ[r1], second.occ[r2]]),
         amp=first.amp[r1] * second.amp[r2],
@@ -345,36 +330,14 @@ def permute_modes(state: ModeMixture, order: Sequence[int]) -> ModeMixture:
     order = _mode_indices(state, order)
     if len(order) != state.n_modes:
         raise DimensionMismatchError(f"invalid mode order {order} for {state.n_modes} modes")
-    return ModeMixture(state.weights, state.branch, state.occ[:, order], state.amp)
+    return ModeMixture(state.branch, state.occ[:, order], state.amp)
 
 
 def phase_shift(state: ModeMixture, mode: int, phase_per_photon: float) -> ModeMixture:
     """Multiply amplitudes by ``exp(i * phase * n_mode)`` (a mode phase shift)."""
     (mode,) = _mode_indices(state, [mode])
     phases = np.exp(1j * phase_per_photon * state.occ[:, mode])
-    return ModeMixture(state.weights, state.branch, state.occ, state.amp * phases)
-
-
-def mode_density(state: ModeMixture, modes: Sequence[int]) -> np.ndarray:
-    """Reduced density matrix of a subset of modes, in Fock basis.
-
-    Args:
-        state: Any mode state.
-        modes: Mode indices to keep, in the order they should appear.
-
-    Returns:
-        Density matrix of dimension ``(state.n_max + 1) ** len(modes)``,
-        the largest occupation in the whole state bounding every kept mode.
-    """
-    modes = _mode_indices(state, modes)
-    d = state.n_max + 1
-    rest = [k for k in range(state.n_modes) if k not in modes]
-    # One pure vector on the kept modes per (branch, rest occupations).
-    groups, index = _distinct(state.branch, state.occ[:, rest])
-    vectors = np.zeros((len(groups), d ** len(modes)), dtype=complex)
-    kept = np.ravel_multi_index(tuple(state.occ[:, modes].T), (d,) * len(modes))
-    vectors[index, kept] = state.amp
-    return (vectors.T * state.weights[groups[:, 0]]) @ vectors.conj()
+    return ModeMixture(state.branch, state.occ, state.amp * phases)
 
 
 # --------------------------------------------------------------------------
@@ -418,7 +381,7 @@ def _unitary_pair_op(m: ModeMixture, i: int, j: int, phi: float) -> ModeMixture:
     occ = m.occ[src]
     occ[:, i], occ[:, j] = k, total[src] - k
     amp = m.amp[src] * blocks[total[src], k, first[src]]
-    return _merged(m.weights, m.branch[src], occ, amp)
+    return _merged(m.branch[src], occ, amp)
 
 
 def beamsplitter(state: ModeMixture, mode_a: int, mode_b: int, transmission: float) -> ModeMixture:
@@ -484,8 +447,8 @@ def loss_channel(state: ModeMixture, mode: int, transmission: float) -> ModeMixt
     kraus = np.sqrt(binomials * eta**kept * (1.0 - eta) ** lost)
     occ = state.occ[src]
     occ[:, mode] = kept
-    grouping = _distinct(state.branch[src], lost)
-    return _split(state.weights, grouping, occ, state.amp[src] * kraus)
+    _, group = _distinct(state.branch[src], lost)
+    return _split(group, occ, state.amp[src], kraus)
 
 
 def distance_to_transmission(length_km: float, attenuation_db_per_km: float = 0.2) -> float:
@@ -553,7 +516,7 @@ def detection_probabilities(
     q = detector.outcome_matrix(state.n_max)
     # Probability of each Fock content of the watched modes.
     contents, index = _distinct(state.occ[:, modes])
-    t = np.bincount(index, state._row_probabilities())
+    t = np.bincount(index, _power(state.amp))
     # Each factor appends the click axis of one watched mode, in ``modes`` order.
     for k in range(len(modes)):
         t = t[..., np.newaxis] * q[contents[:, k]].reshape((-1,) + (1,) * k + (2,))
@@ -600,7 +563,9 @@ def _detect_patterns(
 
     The measured contents, the detector's outcome matrix and the grouping of
     rows by branch and content do not depend on the pattern, so they are
-    computed once and every pattern only weighs and splits the rows.
+    computed once and every pattern only weighs and splits the rows: given
+    a pattern of probability ``P``, a row whose content has likelihood
+    ``like`` keeps the amplitude ``amp * sqrt(like / P)``.
     """
     modes = _mode_indices(state, modes)
     patterns = [[int(bool(c)) for c in pattern] for pattern in patterns]
@@ -608,25 +573,21 @@ def _detect_patterns(
         raise DimensionMismatchError("pattern length must match number of measured modes")
     content = state.occ[:, modes]
     outcomes = detector.outcome_matrix(state.n_max)
-    power = state.amp.real**2 + state.amp.imag**2
-    row_weights = state.weights[state.branch]
+    power = _power(state.amp)
     rest = [k for k in range(state.n_modes) if k not in modes]
     if rest:
-        grouping, survivors = _distinct(state.branch, content), state.occ[:, rest]
+        (_, group), survivors = _distinct(state.branch, content), state.occ[:, rest]
     results = []
     for pattern in patterns:
         # Probability of the pattern given each row's Fock content of the measured modes.
         like = outcomes[content, pattern].prod(axis=1)
-        # Not ``_row_probabilities() @ like``: rounding each weighted row first
-        # moves herald probabilities in their last bit.
-        total = float(row_weights @ (power * like))
+        total = float(power @ like)
         if total <= BRANCH_PRUNE_TOL:
             results.append((0.0, None))
         elif not rest:
             results.append((total, None))
         else:
-            split = _split(state.weights, grouping, survivors, state.amp, like, total)
-            results.append((total, split))
+            results.append((total, _split(group, survivors, state.amp, np.sqrt(like / total))))
     return results
 
 
@@ -683,8 +644,8 @@ def polarization_correlation_table(
     (``_click_povms``) and acts on the party's contents ``|h, v>`` up to the
     largest ``h + v`` the state holds there.  The measurement touches no
     other mode, so ``rho`` need only be the reduced density of the four
-    measured modes, built from one pure vector per branch and Fock content
-    of the other modes.
+    measured modes, built from one unnormalized vector per branch and Fock
+    content of the other modes.
 
     Folding outcomes 2 and 3 into outcome 0 (``bellcert.bin_no_click``)
     reproduces the fair-binning rule used for device-independent
@@ -719,10 +680,10 @@ def polarization_correlation_table(
     groups, group = _distinct(state.branch, state.occ[:, rest])
     vectors = np.zeros((len(groups), dim_a * dim_b), dtype=complex)
     vectors[group, index[:, 0] * dim_b + index[:, 1]] = state.amp
-    # rho[i, j] = sum_g w_g conj(v_g[i]) v_g[j], so p = sum_ij E[i, j] rho[i, j];
+    # rho[i, j] = sum_g conj(v_g[i]) v_g[j], so p = sum_ij E[i, j] rho[i, j];
     # the POVMs are real, so only rho's real part counts.  Its axes are
     # ordered (iA iA', iB iB') to contract each party's elements in turn.
-    rho = (vectors.conj().T * state.weights[groups[:, 0]]) @ vectors
+    rho = vectors.conj().T @ vectors
     rho = rho.real.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
     n_x, n_y, n_out = len(alice_angles), len(bob_angles), len(OUTCOME_CODES)
     table = (
@@ -812,7 +773,7 @@ def heralded_single_photon(pair_prob: float, trigger_detector: DetectorModel) ->
     if trigger_prob <= BRANCH_PRUNE_TOL:
         return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
     n = np.arange(n_pair_max + 1)
-    mixture = ModeMixture(clicks / trigger_prob, n, n[:, np.newaxis], np.ones(n.size))
+    mixture = ModeMixture(n, n[:, np.newaxis], np.sqrt(clicks / trigger_prob))
     return HeraldRecord(success_probability=trigger_prob, conditional_state=mixture, gain=None)
 
 
@@ -935,7 +896,7 @@ class HeraldRecord:
 def _qubit_populations(state: ModeMixture, h_mode: int, v_mode: int) -> tuple[float, float]:
     """(vacuum, single-photon) populations of a polarization mode pair."""
     photons = state.occ[:, h_mode] + state.occ[:, v_mode]
-    prob = state._row_probabilities()
+    prob = _power(state.amp)
     return float(prob[photons == 0].sum()), float(prob[photons == 1].sum())
 
 

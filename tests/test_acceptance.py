@@ -170,7 +170,7 @@ def test_c06_amplifier_success_probability_magnitude():
 
 def test_c07_amplifier_gain_herald_tradeoff():
     # (|vac> + |1_H>)/sqrt(2) on an (H, V) mode pair.
-    qubit = ModeMixture([1.0], [0, 0], [[0, 0], [1, 0]], [1.0 / np.sqrt(2.0)] * 2)
+    qubit = ModeMixture([0, 0], [[0, 0], [1, 0]], [1.0 / np.sqrt(2.0)] * 2)
     lossy_input = loss_channel(qubit, 0, 0.4)
     gains, heralds = [], []
     transmissions = np.linspace(0.9, 0.999, 8)

@@ -551,6 +551,8 @@ def test_privacy_amplify_output_length():
     bits = np.ones(1000, dtype=np.uint8)
     out = privacy_amplify(bits, leakage_bits=100, rate=0.5, seed=0)
     assert out.size == math.floor(1000 * 0.5) - 100 - 64
+    # numpy integers are integers.
+    np.testing.assert_array_equal(privacy_amplify(bits, np.int64(100), 0.5, seed=0), out)
     empty = privacy_amplify(bits, leakage_bits=500, rate=0.5, seed=0)
     assert empty.size == 0
     # A malformed byte seed is an error even when no key bits would come out.
@@ -737,6 +739,16 @@ REJECTED_INPUTS = (
         "leakage_bits must be non-negative",
     ),
     (
+        lambda: privacy_amplify(np.zeros(8, dtype=np.uint8), 1.5, 0.5, 1),
+        ValueError,
+        "leakage_bits must be an integer, got 1.5",
+    ),
+    (
+        lambda: privacy_amplify(np.zeros(8, dtype=np.uint8), True, 0.5, 1),
+        ValueError,
+        "leakage_bits must be an integer, got True",
+    ),
+    (
         lambda: sift(simulate_rounds(Scenario(), 100, 1), 1.0, np.random.default_rng(0)),
         ValueError,
         r"sample_fraction must lie in \[0, 1\), got 1.0",
@@ -747,6 +759,19 @@ REJECTED_INPUTS = (
         "bit strings must be 1-D and of equal length",
     ),
     (lambda: parse_transcript(b"\x00"), ValueError, "truncated transcript header"),
+    (
+        lambda: parse_transcript(struct.pack("<IBI", 0, 99, 0)),
+        ValueError,
+        "transcript record 0 has unknown kind 99",
+    ),
+    *(
+        (
+            lambda q=q: reconcile(np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8), q),
+            ValueError,
+            rf"q_hat must lie in \[0, 1\], got {q}",
+        )
+        for q in (np.nan, np.inf, -0.1, 1.5)
+    ),
 )
 
 

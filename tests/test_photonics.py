@@ -1,5 +1,6 @@
 """Tests for the sparse Fock-space optics layer."""
 
+import dataclasses
 import inspect
 import itertools
 import math
@@ -12,6 +13,7 @@ from diqkd_lab import architectures, photonics
 from diqkd_lab.architectures import ALICE_ANGLES, BOB_ANGLES, Scenario
 from diqkd_lab.bellcert import bin_no_click
 from diqkd_lab.photonics import (
+    BRANCH_PRUNE_TOL,
     OUTCOME_CODES,
     DetectorModel,
     HeraldRecord,
@@ -29,7 +31,6 @@ from diqkd_lab.photonics import (
     heralded_single_photon,
     loss_channel,
     mix,
-    mode_density,
     permute_modes,
     phase_shift,
     polarization_correlation_table,
@@ -47,7 +48,19 @@ from diqkd_lab.qstate import DimensionMismatchError, StateValidationError
 def pure(occ, amp) -> ModeMixture:
     """One pure branch holding the normalized amplitudes ``amp`` on the Fock rows ``occ``."""
     amp = np.asarray(amp, dtype=complex)
-    return ModeMixture([1.0], np.zeros(len(occ), int), occ, amp / np.linalg.norm(amp))
+    return ModeMixture(np.zeros(len(occ), int), occ, amp / np.linalg.norm(amp))
+
+
+def mode_density(state: ModeMixture, modes) -> np.ndarray:
+    """Reduced density matrix of ``modes`` in Fock basis, each spanning ``0..state.n_max``."""
+    modes = list(modes)
+    d = state.n_max + 1
+    rest = [k for k in range(state.n_modes) if k not in modes]
+    # One unnormalized vector on the kept modes per (branch, rest occupations).
+    groups, index = _distinct(state.branch, state.occ[:, rest])
+    vectors = np.zeros((len(groups), d ** len(modes)), dtype=complex)
+    vectors[index, np.ravel_multi_index(tuple(state.occ[:, modes].T), (d,) * len(modes))] = state.amp
+    return vectors.T @ vectors.conj()
 
 
 def equal_superposition_qubit() -> ModeMixture:
@@ -72,7 +85,7 @@ def test_fock_rejects_non_integral_occupations():
     plain = fock([1, 0])
     np.testing.assert_array_equal(numpy_int.occ, plain.occ)
     np.testing.assert_array_equal(numpy_int.amp, plain.amp)
-    np.testing.assert_array_equal(numpy_int.weights, plain.weights)
+    np.testing.assert_array_equal(numpy_int.branch, plain.branch)
     assert numpy_int.n_max == plain.n_max
 
 
@@ -91,22 +104,44 @@ def test_no_photonics_function_takes_n_max():
 
 
 def test_mode_state_requires_normalization():
-    with pytest.raises(StateValidationError):
-        ModeMixture(weights=[1.0], branch=[0], occ=[[0, 0]], amp=[0.5])
+    with pytest.raises(StateValidationError, match="weights sum to 0.25, expected 1"):
+        ModeMixture(branch=[0], occ=[[0, 0]], amp=[0.5])
 
 
 def test_mixture_weights_must_sum_to_one():
-    with pytest.raises(StateValidationError):
-        ModeMixture(weights=[0.4, 0.4], branch=[0, 1], occ=[[0], [0]], amp=[1.0, 1.0])
+    """A branch's weight is its squared norm, and the weights sum to one."""
+    part = np.sqrt(0.4)
+    with pytest.raises(StateValidationError, match="weights sum to 0.8"):
+        ModeMixture(branch=[0, 1], occ=[[0], [0]], amp=[part, part])
+    state = ModeMixture(branch=[0, 1], occ=[[0], [1]], amp=[np.sqrt(0.4), 1j * np.sqrt(0.6)])
+    assert [w for w, _ in state.branches] == pytest.approx([0.4, 0.6], abs=1e-15)
+    assert [f.name for f in dataclasses.fields(ModeMixture)] == ["branch", "occ", "amp"]
 
 
 def test_mixture_rejects_nan_amplitudes_and_weights():
-    with pytest.raises(StateValidationError, match="not normalized"):
+    with pytest.raises(StateValidationError, match="weights sum to nan"):
         phase_shift(fock([1]), 0, np.nan)
-    with pytest.raises(StateValidationError, match="branch 1 has invalid weight nan"):
-        ModeMixture(weights=[1.0, np.nan], branch=[0, 1], occ=[[0], [1]], amp=[1.0, 1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(StateValidationError, match=f"weights sum to {bad}"):
+            ModeMixture(branch=[0, 1], occ=[[0], [1]], amp=[1.0, bad])
     with pytest.raises(StateValidationError):
         polarization_correlation_table(polarization_singlet(), (0, 1), (2, 3), [np.nan], [0.0])
+
+
+def test_mixture_drops_weightless_branches_and_closes_gaps():
+    """Branches of weight at most BRANCH_PRUNE_TOL go; the rest are numbered from 0."""
+    tiny = np.sqrt(BRANCH_PRUNE_TOL) / 2
+    state = ModeMixture([0, 1, 1, 2], [[0], [1], [2], [3]], [np.sqrt(0.5), tiny, 0.0, np.sqrt(0.5)])
+    np.testing.assert_array_equal(state.branch, [0, 1])
+    np.testing.assert_array_equal(state.occ, [[0], [3]])
+    # A branch above the tolerance stays.
+    kept = ModeMixture([0, 1], [[0], [1]], [1.0, 4 * tiny])
+    np.testing.assert_array_equal(kept.branch, [0, 1])
+    # Gaps in the branch ids are closed, also past the row count.
+    for ids in ([0, 2], [1, 3], [5, 9]):
+        state = ModeMixture(ids, [[0], [1]], [np.sqrt(0.3), np.sqrt(0.7)])
+        np.testing.assert_array_equal(state.branch, [0, 1])
+        assert [w for w, _ in state.branches] == pytest.approx([0.3, 0.7], abs=1e-15)
 
 
 def test_stacked_ops_match_branch_by_branch():
@@ -231,7 +266,7 @@ def test_distinct_fallback_matches_mixed_radix_keys():
 def test_mix_concatenates_and_renormalizes():
     mixed = mix([(0.2, fock([1])), (0.6, loss_channel(fock([2]), 0, 0.5))])
     assert len(mixed.branches) == 4
-    assert mixed.weights.sum() == pytest.approx(1.0, abs=1e-15)
+    assert sum(w for w, _ in mixed.branches) == pytest.approx(1.0, abs=1e-15)
     assert mixed.probability([1]) == pytest.approx(0.25 + 0.75 * 0.5, abs=1e-12)
     assert mixed.probability([0]) == pytest.approx(0.75 * 0.25, abs=1e-12)
 
@@ -253,15 +288,60 @@ def test_mix_rejects_bad_probabilities():
     assert mix([(0.0, fock([1])), (2.0, fock([0]))]).probability([0]) == 1.0
 
 
+def assert_canonical(state: ModeMixture):
+    """Weights summing to one, branches 0..k-1 in order, no zero row, each row once."""
+    assert abs(np.sum(np.abs(state.amp) ** 2) - 1.0) <= 1e-12
+    assert (np.diff(state.branch) >= 0).all()
+    np.testing.assert_array_equal(np.unique(state.branch), np.arange(state.branch[-1] + 1))
+    assert (state.amp != 0).all()
+    keys = np.column_stack([state.branch, state.occ])
+    assert len(np.unique(keys, axis=0)) == len(keys)
+
+
+def test_every_op_returns_a_canonical_mixture():
+    detector = DetectorModel(0.9, 1e-3)
+    lossy = loss_channel(spdc_source(0.1), 0, 0.3)
+    link = tensor_modes(lossy, permute_modes(spdc_source(0.1), (2, 3, 0, 1)))
+    outputs = [
+        beamsplitter(lossy, 0, 2, 0.3),
+        beamsplitter(fock([1, 1]), 0, 1, 0.5),
+        polarization_rotation(lossy, 0, 1, 0.7),
+        lossy,
+        # Transmissions 1 and 0 zero every Kraus amplitude but one.
+        loss_channel(lossy, 1, 1.0),
+        loss_channel(lossy, 1, 0.0),
+        phase_shift(lossy, 2, 0.4),
+        permute_modes(lossy, (3, 1, 0, 2)),
+        tensor_modes(lossy, heralded_single_photon(0.1, detector).conditional_state),
+        mix([(0.2, lossy), (0.0, fock([1, 0, 0, 1])), (0.8, spdc_source(0.2))]),
+        # Ideal detectors zero the rows that cannot give the pattern.
+        threshold_detect(lossy, (0, 3), DetectorModel(), (False, True))[1],
+        threshold_detect(lossy, (0, 3), detector, (True, True))[1],
+        *(o.state for o in bell_state_measurement(link, (2, 3), (4, 5), detector).outcomes),
+        *(o.state for o in bell_state_measurement(link, (2, 3), (4, 5)).outcomes),
+        *(
+            qubit_amplifier(lossy, (2, 3), 0.8, detector, pair).conditional_state
+            for pair in (None, 0.05)
+        ),
+        heralded_single_photon(0.1, detector).conditional_state,
+        heralded_single_photon(0.1, DetectorModel()).conditional_state,
+        spdc_source(0.1),
+        spdc_source(0.0),
+        polarization_singlet(),
+    ]
+    for state in outputs:
+        assert_canonical(state)
+
+
 def test_mixture_rejects_fractional_occupations_and_branches():
     with pytest.raises(DimensionMismatchError, match="occ must hold whole numbers, got 1.7"):
-        ModeMixture([1.0], [0], [[1.7]], [1.0])
+        ModeMixture([0], [[1.7]], [1.0])
     with pytest.raises(DimensionMismatchError, match="branch must hold whole numbers, got 0.5"):
-        ModeMixture([1.0], [0.5], [[1]], [1.0])
+        ModeMixture([0.5], [[1]], [1.0])
     with pytest.raises(DimensionMismatchError, match="occ must hold whole numbers, got nan"):
-        ModeMixture([1.0], [0], [[np.nan]], [1.0])
+        ModeMixture([0], [[np.nan]], [1.0])
     # Whole numbers stored as floats are accepted.
-    state = ModeMixture([1.0], [0.0], [[1.0, 0.0]], [1.0])
+    state = ModeMixture([0.0], [[1.0, 0.0]], [1.0])
     np.testing.assert_array_equal(state.occ, [[1, 0]])
     assert state.occ.dtype == np.intp and state.branch.dtype == np.intp
 
@@ -397,7 +477,6 @@ def test_mode_indices_must_be_distinct_integer_modes():
         # Duplicated modes.
         lambda: threshold_detect(state, [0, 0], detector, [True, True]),
         lambda: detection_probabilities(state, [0, 0], detector),
-        lambda: mode_density(state, [1, 1]),
         lambda: beamsplitter(state, 2, 2, 0.5),
         # Non-integer indices.
         lambda: loss_channel(state, 1.0, 0.5),
@@ -488,9 +567,9 @@ def test_born_table_matches_rotate_and_detect(monkeypatch):
     occ = np.unique(occ[keep], axis=0)
     branch = np.repeat([0, 1], [len(occ) // 2, len(occ) - len(occ) // 2])
     amp = rng.normal(size=len(occ)) + 1j * rng.normal(size=len(occ))
-    for b in (0, 1):
-        amp[branch == b] /= np.linalg.norm(amp[branch == b])
-    scattered = ModeMixture([0.3, 0.7], branch, occ, amp)
+    for b, weight in ((0, 0.3), (1, 0.7)):
+        amp[branch == b] *= np.sqrt(weight) / np.linalg.norm(amp[branch == b])
+    scattered = ModeMixture(branch, occ, amp)
     cases.append((scattered, (3, 1), (0, 4), *angles, detector))
     assert len(cases) == 6
     for args in cases:
@@ -574,7 +653,7 @@ def test_entanglement_swapping_success_probability():
 
 
 def assert_same_mixture(a: ModeMixture, b: ModeMixture):
-    for field in ("weights", "branch", "occ", "amp"):
+    for field in ("branch", "occ", "amp"):
         np.testing.assert_array_equal(getattr(a, field), getattr(b, field), err_msg=field)
 
 
@@ -743,29 +822,39 @@ REJECTED_INPUTS = (
         r"invalid mode order \[0, 1\] for 4 modes",
     ),
     (
-        lambda: ModeMixture([1.0], [0], [[1]], [1.0, 0.0]),
+        lambda: ModeMixture([0], [[1]], [1.0, 0.0]),
         DimensionMismatchError,
-        r"a mixture needs weights \(k,\), branch \(nnz,\), occ \(nnz, modes\) and amp",
+        r"a mixture needs branch \(nnz,\), occ \(nnz, modes\) and amp \(nnz,\)",
     ),
     (
-        lambda: ModeMixture([], [], np.zeros((0, 1)), []),
+        lambda: ModeMixture([0.0], [[1.5]], [1.0]),
+        DimensionMismatchError,
+        "occ must hold whole numbers, got 1.5",
+    ),
+    (
+        lambda: ModeMixture([], np.zeros((0, 1)), []),
         StateValidationError,
-        "a mixture needs at least one branch",
+        "mixture weights sum to 0.0, expected 1",
     ),
     (
-        lambda: ModeMixture([0.5, 0.5], [1, 0], [[1], [0]], [1.0, 1.0]),
+        lambda: ModeMixture([1, 0], [[1], [0]], [0.6, 0.8]),
         DimensionMismatchError,
-        r"branch indices must ascend within \[0, k\)",
+        "branch indices must be non-negative and ascend",
     ),
     (
-        lambda: ModeMixture([1.0], [0], [[-1]], [1.0]),
+        lambda: ModeMixture([-1], [[1]], [1.0]),
+        DimensionMismatchError,
+        "branch indices must be non-negative and ascend",
+    ),
+    (
+        lambda: ModeMixture([0], [[-1]], [1.0]),
         DimensionMismatchError,
         "occupations must be non-negative",
     ),
     (
-        lambda: ModeMixture([0.0], [0], [[0]], [1.0]),
+        lambda: ModeMixture([0, 1], [[0], [1]], [0.6, np.nan]),
         StateValidationError,
-        "all branches have zero weight",
+        "mixture weights sum to nan, expected 1",
     ),
     (
         lambda: fock([1, 0]).probability([1]),
