@@ -104,6 +104,10 @@ class NeverHeraldsError(RuntimeError):
     """Raised when a heralded architecture's herald has zero probability."""
 
 
+class NotOnePhotonError(ValueError):
+    """Raised when a local_heralding source row lacks exactly one photon on Bob's modes."""
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Hardware and geometry of one link configuration.
@@ -366,9 +370,11 @@ def _detector(scenario: Scenario, transmission: float = 1.0) -> DetectorModel:
     t)^n``.  Loss also commutes with a passive two-mode unitary (a
     polarization rotation, a beamsplitter) when both of its modes lose the
     same ``t``.  So a station whose measured modes all cross the same fiber
-    is simulated on the unattenuated state with this detector; loss on only
-    some of the measured modes, or in front of an operation that is not
-    passive on equally lossy modes, cannot be folded this way.
+    is simulated on the unattenuated state with this detector.  Loss on
+    only some of the measured modes, or in front of an operation that is
+    not passive on equally lossy modes, cannot be folded this way: Bob's
+    loss in front of the qubit amplifier is split instead into the
+    photon's arrived and lost terms (``_run_local_heralding``).
     """
     return DetectorModel(
         efficiency=scenario.detector_efficiency * transmission,
@@ -407,6 +413,57 @@ def _measure(state: ModeMixture, detector: DetectorModel) -> CorrelationTable:
     return polarization_correlation_table(
         state, (0, 1), (2, 3), ALICE_ANGLES, BOB_ANGLES, detector
     )
+
+
+def _amplified(
+    state: ModeMixture,
+    arrived: bool,
+    amplifier_transmission: float,
+    ancilla_pair_prob: float | None,
+    detector: DetectorModel,
+) -> tuple[float, CorrelationTable | None]:
+    """Herald probability and table of one term of Bob's lossy fiber.
+
+    The term keeps Bob's photon (``arrived``) or empties both of his modes
+    (2, 3), feeds them to the qubit amplifier and measures the heralded
+    state; ``(0.0, None)`` when the amplifier never heralds.  The two terms
+    describe loss exactly only if every row of ``state`` holds one photon
+    in Bob's modes: the amplifier keeps the coherence of a superposition of
+    0 and 1 photon there, which the mixture of the two terms has lost.
+    """
+    if not (state.occ[:, 2] + state.occ[:, 3] == 1).all():
+        raise NotOnePhotonError(
+            "the arrived/lost terms need exactly one photon in modes (2, 3) in every row"
+        )
+    if not arrived:
+        state = loss_channel(loss_channel(state, 2, 0.0), 3, 0.0)
+    record = qubit_amplifier(
+        state,
+        (2, 3),
+        amplifier_transmission,
+        detector=detector,
+        ancilla_pair_prob=ancilla_pair_prob,
+    )
+    if record.conditional_state is None:
+        return 0.0, None
+    return record.success_probability, _measure(record.conditional_state, detector)
+
+
+@lru_cache(maxsize=32)
+def _amplified_term(
+    node_fidelity: float,
+    amplifier_transmission: float,
+    ancilla_pair_prob: float | None,
+    detector: DetectorModel,
+    arrived: bool,
+) -> tuple[float, CorrelationTable | None]:
+    """``_amplified`` on the ideal pair source of a local_heralding link.
+
+    Cached: the term depends on no distance, so a distance sweep builds
+    each term once.
+    """
+    source = _pair_state(0.0, node_fidelity)
+    return _amplified(source, arrived, amplifier_transmission, ancilla_pair_prob, detector)
 
 
 def _result(scenario: Scenario, table: CorrelationTable, herald_probability: float) -> RunResult:
@@ -460,25 +517,37 @@ def _run_local_heralding(scenario: Scenario) -> RunResult:
     amplifier's gain), while the heralding probability absorbs the fiber
     loss.  ``pair_prob`` parameterizes the amplifier's triggered ancilla
     sources; the entangled-pair source itself is ideal.
+
+    Bob's fiber loss does not commute with the amplifier's Bell-state
+    measurement, so it cannot be folded into a detector.  But every row of
+    the ideal source holds exactly one photon in Bob's modes, so loss ``t``
+    on them is exactly the two-term mixture ``t rho + (1 - t) rho_lost``:
+    the photon arrives, or both of Bob's modes are empty.  The amplifier
+    and the measurement are linear in the state, so the herald is ``P = t
+    P_1 + (1 - t) P_0`` and the table is ``(t P_1 T_1 + (1 - t) P_0 T_0) /
+    P``, where ``(P_1, T_1)`` and ``(P_0, T_0)`` are the arrived and the
+    lost term's herald and table (``_amplified_term``, cached: neither
+    depends on the distance).  At ``t = 1`` the arrived term is the
+    result, and the lost term is never built.
     """
-    # The entangled-pair source is ideal whatever ``pair_prob`` is.
-    state = _pair_state(0.0, scenario.node_fidelity)
-    arm_t = distance_to_transmission(scenario.distance_km, scenario.attenuation_db_per_km)
-    # Bob's fiber loss does not commute with the amplifier's Bell-state
-    # measurement, so it stays an explicit channel.
-    if arm_t < 1.0:
-        state = loss_channel(loss_channel(state, 2, arm_t), 3, arm_t)
-    record = qubit_amplifier(
-        state,
-        (2, 3),
+    setting = (
+        scenario.node_fidelity,
         scenario.amplifier_transmission,
-        detector=_detector(scenario),
-        ancilla_pair_prob=scenario.pair_prob if scenario.pair_prob > 0 else None,
+        scenario.pair_prob if scenario.pair_prob > 0 else None,
+        _detector(scenario),
     )
-    if record.conditional_state is None:
+    herald, table = _amplified_term(*setting, True)
+    arm_t = distance_to_transmission(scenario.distance_km, scenario.attenuation_db_per_km)
+    if arm_t < 1.0:
+        lost_herald, lost_table = _amplified_term(*setting, False)
+        terms = [(arm_t * herald, table), ((1.0 - arm_t) * lost_herald, lost_table)]
+        herald = sum(weight for weight, _ in terms)
+        if herald > 0.0:
+            weighted = (w * term.probabilities for w, term in terms if term is not None)
+            table = CorrelationTable(sum(weighted) / herald)
+    if not herald > 0.0:
         raise NeverHeraldsError("amplifier never heralds under this scenario")
-    table = _measure(record.conditional_state, _detector(scenario))
-    return _result(scenario, table, record.success_probability)
+    return _result(scenario, table, herald)
 
 
 def _run_third_party(scenario: Scenario) -> RunResult:

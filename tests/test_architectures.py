@@ -29,6 +29,7 @@ from diqkd_lab.photonics import (
     phase_shift,
     polarization_correlation_table,
     polarization_singlet,
+    qubit_amplifier,
     spdc_source,
     tensor_modes,
 )
@@ -307,13 +308,14 @@ def test_charlie_outcome_is_setting_independent():
 
 
 def _explicit_loss_run(scenario: Scenario) -> tuple[np.ndarray, float]:
-    """Table and herald probability of ``standard`` or ``third_party`` with
-    fiber loss applied photon by photon, as ``loss_channel`` on every
-    travelling mode in front of the plain detectors."""
+    """Table and herald probability of a link with fiber loss applied photon
+    by photon, as ``loss_channel`` on every travelling mode: in front of the
+    plain detectors (``standard``, ``third_party``) or of Bob's qubit
+    amplifier (``local_heralding``, whose pair source is always ideal)."""
     detector = DetectorModel(scenario.detector_efficiency, scenario.dark_count_prob)
 
     def source(n_pair_max):
-        if scenario.pair_prob == 0.0:
+        if scenario.pair_prob == 0.0 or scenario.architecture == "local_heralding":
             state = polarization_singlet()
         else:
             state = spdc_source(scenario.pair_prob, n_pair_max=n_pair_max)
@@ -335,6 +337,19 @@ def _explicit_loss_run(scenario: Scenario) -> tuple[np.ndarray, float]:
         position = scenario.source_position
         arm_km = max(position, 1.0 - position) * scenario.distance_km
         state, herald = lossy(source(2), (0, 1, 2, 3), arm_km), 1.0
+    elif scenario.architecture == "local_heralding":
+        state = source(2)
+        # The path run() took before the two-term form: no channel at t = 1.
+        if arm_transmission(scenario.distance_km, scenario.attenuation_db_per_km) < 1.0:
+            state = lossy(state, (2, 3), scenario.distance_km)
+        record = qubit_amplifier(
+            state,
+            (2, 3),
+            scenario.amplifier_transmission,
+            detector=detector,
+            ancilla_pair_prob=scenario.pair_prob or None,
+        )
+        state, herald = record.conditional_state, record.success_probability
     else:
         right = permute_modes(source(1), (2, 3, 0, 1))
         link = lossy(tensor_modes(source(1), right), (2, 3, 4, 5), scenario.distance_km / 2.0)
@@ -373,6 +388,41 @@ def test_fiber_loss_folded_into_detectors_matches_explicit_loss(fields):
     result = run(scenario)
     np.testing.assert_allclose(result.table.probabilities, table, rtol=0.0, atol=1e-14)
     assert result.herald_probability == pytest.approx(herald, rel=1e-12)
+
+
+LOCAL_LOSS_CASES = [
+    dict(distance_km=d, node_fidelity=f, pair_prob=p, amplifier_transmission=t)
+    for d in (0.0, 25.0, 100.0)
+    for f in (1.0, 0.97)
+    for p in (0.0, 0.05)
+    for t in (0.99, 0.9)
+]
+LOCAL_LOSS_IDS = [
+    "{distance_km:g}km-F{node_fidelity:g}-p{pair_prob:g}-T{amplifier_transmission:g}".format(**c)
+    for c in LOCAL_LOSS_CASES
+]
+
+
+@pytest.mark.parametrize("fields", LOCAL_LOSS_CASES, ids=LOCAL_LOSS_IDS)
+def test_arrived_and_lost_terms_match_explicit_loss(fields):
+    scenario = Scenario(
+        architecture="local_heralding", detector_efficiency=0.95, dark_count_prob=1e-6, **fields
+    )
+    table, herald = _explicit_loss_run(scenario)
+    result = run(scenario)
+    np.testing.assert_allclose(result.table.probabilities, table, rtol=0.0, atol=1e-14)
+    assert result.herald_probability == pytest.approx(herald, rel=1e-12)
+    if scenario.distance_km == 0.0:
+        # Without loss the runner amplifies and measures the source alone.
+        np.testing.assert_array_equal(result.table.probabilities, table)
+        assert result.herald_probability == herald
+
+
+@pytest.mark.parametrize("arrived", (True, False))
+def test_arrived_and_lost_terms_need_one_photon_on_bobs_modes(arrived):
+    # Loss on a superposition of 0 and 1 photon is no mixture of the two terms.
+    with pytest.raises(architectures.NotOnePhotonError, match="exactly one photon"):
+        architectures._amplified(spdc_source(0.01), arrived, 0.99, None, DetectorModel())
 
 
 # ----------------------------------------------------------------------
@@ -414,6 +464,7 @@ def test_run_covers_all_architectures():
 SOURCE_CACHES = (
     architectures._pair_state,
     architectures._swap_link,
+    architectures._amplified_term,
     photonics._amplifier_ancillas,
 )
 
@@ -435,7 +486,7 @@ def test_cached_sources_are_keyed_on_every_input(name):
     variants = (
         {}, {"pair_prob": 0.02}, {"pair_prob": 0.0}, {"node_fidelity": 0.97},
         {"amplifier_transmission": 0.9}, {"detector_efficiency": 0.8},
-        {"dark_count_prob": 1e-4},
+        {"dark_count_prob": 1e-4}, {"distance_km": 0.0}, {"distance_km": 60.0},
     )
     scenarios = [Scenario(**{**base, **v}) for v in variants]
     assert all(cache.cache_info().maxsize is not None for cache in SOURCE_CACHES)

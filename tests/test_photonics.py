@@ -530,8 +530,8 @@ def rotate_and_detect(state, alice_modes, bob_modes, alice_angles, bob_angles, d
     return table
 
 
-def measured_calls(monkeypatch, scenario):
-    """The arguments of every correlation table a runner asks for."""
+def measured_calls(monkeypatch, clear_caches, scenario):
+    """The arguments of every correlation table a runner asks for, from cold caches."""
     calls = []
 
     def record(*args):
@@ -539,12 +539,13 @@ def measured_calls(monkeypatch, scenario):
         return polarization_correlation_table(*args)
 
     monkeypatch.setattr(architectures, "polarization_correlation_table", record)
+    clear_caches()
     architectures.run(scenario)
     monkeypatch.undo()
     return calls
 
 
-def test_born_table_matches_rotate_and_detect(monkeypatch):
+def test_born_table_matches_rotate_and_detect(monkeypatch, clear_link_caches):
     detector = DetectorModel(efficiency=0.8, dark_count_prob=1e-3)
     angles = ((0.0, 0.4, 2.1), (-0.7, 1.3))
     cases = []
@@ -558,7 +559,7 @@ def test_born_table_matches_rotate_and_detect(monkeypatch):
         Scenario(architecture="third_party", pair_prob=0.05, distance_km=20.0),
         Scenario(architecture="local_heralding", pair_prob=0.01, distance_km=20.0),
     ):
-        cases += measured_calls(monkeypatch, scenario)
+        cases += measured_calls(monkeypatch, clear_link_caches, scenario)
     # Measured modes apart and out of order, with rest modes 2 and 5 between
     # them; random complex amplitudes in two branches, up to 3 photons per party.
     rng = np.random.default_rng(7)
@@ -571,7 +572,7 @@ def test_born_table_matches_rotate_and_detect(monkeypatch):
         amp[branch == b] *= np.sqrt(weight) / np.linalg.norm(amp[branch == b])
     scattered = ModeMixture(branch, occ, amp)
     cases.append((scattered, (3, 1), (0, 4), *angles, detector))
-    assert len(cases) == 6
+    assert len(cases) == 7
     for args in cases:
         table = polarization_correlation_table(*args).probabilities
         np.testing.assert_allclose(table, rotate_and_detect(*args), rtol=0, atol=1e-14)
