@@ -256,10 +256,13 @@ def devetak_winter_rate(qber: float, chsh: float) -> float:
 
     Args:
         qber: Key-basis error rate ``Q`` in ``[0, 1]``.
-        chsh: CHSH value ``S``.
+        chsh: CHSH value ``S``, not NaN; ``-inf`` gives 0 and ``+inf`` is
+            clamped like any value above the maximum.
     """
     if not 0.0 <= qber <= 1.0:
         raise ValueError(f"qber must lie in [0, 1], got {qber}")
+    if math.isnan(chsh):
+        raise ValueError(f"chsh must be a number, got {chsh}")
     if chsh <= 2.0:
         return 0.0
     s = min(float(chsh), TSIRELSON)

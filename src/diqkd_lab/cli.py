@@ -12,8 +12,8 @@ Scenario files are flat JSON objects holding :class:`~diqkd_lab.architectures.Sc
 fields plus optional command settings (``sweep`` axis, ``seed``, ``out``,
 ``rounds``, ``sample_fraction``, ``optimize``, ``theta``, ``etas``).  Unknown
 keys are rejected by name.  Every command is deterministic given the file
-and seed; ``--jobs`` only distributes sweep points and never changes output
-bytes.
+and seed.  Sweep points run in axis order in the calling process; ``--jobs``
+is still accepted (it must be at least 1) but has no effect.
 """
 
 from __future__ import annotations
@@ -24,10 +24,8 @@ import functools
 import hashlib
 import json
 import math
-import os
 import struct
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -270,35 +268,24 @@ def format_number(value: float) -> str:
     return f"{v:.6f}"
 
 
-def _sweep_point(scenario: Scenario) -> tuple[float, ...]:
-    """Worker: one sweep row as raw floats (picklable, schedule independent)."""
-    result = run(scenario)
-    return (
-        scenario.distance_km,
-        distance_to_transmission(scenario.distance_km, scenario.attenuation_db_per_km),
-        result.herald_probability,
-        result.chsh,
-        result.qber,
-        result.key_rate,
-        secret_bits_per_second(result),
-    )
-
-
-def sweep_rows(
-    scenario: Scenario, axis: SweepAxis, jobs: int = 1
-) -> list[tuple[float, ...]]:
-    """Evaluate the sweep, in axis order regardless of worker scheduling."""
-    points = [
-        dataclasses.replace(scenario, **{axis.parameter: float(v)})
-        for v in axis.values()
-    ]
-    # A forked pool starts all its workers at once, so start no more than
-    # there are points or CPUs.
-    workers = min(jobs, len(points), os.cpu_count() or 1)
-    if workers <= 1:
-        return [_sweep_point(p) for p in points]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_point, points))
+def sweep_rows(scenario: Scenario, axis: SweepAxis) -> list[tuple[float, ...]]:
+    """Evaluate the sweep in axis order: one row of raw floats per point."""
+    rows = []
+    for v in axis.values():
+        point = dataclasses.replace(scenario, **{axis.parameter: float(v)})
+        result = run(point)
+        rows.append(
+            (
+                point.distance_km,
+                distance_to_transmission(point.distance_km, point.attenuation_db_per_km),
+                result.herald_probability,
+                result.chsh,
+                result.qber,
+                result.key_rate,
+                secret_bits_per_second(result),
+            )
+        )
+    return rows
 
 
 def _write(out: str, data: bytes) -> None:
@@ -334,7 +321,7 @@ def _key_digest(bits: np.ndarray) -> str:
 def _cmd_sweep(parsed: ScenarioFile, args: argparse.Namespace) -> int:
     if parsed.sweep is None:
         raise CliError("sweep command requires a 'sweep' axis in the scenario file")
-    rows = sweep_rows(parsed.scenario, parsed.sweep, args.jobs)
+    rows = sweep_rows(parsed.scenario, parsed.sweep)
     _emit(_csv(SWEEP_COLUMNS, rows), args.out or parsed.out)
     return 0
 
@@ -435,7 +422,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the file seed")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument(
-            "--jobs", type=int, default=1, help="worker processes for sweeps"
+            "--jobs", type=int, default=1, help="accepted for compatibility; has no effect"
         )
     return parser
 

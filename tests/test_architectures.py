@@ -123,6 +123,8 @@ def test_devetak_winter_rate_values():
     assert devetak_winter_rate(0.0, 1.5) == 0.0
     # Values above the quantum maximum are clamped, not extrapolated.
     assert devetak_winter_rate(0.0, 3.0) == pytest.approx(1.0, abs=1e-12)
+    assert devetak_winter_rate(0.0, float("inf")) == devetak_winter_rate(0.0, TSIRELSON)
+    assert devetak_winter_rate(0.0, float("-inf")) == 0.0
 
 
 def test_key_rate_on_ideal_table():
@@ -574,6 +576,7 @@ REJECTED_INPUTS = (
     ),
     (lambda: binary_entropy(1.5), ValueError, r"probability must lie in \[0, 1\], got 1.5"),
     (lambda: devetak_winter_rate(1.5, 2.5), ValueError, r"qber must lie in \[0, 1\], got 1.5"),
+    (lambda: devetak_winter_rate(0.1, float("nan")), ValueError, "chsh must be a number, got nan"),
     (
         lambda: key_rate(
             born_table(

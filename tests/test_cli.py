@@ -1,6 +1,8 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import json
+import multiprocessing.process
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ import numpy as np
 import pytest
 
 from diqkd_lab import cli
+from diqkd_lab.architectures import run, secret_bits_per_second
 from diqkd_lab.cli import (
     SWEEP_COLUMNS,
     CliError,
@@ -21,6 +24,7 @@ from diqkd_lab.cli import (
     sweep_rows,
 )
 from diqkd_lab.keyproto import parse_transcript
+from diqkd_lab.photonics import distance_to_transmission
 
 
 def write_scenario(tmp_path, name, payload):
@@ -269,52 +273,37 @@ def test_sweep_axis_validation():
         SweepAxis(parameter="distance_km", min=0.0, max=1.0, steps=2, scale="cubic")
 
 
-def test_sweep_rows_parallel_matches_serial(tmp_path):
+def test_sweep_rows_follow_the_axis_and_match_run(tmp_path):
     parsed = parse_scenario_file(
         write_scenario(
             tmp_path,
             "s.json",
             {
-                "source_position": 0.0,
-                "sweep": {"parameter": "distance_km", "min": 0, "max": 4, "steps": 4},
+                "distance_km": 5.0,
+                "sweep": {
+                    "parameter": "pair_prob",
+                    "min": 1e-3,
+                    "max": 1e-1,
+                    "steps": 3,
+                    "scale": "log",
+                },
             },
         )
     )
-    serial = sweep_rows(parsed.scenario, parsed.sweep, jobs=1)
-    parallel = sweep_rows(parsed.scenario, parsed.sweep, jobs=3)
-    assert serial == parallel
-
-
-def test_sweep_rows_starts_no_more_workers_than_points(tmp_path, monkeypatch):
-    # A forked pool starts every worker up front, so a huge --jobs must not
-    # reach it.  The stand-in pool records its size and starts no process.
-    recorded = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            recorded.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
-    parsed = parse_scenario_file(
-        write_scenario(
-            tmp_path,
-            "s.json",
-            {"sweep": {"parameter": "distance_km", "min": 0, "max": 2, "steps": 3}},
+    rows = sweep_rows(parsed.scenario, parsed.sweep)
+    assert len(rows) == 3
+    for row, value in zip(rows, parsed.sweep.values()):
+        point = dataclasses.replace(parsed.scenario, pair_prob=float(value))
+        result = run(point)
+        assert row == (
+            5.0,
+            distance_to_transmission(5.0, point.attenuation_db_per_km),
+            result.herald_probability,
+            result.chsh,
+            result.qber,
+            result.key_rate,
+            secret_bits_per_second(result),
         )
-    )
-    rows = sweep_rows(parsed.scenario, parsed.sweep, jobs=10**6)
-    assert recorded == [3]
-    assert rows == sweep_rows(parsed.scenario, parsed.sweep, jobs=1)
 
 
 # ----------------------------------------------------------------------
@@ -361,6 +350,24 @@ def test_sweep_command_jobs_do_not_change_bytes(tmp_path):
     out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
     assert main(["sweep", "--scenario", path, "--out", out1, "--jobs", "1"]) == 0
     assert main(["sweep", "--scenario", path, "--out", out2, "--jobs", "4"]) == 0
+    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+def test_sweep_with_a_huge_jobs_starts_no_process(tmp_path, monkeypatch):
+    # --jobs selects nothing: every sweep point runs in the calling process.
+    def no_process(*args, **kwargs):
+        raise AssertionError("a sweep started a process")
+
+    monkeypatch.setattr(os, "fork", no_process)
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", no_process)
+    path = write_scenario(
+        tmp_path,
+        "s.json",
+        {"sweep": {"parameter": "distance_km", "min": 0, "max": 2, "steps": 3}},
+    )
+    out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
+    assert main(["sweep", "--scenario", path, "--out", out1, "--jobs", str(10**6)]) == 0
+    assert main(["sweep", "--scenario", path, "--out", out2, "--jobs", "1"]) == 0
     assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 

@@ -32,20 +32,34 @@ LAYER_LOADS = {
 }
 
 
-@pytest.mark.parametrize("layer", LAYER_LOADS)
-def test_importing_a_layer_loads_only_the_layers_under_it(layer):
-    # A fresh interpreter that imports the same package as this one.
+def fresh_import(module: str, names: str) -> list[str]:
+    """Import ``module`` in a fresh interpreter that sees the same package as
+    this one, and return the items of the iterable expression ``names`` there."""
     src = str(Path(diqkd_lab.__file__).resolve().parent.parent)
     paths = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
-    script = (
-        f"import sys, diqkd_lab.{layer}; "
-        "print(*(m.removeprefix('diqkd_lab.') for m in sys.modules if m.startswith('diqkd_lab.')))"
-    )
     proc = subprocess.run(
-        [sys.executable, "-c", script],
+        [sys.executable, "-c", f"import sys, {module}; print(*{names})"],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": os.pathsep.join(paths)},
     )
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.split()) == LAYER_LOADS[layer]
+    return proc.stdout.split()
+
+
+@pytest.mark.parametrize("layer", LAYER_LOADS)
+def test_importing_a_layer_loads_only_the_layers_under_it(layer):
+    loaded = fresh_import(
+        f"diqkd_lab.{layer}",
+        "(m.removeprefix('diqkd_lab.') for m in sys.modules if m.startswith('diqkd_lab.'))",
+    )
+    assert set(loaded) == LAYER_LOADS[layer]
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Sweeps run in the calling process; the pool's imports cost every CLI start.
+    loaded = fresh_import(
+        "diqkd_lab.cli",
+        "(m for m in sys.modules if m.partition('.')[0] in ('multiprocessing', 'concurrent'))",
+    )
+    assert loaded == []
