@@ -354,7 +354,7 @@ def _cmd_attack(parsed: ScenarioFile, args: argparse.Namespace) -> int:
 
 def _cmd_session(parsed: ScenarioFile, args: argparse.Namespace) -> int:
     outcome = run_session(
-        parsed.scenario,
+        run(parsed.scenario),
         parsed.rounds,
         args.seed if args.seed is not None else parsed.seed,
         sample_fraction=parsed.sample_fraction,

@@ -12,9 +12,12 @@ channel and drive the standard pipeline:
 5. Toeplitz-hash privacy amplification, evaluated by FFT and sized by the
    worst-case key rate, less the leakage and ``_SECURITY_MARGIN`` (64) bits.
 
-Everything is a pure function of ``(scenario, n_rounds, seed)``; the full
-transcript serializes to a stable byte string so repeated runs can be
-compared byte for byte.
+A session runs on a *device*: a conditional measurement table and a
+herald probability, such as ``architectures.run`` returns for a photonic
+link, or a table built by hand for a local or adversarial one.  Everything
+is a pure function of ``(device, n_rounds, seed)``; the full transcript
+serializes to a stable byte string so repeated runs can be compared byte
+for byte.
 
 Conventions: the measurement layout is the one the architectures decide
 (``architectures.KEY_SETTINGS`` forms the raw key, ``architectures.CHSH_TERMS``
@@ -42,11 +45,10 @@ import numpy as np
 from diqkd_lab.architectures import (
     CHSH_TERMS,
     KEY_SETTINGS,
-    Scenario,
+    RunResult,
     devetak_winter_rate,
-    run,
 )
-from diqkd_lab.photonics import NO_CLICK
+from diqkd_lab.photonics import NO_CLICK, OUTCOME_CODES
 
 __all__ = [
     "MessageKind",
@@ -145,7 +147,7 @@ class Rounds:
         y: Bob's settings (0, 1 or 2); ``KEY_SETTINGS`` is the key basis.
         a: Alice's outcome codes, ``photonics.OUTCOME_CODES``.
         b: Bob's outcome codes.
-        heralded: Whether the architecture declared each round usable;
+        heralded: Whether the device declared each round usable;
             outcomes of non-heralded rounds are recorded as no-clicks.
     """
 
@@ -227,7 +229,7 @@ class SessionOutcome:
         worst_case_rate: Key rate evaluated at the confidence-worst
             ``(S, Q)`` corner; sizes the amplified key.
         n_rounds: Rounds simulated.
-        n_heralded: Rounds the architecture heralded.
+        n_heralded: Rounds the device heralded.
         n_raw: Raw key length before amplification (heralded key-basis
             rounds outside the estimation sample).
         abort_reason: Stage tag on abort, else None.
@@ -329,14 +331,14 @@ def _binned_bit(outcome: np.ndarray) -> np.ndarray:
 
 
 def simulate_rounds(
-    scenario: Scenario,
+    device: RunResult,
     n_rounds: int,
     seed: int | np.random.SeedSequence,
 ) -> Rounds:
-    """Sample measurement rounds from a scenario's conditional statistics.
+    """Sample measurement rounds from a device's conditional statistics.
 
     Settings are drawn uniformly and independently per party; the herald
-    flag is Bernoulli with the architecture's heralding probability; the
+    flag is Bernoulli with the device's heralding probability; the
     outcome pair of a heralded round follows the conditional table cell of
     its settings.  Non-heralded rounds record no-clicks.
 
@@ -350,29 +352,41 @@ def simulate_rounds(
     directly for the rounds whose slice holds an edge.
 
     Args:
-        scenario: Link configuration.
+        device: What the parties measure: ``device.table`` holds
+            ``p(a, b | x, y)`` on the 2 x 3 setting layout with outcomes
+            ``photonics.OUTCOME_CODES``, ``device.herald_probability`` the
+            chance per repetition that a round is heralded.  A
+            :class:`~diqkd_lab.architectures.RunResult` is one.
         n_rounds: Number of source repetitions to simulate.
         seed: Seed for the round generator; fixed seed means identical
             rounds on every call.
+
+    Raises:
+        ValueError: If ``n_rounds`` is not a positive integer, the table's
+            outcome axes are not ``len(OUTCOME_CODES)`` long, or the herald
+            probability lies outside ``[0, 1]`` (NaN included).
     """
     if isinstance(n_rounds, bool) or not isinstance(n_rounds, numbers.Integral):
         raise ValueError(f"n_rounds must be an integer, got {n_rounds!r}")
     if n_rounds <= 0:
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
-    result = run(scenario)
+    n_x, n_y, n_a, n_b = device.table.probabilities.shape
+    if n_a != len(OUTCOME_CODES) or n_b != len(OUTCOME_CODES):
+        raise ValueError(f"device table needs {len(OUTCOME_CODES)} outcomes a party, got {(n_a, n_b)}")
+    if not 0.0 <= device.herald_probability <= 1.0:
+        raise ValueError(f"herald_probability must lie in [0, 1], got {device.herald_probability}")
     rng = np.random.default_rng(seed)
-    n_x, n_y, n_a, n_b = result.table.probabilities.shape
     # Drawn as int64 and narrowed: drawing int8 directly gives other values.
     x = rng.integers(0, n_x, size=n_rounds).astype(np.int8)
     y = rng.integers(0, n_y, size=n_rounds).astype(np.int8)
     u = rng.random(n_rounds)
-    heralded = u < result.herald_probability
+    heralded = u < device.herald_probability
     rng.random(out=u)
     # Setting cell x * n_y + y of each round; non-heralded rounds take the
     # extra cell n_x * n_y, whose outcome is always the no-click pair.
     cell = x * np.int8(n_y) + y
     cell[~heralded] = n_x * n_y
-    table, edges = _outcome_table(result.table.probabilities)
+    table, edges = _outcome_table(device.table.probabilities)
     # Scaling by a power of two is exact: u is k * 2**-53 and each edge a
     # float64, so edge * _BUCKETS <= u * _BUCKETS exactly when edge <= u.
     u *= _BUCKETS
@@ -714,7 +728,7 @@ def _toeplitz_hash(t: np.ndarray, bits: np.ndarray) -> np.ndarray:
 
 
 def run_session(
-    scenario: Scenario,
+    device: RunResult,
     n_rounds: int,
     seed: int,
     *,
@@ -726,10 +740,11 @@ def run_session(
     for Alice's protocol randomness; the second-pass permutation seed and
     the privacy-amplification seed travel through the transcript, so the
     whole session -- including the serialized transcript -- is a pure
-    function of ``(scenario, n_rounds, seed)``.
+    function of ``(device, n_rounds, seed)``.
 
     Args:
-        scenario: Link configuration handed to the architecture runner.
+        device: What the parties measure, as :func:`simulate_rounds` reads
+            it: ``run(scenario)`` for a photonic link.
         n_rounds: Source repetitions to simulate.
         seed: Master seed.
         sample_fraction: Fraction of heralded rounds published for
@@ -737,7 +752,7 @@ def run_session(
     """
     dev_ss, alice_ss = np.random.SeedSequence(seed).spawn(2)
     alice_rng = np.random.default_rng(alice_ss)
-    rounds = simulate_rounds(scenario, n_rounds, dev_ss)
+    rounds = simulate_rounds(device, n_rounds, dev_ss)
     transcript = _Transcript()
     transcript.send("alice", MessageKind.BASIS_ANNOUNCE, _u32_bytes(rounds.x))
     transcript.send("bob", MessageKind.BASIS_ANNOUNCE, _u32_bytes(rounds.y))

@@ -298,8 +298,8 @@ def test_c11_throughput_composition():
 
 def test_c12_end_to_end_session_determinism(tmp_path):
     seed, n_rounds = 20260826, 100_000
-    first = run_session(Scenario(), n_rounds, seed, sample_fraction=0.5)
-    second = run_session(Scenario(), n_rounds, seed, sample_fraction=0.5)
+    first = run_session(run(Scenario()), n_rounds, seed, sample_fraction=0.5)
+    second = run_session(run(Scenario()), n_rounds, seed, sample_fraction=0.5)
 
     keys_match = (
         first.status == "key"

@@ -1,6 +1,7 @@
 """Tests for the device-independent key-distillation protocol."""
 
 import hashlib
+import itertools
 import math
 import struct
 import tracemalloc
@@ -10,8 +11,16 @@ import numpy as np
 import pytest
 
 from diqkd_lab import keyproto
-from diqkd_lab.architectures import CHSH_TERMS, KEY_SETTINGS, Scenario, devetak_winter_rate, run
-from diqkd_lab.bellcert import bin_no_click
+from diqkd_lab.architectures import (
+    CHSH_BOB_SETTINGS,
+    CHSH_TERMS,
+    KEY_SETTINGS,
+    Scenario,
+    devetak_winter_rate,
+    key_rate,
+    run,
+)
+from diqkd_lab.bellcert import _STRATEGIES, _candidate_ensemble, bin_no_click
 from diqkd_lab.keyproto import (
     EstimationSample,
     MessageKind,
@@ -28,6 +37,7 @@ from diqkd_lab.keyproto import (
     simulate_rounds,
 )
 from diqkd_lab.photonics import NO_CLICK
+from diqkd_lab.qstate import CorrelationTable
 
 
 def make_records(cells, heralded=True):
@@ -81,17 +91,16 @@ COLUMNS = ("x", "y", "a", "b", "heralded")
 
 
 def test_simulate_rounds_is_deterministic():
-    scenario = Scenario()
-    first = simulate_rounds(scenario, 500, 7)
-    second = simulate_rounds(scenario, np.int64(500), 7)
+    device = run(Scenario())
+    first = simulate_rounds(device, 500, 7)
+    second = simulate_rounds(device, np.int64(500), 7)
     assert all(np.array_equal(getattr(first, c), getattr(second, c)) for c in COLUMNS)
-    third = simulate_rounds(scenario, 500, 8)
+    third = simulate_rounds(device, 500, 8)
     assert not all(np.array_equal(getattr(first, c), getattr(third, c)) for c in COLUMNS)
 
 
 def test_simulate_rounds_marks_non_heralded_as_no_click():
-    scenario = Scenario(architecture="third_party", pair_prob=0.05)
-    rounds = simulate_rounds(scenario, 2000, 3)
+    rounds = simulate_rounds(run(Scenario(architecture="third_party", pair_prob=0.05)), 2000, 3)
     assert all(getattr(rounds, c).shape == (2000,) for c in COLUMNS)
     assert np.isin(rounds.x, (0, 1)).all() and np.isin(rounds.y, (0, 1, 2)).all()
     assert (~rounds.heralded).any()
@@ -100,7 +109,7 @@ def test_simulate_rounds_marks_non_heralded_as_no_click():
 
 
 def test_simulate_rounds_ideal_statistics():
-    rounds = simulate_rounds(Scenario(), 4000, 11)
+    rounds = simulate_rounds(run(Scenario()), 4000, 11)
     assert rounds.heralded.all()
     # Key basis is perfectly correlated for the ideal link.
     key = (rounds.x == KEY_SETTINGS[0]) & (rounds.y == KEY_SETTINGS[1])
@@ -108,14 +117,13 @@ def test_simulate_rounds_ideal_statistics():
     assert np.array_equal(rounds.a[key], rounds.b[key])
 
 
-def reference_simulate_rounds(scenario, n_rounds, seed):
+def reference_simulate_rounds(device, n_rounds, seed):
     """Round simulation as one masked ``searchsorted`` per setting cell, in int64 columns."""
-    result = run(scenario)
     rng = np.random.default_rng(seed)
-    n_x, n_y, _, n_b = result.table.probabilities.shape
+    n_x, n_y, _, n_b = device.table.probabilities.shape
     x = rng.integers(0, n_x, size=n_rounds)
     y = rng.integers(0, n_y, size=n_rounds)
-    heralded = rng.random(n_rounds) < result.herald_probability
+    heralded = rng.random(n_rounds) < device.herald_probability
     u = rng.random(n_rounds)
     joint = np.full(n_rounds, NO_CLICK * n_b + NO_CLICK, dtype=np.int64)
     for ix in range(n_x):
@@ -123,7 +131,7 @@ def reference_simulate_rounds(scenario, n_rounds, seed):
             mask = heralded & (x == ix) & (y == iy)
             if not mask.any():
                 continue
-            edges = np.cumsum(result.table.probabilities[ix, iy].reshape(-1))
+            edges = np.cumsum(device.table.probabilities[ix, iy].reshape(-1))
             edges[-1] = 1.0
             joint[mask] = np.searchsorted(edges, u[mask], side="right")
     return Rounds(x=x, y=y, a=joint // n_b, b=joint % n_b, heralded=heralded)
@@ -195,11 +203,12 @@ REFERENCE_SCENARIOS = (
 
 def test_simulate_rounds_and_sift_match_the_reference():
     for scenario in REFERENCE_SCENARIOS:
+        device = run(scenario)
         for n in (1, 2, 17, 1000, 65537):
             for seed in (0, 1, 2):
                 case = (scenario, n, seed)
-                rounds = simulate_rounds(scenario, n, seed)
-                expected = reference_simulate_rounds(scenario, n, seed)
+                rounds = simulate_rounds(device, n, seed)
+                expected = reference_simulate_rounds(device, n, seed)
                 for c in COLUMNS:
                     assert np.array_equal(getattr(rounds, c), getattr(expected, c)), (case, c)
                 assert_same_sift(rounds, seed, case)
@@ -211,18 +220,18 @@ def test_simulate_rounds_and_sift_match_the_reference():
 
 def test_simulate_rounds_keeps_narrow_columns():
     """int8 settings and outcomes with bool herald flags, in bytes a round under tracemalloc."""
-    rounds = simulate_rounds(Scenario(architecture="third_party", pair_prob=0.05), 1000, 0)
+    rounds = simulate_rounds(run(Scenario(architecture="third_party", pair_prob=0.05)), 1000, 0)
     assert [getattr(rounds, c).dtype for c in COLUMNS] == [np.dtype(np.int8)] * 4 + [np.dtype(bool)]
     n = 200_000
-    simulate_rounds(Scenario(), 1, 0)  # warm any per-scenario caches
+    simulate_rounds(run(Scenario()), 1, 0)  # warm any per-scenario caches
     tracemalloc.start()
     try:
-        rounds = simulate_rounds(Scenario(), n, 0)
+        rounds = simulate_rounds(run(Scenario()), n, 0)
         held, peak = tracemalloc.get_traced_memory()
         del rounds
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        run_session(Scenario(), n, 0)
+        run_session(run(Scenario()), n, 0)
         session_peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -271,7 +280,7 @@ CRAFTED_CELLS = (
 )
 
 
-def test_simulate_rounds_matches_a_direct_count(monkeypatch):
+def test_simulate_rounds_matches_a_direct_count():
     """The guide-table sampler against counting every edge, on crafted tables."""
     n = 100_000
     straddled_any = False
@@ -279,13 +288,12 @@ def test_simulate_rounds_matches_a_direct_count(monkeypatch):
         cells = CRAFTED_CELLS[shift:] + CRAFTED_CELLS[:shift]
         probabilities = np.stack(cells).reshape(2, 3, 4, 4)
         for herald_probability in (0.0, 0.4, 1.0):
-            result = types.SimpleNamespace(
+            device = types.SimpleNamespace(
                 table=types.SimpleNamespace(probabilities=probabilities),
                 herald_probability=herald_probability,
             )
-            monkeypatch.setattr(keyproto, "run", lambda scenario: result)
             case = (shift, herald_probability)
-            rounds = simulate_rounds(Scenario(), n, shift + 10)
+            rounds = simulate_rounds(device, n, shift + 10)
             expected, straddled = direct_count_rounds(probabilities, herald_probability, n, shift + 10)
             for c in COLUMNS:
                 assert np.array_equal(getattr(rounds, c), getattr(expected, c)), (case, c)
@@ -593,7 +601,7 @@ def test_privacy_amplify_seed_sensitivity():
 
 
 def test_run_session_ideal_link_produces_matching_keys():
-    outcome = run_session(Scenario(), 60_000, seed=42, sample_fraction=0.5)
+    outcome = run_session(run(Scenario()), 60_000, seed=42, sample_fraction=0.5)
     assert outcome.status == "key"
     assert outcome.abort_reason is None
     np.testing.assert_array_equal(outcome.alice_key_bits, outcome.bob_key_bits)
@@ -612,15 +620,16 @@ def test_run_session_ideal_link_produces_matching_keys():
 
 def test_run_session_transcript_is_reproducible():
     kwargs = dict(n_rounds=60_000, seed=42, sample_fraction=0.5)
-    first = run_session(Scenario(), **kwargs)
-    second = run_session(Scenario(), **kwargs)
+    device = run(Scenario())
+    first = run_session(device, **kwargs)
+    second = run_session(device, **kwargs)
     assert serialize_transcript(first.transcript) == serialize_transcript(second.transcript)
-    third = run_session(Scenario(), n_rounds=60_000, seed=43, sample_fraction=0.5)
+    third = run_session(device, n_rounds=60_000, seed=43, sample_fraction=0.5)
     assert serialize_transcript(third.transcript) != serialize_transcript(first.transcript)
 
 
 def test_run_session_aborts_without_violation():
-    outcome = run_session(Scenario(detector_efficiency=0.5), 4_000, seed=1, sample_fraction=0.5)
+    outcome = run_session(run(Scenario(detector_efficiency=0.5)), 4_000, seed=1, sample_fraction=0.5)
     assert outcome.status == "abort"
     assert outcome.abort_reason == "estimation:insufficient-violation"
     assert outcome.alice_key_bits.size == 0
@@ -630,14 +639,14 @@ def test_run_session_aborts_without_violation():
 
 
 def test_run_session_aborts_on_short_raw_key():
-    outcome = run_session(Scenario(), 30, seed=1, sample_fraction=0.9)
+    outcome = run_session(run(Scenario()), 30, seed=1, sample_fraction=0.9)
     assert outcome.status == "abort"
     assert outcome.abort_reason == "sifting:too-few-raw-rounds"
 
 
 def test_run_session_leakage_for_error_free_key():
     """With zero observed errors, the disclosure is block parities plus hash."""
-    outcome = run_session(Scenario(), 60_000, seed=42, sample_fraction=0.5)
+    outcome = run_session(run(Scenario()), 60_000, seed=42, sample_fraction=0.5)
     n = outcome.n_raw
     block = min(n, math.ceil(0.73 * n))  # q_hat = 0 floors at one error in n
     expected = math.ceil(n / block) + math.ceil(n / min(n, 2 * block)) + 64
@@ -656,8 +665,8 @@ def test_session_estimates_agree_with_the_link_model():
         Scenario(node_fidelity=0.97),
         Scenario(architecture="third_party", distance_km=10),
     ):
-        outcome = run_session(scenario, 200_000, 3)
         model = run(scenario)
+        outcome = run_session(model, 200_000, 3)
         assert abs(outcome.estimated_s - model.chsh) <= outcome.s_radius, scenario
         exact_q = bin_no_click(model.table).error_rate(*KEY_SETTINGS)
         assert abs(outcome.estimated_q - exact_q) <= outcome.q_radius, scenario
@@ -715,19 +724,174 @@ GOLDEN_SESSIONS = (
 
 def test_run_session_matches_golden_digests():
     for scenario, n_rounds, seed, fraction, reason, sender, digest in GOLDEN_SESSIONS:
-        outcome = run_session(scenario, n_rounds, seed, sample_fraction=fraction)
+        outcome = run_session(run(scenario), n_rounds, seed, sample_fraction=fraction)
         case = (scenario, n_rounds, seed, fraction)
         assert outcome.abort_reason == reason, case
         assert outcome.transcript[-1].sender == sender, case
         assert session_digest(outcome) == digest, case
 
 
+# ----------------------------------------------------------------------
+# Local and adversarial devices
+# ----------------------------------------------------------------------
+
+
+def as_device(probabilities, herald_probability=1.0):
+    """A device the session can measure: a table and a herald probability."""
+    return types.SimpleNamespace(
+        table=CorrelationTable(probabilities=probabilities), herald_probability=herald_probability
+    )
+
+
+def deterministic_table(alice, bob):
+    """The 2 x 3 table of Alice answering ``alice[x]`` and Bob ``bob[y]``."""
+    table = np.zeros((2, 3, 4, 4))
+    for x, y in itertools.product(range(2), range(3)):
+        table[x, y, alice[x], bob[y]] = 1.0
+    return table
+
+
+def binned_chsh(probabilities):
+    """CHSH over ``CHSH_TERMS`` with every no-click binned to outcome 0."""
+    binned = bin_no_click(CorrelationTable(probabilities=probabilities))
+    return sum(sign * binned.correlator(x, y) for (x, y), sign in CHSH_TERMS)
+
+
+# Every deterministic local strategy pair with outcomes 0, 1 and no-click:
+# 9 for Alice times 27 for Bob.
+LOCAL_TABLES = np.array(
+    [
+        deterministic_table(alice, bob)
+        for alice in itertools.product((0, 1, NO_CLICK), repeat=2)
+        for bob in itertools.product((0, 1, NO_CLICK), repeat=3)
+    ]
+)
+
+# bellcert's strategy outcomes +1, -1 and 0 (silent) as outcome codes; +1 is
+# binary outcome 0, as in ``CHSH_SIGNS``.
+ATTACK_CODES = {1: 0, -1: 1, 0: NO_CLICK}
+
+
+def attack_table(eta):
+    """bellcert's no-click ensemble at ``eta``, as a mixture of deterministic pairs.
+
+    Alice's settings and Bob's CHSH settings follow ``_candidate_ensemble``;
+    Bob's key setting copies Alice's answer at her key setting.
+    """
+    weights = _candidate_ensemble(eta)
+    table = np.zeros((2, 3, 4, 4))
+    for k in np.flatnonzero(weights):
+        alice_strategy, bob_strategy = (_STRATEGIES[i] for i in divmod(k, len(_STRATEGIES)))
+        alice = [ATTACK_CODES[o] for o in alice_strategy]
+        bob = [None] * 3
+        bob[KEY_SETTINGS[1]] = alice[KEY_SETTINGS[0]]
+        for y, o in zip(CHSH_BOB_SETTINGS, bob_strategy):
+            bob[y] = ATTACK_CODES[o]
+        table += weights[k] * deterministic_table(alice, bob)
+    return table
+
+
+def test_deterministic_local_devices_certify_no_key():
+    """Every local strategy pair has binned CHSH at most 2, and so no key.
+
+    The rate is the Devetak–Winter bound of Pironio et al., NJP 11, 045021
+    (2009), which certifies nothing at S <= 2.
+    """
+    assert len(LOCAL_TABLES) == 9 * 27
+    for table in LOCAL_TABLES:
+        assert binned_chsh(table) <= 2.0
+        assert key_rate(CorrelationTable(probabilities=table)) == 0.0
+
+
+def test_sessions_on_local_mixtures_abort_at_estimation():
+    """Seeded mixtures of the pairs on the local bound never reach a key.
+
+    A mixture's CHSH is the weighted mean of its pairs', so mixing only
+    pairs at S = 2 gives the local devices hardest to tell from a quantum
+    one.  The estimation radii hold jointly at confidence 1 - 1e-6, so a
+    false key should come about once in a million sessions.
+    """
+    on_bound = LOCAL_TABLES[[binned_chsh(table) == 2.0 for table in LOCAL_TABLES]]
+    for n_rounds in (100_000, 1_000_000):
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            picks = rng.choice(len(on_bound), size=int(rng.integers(2, 9)), replace=False)
+            table = np.tensordot(rng.dirichlet(np.ones(picks.size)), on_bound[picks], axes=1)
+            outcome = run_session(as_device(table, rng.uniform(0.5, 1.0)), n_rounds, seed)
+            assert outcome.status == "abort", (n_rounds, seed)
+            assert outcome.abort_reason.startswith("estimation:"), (n_rounds, seed, outcome.abort_reason)
+
+
+def sample_chsh(rounds, indices, clicked_only):
+    """CHSH over the rounds at ``indices``: binned, or over both-click rounds only."""
+    s_hat = 0.0
+    for (x, y), sign in CHSH_TERMS:
+        cell = indices[(rounds.x[indices] == x) & (rounds.y[indices] == y)]
+        a, b = rounds.a[cell], rounds.b[cell]
+        if clicked_only:
+            clicked = np.isin(a, (0, 1)) & np.isin(b, (0, 1))
+            a, b = a[clicked], b[clicked]
+        s_hat += sign * np.mean(np.where((a == 1) == (b == 1), 1.0, -1.0))
+    return s_hat
+
+
+def test_no_click_attack_is_caught_by_binning():
+    """The faking ensembles reach S = 2 binned and beat 2 only under post-selection.
+
+    Larsson, PRA 57, 3304 (1998): post-selected CHSH of these local devices
+    reaches ``min(4, 2 / (2 eta - 1))``.  The session bins no-clicks, so it
+    sees S = 2 and its radius stops the samples whose Ŝ lands above 2; the
+    same published rounds, post-selected on coincidences, read above 2.
+    """
+    for eta in (0.7, 0.8, 0.9):
+        device = as_device(attack_table(eta))
+        assert binned_chsh(device.table.probabilities) == 2.0, eta
+        for n_rounds in (100_000, 1_000_000):
+            for seed in range(20):
+                case = (eta, n_rounds, seed)
+                outcome = run_session(device, n_rounds, seed)
+                assert outcome.abort_reason == "estimation:insufficient-violation", case
+                # The session's device stream, checked against its basis announcements.
+                device_seed = np.random.SeedSequence(seed).spawn(2)[0]
+                rounds = simulate_rounds(device, n_rounds, device_seed)
+                assert outcome.transcript[0].payload == rounds.x.astype("<u4").tobytes(), case
+                assert outcome.transcript[1].payload == rounds.y.astype("<u4").tobytes(), case
+                assert outcome.transcript[2].kind == MessageKind.SAMPLE_INDICES, case
+                sample = np.frombuffer(outcome.transcript[2].payload, dtype="<u4")
+                binned = sample_chsh(rounds, sample, clicked_only=False)
+                assert binned == pytest.approx(outcome.estimated_s, abs=1e-12), case
+                assert sample_chsh(rounds, sample, clicked_only=True) > 2.0, case
+
+
+def test_mixed_device_is_estimated_where_the_mixture_says():
+    link = run(Scenario(detector_efficiency=0.98))
+    for w in (0.25, 0.5):
+        device = as_device(w * attack_table(0.8) + (1 - w) * link.table.probabilities)
+        expected = w * 2.0 + (1 - w) * link.chsh
+        for seed in range(20):
+            outcome = run_session(device, 1_000_000, seed)
+            assert abs(outcome.estimated_s - expected) <= outcome.s_radius, (w, seed)
+
+
 # Each case: a call that must be rejected, the exception and the message
 # naming the rejected input.
 REJECTED_INPUTS = (
-    (lambda: simulate_rounds(Scenario(), 0, 1), ValueError, "n_rounds must be positive, got 0"),
-    (lambda: simulate_rounds(Scenario(), 3e3, 1), ValueError, "n_rounds must be an integer, got 3000.0"),
-    (lambda: run_session(Scenario(), True, 1), ValueError, "n_rounds must be an integer, got True"),
+    (lambda: simulate_rounds(run(Scenario()), 0, 1), ValueError, "n_rounds must be positive, got 0"),
+    (lambda: simulate_rounds(run(Scenario()), 3e3, 1), ValueError, "n_rounds must be an integer, got 3000.0"),
+    (lambda: run_session(run(Scenario()), True, 1), ValueError, "n_rounds must be an integer, got True"),
+    (
+        lambda: simulate_rounds(as_device(bin_no_click(run(Scenario()).table).probabilities), 10, 1),
+        ValueError,
+        r"device table needs 4 outcomes a party, got \(2, 2\)",
+    ),
+    *(
+        (
+            lambda p=p: simulate_rounds(as_device(run(Scenario()).table.probabilities, p), 10, 1),
+            ValueError,
+            rf"herald_probability must lie in \[0, 1\], got {p}",
+        )
+        for p in (1.5, -0.1, np.nan)
+    ),
     (
         lambda: privacy_amplify(np.zeros((2, 4), dtype=np.uint8), 0, 0.5, 1),
         ValueError,
@@ -749,7 +913,7 @@ REJECTED_INPUTS = (
         "leakage_bits must be an integer, got True",
     ),
     (
-        lambda: sift(simulate_rounds(Scenario(), 100, 1), 1.0, np.random.default_rng(0)),
+        lambda: sift(simulate_rounds(run(Scenario()), 100, 1), 1.0, np.random.default_rng(0)),
         ValueError,
         r"sample_fraction must lie in \[0, 1\), got 1.0",
     ),

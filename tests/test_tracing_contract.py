@@ -40,7 +40,7 @@ def test_traced_session_runs_every_keyproto_hook():
     try:
         tracer.install()
         # Large enough to reach a key, so reconcile and privacy_amplify run.
-        outcome = keyproto.run_session(Scenario(), 60_000, 42, sample_fraction=0.5)
+        outcome = keyproto.run_session(architectures.run(Scenario()), 60_000, 42, sample_fraction=0.5)
         keyproto.serialize_transcript(outcome.transcript)
     finally:
         tracer.uninstall()
