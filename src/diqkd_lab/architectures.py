@@ -104,10 +104,6 @@ class NeverHeraldsError(RuntimeError):
     """Raised when a heralded architecture's herald has zero probability."""
 
 
-class NotOnePhotonError(ValueError):
-    """Raised when a local_heralding source row lacks exactly one photon on Bob's modes."""
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Hardware and geometry of one link configuration.
@@ -313,9 +309,10 @@ def key_rate(table: CorrelationTable) -> float:
     Args:
         table: Statistics with Alice's 2 settings and Bob's 3 settings.
     """
-    if table.probabilities.shape[:2] != (2, 3):
+    settings = (len(ALICE_ANGLES), len(BOB_ANGLES))
+    if table.probabilities.shape[:2] != settings:
         raise DimensionMismatchError(
-            f"expected a (2, 3)-setting table, got {table.probabilities.shape[:2]}"
+            f"expected a {settings}-setting table, got {table.probabilities.shape[:2]}"
         )
     qber = bin_no_click(table).error_rate(*KEY_SETTINGS)
     return devetak_winter_rate(qber, _chsh_from_table(table))
@@ -418,26 +415,29 @@ def _measure(state: ModeMixture, detector: DetectorModel) -> CorrelationTable:
     )
 
 
-def _amplified(
-    state: ModeMixture,
-    arrived: bool,
+@lru_cache(maxsize=32)
+def _amplified_term(
+    node_fidelity: float,
     amplifier_transmission: float,
     ancilla_pair_prob: float | None,
     detector: DetectorModel,
+    arrived: bool,
 ) -> tuple[float, CorrelationTable | None]:
     """Herald probability and table of one term of Bob's lossy fiber.
 
-    The term keeps Bob's photon (``arrived``) or empties both of his modes
-    (2, 3), feeds them to the qubit amplifier and measures the heralded
-    state; ``(0.0, None)`` when the amplifier never heralds.  The two terms
-    describe loss exactly only if every row of ``state`` holds one photon
-    in Bob's modes: the amplifier keeps the coherence of a superposition of
-    0 and 1 photon there, which the mixture of the two terms has lost.
+    The ideal pair source of a local_heralding link keeps Bob's photon
+    (``arrived``) or has both of his modes (2, 3) emptied; the qubit
+    amplifier takes those modes and the heralded state is measured.
+    ``(0.0, None)`` when the amplifier never heralds.  The two terms
+    describe loss exactly because every row of that source holds one
+    photon in Bob's modes (``test_ideal_source_holds_one_photon_on_bobs_modes``):
+    the amplifier keeps the coherence of a superposition of 0 and 1 photon
+    there, which the mixture of the two terms would lose.
+
+    Cached: the term depends on no distance, so a distance sweep builds
+    each term once.
     """
-    if not (state.occ[:, 2] + state.occ[:, 3] == 1).all():
-        raise NotOnePhotonError(
-            "the arrived/lost terms need exactly one photon in modes (2, 3) in every row"
-        )
+    state = _pair_state(0.0, node_fidelity)
     if not arrived:
         state = loss_channel(loss_channel(state, 2, 0.0), 3, 0.0)
     record = qubit_amplifier(
@@ -450,23 +450,6 @@ def _amplified(
     if record.conditional_state is None:
         return 0.0, None
     return record.success_probability, _measure(record.conditional_state, detector)
-
-
-@lru_cache(maxsize=32)
-def _amplified_term(
-    node_fidelity: float,
-    amplifier_transmission: float,
-    ancilla_pair_prob: float | None,
-    detector: DetectorModel,
-    arrived: bool,
-) -> tuple[float, CorrelationTable | None]:
-    """``_amplified`` on the ideal pair source of a local_heralding link.
-
-    Cached: the term depends on no distance, so a distance sweep builds
-    each term once.
-    """
-    source = _pair_state(0.0, node_fidelity)
-    return _amplified(source, arrived, amplifier_transmission, ancilla_pair_prob, detector)
 
 
 def _result(scenario: Scenario, table: CorrelationTable, herald_probability: float) -> RunResult:

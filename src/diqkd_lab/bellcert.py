@@ -23,8 +23,10 @@ correlators have the closed form::
     <A(a) B(b)>  = cos(a) cos(b) + sin(2 theta) sin(a) sin(b)
     <A(a)>       = cos(a) cos(2 theta)
 
-The dense Born-rule pipeline of :mod:`diqkd_lab.qstate` is not used here;
-the tests check the closed form against it.
+One scalar evaluator, ``_family_threshold``, turns these into the binned
+threshold; both the fixed-angle report and the optimized search go
+through it.  The dense Born-rule pipeline of :mod:`diqkd_lab.qstate` is
+not used here; the tests check the evaluator against it.
 """
 
 from __future__ import annotations
@@ -149,57 +151,30 @@ class EfficiencyThresholdResult:
         return self.chsh_at_unit_efficiency > 2.0
 
 
-def _family_correlations(
-    theta: float, alice_angles: np.ndarray, bob_angles: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Closed-form correlators of ``cos(theta)|00> + sin(theta)|11>``."""
-    c2t, s2t = np.cos(2 * theta), np.sin(2 * theta)
-    corr = np.cos(alice_angles)[:, None] * np.cos(bob_angles)[None, :] + s2t * np.sin(
-        alice_angles
-    )[:, None] * np.sin(bob_angles)[None, :]
-    return corr, np.cos(alice_angles) * c2t, np.cos(bob_angles) * c2t
-
-
-def _eta_threshold(
-    corr: np.ndarray, marg_a: np.ndarray, marg_b: np.ndarray
-) -> tuple[float, float]:
-    """Critical symmetric efficiency for fair-binned CHSH given exact correlations.
-
-    Binning no-click to outcome 0 replaces each observable ``A`` by
-    ``eta A + (1 - eta)``.  With the same efficiency on both sides the CHSH
-    value is then a quadratic in ``eta`` with ``S(0) = 2`` exactly, so the
-    threshold solves in closed form.
-
-    Returns:
-        ``(eta_critical, chsh_at_unit_efficiency)``.
-    """
-    e_tot = float(np.sum(CHSH_SIGNS * corr))
-    m_a = float(CHSH_SIGNS.sum(axis=1) @ marg_a)
-    m_b = float(CHSH_SIGNS.sum(axis=0) @ marg_b)
-    if e_tot <= 2.0:
-        return 1.0, e_tot
-    m = m_a + m_b
-    eta = (4.0 - m) / (e_tot - m + 2.0)
-    return float(np.clip(eta, 0.0, 1.0)), e_tot
-
-
-# Maps the search vector ``(theta, a0, a1, b0, b1)`` to the angles whose
+# Maps ``_family_threshold``'s ``(theta, a0, a1, b0, b1)`` to the angles whose
 # cosines and sines the family's correlators use, ``(2 theta, a0, a1, b0, b1)``.
 _OBJECTIVE_ANGLE_SCALE = np.array([2.0, 1.0, 1.0, 1.0, 1.0])
 
 
-def _threshold_objective(params: np.ndarray) -> float:
-    """Nelder-Mead objective of the optimized ``critical_efficiency`` search.
+def _family_threshold(params: np.ndarray) -> tuple[float, float]:
+    """Critical symmetric efficiency of the family state for fair-binned CHSH.
 
-    The critical efficiency where the family state violates CHSH, and
-    outside the violation region a slope that guides the optimizer towards
-    violating configurations.  It is the value of ``_eta_threshold(
-    *_family_correlations(...))``, bit for bit: one vectorized cosine and
-    sine, then scalar float arithmetic in exactly the operation order of
-    those two functions (``CHSH_SIGNS`` sums to ``(2, 0)`` along both axes,
-    so each marginal term is twice its setting-0 value).  Going through
-    2-element arrays costs ~20 numpy calls per evaluation, several thousand
-    evaluations per search.
+    ``params`` is ``(theta, a0, a1, b0, b1)``: the state ``cos(theta)|00>
+    + sin(theta)|11>`` and the parties' setting angles, whose correlators
+    take the closed form of the module docstring.  Binning no-click to
+    outcome 0 replaces each observable ``A`` by ``eta A + (1 - eta)``.
+    With the same efficiency on both sides the CHSH value is then a
+    quadratic in ``eta`` with ``S(0) = 2`` exactly, so the threshold solves
+    in closed form.  ``CHSH_SIGNS`` sums to ``(2, 0)`` along both axes, so
+    each marginal term is twice its setting-0 value.
+
+    One vectorized cosine and sine, then scalar float arithmetic: the
+    optimized search evaluates this several thousand times, and 2-element
+    arrays would cost ~20 numpy calls each.
+
+    Returns:
+        ``(eta_critical, chsh_at_unit_efficiency)``; ``eta_critical`` is 1.0
+        when the configuration does not violate CHSH.
     """
     angles = params * _OBJECTIVE_ANGLE_SCALE
     c2t, ca0, ca1, cb0, cb1 = np.cos(angles).tolist()
@@ -211,10 +186,21 @@ def _threshold_objective(params: np.ndarray) -> float:
         - (ca1 * cb1 + s2t * sa1 * sb1)
     )
     if e_tot <= 2.0:
-        return 1.0 + (2.0 - e_tot)
+        return 1.0, e_tot
     m = 2.0 * (ca0 * c2t) + 2.0 * (cb0 * c2t)
     eta = (4.0 - m) / (e_tot - m + 2.0)
-    return min(max(eta, 0.0), 1.0)
+    return min(max(eta, 0.0), 1.0), e_tot
+
+
+def _threshold_objective(params: np.ndarray) -> float:
+    """Nelder-Mead objective of the optimized ``critical_efficiency`` search.
+
+    The critical efficiency where the family state violates CHSH, and
+    outside the violation region a slope that guides the optimizer towards
+    violating configurations.
+    """
+    eta, e_tot = _family_threshold(params)
+    return eta if e_tot > 2.0 else 1.0 + (2.0 - e_tot)
 
 
 class _Minimum(NamedTuple):
@@ -329,8 +315,8 @@ def critical_efficiency(theta: float | None = None) -> EfficiencyThresholdResult
     """Critical symmetric detection efficiency of a fair-binned CHSH test.
 
     The state is the partially entangled family ``cos(theta)|00> +
-    sin(theta)|11>``, whose correlators :func:`_family_correlations` gives
-    in closed form.  With a ``theta`` the angles are fixed at
+    sin(theta)|11>``, whose threshold :func:`_family_threshold` gives in
+    closed form.  With a ``theta`` the angles are fixed at
     ``FAMILY_ALICE_ANGLES`` and ``FAMILY_BOB_ANGLES``, the CHSH optimum of
     the maximally entangled state ``theta = pi/4``, which yields the
     textbook symmetric threshold ``2 (sqrt(2) - 1) ~ 0.8284``; the singlet
@@ -359,26 +345,25 @@ def critical_efficiency(theta: float | None = None) -> EfficiencyThresholdResult
         theta = float(theta)
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta}")
-        aa, bb = np.array(FAMILY_ALICE_ANGLES), np.array(FAMILY_BOB_ANGLES)
+        params = np.array([theta, *FAMILY_ALICE_ANGLES, *FAMILY_BOB_ANGLES])
     else:
         # The search ends on its tolerances after 2082 evaluations and 1193
         # iterations, well inside both caps.
-        best = minimize(
+        params = minimize(
             _threshold_objective,
             _THRESHOLD_START,
             xatol=1e-5,
             fatol=1e-12,
             maxiter=8000,
             maxfev=12000,
-        )
-        theta = float(best.x[0])
-        aa, bb = best.x[1:3], best.x[3:5]
-    eta, e_tot = _eta_threshold(*_family_correlations(theta, aa, bb))
+        ).x
+    eta, e_tot = _family_threshold(params)
+    theta, a0, a1, b0, b1 = params.tolist()
     return EfficiencyThresholdResult(
         eta_critical=eta,
         theta=theta,
-        alice_angles=(float(aa[0]), float(aa[1])),
-        bob_angles=(float(bb[0]), float(bb[1])),
+        alice_angles=(a0, a1),
+        bob_angles=(b0, b1),
         chsh_at_unit_efficiency=e_tot,
     )
 
@@ -475,16 +460,13 @@ class AttackResult:
 
 
 def _attack_result(eta: float, weights: np.ndarray) -> AttackResult:
-    weights = np.clip(weights, 0.0, None)
-    weights = weights / weights.sum()
-    frozen = weights.copy()
-    frozen.setflags(write=False)
+    weights.setflags(write=False)
     ra = _CLICK_A.T @ weights
     rb = _CLICK_B.T @ weights
     return AttackResult(
         eta=float(eta),
         chsh=_postselected_chsh(weights),
-        weights=frozen,
+        weights=weights,
         alice_click_rates=(float(ra[0]), float(ra[1])),
         bob_click_rates=(float(rb[0]), float(rb[1])),
     )

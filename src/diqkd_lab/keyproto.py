@@ -43,6 +43,8 @@ from typing import Sequence
 import numpy as np
 
 from diqkd_lab.architectures import (
+    ALICE_ANGLES,
+    BOB_ANGLES,
     CHSH_TERMS,
     KEY_SETTINGS,
     RunResult,
@@ -83,6 +85,9 @@ _VERIFY_DIGEST_BITS = 64
 #: Equal slices of [0, 1) in the outcome-sampling guide table; a power of two,
 #: so that scaling a uniform by it is exact.
 _BUCKETS = 1024
+
+#: Shape of a device table: the link's setting layout, then the click outcomes.
+_DEVICE_SHAPE = (len(ALICE_ANGLES), len(BOB_ANGLES), len(OUTCOME_CODES), len(OUTCOME_CODES))
 
 
 class MessageKind(IntEnum):
@@ -363,16 +368,17 @@ def simulate_rounds(
 
     Raises:
         ValueError: If ``n_rounds`` is not a positive integer, the table's
-            outcome axes are not ``len(OUTCOME_CODES)`` long, or the herald
-            probability lies outside ``[0, 1]`` (NaN included).
+            shape is not ``_DEVICE_SHAPE`` (2 x 3 settings, 4 x 4 outcomes),
+            or the herald probability lies outside ``[0, 1]`` (NaN
+            included).
     """
     if isinstance(n_rounds, bool) or not isinstance(n_rounds, numbers.Integral):
         raise ValueError(f"n_rounds must be an integer, got {n_rounds!r}")
     if n_rounds <= 0:
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
-    n_x, n_y, n_a, n_b = device.table.probabilities.shape
-    if n_a != len(OUTCOME_CODES) or n_b != len(OUTCOME_CODES):
-        raise ValueError(f"device table needs {len(OUTCOME_CODES)} outcomes a party, got {(n_a, n_b)}")
+    n_x, n_y, n_a, n_b = shape = device.table.probabilities.shape
+    if shape != _DEVICE_SHAPE:
+        raise ValueError(f"device table needs shape {_DEVICE_SHAPE}, got {shape}")
     if not 0.0 <= device.herald_probability <= 1.0:
         raise ValueError(f"herald_probability must lie in [0, 1], got {device.herald_probability}")
     rng = np.random.default_rng(seed)

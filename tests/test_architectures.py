@@ -420,11 +420,12 @@ def test_arrived_and_lost_terms_match_explicit_loss(fields):
         assert result.herald_probability == herald
 
 
-@pytest.mark.parametrize("arrived", (True, False))
-def test_arrived_and_lost_terms_need_one_photon_on_bobs_modes(arrived):
-    # Loss on a superposition of 0 and 1 photon is no mixture of the two terms.
-    with pytest.raises(architectures.NotOnePhotonError, match="exactly one photon"):
-        architectures._amplified(spdc_source(0.01), arrived, 0.99, None, DetectorModel())
+@pytest.mark.parametrize("node_fidelity", (1.0, 0.97, 0.5, 0.0))
+def test_ideal_source_holds_one_photon_on_bobs_modes(node_fidelity):
+    # What makes the arrived and lost terms an exact split of Bob's loss:
+    # loss on a superposition of 0 and 1 photon is no mixture of the two.
+    occ = architectures._pair_state(0.0, node_fidelity).occ
+    np.testing.assert_array_equal(occ[:, 2] + occ[:, 3], 1)
 
 
 # ----------------------------------------------------------------------

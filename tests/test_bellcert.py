@@ -12,8 +12,7 @@ from diqkd_lab.bellcert import (
     _MIN_COINCIDENCE,
     _THRESHOLD_START,
     _candidate_ensemble,
-    _eta_threshold,
-    _family_correlations,
+    _family_threshold,
     _postselected_chsh,
     _strategy_index,
     _threshold_objective,
@@ -109,20 +108,28 @@ def test_partially_entangled_family_endpoints():
     assert chsh(table) == pytest.approx(TSIRELSON, abs=1e-9)
 
 
-def test_family_correlations_match_the_born_rule():
+def test_family_threshold_matches_the_born_rule():
+    # Half the vectors anywhere, half near the family's Tsirelson point, so
+    # both violating and non-violating configurations are checked.
     rng = np.random.default_rng(2016)
-    for theta, *angles in rng.uniform(-np.pi, np.pi, size=(50, 5)):
-        aa, bb = np.array(angles[:2]), np.array(angles[2:])
-        p = family_table(theta, aa, bb).probabilities
-        corr, marg_a, marg_b = _family_correlations(theta, aa, bb)
-        born = (
-            p[:, :, 0, 0] + p[:, :, 1, 1] - p[:, :, 0, 1] - p[:, :, 1, 0],
-            p.sum(axis=3)[:, :, 0] - p.sum(axis=3)[:, :, 1],
-            p.sum(axis=2)[:, :, 0] - p.sum(axis=2)[:, :, 1],
-        )
-        closed = (corr, marg_a[:, None], marg_b[None, :])
-        for got, expected in zip(closed, born):
-            np.testing.assert_allclose(np.broadcast_to(got, (2, 2)), expected, rtol=0, atol=1e-12)
+    centre = np.array([np.pi / 4, *FAMILY_ALICE_ANGLES, *FAMILY_BOB_ANGLES])
+    params = np.concatenate(
+        [rng.uniform(-np.pi, np.pi, size=(100, 5)), centre + rng.normal(scale=0.3, size=(100, 5))]
+    )
+    silent = thresholds = 0
+    for p in params:
+        theta, aa, bb = p[0], p[1:3], p[3:5]
+        eta, e_tot = _family_threshold(p)
+        assert e_tot == pytest.approx(chsh(bin_no_click(family_table(theta, aa, bb))), abs=1e-12)
+        if e_tot <= 2.0:
+            assert eta == 1.0, p.tolist()
+            silent += 1
+        elif 0.0 < eta < 1.0:
+            # At the critical efficiency the binned Born-rule CHSH is the local bound.
+            binned = chsh(bin_no_click(family_table(theta, aa, bb, eta)))
+            assert binned == pytest.approx(2.0, abs=1e-9), p.tolist()
+            thresholds += 1
+    assert silent > 50 and thresholds > 50
 
 
 @pytest.mark.parametrize("eta", [1.0, 0.9, 0.8])
@@ -148,31 +155,6 @@ def test_critical_efficiency_fixed_singlet():
     assert res.eta_critical == pytest.approx(2.0 * (np.sqrt(2.0) - 1.0), abs=1e-5)
 
 
-def _array_objective(params):
-    """The threshold search's objective in array form, the scalar one's reference."""
-    eta, e_tot = _eta_threshold(*_family_correlations(params[0], params[1:3], params[3:5]))
-    return eta if e_tot > 2.0 else 1.0 + (2.0 - e_tot)
-
-
-def test_scalar_threshold_objective_is_bit_identical_to_the_array_form():
-    # Half the vectors anywhere, half near the family's Tsirelson point, so
-    # both the violating branch (value <= 1) and the fallback slope are hit.
-    rng = np.random.default_rng(2016)
-    centre = np.array([np.pi / 4, *FAMILY_ALICE_ANGLES, *FAMILY_BOB_ANGLES])
-    params = np.concatenate(
-        [
-            rng.uniform(-np.pi, np.pi, size=(5000, 5)),
-            centre + rng.normal(scale=0.3, size=(5000, 5)),
-        ]
-    )
-    violating = 0
-    for p in params:
-        expected = _array_objective(p)
-        assert _threshold_objective(p) == expected, p.tolist()
-        violating += expected <= 1.0
-    assert 1000 < violating < len(params) - 1000
-
-
 def _threshold_start_family_winner():
     """Best of the 24-start Nelder-Mead family over ``(theta, angles)``.
 
@@ -190,7 +172,7 @@ def _threshold_start_family_winner():
     for theta in (0.02, 0.05, 0.1, 0.2, 0.4, np.pi / 4):
         for angles in angle_sets:
             res = minimize(
-                _array_objective,
+                _threshold_objective,
                 np.array([theta, *angles], dtype=float),
                 method="Nelder-Mead",
                 options={"xatol": 1e-5, "fatol": 1e-12, "maxiter": 8000, "maxfev": 12000},
@@ -202,13 +184,13 @@ def _threshold_start_family_winner():
 
 def test_optimized_threshold_is_best_of_the_start_family():
     x = _threshold_start_family_winner()
-    theta, aa, bb = float(x[0]), x[1:3], x[3:5]
-    eta, e_tot = _eta_threshold(*_family_correlations(theta, aa, bb))
+    eta, e_tot = _family_threshold(x)
+    theta, a0, a1, b0, b1 = x.tolist()
     res = critical_efficiency()
     assert res.eta_critical == eta
     assert res.theta == theta
-    assert res.alice_angles == (float(aa[0]), float(aa[1]))
-    assert res.bob_angles == (float(bb[0]), float(bb[1]))
+    assert res.alice_angles == (a0, a1)
+    assert res.bob_angles == (b0, b1)
     assert res.chsh_at_unit_efficiency == e_tot
     assert res.violation_at_unit_efficiency == (e_tot > 2.0)
     assert res.eta_critical == pytest.approx(0.6666675784498227, abs=1e-12)

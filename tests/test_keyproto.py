@@ -882,7 +882,19 @@ REJECTED_INPUTS = (
     (
         lambda: simulate_rounds(as_device(bin_no_click(run(Scenario()).table).probabilities), 10, 1),
         ValueError,
-        r"device table needs 4 outcomes a party, got \(2, 2\)",
+        r"device table needs shape \(2, 3, 4, 4\), got \(2, 3, 2, 2\)",
+    ),
+    *(
+        (
+            lambda cut=cut: simulate_rounds(as_device(cut(run(Scenario()).table.probabilities)), 10, 1),
+            ValueError,
+            rf"device table needs shape \(2, 3, 4, 4\), got \({shape}\)",
+        )
+        for cut, shape in (
+            (lambda p: p[:, :2], "2, 2, 4, 4"),
+            (lambda p: p[:1], "1, 3, 4, 4"),
+            (lambda p: np.concatenate([p, p[:1]], axis=0), "3, 3, 4, 4"),
+        )
     ),
     *(
         (
