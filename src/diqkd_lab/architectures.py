@@ -44,6 +44,7 @@ from diqkd_lab.bellcert import (
 )
 from diqkd_lab.photonics import (
     DOUBLE_CLICK,
+    BsmResult,
     DetectorModel,
     ModeMixture,
     bell_state_measurement,
@@ -98,6 +99,26 @@ CHSH_TERMS = tuple(
 )
 
 TSIRELSON = 2.0 * np.sqrt(2.0)
+
+
+# ``(rule, admits, fields)`` of each numeric Scenario range, in checking
+# order.  Written so that NaN, which fails every comparison, is rejected
+# too; the bounded ranges reject NaN and infinities by their bounds.
+_SCENARIO_RANGES = (
+    ("must be positive and finite", lambda v: 0 < v < math.inf, ("repetition_rate_hz",)),
+    (
+        "must be non-negative and finite",
+        lambda v: 0 <= v < math.inf,
+        ("distance_km", "attenuation_db_per_km", "readout_time_s"),
+    ),
+    (
+        "must lie in [0, 1]",
+        lambda v: 0.0 <= v <= 1.0,
+        ("detector_efficiency", "dark_count_prob", "source_position", "node_fidelity"),
+    ),
+    ("must lie in [0, 1)", lambda v: 0.0 <= v < 1.0, ("pair_prob",)),
+    ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0, ("amplifier_transmission",)),
+)
 
 
 class NeverHeraldsError(RuntimeError):
@@ -156,35 +177,17 @@ class Scenario:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise ValueError(f"{name} must be a number, got {value!r}")
-        # Written so that NaN, which fails every comparison, is rejected too;
-        # the bounded fields below reject NaN and infinities by their range.
-        if not 0 < self.repetition_rate_hz < math.inf:
-            raise ValueError(
-                f"repetition_rate_hz must be positive and finite, got {self.repetition_rate_hz}"
-            )
-        non_negative = {
-            "distance_km": self.distance_km,
-            "attenuation_db_per_km": self.attenuation_db_per_km,
-            "readout_time_s": self.readout_time_s,
-        }
-        for name, value in non_negative.items():
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite, got {value}")
-        unit = {
-            "detector_efficiency": self.detector_efficiency,
-            "dark_count_prob": self.dark_count_prob,
-            "source_position": self.source_position,
-            "node_fidelity": self.node_fidelity,
-        }
-        for name, value in unit.items():
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        if not 0.0 <= self.pair_prob < 1.0:
-            raise ValueError(f"pair_prob must lie in [0, 1), got {self.pair_prob}")
-        if not 0.0 < self.amplifier_transmission < 1.0:
-            raise ValueError(
-                f"amplifier_transmission must lie in (0, 1), got {self.amplifier_transmission}"
-            )
+        for rule, admits, names in _SCENARIO_RANGES:
+            for name in names:
+                value = getattr(self, name)
+                # Python compares an int exactly, so 10**400 < math.inf holds;
+                # the range is checked on the float that the model computes with.
+                try:
+                    admitted = admits(float(value))
+                except OverflowError:
+                    raise ValueError(f"{name} {rule}, got a number no float can hold") from None
+                if not admitted:
+                    raise ValueError(f"{name} {rule}, got {value}")
 
 
 def matter_node_scenario(**overrides) -> Scenario:
@@ -388,12 +391,12 @@ def _swap_link(pair_prob: float, node_fidelity: float) -> ModeMixture:
 
     Alice keeps modes (0, 1) of her pair and Bob modes (6, 7) of his; the
     travelling halves (2, 3) and (4, 5) each cross half the distance to the
-    station.  All four travelling modes lose the same ``half_t``
-    (``_half_transmission``) and meet only the station's balanced
-    beamsplitters, so their loss is folded into the station's detector
-    (``_detector``) instead of being applied here.  Sources are truncated
-    to single-pair emission.  The link depends on no distance, so it is
-    cached on the two source parameters and built once per sweep.
+    station.  All four travelling modes lose the same ``half_t`` and meet
+    only the station's balanced beamsplitters, so their loss is folded into
+    the station's detector (``_swap_station``) instead of being applied
+    here.  Sources are truncated to single-pair emission.  The link depends
+    on no distance, so it is cached on the two source parameters and built
+    once per sweep.
     """
     source = _pair_state(pair_prob, node_fidelity, n_pair_max=1)
     # Swap the right source's halves so its travelling modes come first:
@@ -401,11 +404,19 @@ def _swap_link(pair_prob: float, node_fidelity: float) -> ModeMixture:
     return tensor_modes(source, permute_modes(source, (2, 3, 0, 1)))
 
 
-def _half_transmission(scenario: Scenario) -> float:
-    """Fiber transmission from either end of a third_party link to its station."""
-    return distance_to_transmission(
-        scenario.distance_km / 2.0, scenario.attenuation_db_per_km
-    )
+def _swap_station(scenario: Scenario, link: ModeMixture) -> BsmResult:
+    """The third_party station's Bell-state measurement of a link's travelling modes.
+
+    The station interferes modes (2, 3) with (4, 5) of a ``_swap_link``
+    state.  Each of those modes crosses half the distance, so all four
+    lose the same ``half_t``, which commutes through the station's
+    balanced beamsplitters onto its detectors: the station detects with
+    efficiency ``detector_efficiency * half_t`` (``_detector``).  Both
+    :func:`run` and :func:`charlie_independence_residual` measure through
+    this one station.
+    """
+    half_t = distance_to_transmission(scenario.distance_km / 2.0, scenario.attenuation_db_per_km)
+    return bell_state_measurement(link, (2, 3), (4, 5), _detector(scenario, half_t))
 
 
 def _measure(state: ModeMixture, detector: DetectorModel) -> CorrelationTable:
@@ -549,14 +560,11 @@ def _run_third_party(scenario: Scenario) -> RunResult:
 
     The fiber loss ``half_t`` on the four travelling modes is simulated as
     the station's detector efficiency ``detector_efficiency * half_t``
-    (``_detector``): the station's beamsplitters act on modes (2, 4) and
-    (3, 5), each of which loses the same ``half_t``, so the loss commutes
-    with them onto the detectors.  Alice's and Bob's own modes cross no
-    fiber and keep the plain detector.
+    (``_swap_station``, the station criterion 9 checks through
+    :func:`charlie_independence_residual`).  Alice's and Bob's own modes
+    cross no fiber and keep the plain detector.
     """
-    state = _swap_link(scenario.pair_prob, scenario.node_fidelity)
-    station = _detector(scenario, _half_transmission(scenario))
-    bsm = bell_state_measurement(state, (2, 3), (4, 5), station)
+    bsm = _swap_station(scenario, _swap_link(scenario.pair_prob, scenario.node_fidelity))
     # Remaining modes: (aH, aV, bH, bV).  Feed-forward: phase-flip Bob's V
     # mode on a psi+ herald to map psi+ to psi-.
     heralds = [
@@ -604,9 +612,9 @@ def charlie_independence_residual(scenario: Scenario) -> float:
     measurements act on modes the station never touches.  This check runs
     the measurement rotations *before* the Bell-state measurement (the
     operations commute) and compares the herald probability across all
-    setting pairs.  As in :func:`run` on a ``third_party`` scenario, the
-    equal fiber loss on the station's four input modes is its detector
-    efficiency ``detector_efficiency * half_t``.
+    setting pairs.  Each rotated link goes through the station that
+    :func:`run` uses on a ``third_party`` scenario (``_swap_station``), so
+    the check certifies the runner's own herald.
 
     Returns:
         ``max - min`` of the herald probability over the setting pairs;
@@ -615,12 +623,10 @@ def charlie_independence_residual(scenario: Scenario) -> float:
     if scenario.architecture != "third_party":
         raise ValueError("independence check applies to the third_party architecture")
     state = _swap_link(scenario.pair_prob, scenario.node_fidelity)
-    detector = _detector(scenario, _half_transmission(scenario))
     herald_probs = []
     for alice_angle in ALICE_ANGLES:
         for bob_angle in BOB_ANGLES:
             rotated = polarization_rotation(state, 0, 1, alice_angle)
             rotated = polarization_rotation(rotated, 6, 7, bob_angle)
-            bsm = bell_state_measurement(rotated, (2, 3), (4, 5), detector)
-            herald_probs.append(bsm.success_probability)
+            herald_probs.append(_swap_station(scenario, rotated).success_probability)
     return float(max(herald_probs) - min(herald_probs))

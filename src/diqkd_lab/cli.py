@@ -131,15 +131,17 @@ _COMMAND_KEYS = {f.name for f in dataclasses.fields(ScenarioFile)} - {"scenario"
 def _number(kind: type, value, key: str):
     """Convert one command setting with ``int`` or ``float``, naming the key on failure.
 
-    JSON booleans are not numbers, although Python converts them, and the
-    ``NaN`` and ``Infinity`` that Python's JSON reader accepts are not finite.
+    Only JSON numbers are numbers: not strings, which Python would convert,
+    and not booleans, which Python converts and compares like numbers.  The
+    ``NaN`` and ``Infinity`` that Python's JSON reader accepts are not
+    finite, and neither is an integer too large for a float.
     """
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise CliError(f"{key} must be a number, got {value!r}")
     try:
         number = kind(value)
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{key} must be a number, got {value!r}") from exc
+    except OverflowError:
+        raise CliError(f"{key} must be a finite number, got a number no float can hold") from None
     if kind is float and not math.isfinite(number):
         raise CliError(f"{key} must be a finite number, got {value!r}")
     return number
@@ -168,7 +170,8 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
         raise CliError(f"cannot read scenario file {path}: {exc}") from exc
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
+        # JSONDecodeError, or an integer literal longer than Python reads.
         raise CliError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise CliError(f"scenario file {path} must hold a single JSON object")

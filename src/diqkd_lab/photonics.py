@@ -902,14 +902,16 @@ def _qubit_populations(state: ModeMixture, h_mode: int, v_mode: int) -> tuple[fl
 
 @lru_cache(maxsize=32)
 def _amplifier_ancillas(
-    transmission: float, ancilla_pair_prob: float | None, trigger_detector: DetectorModel
+    transmission: float, ancilla_pair_prob: float | None, detector: DetectorModel
 ) -> tuple[float, ModeMixture | None]:
     """The amplifier's ancillas, split on their beamsplitters, on modes (tH, rH, tV, rV).
 
     Each ancilla photon meets vacuum on a beamsplitter of transmission
     ``transmission``; the H and V ancillas come from two independent,
-    identical sources.  They never touch the input before the Bell-state
-    measurement, so they are prepared apart from it, once per setting.
+    identical sources.  A pair source's trigger is the amplifier's own
+    ``detector``, the one its Bell-state measurement uses.  The ancillas
+    never touch the input before the Bell-state measurement, so they are
+    prepared apart from it, once per setting.
 
     Returns:
         ``(trigger_prob, block)``: the probability that both ancilla sources
@@ -921,7 +923,7 @@ def _amplifier_ancillas(
     if ancilla_pair_prob is None:
         ancilla = fock([1])
     else:
-        source = heralded_single_photon(ancilla_pair_prob, trigger_detector)
+        source = heralded_single_photon(ancilla_pair_prob, detector)
         if source.conditional_state is None:
             return 0.0, None
         trigger_prob = source.success_probability * source.success_probability
@@ -936,7 +938,6 @@ def qubit_amplifier(
     transmission: float,
     detector: DetectorModel | None = None,
     ancilla_pair_prob: float | None = None,
-    trigger_detector: DetectorModel | None = None,
 ) -> HeraldRecord:
     """Heralded noiseless qubit amplifier acting on a polarization qubit.
 
@@ -948,24 +949,24 @@ def qubit_amplifier(
     corrected by feed-forward, so all four heralds yield the same state.
     The split ancillas never meet the input before the Bell-state
     measurement, so they are prepared apart from it (``_amplifier_ancillas``,
-    cached per ``T``, ancilla source and trigger detector) and joined to it
-    by one tensor product.
+    cached per ``T``, ancilla source and detector) and joined to it by one
+    tensor product.
 
     With ``ancilla_pair_prob`` set, each ancilla photon comes from a
     triggered pair source (see :func:`heralded_single_photon`) instead of an
     ideal source, and the reported success probability includes both
-    trigger probabilities.
+    trigger probabilities.  The triggers are ``detector``, so every
+    detector of the amplifier has the same efficiency and dark counts.
 
     Args:
         state: Input state; ``input_modes`` are consumed and replaced (in
             place, same positions) by the amplifier's output modes.
         input_modes: ``(H, V)`` modes carrying the qubit to amplify.
         transmission: Ancilla beamsplitter transmission ``T`` in ``(0, 1)``.
-        detector: Bell-measurement detector model; default ideal.
+        detector: Detector model of the Bell measurement and of the
+            ancilla triggers; default ideal.
         ancilla_pair_prob: Pair parameter of the ancilla sources, or None
             for ideal single photons.
-        trigger_detector: Trigger detector of the ancilla sources; defaults
-            to ``detector``.
 
     Returns:
         A :class:`HeraldRecord`; ``gain`` compares the single-photon to
@@ -975,10 +976,9 @@ def qubit_amplifier(
     if not 0.0 < transmission < 1.0:
         raise ValueError(f"transmission must lie in (0, 1), got {transmission}")
     detector = detector or DetectorModel()
-    trigger_detector = trigger_detector or detector
     in_h, in_v = _mode_indices(state, input_modes)
     n_modes = state.n_modes
-    trigger_prob, ancillas = _amplifier_ancillas(transmission, ancilla_pair_prob, trigger_detector)
+    trigger_prob, ancillas = _amplifier_ancillas(transmission, ancilla_pair_prob, detector)
     if ancillas is None:
         return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
     # The ancillas' four modes (tH, rH, tV, rV) come after the existing ones.
@@ -1040,10 +1040,10 @@ def amplifier_success_probability(
     exact values come from :func:`qubit_amplifier`.
 
     The formula counts ancilla *emission*, so it assumes ideal trigger
-    detectors.  Trigger detectors of efficiency ``eta_t`` scale the herald
-    by ``eta_t^2``: with ``eta_t = eta_d = 0.9``, :func:`qubit_amplifier`
-    on a single-photon input gives 0.82 times this value at ``p = 0.011``
-    and 0.811 as ``p -> 0``.
+    detectors.  :func:`qubit_amplifier` triggers its ancilla sources with
+    its own detectors, which scale the herald by another ``eta_d^2``: with
+    ``eta_d = 0.9`` it gives, on a single-photon input, 0.82 times this
+    value at ``p = 0.011`` and 0.811 as ``p -> 0``.
     """
     for name, value in (
         ("detector_efficiency", detector_efficiency),

@@ -222,17 +222,6 @@ class CorrelationTable:
         arr.setflags(write=False)
         object.__setattr__(self, "probabilities", arr)
 
-    def correlator(self, x: int, y: int) -> float:
-        """Two-outcome correlator ``<A_x B_y>`` with outcomes 0/1 valued +1/-1."""
-        n_a, n_b = self.probabilities.shape[2:]
-        if n_a != 2 or n_b != 2:
-            raise DimensionMismatchError(
-                f"correlators need binary outcomes, table has ({n_a}, {n_b}); "
-                "bin no-click outcomes first"
-            )
-        p = self.probabilities[x, y]
-        return float(p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0])
-
     def error_rate(self, x: int, y: int) -> float:
         """Probability that the two outcomes disagree under settings ``(x, y)``.
 

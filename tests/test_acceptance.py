@@ -142,7 +142,6 @@ def test_c06_amplifier_success_probability_magnitude():
         transmission,
         detector=detector,
         ancilla_pair_prob=pair_prob,
-        trigger_detector=detector,
     )
     ratio = record.success_probability / formula
     within_factor_two = 0.5 <= ratio <= 2.0
@@ -155,7 +154,6 @@ def test_c06_amplifier_success_probability_magnitude():
         transmission,
         detector=detector,
         ancilla_pair_prob=pair_prob,
-        trigger_detector=detector,
     )
     tenth = amplifier_success_probability(eta_d, transmission, pair_prob / 10.0)
     _report(

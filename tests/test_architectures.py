@@ -304,6 +304,48 @@ def test_charlie_outcome_is_setting_independent():
     assert residual < 1e-12
 
 
+# third_party links for the station check: ideal sources; pair sources at
+# 10 km; lossy, noisy pair sources and imperfect nodes at 50 km.
+STATION_SCENARIOS = (
+    Scenario(architecture="third_party"),
+    Scenario(architecture="third_party", pair_prob=0.01, distance_km=10.0),
+    Scenario(
+        architecture="third_party",
+        pair_prob=0.05,
+        distance_km=50.0,
+        detector_efficiency=0.9,
+        dark_count_prob=1e-4,
+        node_fidelity=0.97,
+    ),
+)
+
+
+def test_independence_check_measures_the_runners_station(monkeypatch):
+    """The residual compares heralds of the station that run() swaps through.
+
+    run() measures its link once through ``_swap_station``; the check sends
+    each of the six setting pairs' rotated link through the same function,
+    and every one of those heralds is run()'s herald probability.
+    """
+    station = architectures._swap_station
+    heralds = []
+
+    def recording_station(scenario, link):
+        result = station(scenario, link)
+        heralds.append(result.success_probability)
+        return result
+
+    monkeypatch.setattr(architectures, "_swap_station", recording_station)
+    for scenario in STATION_SCENARIOS:
+        heralds.clear()
+        herald = run(scenario).herald_probability
+        residual = charlie_independence_residual(scenario)
+        assert heralds[0] == herald
+        settings = len(ALICE_ANGLES) * len(BOB_ANGLES)
+        assert heralds[1:] == pytest.approx([herald] * settings, rel=1e-12)
+        assert residual < 1e-9
+
+
 # ----------------------------------------------------------------------
 # Fiber loss as detector efficiency
 # ----------------------------------------------------------------------
@@ -574,6 +616,17 @@ REJECTED_INPUTS = (
         lambda: charlie_independence_residual(Scenario()),
         ValueError,
         "independence check applies to the third_party architecture",
+    ),
+    # Python compares a huge int exactly with infinity; no float holds it.
+    (
+        lambda: Scenario(distance_km=10**400),
+        ValueError,
+        "distance_km must be non-negative and finite, got a number no float can hold",
+    ),
+    (
+        lambda: Scenario(detector_efficiency=-(10**400)),
+        ValueError,
+        r"detector_efficiency must lie in \[0, 1\], got a number no float can hold",
     ),
     (lambda: binary_entropy(1.5), ValueError, r"probability must lie in \[0, 1\], got 1.5"),
     (lambda: devetak_winter_rate(1.5, 2.5), ValueError, r"qber must lie in \[0, 1\], got 1.5"),

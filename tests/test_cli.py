@@ -105,6 +105,30 @@ OUT_OF_RANGE_CASES = (
     ({"distance_km": "5"}, r"distance_km must be a number, got '5'"),
     ({"detector_efficiency": "0.9"}, r"detector_efficiency must be a number, got '0.9'"),
     ({"distance_km": None}, r"distance_km must be a number, got None"),
+    # Command settings take JSON numbers only, as scenario fields do.
+    ({"rounds": "3000"}, r"rounds must be a number, got '3000'"),
+    ({"seed": "7"}, r"seed must be a number, got '7'"),
+    ({"sample_fraction": "0.5"}, r"sample_fraction must be a number, got '0.5'"),
+    ({"theta": "0.3"}, r"theta must be a number, got '0.3'"),
+    ({"etas": ["0.9"]}, r"etas must be a number, got '0.9'"),
+    (
+        {"sweep": {"parameter": "distance_km", "min": "0", "max": 10, "steps": 3}},
+        r"sweep min must be a number, got '0'",
+    ),
+    (
+        {"sweep": {"parameter": "distance_km", "min": 0, "max": 10, "steps": "3"}},
+        r"sweep steps must be a number, got '3'",
+    ),
+    # An integer no float can hold is rejected by name, not by a traceback.
+    ({"theta": 10**400}, r"theta must be a finite number, got a number no float can hold"),
+    (
+        {"sweep": {"parameter": "distance_km", "min": 0, "max": 10**400, "steps": 3}},
+        r"sweep max must be a finite number, got a number no float can hold",
+    ),
+    (
+        {"distance_km": 10**400},
+        r"distance_km must be non-negative and finite, got a number no float can hold",
+    ),
     ({"out": 5}, r"out must be a string, got 5"),
     # Python's JSON reader accepts NaN and Infinity; neither is a usable value.
     ({"distance_km": float("nan")}, r"distance_km must be non-negative and finite, got nan"),
@@ -164,6 +188,10 @@ def test_parse_scenario_file_malformed_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     with pytest.raises(CliError, match="malformed JSON"):
+        parse_scenario_file(path)
+    # Python refuses to read an integer literal of more than 4300 digits.
+    path.write_text('{"theta": ' + "1" * 5000 + "}")
+    with pytest.raises(CliError, match="malformed JSON .* 5000 digits"):
         parse_scenario_file(path)
 
 

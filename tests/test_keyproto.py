@@ -20,7 +20,7 @@ from diqkd_lab.architectures import (
     key_rate,
     run,
 )
-from diqkd_lab.bellcert import _STRATEGIES, _candidate_ensemble, bin_no_click
+from diqkd_lab.bellcert import _STRATEGIES, _candidate_ensemble, _correlators, bin_no_click
 from diqkd_lab.keyproto import (
     EstimationSample,
     MessageKind,
@@ -754,7 +754,8 @@ def deterministic_table(alice, bob):
 def binned_chsh(probabilities):
     """CHSH over ``CHSH_TERMS`` with every no-click binned to outcome 0."""
     binned = bin_no_click(CorrelationTable(probabilities=probabilities))
-    return sum(sign * binned.correlator(x, y) for (x, y), sign in CHSH_TERMS)
+    corr = _correlators(binned.probabilities)
+    return sum(sign * corr[x, y] for (x, y), sign in CHSH_TERMS)
 
 
 # Every deterministic local strategy pair with outcomes 0, 1 and no-click:

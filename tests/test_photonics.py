@@ -11,7 +11,7 @@ from scipy.linalg import expm
 
 from diqkd_lab import architectures, photonics
 from diqkd_lab.architectures import ALICE_ANGLES, BOB_ANGLES, Scenario
-from diqkd_lab.bellcert import bin_no_click
+from diqkd_lab.bellcert import _correlators, bin_no_click
 from diqkd_lab.photonics import (
     BRANCH_PRUNE_TOL,
     OUTCOME_CODES,
@@ -510,7 +510,7 @@ def test_polarization_singlet_correlator():
         table = bin_no_click(
             polarization_correlation_table(state, (0, 1), (2, 3), [theta_a], [theta_b])
         )
-        assert table.correlator(0, 0) == pytest.approx(
+        assert _correlators(table.probabilities)[0, 0] == pytest.approx(
             -np.cos(theta_a - theta_b), abs=1e-12
         )
 
@@ -630,9 +630,7 @@ def test_never_triggering_ancilla_source_never_heralds():
     blind = DetectorModel(0.0, 0.0)
     never = HeraldRecord(0.0, None, None)
     assert heralded_single_photon(0.05, blind) == never
-    record = qubit_amplifier(
-        fock([1, 0]), (0, 1), 0.9, ancilla_pair_prob=0.05, trigger_detector=blind
-    )
+    record = qubit_amplifier(fock([1, 0]), (0, 1), 0.9, detector=blind, ancilla_pair_prob=0.05)
     assert record == never
 
 

@@ -99,7 +99,9 @@ def test_singlet_correlator_is_minus_cosine():
         table = born_table(
             rho, [projective_qubit_povm(alpha)], [projective_qubit_povm(beta)]
         )
-        assert table.correlator(0, 0) == pytest.approx(-np.cos(alpha - beta), abs=1e-12)
+        p = table.probabilities[0, 0]
+        correlator = p[0, 0] + p[1, 1] - p[0, 1] - p[1, 0]
+        assert correlator == pytest.approx(-np.cos(alpha - beta), abs=1e-12)
 
 
 def test_born_table_normalization_and_no_signalling():
@@ -178,13 +180,6 @@ REJECTED_INPUTS = (
         lambda: CorrelationTable(np.full((2, 2, 2), 0.25)),
         StateValidationError,
         r"probabilities must have shape \(n_x, n_y, n_a, n_b\), got \(2, 2, 2\)",
-    ),
-    (
-        lambda: born_table(
-            singlet(), [inefficient_qubit_povm(0.0, 0.5)], [inefficient_qubit_povm(0.0, 0.5)]
-        ).correlator(0, 0),
-        DimensionMismatchError,
-        r"correlators need binary outcomes, table has \(3, 3\)",
     ),
     (
         lambda: born_table(
