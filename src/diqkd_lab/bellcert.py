@@ -151,12 +151,7 @@ class EfficiencyThresholdResult:
         return self.chsh_at_unit_efficiency > 2.0
 
 
-# Maps ``_family_threshold``'s ``(theta, a0, a1, b0, b1)`` to the angles whose
-# cosines and sines the family's correlators use, ``(2 theta, a0, a1, b0, b1)``.
-_OBJECTIVE_ANGLE_SCALE = np.array([2.0, 1.0, 1.0, 1.0, 1.0])
-
-
-def _family_threshold(params: np.ndarray) -> tuple[float, float]:
+def _family_threshold(params: Sequence[float]) -> tuple[float, float]:
     """Critical symmetric efficiency of the family state for fair-binned CHSH.
 
     ``params`` is ``(theta, a0, a1, b0, b1)``: the state ``cos(theta)|00>
@@ -168,17 +163,21 @@ def _family_threshold(params: np.ndarray) -> tuple[float, float]:
     in closed form.  ``CHSH_SIGNS`` sums to ``(2, 0)`` along both axes, so
     each marginal term is twice its setting-0 value.
 
-    One vectorized cosine and sine, then scalar float arithmetic: the
-    optimized search evaluates this several thousand times, and 2-element
-    arrays would cost ~20 numpy calls each.
+    Python floats throughout: the optimized search evaluates this 2082
+    times, and on 5-element arrays numpy's per-call dispatch would cost
+    more than the arithmetic.  ``math.cos`` and ``math.sin`` of
+    ``2.0 * theta`` and the four angles equal ``np.cos`` and ``np.sin``
+    of them bit for bit where numpy uses the C library's functions;
+    ``test_family_threshold_is_the_numpy_form_bit_for_bit`` checks it.
 
     Returns:
         ``(eta_critical, chsh_at_unit_efficiency)``; ``eta_critical`` is 1.0
         when the configuration does not violate CHSH.
     """
-    angles = params * _OBJECTIVE_ANGLE_SCALE
-    c2t, ca0, ca1, cb0, cb1 = np.cos(angles).tolist()
-    s2t, sa0, sa1, sb0, sb1 = np.sin(angles).tolist()
+    theta, a0, a1, b0, b1 = np.asarray(params, dtype=float).tolist()
+    angles = (2.0 * theta, a0, a1, b0, b1)
+    c2t, ca0, ca1, cb0, cb1 = map(math.cos, angles)
+    s2t, sa0, sa1, sb0, sb1 = map(math.sin, angles)
     e_tot = (
         (ca0 * cb0 + s2t * sa0 * sb0)
         + (ca0 * cb1 + s2t * sa0 * sb1)
@@ -231,8 +230,10 @@ def minimize(
     bounds, ``adaptive=False`` and its default initial simplex, so ``x``,
     ``fun``, ``nfev`` and ``nit`` equal SciPy's bit for bit
     (``test_minimize_is_scipy_nelder_mead_bit_for_bit``).  That takes
-    SciPy's exact arithmetic: the centroid is a sequential row sum from
-    0.0 divided by N, and the vertices are ordered by ``np.argsort``,
+    SciPy's exact arithmetic: each centroid coordinate adds the vertices'
+    coordinates one at a time, in vertex order, from 0.0, then divides by
+    N (not ``sum()``, which adds floats with compensation from Python
+    3.12), and the vertices are ordered by an ndarray's ``argsort``,
     which is not stable on every host, so tied objective values (the
     threshold objective clips to [0, 1]) order as they do in SciPy.  An
     evaluation past ``maxfev`` is not made: its iteration is abandoned
@@ -258,7 +259,7 @@ def minimize(
         return float(objective(np.array(vertex)))
 
     def sort() -> None:
-        order = np.argsort(fsim).tolist()
+        order = np.array(fsim).argsort().tolist()
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
 
@@ -272,14 +273,16 @@ def minimize(
     nit = 1
     while nfev < maxfev and nit < maxiter:
         best, worst = sim[0], sim[-1]
-        if all(abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best)) and all(
-            abs(fsim[0] - f) <= fatol for f in fsim[1:]
+        if all(abs(fsim[0] - f) <= fatol for f in fsim[1:]) and all(
+            abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best)
         ):
             break
-        total = [0.0] * n
-        for v in sim[:-1]:
-            total = [t + c for t, c in zip(total, v)]
-        xbar = [t / n for t in total]
+        xbar = []
+        for column in zip(*sim[:-1]):
+            t = 0.0
+            for c in column:
+                t += c
+            xbar.append(t / n)
         try:
             xr = [2 * c - w for c, w in zip(xbar, worst)]
             fxr = evaluate(xr)

@@ -226,6 +226,8 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
     rounds = _integer(data.get("rounds", 100_000), "rounds")
     if rounds <= 0:
         raise CliError(f"rounds must be positive, got {rounds}")
+    if rounds > np.iinfo(np.intp).max:  # the longest array numpy can size
+        raise CliError(f"rounds must be at most {np.iinfo(np.intp).max}, got {rounds}")
     sample_fraction = _number(float, data.get("sample_fraction", 0.1), "sample_fraction")
     if not 0.0 <= sample_fraction < 1.0:
         raise CliError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")

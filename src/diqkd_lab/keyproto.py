@@ -367,15 +367,18 @@ def simulate_rounds(
             rounds on every call.
 
     Raises:
-        ValueError: If ``n_rounds`` is not a positive integer, the table's
-            shape is not ``_DEVICE_SHAPE`` (2 x 3 settings, 4 x 4 outcomes),
-            or the herald probability lies outside ``[0, 1]`` (NaN
-            included).
+        ValueError: If ``n_rounds`` is not a positive integer or exceeds
+            ``np.iinfo(np.intp).max``, numpy's largest array size, the
+            table's shape is not ``_DEVICE_SHAPE`` (2 x 3 settings, 4 x 4
+            outcomes), or the herald probability lies outside ``[0, 1]``
+            (NaN included).
     """
     if isinstance(n_rounds, bool) or not isinstance(n_rounds, numbers.Integral):
         raise ValueError(f"n_rounds must be an integer, got {n_rounds!r}")
     if n_rounds <= 0:
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
+    if n_rounds > np.iinfo(np.intp).max:  # the longest array numpy can size
+        raise ValueError(f"n_rounds must be at most {np.iinfo(np.intp).max}, got {n_rounds}")
     n_x, n_y, n_a, n_b = shape = device.table.probabilities.shape
     if shape != _DEVICE_SHAPE:
         raise ValueError(f"device table needs shape {_DEVICE_SHAPE}, got {shape}")

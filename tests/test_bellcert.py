@@ -132,6 +132,49 @@ def test_family_threshold_matches_the_born_rule():
     assert silent > 50 and thresholds > 50
 
 
+def _numpy_family_threshold(params):
+    """``_family_threshold``'s arithmetic on numpy's vectorized cosine and sine.
+
+    The reference for the scalar form, which takes ``math.cos`` and
+    ``math.sin`` of the same float arguments.
+    """
+    angles = np.asarray(params, dtype=float) * np.array([2.0, 1.0, 1.0, 1.0, 1.0])
+    c2t, ca0, ca1, cb0, cb1 = np.cos(angles).tolist()
+    s2t, sa0, sa1, sb0, sb1 = np.sin(angles).tolist()
+    e_tot = (
+        (ca0 * cb0 + s2t * sa0 * sb0)
+        + (ca0 * cb1 + s2t * sa0 * sb1)
+        + (ca1 * cb0 + s2t * sa1 * sb0)
+        - (ca1 * cb1 + s2t * sa1 * sb1)
+    )
+    if e_tot <= 2.0:
+        return 1.0, e_tot
+    m = 2.0 * (ca0 * c2t) + 2.0 * (cb0 * c2t)
+    eta = (4.0 - m) / (e_tot - m + 2.0)
+    return min(max(eta, 0.0), 1.0), e_tot
+
+
+def test_family_threshold_is_the_numpy_form_bit_for_bit():
+    # Exact equality: where numpy's cos or sin is not the C library's, this
+    # fails here rather than moving the optimized threshold's reference.
+    rng = np.random.default_rng(29)
+    tsirelson = np.array([np.pi / 4, *FAMILY_ALICE_ANGLES, *FAMILY_BOB_ANGLES])
+    params = [
+        np.array(_THRESHOLD_START),
+        tsirelson,
+        *rng.uniform(-np.pi, np.pi, size=(4000, 5)),
+        *(tsirelson + rng.normal(scale=0.3, size=(4000, 5))),
+        *rng.uniform(-100.0, 100.0, size=(2000, 5)),
+    ]
+    violating = 0
+    for p in params:
+        expected = _numpy_family_threshold(p)
+        for form in (p, p.tolist(), tuple(p.tolist())):
+            assert _family_threshold(form) == expected, p.tolist()
+        violating += expected[1] > 2.0
+    assert 1000 < violating < len(params) - 1000
+
+
 @pytest.mark.parametrize("eta", [1.0, 0.9, 0.8])
 def test_singlet_table_is_the_family_table_at_pi_over_4(eta):
     # Why critical_efficiency(pi / 4) is the singlet's threshold.
@@ -195,6 +238,25 @@ def test_optimized_threshold_is_best_of_the_start_family():
     assert res.violation_at_unit_efficiency == (e_tot > 2.0)
     assert res.eta_critical == pytest.approx(0.6666675784498227, abs=1e-12)
     assert res.theta == pytest.approx(7.3564410039596995e-06, abs=1e-12)
+
+
+def test_every_optimized_threshold_runs_the_whole_search(monkeypatch):
+    # Each call searches afresh: a result cached across calls would make
+    # the second call evaluate nothing.
+    counts = []
+
+    def counting_objective(params):
+        counts[-1] += 1
+        return _threshold_objective(params)
+
+    monkeypatch.setattr(bellcert, "_threshold_objective", counting_objective)
+    results = []
+    for _ in range(2):
+        counts.append(0)
+        results.append(critical_efficiency())
+    assert counts == [2082, 2082]
+    assert results[0] == results[1]
+    assert (results[0].theta, results[0].eta_critical) == (7.3564410039596995e-06, 0.6666675784498227)
 
 
 # The optimized threshold search's options.

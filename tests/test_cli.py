@@ -56,6 +56,9 @@ def test_parse_scenario_file_defaults(tmp_path):
     parsed = parse_scenario_file(write_scenario(tmp_path, "f.json", {"rounds": 1e6, "seed": 7.0}))
     assert (parsed.rounds, parsed.seed) == (1_000_000, 7)
     assert type(parsed.rounds) is int and type(parsed.seed) is int
+    # The largest array size numpy takes is accepted; nothing is allocated here.
+    largest = np.iinfo(np.intp).max
+    assert parse_scenario_file(write_scenario(tmp_path, "n.json", {"rounds": largest})).rounds == largest
 
 
 def test_parse_scenario_file_rejects_unknown_keys(tmp_path):
@@ -166,6 +169,11 @@ OUT_OF_RANGE_CASES = (
     ({"sweep": {"parameter": "distance_km", "min": 0, "max": 10}}, r"sweep is missing keys: steps"),
     ({"etas": [1.5]}, r"etas entries must lie in \(0, 1\], got 1.5"),
     ({"rounds": 0}, r"rounds must be positive, got 0"),
+    # Past numpy's largest array size the session could not allocate its rounds.
+    *(
+        ({"rounds": rounds}, rf"rounds must be at most {np.iinfo(np.intp).max}, got {int(rounds)}$")
+        for rounds in (np.iinfo(np.intp).max + 1, 1e30, 10**400)
+    ),
     ({"sample_fraction": 1.0}, r"sample_fraction must lie in \[0, 1\), got 1.0"),
 )
 

@@ -880,6 +880,15 @@ REJECTED_INPUTS = (
     (lambda: simulate_rounds(run(Scenario()), 0, 1), ValueError, "n_rounds must be positive, got 0"),
     (lambda: simulate_rounds(run(Scenario()), 3e3, 1), ValueError, "n_rounds must be an integer, got 3000.0"),
     (lambda: run_session(run(Scenario()), True, 1), ValueError, "n_rounds must be an integer, got True"),
+    # Rejected before any draw, so nothing is allocated.
+    *(
+        (
+            lambda n=n: simulate_rounds(run(Scenario()), n, 1),
+            ValueError,
+            rf"n_rounds must be at most {np.iinfo(np.intp).max}, got {n}$",
+        )
+        for n in (np.iinfo(np.intp).max + 1, 10**30, 10**400)
+    ),
     (
         lambda: simulate_rounds(as_device(bin_no_click(run(Scenario()).table).probabilities), 10, 1),
         ValueError,
