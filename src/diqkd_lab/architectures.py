@@ -43,11 +43,14 @@ from diqkd_lab.bellcert import (
     chsh,
 )
 from diqkd_lab.photonics import (
+    _BSM_PATTERNS,
+    BRANCH_PRUNE_TOL,
     DOUBLE_CLICK,
-    BsmResult,
     DetectorModel,
     ModeMixture,
-    bell_state_measurement,
+    _born_tables,
+    _contents,
+    beamsplitter,
     distance_to_transmission,
     loss_channel,
     mix,
@@ -373,9 +376,13 @@ def _detector(scenario: Scenario, transmission: float = 1.0) -> DetectorModel:
     t)^n``.  Loss also commutes with a passive two-mode unitary (a
     polarization rotation, a beamsplitter) when both of its modes lose the
     same ``t``.  So a station whose measured modes all cross the same fiber
-    is simulated on the unattenuated state with this detector.  Loss on
-    only some of the measured modes, or in front of an operation that is
-    not passive on equally lossy modes, cannot be folded this way: Bob's
+    is simulated on the unattenuated state with this detector: the
+    ``standard`` stations measure the cached source with it, and the
+    ``third_party`` swap station weighs the cached station contents of its
+    interfered link by its click likelihoods (``_swap_station``), so along
+    a distance sweep only this detector changes.  Loss on only some of the
+    measured modes, or in front of an operation that is not passive on
+    equally lossy modes, cannot be folded this way: Bob's
     loss in front of the qubit amplifier is split instead into the
     photon's arrived and lost terms (``_run_local_heralding``).
     """
@@ -404,19 +411,79 @@ def _swap_link(pair_prob: float, node_fidelity: float) -> ModeMixture:
     return tensor_modes(source, permute_modes(source, (2, 3, 0, 1)))
 
 
-def _swap_station(scenario: Scenario, link: ModeMixture) -> BsmResult:
-    """The third_party station's Bell-state measurement of a link's travelling modes.
+def _interfere(link: ModeMixture) -> tuple[ModeMixture, np.ndarray, np.ndarray, np.ndarray]:
+    """A link after the station's balanced beamsplitters, grouped by station content.
 
-    The station interferes modes (2, 3) with (4, 5) of a ``_swap_link``
-    state.  Each of those modes crosses half the distance, so all four
-    lose the same ``half_t``, which commutes through the station's
-    balanced beamsplitters onto its detectors: the station detects with
-    efficiency ``detector_efficiency * half_t`` (``_detector``).  Both
-    :func:`run` and :func:`charlie_independence_residual` measure through
-    this one station.
+    The station interferes the H modes (2, 4) and the V modes (3, 5) of a
+    ``_swap_link`` state and watches the four outputs.  Returns the
+    interfered state, the distinct Fock contents of the station modes, the
+    content of each row and the probability of each content.
+    """
+    mixed = beamsplitter(beamsplitter(link, 2, 4, 0.5), 3, 5, 0.5)
+    return (mixed, *_contents(mixed, (2, 3, 4, 5)))
+
+
+def _swap_station(
+    scenario: Scenario, contents: np.ndarray, probabilities: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """The third_party station's herald and the heralding weight of each station content.
+
+    Each row of an interfered link (``_interfere``) has a Fock content of
+    the four station modes, and a click pattern has the same likelihood
+    ``prod_k q[c_k, p_k]`` for every row of one content ``c``.  So the
+    station's Bell-state measurement of a link is known from the link's
+    content probabilities and this point's station detector alone.  The
+    station's modes each cross half the distance, so all four lose the
+    same ``half_t``, which commutes through the balanced beamsplitters
+    onto the detectors: the station detects with efficiency
+    ``detector_efficiency * half_t`` (``_detector``).  As in
+    ``photonics.bell_state_measurement``, a heralding pattern of
+    probability at most ``BRANCH_PRUNE_TOL`` never heralds.
+
+    Both :func:`run` and :func:`charlie_independence_residual` herald
+    through this one station.
+
+    Returns:
+        ``(herald, weights)``: the probability of the heralding patterns
+        kept, and ``weights[s, c]``, the summed likelihood of content ``c``
+        under the kept ``psi-`` (``s = 0``) or ``psi+`` (``s = 1``)
+        patterns, so that ``weights @ probabilities`` sums to the herald.
     """
     half_t = distance_to_transmission(scenario.distance_km / 2.0, scenario.attenuation_db_per_km)
-    return bell_state_measurement(link, (2, 3), (4, 5), _detector(scenario, half_t))
+    q = _detector(scenario, half_t).outcome_matrix(int(contents.max(initial=0)))
+    patterns = np.array([pattern for _, pattern in _BSM_PATTERNS], dtype=np.intp)
+    likelihoods = q[contents, patterns[:, np.newaxis]].prod(axis=2)
+    pattern_probs = likelihoods @ probabilities
+    kept = pattern_probs > BRANCH_PRUNE_TOL
+    labels = np.array([[label == s for label, _ in _BSM_PATTERNS] for s in ("psi-", "psi+")])
+    return float(pattern_probs[kept].sum()), (labels & kept) @ likelihoods
+
+
+@lru_cache(maxsize=32)
+def _swap_terms(
+    pair_prob: float, node_fidelity: float, detector: DetectorModel
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The station contents of a third_party link, their probabilities and their tables.
+
+    ``tables[s, c]`` is the joint Born table of Alice's and Bob's
+    outcomes and of the station content ``c``, with (``s = 1``) or without
+    (``s = 0``) the feed-forward flip of Bob's V mode that maps a ``psi+``
+    herald to ``psi-``.  The flip, a phase of ``pi`` per photon, turns Bob's
+    rotation by ``theta / 2`` into one by ``-theta / 2``, so the flipped
+    tables are the unflipped state's at Bob's negated angles, and one
+    contraction (``photonics._born_tables``) gives all of them.
+
+    Cached, read-only: nothing here depends on the distance, so a distance
+    sweep interferes and measures each link once.
+    """
+    mixed, contents, content, probabilities = _interfere(_swap_link(pair_prob, node_fidelity))
+    bob_angles = BOB_ANGLES + tuple(-angle for angle in BOB_ANGLES)
+    tables = _born_tables(mixed, (0, 1), (6, 7), ALICE_ANGLES, bob_angles, detector, content)
+    n_y = len(BOB_ANGLES)
+    terms = contents, probabilities, np.stack([tables[:, :, :n_y], tables[:, :, n_y:]])
+    for array in terms:  # shared by every caller of the cache
+        array.setflags(write=False)
+    return terms
 
 
 def _measure(state: ModeMixture, detector: DetectorModel) -> CorrelationTable:
@@ -558,23 +625,26 @@ def _run_third_party(scenario: Scenario) -> RunResult:
     property of the sources, not of the architecture, and are exposed
     separately by the photonics layer.
 
-    The fiber loss ``half_t`` on the four travelling modes is simulated as
-    the station's detector efficiency ``detector_efficiency * half_t``
-    (``_swap_station``, the station criterion 9 checks through
-    :func:`charlie_independence_residual`).  Alice's and Bob's own modes
-    cross no fiber and keep the plain detector.
+    The measurement is linear in the station's click likelihoods.  Every
+    row of one station content ``c`` heralds with the same likelihood, so
+    the heralded table is ``sum_c (w_c^- T_c^- + w_c^+ T_c^+) / P``: ``T_c^-``
+    and ``T_c^+`` are content ``c``'s joint tables without and with the
+    feed-forward flip (``_swap_terms``, cached: neither depends on the
+    distance), and ``w_c^-``, ``w_c^+`` and the herald ``P`` come from
+    this point's station detector (``_swap_station``, the station
+    criterion 9 checks through :func:`charlie_independence_residual`).
+    The fiber loss ``half_t`` on the four travelling modes is that
+    detector's efficiency ``detector_efficiency * half_t``; Alice's and
+    Bob's own modes cross no fiber and keep the plain detector.
     """
-    bsm = _swap_station(scenario, _swap_link(scenario.pair_prob, scenario.node_fidelity))
-    # Remaining modes: (aH, aV, bH, bV).  Feed-forward: phase-flip Bob's V
-    # mode on a psi+ herald to map psi+ to psi-.
-    heralds = [
-        (o.probability, phase_shift(o.state, 3, np.pi) if o.label == "psi+" else o.state)
-        for o in bsm.outcomes
-        if o.state is not None
-    ]
-    if not heralds:
+    contents, probabilities, tables = _swap_terms(
+        scenario.pair_prob, scenario.node_fidelity, _detector(scenario)
+    )
+    herald, weights = _swap_station(scenario, contents, probabilities)
+    if not herald > 0.0:
         raise NeverHeraldsError("the swap station never heralds under this scenario")
-    return _result(scenario, _measure(mix(heralds), _detector(scenario)), bsm.success_probability)
+    table = weights.reshape(-1) @ tables.reshape(weights.size, -1) / herald
+    return _result(scenario, CorrelationTable(table.reshape(tables.shape[2:])), herald)
 
 
 _RUNNERS = {
@@ -611,8 +681,9 @@ def charlie_independence_residual(scenario: Scenario) -> float:
     must not depend on which settings Alice and Bob choose -- their
     measurements act on modes the station never touches.  This check runs
     the measurement rotations *before* the Bell-state measurement (the
-    operations commute) and compares the herald probability across all
-    setting pairs.  Each rotated link goes through the station that
+    operations commute), interferes each rotated link at the station
+    (``_interfere``) and compares the herald probability across all
+    setting pairs.  Each rotated link heralds through the station that
     :func:`run` uses on a ``third_party`` scenario (``_swap_station``), so
     the check certifies the runner's own herald.
 
@@ -628,5 +699,6 @@ def charlie_independence_residual(scenario: Scenario) -> float:
         for bob_angle in BOB_ANGLES:
             rotated = polarization_rotation(state, 0, 1, alice_angle)
             rotated = polarization_rotation(rotated, 6, 7, bob_angle)
-            herald_probs.append(_swap_station(scenario, rotated).success_probability)
+            _, contents, _, probabilities = _interfere(rotated)
+            herald_probs.append(_swap_station(scenario, contents, probabilities)[0])
     return float(max(herald_probs) - min(herald_probs))

@@ -34,7 +34,7 @@ import numpy as np
 
 from diqkd_lab.architectures import NeverHeraldsError, Scenario, run, secret_bits_per_second
 from diqkd_lab.bellcert import critical_efficiency, loophole_attack_curve
-from diqkd_lab.keyproto import run_session, serialize_transcript
+from diqkd_lab.keyproto import MAX_ROUNDS, run_session, serialize_transcript
 from diqkd_lab.photonics import distance_to_transmission
 
 __all__ = [
@@ -226,8 +226,8 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
     rounds = _integer(data.get("rounds", 100_000), "rounds")
     if rounds <= 0:
         raise CliError(f"rounds must be positive, got {rounds}")
-    if rounds > np.iinfo(np.intp).max:  # the longest array numpy can size
-        raise CliError(f"rounds must be at most {np.iinfo(np.intp).max}, got {rounds}")
+    if rounds > MAX_ROUNDS:  # the most a session's round columns can hold
+        raise CliError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
     sample_fraction = _number(float, data.get("sample_fraction", 0.1), "sample_fraction")
     if not 0.0 <= sample_fraction < 1.0:
         raise CliError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")

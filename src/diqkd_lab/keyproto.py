@@ -53,6 +53,7 @@ from diqkd_lab.architectures import (
 from diqkd_lab.photonics import NO_CLICK, OUTCOME_CODES
 
 __all__ = [
+    "MAX_ROUNDS",
     "MessageKind",
     "ProtocolMessage",
     "ProtocolAbort",
@@ -70,6 +71,11 @@ __all__ = [
     "serialize_transcript",
     "parse_transcript",
 ]
+
+#: Most rounds a session simulates: the round simulation draws 8-byte
+#: columns of ``n_rounds`` entries, and numpy sizes no array of more than
+#: ``np.iinfo(np.intp).max`` bytes.
+MAX_ROUNDS = np.iinfo(np.intp).max // 8
 
 #: Sifting aborts when fewer raw key rounds than this remain.
 _MIN_RAW_ROUNDS = 16
@@ -368,7 +374,7 @@ def simulate_rounds(
 
     Raises:
         ValueError: If ``n_rounds`` is not a positive integer or exceeds
-            ``np.iinfo(np.intp).max``, numpy's largest array size, the
+            ``MAX_ROUNDS``, the most whose 8-byte draws numpy can size, the
             table's shape is not ``_DEVICE_SHAPE`` (2 x 3 settings, 4 x 4
             outcomes), or the herald probability lies outside ``[0, 1]``
             (NaN included).
@@ -377,8 +383,8 @@ def simulate_rounds(
         raise ValueError(f"n_rounds must be an integer, got {n_rounds!r}")
     if n_rounds <= 0:
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
-    if n_rounds > np.iinfo(np.intp).max:  # the longest array numpy can size
-        raise ValueError(f"n_rounds must be at most {np.iinfo(np.intp).max}, got {n_rounds}")
+    if n_rounds > MAX_ROUNDS:
+        raise ValueError(f"n_rounds must be at most {MAX_ROUNDS}, got {n_rounds}")
     n_x, n_y, n_a, n_b = shape = device.table.probabilities.shape
     if shape != _DEVICE_SHAPE:
         raise ValueError(f"device table needs shape {_DEVICE_SHAPE}, got {shape}")

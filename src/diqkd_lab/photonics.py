@@ -498,6 +498,12 @@ class DetectorModel:
         return np.stack([1.0 - click, click], axis=1)
 
 
+def _contents(state: ModeMixture, modes: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """Distinct Fock contents of ``modes`` (ascending), each row's content, their probabilities."""
+    contents, index = _distinct(state.occ[:, modes])
+    return contents, index, np.bincount(index, _power(state.amp))
+
+
 def detection_probabilities(
     state: ModeMixture, modes: Sequence[int], detector: DetectorModel
 ) -> np.ndarray:
@@ -514,9 +520,7 @@ def detection_probabilities(
     """
     modes = _mode_indices(state, modes)
     q = detector.outcome_matrix(state.n_max)
-    # Probability of each Fock content of the watched modes.
-    contents, index = _distinct(state.occ[:, modes])
-    t = np.bincount(index, _power(state.amp))
+    contents, _, t = _contents(state, modes)
     # Each factor appends the click axis of one watched mode, in ``modes`` order.
     for k in range(len(modes)):
         t = t[..., np.newaxis] * q[contents[:, k]].reshape((-1,) + (1,) * k + (2,))
@@ -607,13 +611,15 @@ def _click_povms(
     q = detector.outcome_matrix(top)
     dim = (top + 1) * (top + 2) // 2
     povms = np.zeros((len(angles), len(OUTCOME_CODES), dim, dim))
-    for x, angle in enumerate(angles):
-        blocks = _sector_blocks(top, angle / 2.0)
-        for t in range(top + 1):
-            b, k = blocks[t, : t + 1, : t + 1], np.arange(t + 1)
-            block = slice(t * (t + 1) // 2, (t + 1) * (t + 2) // 2)
-            for (c_h, c_v), outcome in OUTCOME_CODES.items():
-                povms[x, outcome, block, block] = (b.T * (q[k, c_h] * q[t - k, c_v])) @ b
+    # The H- and V-port clicks of each outcome code, one row per outcome.
+    c_h, c_v = np.array(sorted(OUTCOME_CODES, key=OUTCOME_CODES.get)).T[:, :, np.newaxis]
+    blocks = np.stack([_sector_blocks(top, angle / 2.0) for angle in angles])
+    for t in range(top + 1):
+        # Every angle's and outcome's block of sector t in one stacked product.
+        b, k = blocks[:, t, : t + 1, : t + 1], np.arange(t + 1)
+        block = slice(t * (t + 1) // 2, (t + 1) * (t + 2) // 2)
+        weighted = b.transpose(0, 2, 1)[:, np.newaxis] * (q[k, c_h] * q[t - k, c_v])[:, np.newaxis]
+        povms[:, :, block, block] = weighted @ b[:, np.newaxis]
     povms.setflags(write=False)
     return povms
 
@@ -664,6 +670,31 @@ def polarization_correlation_table(
         ``(len(alice_angles), len(bob_angles), 4, 4)``.
     """
     detector = detector or DetectorModel()
+    parts = np.zeros(state.amp.size, np.intp)  # one part: the whole state
+    tables = _born_tables(state, alice_modes, bob_modes, alice_angles, bob_angles, detector, parts)
+    return CorrelationTable(probabilities=tables[0])
+
+
+def _born_tables(
+    state: ModeMixture,
+    alice_modes: tuple[int, int],
+    bob_modes: tuple[int, int],
+    alice_angles: Sequence[float],
+    bob_angles: Sequence[float],
+    detector: DetectorModel,
+    parts: np.ndarray,
+) -> np.ndarray:
+    """Born tables of disjoint parts of a state, in one contraction.
+
+    ``parts[r]`` numbers the part of row ``r``; the rows of one branch
+    that agree on every unmeasured mode must share a part.  Part ``k``'s
+    table is ``p(a, b, k | x, y)``, the probability of the outcomes and of
+    the state lying in part ``k``, so the parts' tables sum to
+    :func:`polarization_correlation_table`, which is this with one part.
+
+    Returns:
+        Shape ``(parts.max() + 1, len(alice_angles), len(bob_angles), 4, 4)``.
+    """
     measured = _mode_indices(state, (*alice_modes, *bob_modes))
     if len(alice_angles) == 0 or len(bob_angles) == 0:
         raise DimensionMismatchError("need at least one angle per party")
@@ -678,21 +709,22 @@ def polarization_correlation_table(
     dim_a, dim_b = povms_a.shape[-1], povms_b.shape[-1]
     rest = [k for k in range(state.n_modes) if k not in measured]
     groups, group = _distinct(state.branch, state.occ[:, rest])
-    vectors = np.zeros((len(groups), dim_a * dim_b), dtype=complex)
-    vectors[group, index[:, 0] * dim_b + index[:, 1]] = state.amp
-    # rho[i, j] = sum_g conj(v_g[i]) v_g[j], so p = sum_ij E[i, j] rho[i, j];
-    # the POVMs are real, so only rho's real part counts.  Its axes are
-    # ordered (iA iA', iB iB') to contract each party's elements in turn.
-    rho = vectors.conj().T @ vectors
-    rho = rho.real.reshape(dim_a, dim_b, dim_a, dim_b).transpose(0, 2, 1, 3)
+    # One vector per part and group, zero outside the group's part.
+    vectors = np.zeros((parts.max(initial=0) + 1, len(groups), dim_a * dim_b), dtype=complex)
+    vectors[parts, group, index[:, 0] * dim_b + index[:, 1]] = state.amp
+    # rho[k, i, j] = sum_g conj(v_g[i]) v_g[j] over part k's groups, so p =
+    # sum_ij E[i, j] rho[k, i, j]; the POVMs are real, so only rho's real
+    # part counts.  Its axes are ordered (iA iA', iB iB') to contract each
+    # party's elements in turn.
+    rho = vectors.conj().transpose(0, 2, 1) @ vectors
+    rho = rho.real.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 3, 2, 4)
     n_x, n_y, n_out = len(alice_angles), len(bob_angles), len(OUTCOME_CODES)
-    table = (
+    tables = (
         povms_a.reshape(n_x * n_out, -1)
-        @ rho.reshape(dim_a**2, dim_b**2)
+        @ rho.reshape(-1, dim_a**2, dim_b**2)
         @ povms_b.reshape(n_y * n_out, -1).T
     )
-    table = table.reshape(n_x, n_out, n_y, n_out).transpose(0, 2, 1, 3)
-    return CorrelationTable(probabilities=table)
+    return tables.reshape(-1, n_x, n_out, n_y, n_out).transpose(0, 1, 3, 2, 4)
 
 
 # --------------------------------------------------------------------------

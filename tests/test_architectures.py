@@ -10,6 +10,7 @@ from diqkd_lab.architectures import (
     ALICE_ANGLES,
     ARCHITECTURES,
     BOB_ANGLES,
+    NeverHeraldsError,
     RunResult,
     Scenario,
     binary_entropy,
@@ -22,6 +23,7 @@ from diqkd_lab.architectures import (
 )
 from diqkd_lab.photonics import (
     DetectorModel,
+    beamsplitter,
     bell_state_measurement,
     loss_channel,
     mix,
@@ -323,16 +325,16 @@ STATION_SCENARIOS = (
 def test_independence_check_measures_the_runners_station(monkeypatch):
     """The residual compares heralds of the station that run() swaps through.
 
-    run() measures its link once through ``_swap_station``; the check sends
+    run() heralds its link once through ``_swap_station``; the check sends
     each of the six setting pairs' rotated link through the same function,
     and every one of those heralds is run()'s herald probability.
     """
     station = architectures._swap_station
     heralds = []
 
-    def recording_station(scenario, link):
-        result = station(scenario, link)
-        heralds.append(result.success_probability)
+    def recording_station(scenario, contents, probabilities):
+        result = station(scenario, contents, probabilities)
+        heralds.append(result[0])
         return result
 
     monkeypatch.setattr(architectures, "_swap_station", recording_station)
@@ -344,6 +346,79 @@ def test_independence_check_measures_the_runners_station(monkeypatch):
         settings = len(ALICE_ANGLES) * len(BOB_ANGLES)
         assert heralds[1:] == pytest.approx([herald] * settings, rel=1e-12)
         assert residual < 1e-9
+
+
+def _bsm_swap_run(scenario: Scenario) -> tuple[np.ndarray, float]:
+    """Table and herald probability of a third_party link measured state by
+    state: the station's Bell-state measurement of the link with the folded
+    station detector, the feed-forward flip of every psi+ herald, their
+    mixture, then the parties' Born table."""
+    half_t = arm_transmission(scenario.distance_km / 2.0, scenario.attenuation_db_per_km)
+    station = DetectorModel(scenario.detector_efficiency * half_t, scenario.dark_count_prob)
+    link = architectures._swap_link(scenario.pair_prob, scenario.node_fidelity)
+    bsm = bell_state_measurement(link, (2, 3), (4, 5), station)
+    heralds = [
+        (o.probability, phase_shift(o.state, 3, np.pi) if o.label == "psi+" else o.state)
+        for o in bsm.outcomes
+        if o.state is not None
+    ]
+    detector = DetectorModel(scenario.detector_efficiency, scenario.dark_count_prob)
+    table = polarization_correlation_table(
+        mix(heralds), (0, 1), (2, 3), ALICE_ANGLES, BOB_ANGLES, detector
+    )
+    return table.probabilities, bsm.success_probability
+
+
+@pytest.mark.parametrize("node_fidelity", (1.0, 0.97))
+@pytest.mark.parametrize("pair_prob", (0.0, 0.01, 0.05))
+def test_swap_station_weights_match_the_bell_state_measurement(pair_prob, node_fidelity):
+    """run() weighs cached station-content tables by the station's click
+    likelihoods; that is the heralded mixture of the measured link."""
+    for dark_count_prob in (1e-6, 1e-4):
+        for detector_efficiency in (0.9, 0.95):
+            for distance_km in [5.0 * i for i in range(21)] + [300.0]:
+                scenario = Scenario(
+                    architecture="third_party",
+                    pair_prob=pair_prob,
+                    node_fidelity=node_fidelity,
+                    dark_count_prob=dark_count_prob,
+                    detector_efficiency=detector_efficiency,
+                    distance_km=distance_km,
+                )
+                table, herald = _bsm_swap_run(scenario)
+                result = run(scenario)
+                np.testing.assert_allclose(result.table.probabilities, table, rtol=0, atol=1e-13)
+                assert result.herald_probability == pytest.approx(herald, rel=1e-12)
+
+
+def test_swap_station_drops_patterns_no_likelier_than_a_pruned_branch():
+    # Without dark counts the four patterns fall below BRANCH_PRUNE_TOL
+    # between 1000 and 1400 km, and the station never heralds.
+    base = Scenario(architecture="third_party", pair_prob=0.01, dark_count_prob=0.0)
+    for distance_km in (1500.0, 2000.0, 3000.0):
+        with pytest.raises(NeverHeraldsError, match="the swap station never heralds"):
+            run(dataclasses.replace(base, distance_km=distance_km))
+    # Dark counts alone herald: 4 patterns of two dark clicks and two silences.
+    result = run(dataclasses.replace(base, dark_count_prob=1e-6, distance_km=3000.0))
+    assert result.herald_probability == pytest.approx(3.999992000234e-12, rel=1e-9)
+
+
+def test_distance_sweep_interferes_the_swap_link_once(monkeypatch, clear_link_caches):
+    calls = []
+
+    def counting_beamsplitter(state, *args):
+        calls.append(args)
+        return beamsplitter(state, *args)
+
+    monkeypatch.setattr(architectures, "beamsplitter", counting_beamsplitter)
+    monkeypatch.setattr(photonics, "beamsplitter", counting_beamsplitter)
+    clear_link_caches()
+    base = Scenario(
+        architecture="third_party", pair_prob=0.01, detector_efficiency=0.95, dark_count_prob=1e-6
+    )
+    for i in range(21):
+        run(dataclasses.replace(base, distance_km=5.0 * i))
+    assert calls == [(2, 4, 0.5), (3, 5, 0.5)]
 
 
 # ----------------------------------------------------------------------
@@ -509,6 +584,7 @@ def test_run_covers_all_architectures():
 SOURCE_CACHES = (
     architectures._pair_state,
     architectures._swap_link,
+    architectures._swap_terms,
     architectures._amplified_term,
     photonics._amplifier_ancillas,
 )

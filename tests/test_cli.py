@@ -23,7 +23,7 @@ from diqkd_lab.cli import (
     serialize_scenario_file,
     sweep_rows,
 )
-from diqkd_lab.keyproto import parse_transcript
+from diqkd_lab.keyproto import MAX_ROUNDS, parse_transcript
 from diqkd_lab.photonics import distance_to_transmission
 
 
@@ -56,8 +56,9 @@ def test_parse_scenario_file_defaults(tmp_path):
     parsed = parse_scenario_file(write_scenario(tmp_path, "f.json", {"rounds": 1e6, "seed": 7.0}))
     assert (parsed.rounds, parsed.seed) == (1_000_000, 7)
     assert type(parsed.rounds) is int and type(parsed.seed) is int
-    # The largest array size numpy takes is accepted; nothing is allocated here.
-    largest = np.iinfo(np.intp).max
+    # The most rounds a session can draw is accepted; nothing is allocated here.
+    largest = MAX_ROUNDS
+    assert largest == np.iinfo(np.intp).max // 8
     assert parse_scenario_file(write_scenario(tmp_path, "n.json", {"rounds": largest})).rounds == largest
 
 
@@ -169,10 +170,10 @@ OUT_OF_RANGE_CASES = (
     ({"sweep": {"parameter": "distance_km", "min": 0, "max": 10}}, r"sweep is missing keys: steps"),
     ({"etas": [1.5]}, r"etas entries must lie in \(0, 1\], got 1.5"),
     ({"rounds": 0}, r"rounds must be positive, got 0"),
-    # Past numpy's largest array size the session could not allocate its rounds.
+    # Past the most 8-byte draws numpy can size the session could not draw its rounds.
     *(
-        ({"rounds": rounds}, rf"rounds must be at most {np.iinfo(np.intp).max}, got {int(rounds)}$")
-        for rounds in (np.iinfo(np.intp).max + 1, 1e30, 10**400)
+        ({"rounds": rounds}, rf"rounds must be at most {MAX_ROUNDS}, got {int(rounds)}$")
+        for rounds in (MAX_ROUNDS + 1, 2**62, np.iinfo(np.intp).max + 1, 1e30, 10**400)
     ),
     ({"sample_fraction": 1.0}, r"sample_fraction must lie in \[0, 1\), got 1.0"),
 )

@@ -22,6 +22,7 @@ from diqkd_lab.architectures import (
 )
 from diqkd_lab.bellcert import _STRATEGIES, _candidate_ensemble, _correlators, bin_no_click
 from diqkd_lab.keyproto import (
+    MAX_ROUNDS,
     EstimationSample,
     MessageKind,
     ProtocolAbort,
@@ -885,9 +886,9 @@ REJECTED_INPUTS = (
         (
             lambda n=n: simulate_rounds(run(Scenario()), n, 1),
             ValueError,
-            rf"n_rounds must be at most {np.iinfo(np.intp).max}, got {n}$",
+            rf"n_rounds must be at most {MAX_ROUNDS}, got {n}$",
         )
-        for n in (np.iinfo(np.intp).max + 1, 10**30, 10**400)
+        for n in (MAX_ROUNDS + 1, 2**62, np.iinfo(np.intp).max + 1, 10**30, 10**400)
     ),
     (
         lambda: simulate_rounds(as_device(bin_no_click(run(Scenario()).table).probabilities), 10, 1),

@@ -18,6 +18,7 @@ from diqkd_lab.photonics import (
     DetectorModel,
     HeraldRecord,
     ModeMixture,
+    _born_tables,
     _click_povms,
     _binomials,
     _distinct,
@@ -530,15 +531,33 @@ def rotate_and_detect(state, alice_modes, bob_modes, alice_angles, bob_angles, d
     return table
 
 
-def measured_calls(monkeypatch, clear_caches, scenario):
-    """The arguments of every correlation table a runner asks for, from cold caches."""
+def measured_tables(monkeypatch, clear_caches, scenario):
+    """Every Born table a runner computes from cold caches, each with the
+    arguments that make ``rotate_and_detect`` recompute it.
+
+    A table of a part of a state (``_born_tables``, the third_party
+    station contents) is divided by the part's probability and paired with
+    the part's rows, normalized.
+    """
     calls = []
 
-    def record(*args):
-        calls.append(args)
-        return polarization_correlation_table(*args)
+    def record_table(*args):
+        table = polarization_correlation_table(*args)
+        calls.append((table.probabilities, args))
+        return table
 
-    monkeypatch.setattr(architectures, "polarization_correlation_table", record)
+    def record_parts(state, *args):
+        *measurement, parts = args
+        tables = _born_tables(state, *measurement, parts)
+        for k, table in enumerate(tables):
+            rows = parts == k
+            weight = float(np.sum(np.abs(state.amp[rows]) ** 2))
+            part = ModeMixture(state.branch[rows], state.occ[rows], state.amp[rows] / np.sqrt(weight))
+            calls.append((table / weight, (part, *measurement)))
+        return tables
+
+    monkeypatch.setattr(architectures, "polarization_correlation_table", record_table)
+    monkeypatch.setattr(architectures, "_born_tables", record_parts)
     clear_caches()
     architectures.run(scenario)
     monkeypatch.undo()
@@ -554,12 +573,6 @@ def test_born_table_matches_rotate_and_detect(monkeypatch, clear_link_caches):
         for mode, t in enumerate((0.9, 0.7, 0.6, 0.8)):
             lossy = loss_channel(lossy, mode, t)
         cases.append((lossy, (0, 1), (2, 3), *angles, detector))
-    for scenario in (
-        Scenario(node_fidelity=0.97, distance_km=20.0, detector_efficiency=0.9),
-        Scenario(architecture="third_party", pair_prob=0.05, distance_km=20.0),
-        Scenario(architecture="local_heralding", pair_prob=0.01, distance_km=20.0),
-    ):
-        cases += measured_calls(monkeypatch, clear_link_caches, scenario)
     # Measured modes apart and out of order, with rest modes 2 and 5 between
     # them; random complex amplitudes in two branches, up to 3 photons per party.
     rng = np.random.default_rng(7)
@@ -572,9 +585,16 @@ def test_born_table_matches_rotate_and_detect(monkeypatch, clear_link_caches):
         amp[branch == b] *= np.sqrt(weight) / np.linalg.norm(amp[branch == b])
     scattered = ModeMixture(branch, occ, amp)
     cases.append((scattered, (3, 1), (0, 4), *angles, detector))
-    assert len(cases) == 7
-    for args in cases:
-        table = polarization_correlation_table(*args).probabilities
+    tables = [(polarization_correlation_table(*args).probabilities, args) for args in cases]
+    for scenario in (
+        Scenario(node_fidelity=0.97, distance_km=20.0, detector_efficiency=0.9),
+        # 13 station contents, each measured at Bob's angles and their negatives.
+        Scenario(architecture="third_party", pair_prob=0.05, distance_km=20.0),
+        Scenario(architecture="local_heralding", pair_prob=0.01, distance_km=20.0),
+    ):
+        tables += measured_tables(monkeypatch, clear_link_caches, scenario)
+    assert len(tables) == 19
+    for table, args in tables:
         np.testing.assert_allclose(table, rotate_and_detect(*args), rtol=0, atol=1e-14)
 
 
