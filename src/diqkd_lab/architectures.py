@@ -39,8 +39,8 @@ from diqkd_lab.bellcert import (
     SINGLET_ALICE_ANGLES,
     SINGLET_BOB_ANGLES,
     CHSH_SIGNS,
-    bin_no_click,
-    chsh,
+    _binned,
+    _chsh_of,
 )
 from diqkd_lab.photonics import (
     _BSM_PATTERNS,
@@ -50,6 +50,8 @@ from diqkd_lab.photonics import (
     ModeMixture,
     _born_tables,
     _contents,
+    _contract_povms,
+    _reduced_density,
     beamsplitter,
     distance_to_transmission,
     loss_channel,
@@ -63,7 +65,7 @@ from diqkd_lab.photonics import (
     spdc_source,
     tensor_modes,
 )
-from diqkd_lab.qstate import CorrelationTable, DimensionMismatchError
+from diqkd_lab.qstate import CorrelationTable, DimensionMismatchError, _disagreement
 
 __all__ = [
     "ARCHITECTURES",
@@ -273,10 +275,16 @@ def devetak_winter_rate(qber: float, chsh: float) -> float:
 
 
 def _chsh_from_table(table: CorrelationTable) -> float:
-    """Fair-binned CHSH of the (2 x 3)-setting table on Bob's test settings."""
-    p = table.probabilities
-    sub = CorrelationTable(probabilities=p[:, list(CHSH_BOB_SETTINGS)])
-    return chsh(bin_no_click(sub))
+    """Fair-binned CHSH of the (2 x 3)-setting table on Bob's test settings.
+
+    Bins and scores the sub-block of the table's probabilities with the
+    array cores of ``bellcert.bin_no_click`` and ``bellcert.chsh``, and
+    builds no table on the way: the table's constructor already clipped
+    its probabilities to be non-negative, so the sub-block and its binned
+    sums are non-negative, and a table's copy-and-clip of them would change
+    nothing.
+    """
+    return _chsh_of(_binned(table.probabilities[:, list(CHSH_BOB_SETTINGS)]))
 
 
 def _sifted_qber(table: CorrelationTable) -> tuple[float, float]:
@@ -320,7 +328,7 @@ def key_rate(table: CorrelationTable) -> float:
         raise DimensionMismatchError(
             f"expected a {settings}-setting table, got {table.probabilities.shape[:2]}"
         )
-    qber = bin_no_click(table).error_rate(*KEY_SETTINGS)
+    qber = _disagreement(_binned(table.probabilities)[KEY_SETTINGS])
     return devetak_winter_rate(qber, _chsh_from_table(table))
 
 
@@ -367,6 +375,19 @@ def _pair_state(pair_prob: float, node_fidelity: float, n_pair_max: int = 2) -> 
     return _depolarize_pair(state, 2, 3, node_fidelity)
 
 
+@lru_cache(maxsize=32)
+def _source_density(pair_prob: float, node_fidelity: float) -> tuple[np.ndarray, tuple[int, int]]:
+    """The standard source's reduced density on the stations' modes (0, 1) and (2, 3).
+
+    The density half of the stations' Born tables
+    (``photonics._reduced_density``); ``_run_standard`` contracts it with
+    each point's detector.  Cached, read-only, keyed like ``_pair_state``:
+    nothing along a distance sweep changes it, so a sweep builds it once.
+    """
+    state = _pair_state(pair_prob, node_fidelity)
+    return _reduced_density(state, (0, 1), (2, 3), np.zeros(state.amp.size, np.intp))
+
+
 def _detector(scenario: Scenario, transmission: float = 1.0) -> DetectorModel:
     """The link's threshold detector behind fiber of the given transmission.
 
@@ -377,7 +398,8 @@ def _detector(scenario: Scenario, transmission: float = 1.0) -> DetectorModel:
     polarization rotation, a beamsplitter) when both of its modes lose the
     same ``t``.  So a station whose measured modes all cross the same fiber
     is simulated on the unattenuated state with this detector: the
-    ``standard`` stations measure the cached source with it, and the
+    ``standard`` stations measure the cached source with it, as the
+    cached density of their modes (``_source_density``), and the
     ``third_party`` swap station weighs the cached station contents of its
     interfered link by its click likelihoods (``_swap_station``), so along
     a distance sweep only this detector changes.  Loss on only some of the
@@ -423,6 +445,14 @@ def _interfere(link: ModeMixture) -> tuple[ModeMixture, np.ndarray, np.ndarray, 
     return (mixed, *_contents(mixed, (2, 3, 4, 5)))
 
 
+# The station's heralding click patterns, each shaped (1, 4) to broadcast
+# over the contents, and which of them herald ``psi-`` (row 0) and ``psi+`` (row 1).
+_SWAP_PATTERNS = np.array([[pattern] for _, pattern in _BSM_PATTERNS], dtype=np.intp)
+_SWAP_LABELS = np.array([[label == s for label, _ in _BSM_PATTERNS] for s in ("psi-", "psi+")])
+_SWAP_PATTERNS.setflags(write=False)
+_SWAP_LABELS.setflags(write=False)
+
+
 def _swap_station(
     scenario: Scenario, contents: np.ndarray, probabilities: np.ndarray
 ) -> tuple[float, np.ndarray]:
@@ -451,12 +481,10 @@ def _swap_station(
     """
     half_t = distance_to_transmission(scenario.distance_km / 2.0, scenario.attenuation_db_per_km)
     q = _detector(scenario, half_t).outcome_matrix(int(contents.max(initial=0)))
-    patterns = np.array([pattern for _, pattern in _BSM_PATTERNS], dtype=np.intp)
-    likelihoods = q[contents, patterns[:, np.newaxis]].prod(axis=2)
+    likelihoods = q[contents, _SWAP_PATTERNS].prod(axis=2)
     pattern_probs = likelihoods @ probabilities
     kept = pattern_probs > BRANCH_PRUNE_TOL
-    labels = np.array([[label == s for label, _ in _BSM_PATTERNS] for s in ("psi-", "psi+")])
-    return float(pattern_probs[kept].sum()), (labels & kept) @ likelihoods
+    return float(pattern_probs[kept].sum()), (_SWAP_LABELS & kept) @ likelihoods
 
 
 @lru_cache(maxsize=32)
@@ -486,13 +514,6 @@ def _swap_terms(
     return terms
 
 
-def _measure(state: ModeMixture, detector: DetectorModel) -> CorrelationTable:
-    """Both stations' statistics: Alice on modes (0, 1), Bob on modes (2, 3)."""
-    return polarization_correlation_table(
-        state, (0, 1), (2, 3), ALICE_ANGLES, BOB_ANGLES, detector
-    )
-
-
 @lru_cache(maxsize=32)
 def _amplified_term(
     node_fidelity: float,
@@ -505,7 +526,8 @@ def _amplified_term(
 
     The ideal pair source of a local_heralding link keeps Bob's photon
     (``arrived``) or has both of his modes (2, 3) emptied; the qubit
-    amplifier takes those modes and the heralded state is measured.
+    amplifier takes those modes and the heralded state is measured, Alice
+    on modes (0, 1) and Bob on the amplifier's output modes (2, 3).
     ``(0.0, None)`` when the amplifier never heralds.  The two terms
     describe loss exactly because every row of that source holds one
     photon in Bob's modes (``test_ideal_source_holds_one_photon_on_bobs_modes``):
@@ -527,7 +549,10 @@ def _amplified_term(
     )
     if record.conditional_state is None:
         return 0.0, None
-    return record.success_probability, _measure(record.conditional_state, detector)
+    table = polarization_correlation_table(
+        record.conditional_state, (0, 1), (2, 3), ALICE_ANGLES, BOB_ANGLES, detector
+    )
+    return record.success_probability, table
 
 
 def _result(scenario: Scenario, table: CorrelationTable, herald_probability: float) -> RunResult:
@@ -560,14 +585,19 @@ def _run_standard(scenario: Scenario) -> RunResult:
     on all four measured modes, so it is simulated exactly as that less
     efficient detector (``_detector``) on the unattenuated source.  Every
     repetition is a round: ``herald_probability`` is 1.
+
+    The table is linear in the source's reduced density, which no distance
+    changes: it is cached (``_source_density``), and a point only contracts
+    it with its own detector's click POVMs, which is
+    ``photonics.polarization_correlation_table`` of the source step for step.
     """
     worst_arm = max(scenario.source_position, 1.0 - scenario.source_position)
     arm_t = distance_to_transmission(
         worst_arm * scenario.distance_km, scenario.attenuation_db_per_km
     )
-    state = _pair_state(scenario.pair_prob, scenario.node_fidelity)
-    table = _measure(state, _detector(scenario, arm_t))
-    return _result(scenario, table, 1.0)
+    density = _source_density(scenario.pair_prob, scenario.node_fidelity)
+    tables = _contract_povms(density, ALICE_ANGLES, BOB_ANGLES, _detector(scenario, arm_t))
+    return _result(scenario, CorrelationTable(probabilities=tables[0]), 1.0)
 
 
 def _run_local_heralding(scenario: Scenario) -> RunResult:

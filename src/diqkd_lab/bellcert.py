@@ -79,8 +79,16 @@ def _correlators(p: np.ndarray) -> np.ndarray:
 
 
 def chsh(table: CorrelationTable) -> float:
-    """CHSH value ``<A0B0> + <A0B1> + <A1B0> - <A1B1>`` of a binary-outcome table."""
-    corr = _correlators(table.probabilities)
+    """CHSH value ``<A0B0> + <A0B1> + <A1B0> - <A1B1>`` of a binary-outcome table.
+
+    A wrapper over ``_chsh_of``, the same score of a bare probability array.
+    """
+    return _chsh_of(table.probabilities)
+
+
+def _chsh_of(p: np.ndarray) -> float:
+    """The array core of :func:`chsh`: the CHSH value of probabilities ``p[x, y, a, b]``."""
+    corr = _correlators(p)
     if corr.shape != CHSH_SIGNS.shape:
         raise DimensionMismatchError(f"CHSH needs 2 x 2 settings, table has {corr.shape}")
     return float(np.sum(CHSH_SIGNS * corr))
@@ -102,7 +110,8 @@ def bin_no_click(table: CorrelationTable) -> CorrelationTable:
 
     Every outcome with index >= 2 (no-click, double-click, and similar
     flags) is merged into outcome 0 of that party.  Binary parties pass
-    through unchanged.
+    through unchanged.  A wrapper over ``_binned``, which folds a bare
+    probability array.
 
     Args:
         table: Table with at least two outcomes per party.
@@ -110,7 +119,17 @@ def bin_no_click(table: CorrelationTable) -> CorrelationTable:
     Returns:
         A table of shape ``(n_x, n_y, 2, 2)``.
     """
-    p = table.probabilities
+    return CorrelationTable(probabilities=_binned(table.probabilities))
+
+
+def _binned(p: np.ndarray) -> np.ndarray:
+    """The array core of :func:`bin_no_click`: ``p[x, y, a, b]`` folded to two outcomes.
+
+    Folding only adds entries of one setting pair, so on a table's
+    probabilities, which its constructor clipped to be non-negative, it
+    returns a non-negative array of the same normalization, which a
+    ``CorrelationTable`` would only copy.
+    """
     n_a, n_b = p.shape[2], p.shape[3]
     if n_a < 2 or n_b < 2:
         raise DimensionMismatchError("binning needs at least two outcomes per party")
@@ -121,7 +140,7 @@ def bin_no_click(table: CorrelationTable) -> CorrelationTable:
         folded[:, :, :, 0] += p[:, :, :2, 2:].sum(axis=3)
     if n_a > 2 and n_b > 2:
         folded[:, :, 0, 0] += p[:, :, 2:, 2:].sum(axis=(2, 3))
-    return CorrelationTable(probabilities=folded)
+    return folded
 
 
 @dataclass(frozen=True)

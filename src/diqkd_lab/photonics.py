@@ -484,6 +484,14 @@ class DetectorModel:
     dark_count_prob: float = 0.0
 
     def __post_init__(self) -> None:
+        # A bool is not a number, although Python compares it like one;
+        # ``type(value) is float`` spares plain floats the slower ABC check.
+        for name in ("efficiency", "dark_count_prob"):
+            value = getattr(self, name)
+            if type(value) is not float and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)
+            ):
+                raise ValueError(f"{name} must be a number, got {value!r}")
         if not 0.0 <= self.efficiency <= 1.0:
             raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
         if not 0.0 <= self.dark_count_prob <= 1.0:
@@ -651,7 +659,11 @@ def polarization_correlation_table(
     largest ``h + v`` the state holds there.  The measurement touches no
     other mode, so ``rho`` need only be the reduced density of the four
     measured modes, built from one unnormalized vector per branch and Fock
-    content of the other modes.
+    content of the other modes.  The table is the one-part case of
+    ``_born_tables``: that density (``_reduced_density``) contracted with
+    the detector's POVMs (``_contract_povms``).  Only the contraction sees
+    the detector, so ``architectures`` keeps a source's density and
+    contracts it again for each detector of a distance sweep.
 
     Folding outcomes 2 and 3 into outcome 0 (``bellcert.bin_no_click``)
     reproduces the fair-binning rule used for device-independent
@@ -691,22 +703,45 @@ def _born_tables(
     table is ``p(a, b, k | x, y)``, the probability of the outcomes and of
     the state lying in part ``k``, so the parts' tables sum to
     :func:`polarization_correlation_table`, which is this with one part.
+    It is the composition of its two halves: ``_reduced_density`` depends
+    on the state alone and ``_contract_povms`` on the measurement alone, so
+    a caller that measures one state with many detectors can keep the
+    density and contract it again.
 
     Returns:
         Shape ``(parts.max() + 1, len(alice_angles), len(bob_angles), 4, 4)``.
     """
+    density = _reduced_density(state, alice_modes, bob_modes, parts)
+    return _contract_povms(density, alice_angles, bob_angles, detector)
+
+
+def _reduced_density(
+    state: ModeMixture,
+    alice_modes: tuple[int, int],
+    bob_modes: tuple[int, int],
+    parts: np.ndarray,
+) -> tuple[np.ndarray, tuple[int, int]]:
+    """The density half of ``_born_tables``: each part's reduced density of the measured modes.
+
+    The rows of a branch that agree on every unmeasured mode form one
+    unnormalized vector over the parties' contents ``|h, v>`` (indexed as
+    in ``_click_povms``), and a part's density is the sum of its vectors'
+    outer products.
+
+    Returns:
+        ``(rho, tops)``: read-only ``rho`` of shape ``(parts.max() + 1,
+        dim_a**2, dim_b**2)``, the real part of each part's density with
+        its axes ordered ``(iA iA', iB iB')`` for ``_contract_povms``, and
+        ``tops``, the largest photon number ``h + v`` of Alice's and of
+        Bob's modes, which size the POVMs.
+    """
     measured = _mode_indices(state, (*alice_modes, *bob_modes))
-    if len(alice_angles) == 0 or len(bob_angles) == 0:
-        raise DimensionMismatchError("need at least one angle per party")
     occ = state.occ[:, measured]
     # Index of each row's |h, v> content in Alice's and in Bob's basis.
     totals = occ[:, 0::2] + occ[:, 1::2]
     index = totals * (totals + 1) // 2 + occ[:, 0::2]
-    povms_a, povms_b = (
-        _click_povms(tuple(map(float, angles)), top, detector)
-        for angles, top in zip((alice_angles, bob_angles), totals.max(axis=0).tolist())
-    )
-    dim_a, dim_b = povms_a.shape[-1], povms_b.shape[-1]
+    top_a, top_b = totals.max(axis=0).tolist()
+    dim_a, dim_b = (top_a + 1) * (top_a + 2) // 2, (top_b + 1) * (top_b + 2) // 2
     rest = [k for k in range(state.n_modes) if k not in measured]
     groups, group = _distinct(state.branch, state.occ[:, rest])
     # One vector per part and group, zero outside the group's part.
@@ -718,12 +753,34 @@ def _born_tables(
     # party's elements in turn.
     rho = vectors.conj().transpose(0, 2, 1) @ vectors
     rho = rho.real.reshape(-1, dim_a, dim_b, dim_a, dim_b).transpose(0, 1, 3, 2, 4)
-    n_x, n_y, n_out = len(alice_angles), len(bob_angles), len(OUTCOME_CODES)
-    tables = (
-        povms_a.reshape(n_x * n_out, -1)
-        @ rho.reshape(-1, dim_a**2, dim_b**2)
-        @ povms_b.reshape(n_y * n_out, -1).T
+    rho = rho.reshape(-1, dim_a**2, dim_b**2)
+    rho.setflags(write=False)
+    return rho, (top_a, top_b)
+
+
+def _contract_povms(
+    density: tuple[np.ndarray, tuple[int, int]],
+    alice_angles: Sequence[float],
+    bob_angles: Sequence[float],
+    detector: DetectorModel,
+) -> np.ndarray:
+    """The POVM half of ``_born_tables``: a ``_reduced_density`` contracted with click POVMs.
+
+    ``p(a, b | x, y) = sum E_A[x, a] (x) E_B[y, b] rho`` per part, with
+    each party's ``_click_povms`` for its angles and its ``top``.
+
+    Returns:
+        Shape ``(n_parts, len(alice_angles), len(bob_angles), 4, 4)``.
+    """
+    if len(alice_angles) == 0 or len(bob_angles) == 0:
+        raise DimensionMismatchError("need at least one angle per party")
+    rho, tops = density
+    povms_a, povms_b = (
+        _click_povms(tuple(map(float, angles)), top, detector)
+        for angles, top in zip((alice_angles, bob_angles), tops)
     )
+    n_x, n_y, n_out = len(alice_angles), len(bob_angles), len(OUTCOME_CODES)
+    tables = povms_a.reshape(n_x * n_out, -1) @ rho @ povms_b.reshape(n_y * n_out, -1).T
     return tables.reshape(-1, n_x, n_out, n_y, n_out).transpose(0, 1, 3, 2, 4)
 
 

@@ -229,8 +229,12 @@ class CorrelationTable:
         setting pair.  Tables with more outcomes count every off-diagonal
         pair as a disagreement.
         """
-        p = self.probabilities[x, y]
-        return float(p.sum() - np.trace(p))
+        return _disagreement(self.probabilities[x, y])
+
+
+def _disagreement(p: np.ndarray) -> float:
+    """Off-diagonal mass of one setting pair's outcome block ``p[a, b]``."""
+    return float(p.sum() - np.trace(p))
 
 
 def born_table(

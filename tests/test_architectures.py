@@ -1,6 +1,7 @@
 """Tests for the three photonic-link architectures and the rate model."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from diqkd_lab.architectures import (
     ALICE_ANGLES,
     ARCHITECTURES,
     BOB_ANGLES,
+    CHSH_BOB_SETTINGS,
+    KEY_SETTINGS,
     NeverHeraldsError,
     RunResult,
     Scenario,
@@ -21,10 +24,13 @@ from diqkd_lab.architectures import (
     run,
     secret_bits_per_second,
 )
+from diqkd_lab.bellcert import bin_no_click, chsh
 from diqkd_lab.photonics import (
     DetectorModel,
+    _reduced_density,
     beamsplitter,
     bell_state_measurement,
+    distance_to_transmission,
     loss_channel,
     mix,
     permute_modes,
@@ -36,6 +42,7 @@ from diqkd_lab.photonics import (
     tensor_modes,
 )
 from diqkd_lab.qstate import (
+    CorrelationTable,
     DensityOperator,
     DimensionMismatchError,
     born_table,
@@ -137,6 +144,57 @@ def test_key_rate_on_ideal_table():
 def test_key_rate_zero_without_violation():
     result = run(Scenario(detector_efficiency=0.5))
     assert key_rate(result.table) == 0.0
+
+
+def _random_tables(rng, n_out: int, near: np.ndarray) -> list[CorrelationTable]:
+    """Valid (2 x 3)-setting tables of ``n_out`` outcomes per party.
+
+    Uniformly random ones, and ones near ``near`` (a table that violates
+    CHSH) so that some certify a key.  In half of the setting pairs one
+    entry lies in ``[-1e-9, 0)``, which the table's constructor clips; the
+    pair's remaining mass goes to another entry, so each pair still sums
+    to one.
+    """
+    tables = []
+    for weight in (1.0, 0.01, 0.05):
+        for _ in range(10):
+            noise = rng.dirichlet(np.ones(n_out * n_out), size=(2, 3))
+            p = (1.0 - weight) * near.reshape(2, 3, -1) + weight * noise
+            for x, y in zip(*np.nonzero(rng.random((2, 3)) < 0.5)):
+                i, j = rng.choice(n_out * n_out, size=2, replace=False)
+                negative = -rng.uniform(1e-12, 1e-9)
+                p[x, y, j] += p[x, y, i] - negative
+                p[x, y, i] = negative
+            tables.append(CorrelationTable(p.reshape(2, 3, n_out, n_out)))
+    return tables
+
+
+def test_binned_chsh_and_key_rate_equal_the_table_route_bit_for_bit():
+    """``_chsh_from_table`` and ``key_rate`` bin the table's array and build
+    no table on the way; they equal the route through ``CorrelationTable``,
+    ``bin_no_click``, ``chsh`` and ``error_rate`` exactly: on random
+    tables with clipped entries, on binary-outcome tables and on the tables
+    of every architecture."""
+    rng = np.random.default_rng(31)
+    ideal = run(Scenario()).table
+    tables = _random_tables(rng, 4, ideal.probabilities)
+    tables += _random_tables(rng, 2, bin_no_click(ideal).probabilities)
+    for name, distance_km in itertools.product(ARCHITECTURES, (0.0, 10.0, 40.0)):
+        scenario = Scenario(
+            architecture=name, pair_prob=0.01, detector_efficiency=0.95,
+            dark_count_prob=1e-6, distance_km=distance_km,
+        )
+        tables.append(run(scenario).table)
+    certified = 0
+    for table in tables:
+        sub = CorrelationTable(table.probabilities[:, list(CHSH_BOB_SETTINGS)])
+        expected_chsh = chsh(bin_no_click(sub))
+        qber = bin_no_click(table).error_rate(*KEY_SETTINGS)
+        expected_rate = devetak_winter_rate(qber, expected_chsh)
+        assert architectures._chsh_from_table(table) == expected_chsh
+        assert key_rate(table) == expected_rate
+        certified += expected_rate > 0.0
+    assert 0 < certified < len(tables)
 
 
 # ----------------------------------------------------------------------
@@ -242,6 +300,50 @@ def test_standard_table_matches_born_rule_oracle():
         padded = np.zeros((2, 3, 4, 4))
         padded[:, :, :3, :3] = oracle
         np.testing.assert_allclose(result.table.probabilities, padded, rtol=0.0, atol=1e-12)
+
+
+def test_standard_run_is_the_correlation_table_of_its_source_bit_for_bit():
+    """The standard runner contracts its source's cached density with each
+    point's detector; that is ``polarization_correlation_table`` of the
+    source, step for step."""
+    for pair_prob, fidelity, (eta_d, dark), position, distance_km in itertools.product(
+        (0.0, 0.01, 0.05),
+        (1.0, 0.97),
+        ((0.95, 1e-6), (0.8, 1e-4)),
+        (0.0, 0.5),
+        (0.0, 20.0, 40.0, 60.0, 80.0, 100.0),
+    ):
+        scenario = Scenario(
+            pair_prob=pair_prob, node_fidelity=fidelity, detector_efficiency=eta_d,
+            dark_count_prob=dark, source_position=position, distance_km=distance_km,
+        )
+        result = run(scenario)
+        arm_t = distance_to_transmission(max(position, 1.0 - position) * distance_km)
+        table = polarization_correlation_table(
+            architectures._pair_state(pair_prob, fidelity), (0, 1), (2, 3),
+            ALICE_ANGLES, BOB_ANGLES, architectures._detector(scenario, arm_t),
+        )
+        np.testing.assert_array_equal(result.table.probabilities, table.probabilities)
+        expected = architectures._result(scenario, table, 1.0)
+        assert (result.chsh, result.qber, result.key_rate) == (
+            expected.chsh, expected.qber, expected.key_rate
+        )
+
+
+def test_distance_sweep_measures_the_standard_source_once(monkeypatch, clear_link_caches):
+    calls = []
+
+    def counting_density(state, *args):
+        calls.append(args[:2])
+        return _reduced_density(state, *args)
+
+    monkeypatch.setattr(architectures, "_reduced_density", counting_density)
+    monkeypatch.setattr(photonics, "_reduced_density", counting_density)
+    clear_link_caches()
+    base = Scenario(pair_prob=0.01, detector_efficiency=0.95, dark_count_prob=1e-6)
+    for i in range(21):
+        run(dataclasses.replace(base, distance_km=5.0 * i))
+    assert calls == [((0, 1), (2, 3))]
 
 
 # ----------------------------------------------------------------------
@@ -583,6 +685,7 @@ def test_run_covers_all_architectures():
 
 SOURCE_CACHES = (
     architectures._pair_state,
+    architectures._source_density,
     architectures._swap_link,
     architectures._swap_terms,
     architectures._amplified_term,

@@ -21,7 +21,9 @@ from diqkd_lab.photonics import (
     _born_tables,
     _click_povms,
     _binomials,
+    _contract_povms,
     _distinct,
+    _reduced_density,
     _sector_blocks,
     amplifier_success_probability,
     beamsplitter,
@@ -406,6 +408,9 @@ def test_detector_model_validation():
         DetectorModel(efficiency=1.2)
     with pytest.raises(ValueError):
         DetectorModel(dark_count_prob=-0.1)
+    # numpy numbers are numbers: the same detector as from Python floats.
+    assert DetectorModel(np.float64(0.5), np.float32(0.25)) == DetectorModel(0.5, 0.25)
+    assert DetectorModel(np.int64(1), 0).outcome_matrix(1).tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_detection_probabilities_single_photon():
@@ -537,27 +542,46 @@ def measured_tables(monkeypatch, clear_caches, scenario):
 
     A table of a part of a state (``_born_tables``, the third_party
     station contents) is divided by the part's probability and paired with
-    the part's rows, normalized.
+    the part's rows, normalized.  A cached density (``_reduced_density``,
+    the standard source) is paired with the state it was built from each
+    time a point contracts it (``_contract_povms``).
     """
     calls = []
+    densities = {}
+
+    def record_parts(tables, state, parts, measurement):
+        for k, table in enumerate(tables):
+            rows = parts == k
+            weight = float(np.sum(np.abs(state.amp[rows]) ** 2))
+            part = ModeMixture(state.branch[rows], state.occ[rows], state.amp[rows] / np.sqrt(weight))
+            calls.append((table / weight, (part, *measurement)))
 
     def record_table(*args):
         table = polarization_correlation_table(*args)
         calls.append((table.probabilities, args))
         return table
 
-    def record_parts(state, *args):
+    def record_born_tables(state, *args):
         *measurement, parts = args
         tables = _born_tables(state, *measurement, parts)
-        for k, table in enumerate(tables):
-            rows = parts == k
-            weight = float(np.sum(np.abs(state.amp[rows]) ** 2))
-            part = ModeMixture(state.branch[rows], state.occ[rows], state.amp[rows] / np.sqrt(weight))
-            calls.append((table / weight, (part, *measurement)))
+        record_parts(tables, state, parts, measurement)
+        return tables
+
+    def record_density(state, alice_modes, bob_modes, parts):
+        density = _reduced_density(state, alice_modes, bob_modes, parts)
+        densities[id(density[0])] = state, (alice_modes, bob_modes), parts
+        return density
+
+    def record_contraction(density, *angles_and_detector):
+        tables = _contract_povms(density, *angles_and_detector)
+        state, modes, parts = densities[id(density[0])]
+        record_parts(tables, state, parts, (*modes, *angles_and_detector))
         return tables
 
     monkeypatch.setattr(architectures, "polarization_correlation_table", record_table)
-    monkeypatch.setattr(architectures, "_born_tables", record_parts)
+    monkeypatch.setattr(architectures, "_born_tables", record_born_tables)
+    monkeypatch.setattr(architectures, "_reduced_density", record_density)
+    monkeypatch.setattr(architectures, "_contract_povms", record_contraction)
     clear_caches()
     architectures.run(scenario)
     monkeypatch.undo()
@@ -884,6 +908,28 @@ REJECTED_INPUTS = (
         lambda: threshold_detect(fock([1, 0]), (0,), DetectorModel(), (True, False)),
         DimensionMismatchError,
         "pattern length must match number of measured modes",
+    ),
+    # A bool is not a number, although Python compares it like one.
+    (lambda: DetectorModel(efficiency=True), ValueError, "efficiency must be a number, got True"),
+    (
+        lambda: DetectorModel(efficiency=np.bool_(False)),
+        ValueError,
+        r"efficiency must be a number, got (np\.)?False",
+    ),
+    (
+        lambda: DetectorModel(efficiency="0.5"),
+        ValueError,
+        "efficiency must be a number, got '0.5'",
+    ),
+    (
+        lambda: DetectorModel(dark_count_prob=None),
+        ValueError,
+        "dark_count_prob must be a number, got None",
+    ),
+    (
+        lambda: DetectorModel(dark_count_prob=1j),
+        ValueError,
+        r"dark_count_prob must be a number, got 1j",
     ),
 )
 
