@@ -43,16 +43,14 @@ from diqkd_lab.bellcert import (
     _chsh_of,
 )
 from diqkd_lab.photonics import (
-    _BSM_PATTERNS,
-    BRANCH_PRUNE_TOL,
     DOUBLE_CLICK,
     DetectorModel,
     ModeMixture,
     _born_tables,
-    _contents,
     _contract_povms,
+    _interfered,
+    _pattern_likelihoods,
     _reduced_density,
-    beamsplitter,
     distance_to_transmission,
     loss_channel,
     mix,
@@ -401,12 +399,13 @@ def _detector(scenario: Scenario, transmission: float = 1.0) -> DetectorModel:
     ``standard`` stations measure the cached source with it, as the
     cached density of their modes (``_source_density``), and the
     ``third_party`` swap station weighs the cached station contents of its
-    interfered link by its click likelihoods (``_swap_station``), so along
-    a distance sweep only this detector changes.  Loss on only some of the
-    measured modes, or in front of an operation that is not passive on
-    equally lossy modes, cannot be folded this way: Bob's
-    loss in front of the qubit amplifier is split instead into the
-    photon's arrived and lost terms (``_run_local_heralding``).
+    interfered link by this detector's pattern likelihoods
+    (``photonics._pattern_likelihoods``, through ``_swap_station``), so
+    along a distance sweep only this detector changes.  Loss on only some
+    of the measured modes, or in front of an operation that is not passive
+    on equally lossy modes, cannot be folded this way: Bob's loss in front
+    of the qubit amplifier is split instead into the photon's arrived and
+    lost terms (``_run_local_heralding``).
     """
     return DetectorModel(
         efficiency=scenario.detector_efficiency * transmission,
@@ -433,58 +432,36 @@ def _swap_link(pair_prob: float, node_fidelity: float) -> ModeMixture:
     return tensor_modes(source, permute_modes(source, (2, 3, 0, 1)))
 
 
-def _interfere(link: ModeMixture) -> tuple[ModeMixture, np.ndarray, np.ndarray, np.ndarray]:
-    """A link after the station's balanced beamsplitters, grouped by station content.
-
-    The station interferes the H modes (2, 4) and the V modes (3, 5) of a
-    ``_swap_link`` state and watches the four outputs.  Returns the
-    interfered state, the distinct Fock contents of the station modes, the
-    content of each row and the probability of each content.
-    """
-    mixed = beamsplitter(beamsplitter(link, 2, 4, 0.5), 3, 5, 0.5)
-    return (mixed, *_contents(mixed, (2, 3, 4, 5)))
-
-
-# The station's heralding click patterns, each shaped (1, 4) to broadcast
-# over the contents, and which of them herald ``psi-`` (row 0) and ``psi+`` (row 1).
-_SWAP_PATTERNS = np.array([[pattern] for _, pattern in _BSM_PATTERNS], dtype=np.intp)
-_SWAP_LABELS = np.array([[label == s for label, _ in _BSM_PATTERNS] for s in ("psi-", "psi+")])
-_SWAP_PATTERNS.setflags(write=False)
-_SWAP_LABELS.setflags(write=False)
-
-
 def _swap_station(
     scenario: Scenario, contents: np.ndarray, probabilities: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """The third_party station's herald and the heralding weight of each station content.
 
-    Each row of an interfered link (``_interfere``) has a Fock content of
-    the four station modes, and a click pattern has the same likelihood
-    ``prod_k q[c_k, p_k]`` for every row of one content ``c``.  So the
-    station's Bell-state measurement of a link is known from the link's
-    content probabilities and this point's station detector alone.  The
-    station's modes each cross half the distance, so all four lose the
-    same ``half_t``, which commutes through the balanced beamsplitters
-    onto the detectors: the station detects with efficiency
-    ``detector_efficiency * half_t`` (``_detector``).  As in
-    ``photonics.bell_state_measurement``, a heralding pattern of
-    probability at most ``BRANCH_PRUNE_TOL`` never heralds.
+    The station is photonics' Bell-state measurement: a link interfered by
+    ``photonics._interfered`` comes grouped by the Fock content of the
+    four station modes, and ``photonics._pattern_likelihoods`` gives each
+    of the four heralding patterns its probability and its likelihood per
+    content, zero for a pattern that never heralds.  So the station is
+    known from the link's content probabilities and this point's station
+    detector alone, and it equals ``photonics.bell_state_measurement``
+    pattern for pattern.  The station's modes each cross half the
+    distance, so all four lose the same ``half_t``, which commutes through
+    the balanced beamsplitters onto the detectors: the station detects
+    with efficiency ``detector_efficiency * half_t`` (``_detector``).
 
     Both :func:`run` and :func:`charlie_independence_residual` herald
     through this one station.
 
     Returns:
-        ``(herald, weights)``: the probability of the heralding patterns
-        kept, and ``weights[s, c]``, the summed likelihood of content ``c``
-        under the kept ``psi-`` (``s = 0``) or ``psi+`` (``s = 1``)
-        patterns, so that ``weights @ probabilities`` sums to the herald.
+        ``(herald, weights)``: the probability of the heralding patterns,
+        and ``weights[s, c]``, the summed likelihood of content ``c`` under
+        the ``psi-`` (``s = 0``) or ``psi+`` (``s = 1``) patterns, so that
+        ``weights @ probabilities`` sums to the herald.
     """
     half_t = distance_to_transmission(scenario.distance_km / 2.0, scenario.attenuation_db_per_km)
-    q = _detector(scenario, half_t).outcome_matrix(int(contents.max(initial=0)))
-    likelihoods = q[contents, _SWAP_PATTERNS].prod(axis=2)
-    pattern_probs = likelihoods @ probabilities
-    kept = pattern_probs > BRANCH_PRUNE_TOL
-    return float(pattern_probs[kept].sum()), (_SWAP_LABELS & kept) @ likelihoods
+    probs, likelihoods = _pattern_likelihoods(contents, probabilities, _detector(scenario, half_t))
+    # The Bell-state measurement's patterns come as two psi+, then two psi-.
+    return float(probs.sum()), likelihoods.reshape(2, 2, -1).sum(axis=1)[::-1]
 
 
 @lru_cache(maxsize=32)
@@ -504,7 +481,8 @@ def _swap_terms(
     Cached, read-only: nothing here depends on the distance, so a distance
     sweep interferes and measures each link once.
     """
-    mixed, contents, content, probabilities = _interfere(_swap_link(pair_prob, node_fidelity))
+    link = _swap_link(pair_prob, node_fidelity)
+    mixed, contents, content, probabilities = _interfered(link, (2, 3, 4, 5))
     bob_angles = BOB_ANGLES + tuple(-angle for angle in BOB_ANGLES)
     tables = _born_tables(mixed, (0, 1), (6, 7), ALICE_ANGLES, bob_angles, detector, content)
     n_y = len(BOB_ANGLES)
@@ -651,9 +629,11 @@ def _run_third_party(scenario: Scenario) -> RunResult:
     half to a central station, where a linear-optics Bell-state measurement
     heralds the swap; a ``psi+`` herald is corrected to ``psi-`` by a
     feed-forward phase flip.  Pair sources are truncated to single-pair
-    emission here: the swap's well-known multi-pair false heralds are a
-    property of the sources, not of the architecture, and are exposed
-    separately by the photonics layer.
+    emission here (``_swap_link``), so the swap's multi-pair false heralds
+    are left out, and no output shows them.  They decide the answer: at
+    ``pair_prob`` 1e-2, ``detector_efficiency`` 0.95, dark counts 1e-6
+    and 20 km, CHSH is 2.554 at this one-pair cut and 1.865 at a two-pair
+    cut (ROADMAP item 3).
 
     The measurement is linear in the station's click likelihoods.  Every
     row of one station content ``c`` heralds with the same likelihood, so
@@ -712,8 +692,8 @@ def charlie_independence_residual(scenario: Scenario) -> float:
     measurements act on modes the station never touches.  This check runs
     the measurement rotations *before* the Bell-state measurement (the
     operations commute), interferes each rotated link at the station
-    (``_interfere``) and compares the herald probability across all
-    setting pairs.  Each rotated link heralds through the station that
+    (``photonics._interfered``) and compares the herald probability across
+    all setting pairs.  Each rotated link heralds through the station that
     :func:`run` uses on a ``third_party`` scenario (``_swap_station``), so
     the check certifies the runner's own herald.
 
@@ -729,6 +709,6 @@ def charlie_independence_residual(scenario: Scenario) -> float:
         for bob_angle in BOB_ANGLES:
             rotated = polarization_rotation(state, 0, 1, alice_angle)
             rotated = polarization_rotation(rotated, 6, 7, bob_angle)
-            _, contents, _, probabilities = _interfere(rotated)
+            _, contents, _, probabilities = _interfered(rotated, (2, 3, 4, 5))
             herald_probs.append(_swap_station(scenario, contents, probabilities)[0])
     return float(max(herald_probs) - min(herald_probs))

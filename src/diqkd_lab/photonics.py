@@ -222,6 +222,14 @@ def _mode_indices(state: ModeMixture, modes: Iterable[int]) -> list[int]:
     return [int(k) for k in modes]
 
 
+def _pair_modes(state: ModeMixture, **pairs: Sequence[int]) -> list[int]:
+    """The modes of the named ``(H, V)`` pairs in order, each pair checked to hold two modes."""
+    for name, pair in pairs.items():
+        if len(pair) != 2:
+            raise DimensionMismatchError(f"{name} must be an (H, V) mode pair, got {tuple(pair)}")
+    return _mode_indices(state, [k for pair in pairs.values() for k in pair])
+
+
 def _pure(rows: dict[tuple[int, ...], float]) -> ModeMixture:
     """One pure branch of the nonzero ``{occupations: amplitude}`` rows, in ascending order."""
     occ = sorted(o for o, a in rows.items() if a != 0)
@@ -236,7 +244,8 @@ def _distinct(*columns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         rows, index = np.unique(table, axis=0, return_inverse=True)
         return rows, index.reshape(-1)
     # Mixed-radix keys order like the rows, and one-dimensional keys sort fast.
-    place = np.append(np.cumprod(radix[:0:-1])[::-1], 1)
+    # A column's place is the product of the later radices; no columns, no places.
+    place = np.cumprod(np.append(radix, 1)[:0:-1])[::-1]
     _, first, index = np.unique(table @ place, return_index=True, return_inverse=True)
     return table[first], index
 
@@ -546,9 +555,10 @@ def threshold_detect(
     The detection is destructive: the measured modes are removed and the
     survivors form a mixture over the possible Fock contents of the absorbed
     modes (coherence within a content class is preserved, which is what
-    makes interference-based heralding work).  This is the one-pattern case
-    of ``_detect_patterns``, which :func:`bell_state_measurement` calls with
-    all its heralding patterns at once.
+    makes interference-based heralding work).  The pattern is weighed by
+    ``_pattern_likelihoods``, the detector that :func:`bell_state_measurement`
+    and the ``third_party`` swap station herald through, and the state is
+    split by ``_conditionals``.
 
     Args:
         state: Input state.
@@ -561,46 +571,14 @@ def threshold_detect(
         pattern has (numerically) zero probability, or when all modes were
         measured.
     """
-    (outcome,) = _detect_patterns(state, modes, detector, [pattern])
-    return outcome
-
-
-def _detect_patterns(
-    state: ModeMixture,
-    modes: Sequence[int],
-    detector: DetectorModel,
-    patterns: Sequence[Sequence[bool]],
-) -> list[tuple[float, ModeMixture | None]]:
-    """``threshold_detect`` for each of ``patterns`` on the same state and modes.
-
-    The measured contents, the detector's outcome matrix and the grouping of
-    rows by branch and content do not depend on the pattern, so they are
-    computed once and every pattern only weighs and splits the rows: given
-    a pattern of probability ``P``, a row whose content has likelihood
-    ``like`` keeps the amplitude ``amp * sqrt(like / P)``.
-    """
     modes = _mode_indices(state, modes)
-    patterns = [[int(bool(c)) for c in pattern] for pattern in patterns]
-    if any(len(pattern) != len(modes) for pattern in patterns):
+    clicks = np.array([[[bool(c) for c in pattern]]], dtype=np.intp)
+    if clicks.shape[2] != len(modes):
         raise DimensionMismatchError("pattern length must match number of measured modes")
-    content = state.occ[:, modes]
-    outcomes = detector.outcome_matrix(state.n_max)
-    power = _power(state.amp)
-    rest = [k for k in range(state.n_modes) if k not in modes]
-    if rest:
-        (_, group), survivors = _distinct(state.branch, content), state.occ[:, rest]
-    results = []
-    for pattern in patterns:
-        # Probability of the pattern given each row's Fock content of the measured modes.
-        like = outcomes[content, pattern].prod(axis=1)
-        total = float(power @ like)
-        if total <= BRANCH_PRUNE_TOL:
-            results.append((0.0, None))
-        elif not rest:
-            results.append((total, None))
-        else:
-            results.append((total, _split(group, survivors, state.amp, np.sqrt(like / total))))
-    return results
+    contents, index, probabilities = _contents(state, modes)
+    likelihoods = _pattern_likelihoods(contents, probabilities, detector, clicks)
+    (outcome,) = _conditionals(state, modes, index, *likelihoods)
+    return outcome
 
 
 @lru_cache(maxsize=128)
@@ -735,7 +713,7 @@ def _reduced_density(
         ``tops``, the largest photon number ``h + v`` of Alice's and of
         Bob's modes, which size the POVMs.
     """
-    measured = _mode_indices(state, (*alice_modes, *bob_modes))
+    measured = _pair_modes(state, alice_modes=alice_modes, bob_modes=bob_modes)
     occ = state.occ[:, measured]
     # Index of each row's |h, v> content in Alice's and in Bob's basis.
     totals = occ[:, 0::2] + occ[:, 1::2]
@@ -913,6 +891,74 @@ _BSM_PATTERNS: tuple[tuple[str, tuple[bool, bool, bool, bool]], ...] = (
     ("psi-", (True, False, False, True)),
     ("psi-", (False, True, True, False)),
 )
+# The four patterns' clicks, each shaped (1, 4) to broadcast over the contents.
+_BSM_CLICKS = np.array([[pattern] for _, pattern in _BSM_PATTERNS], dtype=np.intp)
+_BSM_CLICKS.setflags(write=False)
+
+
+def _interfered(
+    state: ModeMixture, modes: Sequence[int]
+) -> tuple[ModeMixture, np.ndarray, np.ndarray, np.ndarray]:
+    """A state after the Bell-state measurement's beamsplitters, grouped by station content.
+
+    The station watches ``modes = (h1, v1, h2, v2)``: the two qubits' H
+    modes interfere on a balanced beamsplitter, as do their V modes.
+    Returns the interfered state and the ``_contents`` of the four watched
+    modes: their distinct Fock contents, each row's content and each
+    content's probability.
+    """
+    h1, v1, h2, v2 = modes
+    mixed = beamsplitter(beamsplitter(state, h1, h2, 0.5), v1, v2, 0.5)
+    return (mixed, *_contents(mixed, modes))
+
+
+def _pattern_likelihoods(
+    contents: np.ndarray, probabilities: np.ndarray, detector: DetectorModel, clicks=_BSM_CLICKS
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each click pattern's probability and its likelihood for each Fock content.
+
+    ``contents`` and ``probabilities`` are a state's ``_contents`` of the
+    watched modes, and ``clicks[k, 0]`` is pattern ``k``, one click (1) or
+    silence (0) per watched mode; the default is the Bell-state
+    measurement's four patterns, in ``_BSM_PATTERNS``' order.  Every row of
+    content ``c`` gives pattern ``k`` the same likelihood ``prod_m q[c_m,
+    clicks_km]``, with ``q`` the detector's outcome matrix, so the
+    pattern's probability is ``sum_c likelihood * probability``.  It is
+    summed per pattern, so it does not depend on which other patterns are
+    detected with it.  A pattern of probability at most
+    ``BRANCH_PRUNE_TOL`` never heralds: its probability and its
+    likelihoods are zero.
+
+    Returns:
+        ``(probs, likelihoods)`` of shapes ``(patterns,)`` and
+        ``(patterns, contents)``.
+    """
+    q = detector.outcome_matrix(int(contents.max(initial=0)))
+    likelihoods = q[contents, clicks].prod(axis=2)
+    probs = (likelihoods * probabilities).sum(axis=1)
+    kept = probs > BRANCH_PRUNE_TOL
+    return probs * kept, likelihoods * kept[:, np.newaxis]
+
+
+def _conditionals(
+    state: ModeMixture, modes: list[int], index: np.ndarray, probs: np.ndarray, likes: np.ndarray
+) -> list[tuple[float, ModeMixture | None]]:
+    """``(probability, conditional state)`` of each pattern of ``_pattern_likelihoods``.
+
+    ``probs`` and ``likes`` are those patterns' probabilities and
+    likelihoods, and ``index`` is each row's content of the measured
+    ``modes``, which the detection removes.  The rows of one branch and
+    content form one new branch: given a pattern of probability ``P``, a
+    row whose content has likelihood ``like`` keeps the amplitude ``amp *
+    sqrt(like / P)``.  The state is None for a pattern that never heralds,
+    or when every mode was measured.
+    """
+    rest = [k for k in range(state.n_modes) if k not in modes]
+    (_, group), survivors = _distinct(state.branch, index), state.occ[:, rest]
+    return [
+        (p, _split(group, survivors, state.amp, np.sqrt(like[index] / p)) if p and rest else None)
+        for p, like in zip(probs.tolist(), likes)
+    ]
 
 
 def bell_state_measurement(
@@ -930,10 +976,12 @@ def bell_state_measurement(
     states bunch and never produce orthogonal coincidences, capping the
     linear-optics success probability at 1/2 for unentangled inputs).
 
-    The four patterns are detected in one pass (``_detect_patterns``): the
-    rows are grouped by branch and measured content once, and each
-    outcome equals :func:`threshold_detect` of its pattern on the
-    interfered state.
+    The station (``_interfered``) groups the interfered rows by measured
+    content once, and the four patterns are weighed by the one detector
+    of heralding patterns (``_pattern_likelihoods``), so each outcome
+    equals :func:`threshold_detect` of its pattern on the interfered
+    state.  The ``third_party`` swap station of ``architectures`` heralds
+    through the same two functions.
 
     Args:
         state: Input state; the four measured modes are absorbed.
@@ -946,12 +994,10 @@ def bell_state_measurement(
         (original order, measured modes removed).
     """
     detector = detector or DetectorModel()
-    h1, v1, h2, v2 = _mode_indices(state, (*modes_1, *modes_2))
-    mixed = beamsplitter(state, h1, h2, 0.5)
-    mixed = beamsplitter(mixed, v1, v2, 0.5)
-    detected = _detect_patterns(
-        mixed, (h1, v1, h2, v2), detector, [pattern for _, pattern in _BSM_PATTERNS]
-    )
+    modes = _pair_modes(state, modes_1=modes_1, modes_2=modes_2)
+    mixed, contents, index, probabilities = _interfered(state, modes)
+    likelihoods = _pattern_likelihoods(contents, probabilities, detector)
+    detected = _conditionals(mixed, modes, index, *likelihoods)
     return BsmResult(
         outcomes=tuple(
             BsmOutcome(label=label, pattern=pattern, probability=prob, state=conditional)
@@ -1065,7 +1111,7 @@ def qubit_amplifier(
     if not 0.0 < transmission < 1.0:
         raise ValueError(f"transmission must lie in (0, 1), got {transmission}")
     detector = detector or DetectorModel()
-    in_h, in_v = _mode_indices(state, input_modes)
+    in_h, in_v = _pair_modes(state, input_modes=input_modes)
     n_modes = state.n_modes
     trigger_prob, ancillas = _amplifier_ancillas(transmission, ancilla_pair_prob, detector)
     if ancillas is None:
@@ -1094,8 +1140,7 @@ def qubit_amplifier(
         if outcome.pattern[1]:
             corrected = phase_shift(corrected, out_v, np.pi)
         heralds.append((outcome.probability, corrected))
-    success = bsm.success_probability
-    if success <= BRANCH_PRUNE_TOL:
+    if not heralds:  # _pattern_likelihoods zeroed every pattern
         return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
     conditional = mix(heralds)
 
@@ -1111,7 +1156,7 @@ def qubit_amplifier(
     if vac_in > 0 and single_in > 0 and vac_out > 0 and single_out > 0:
         gain = float(np.sqrt((single_out / vac_out) / (single_in / vac_in)))
     return HeraldRecord(
-        success_probability=float(trigger_prob * success),
+        success_probability=float(trigger_prob * bsm.success_probability),
         conditional_state=conditional,
         gain=gain,
     )

@@ -26,10 +26,12 @@ from diqkd_lab.architectures import (
 )
 from diqkd_lab.bellcert import bin_no_click, chsh
 from diqkd_lab.photonics import (
+    BRANCH_PRUNE_TOL,
     DetectorModel,
     _reduced_density,
     beamsplitter,
     bell_state_measurement,
+    detection_probabilities,
     distance_to_transmission,
     loss_channel,
     mix,
@@ -505,6 +507,26 @@ def test_swap_station_drops_patterns_no_likelier_than_a_pruned_branch():
     assert result.herald_probability == pytest.approx(3.999992000234e-12, rel=1e-9)
 
 
+def test_bell_state_measurement_stops_heralding_where_the_swap_station_does():
+    """At 1500 km the station's four patterns each have a probability under
+    ``BRANCH_PRUNE_TOL`` by ``detection_probabilities``, which detects apart
+    from the station; run() never heralds there, and bell_state_measurement
+    gives each pattern zero probability and no state."""
+    scenario = Scenario(
+        architecture="third_party", pair_prob=0.01, detector_efficiency=0.95, distance_km=1500.0
+    )
+    with pytest.raises(NeverHeraldsError, match="the swap station never heralds"):
+        run(scenario)
+    station = DetectorModel(0.95 * arm_transmission(750.0), 0.0)
+    link = architectures._swap_link(scenario.pair_prob, scenario.node_fidelity)
+    mixed = beamsplitter(beamsplitter(link, 2, 4, 0.5), 3, 5, 0.5)
+    clicks = detection_probabilities(mixed, (2, 3, 4, 5), station)
+    outcomes = bell_state_measurement(link, (2, 3), (4, 5), station).outcomes
+    for outcome in outcomes:
+        assert 0.0 < clicks[tuple(map(int, outcome.pattern))] <= BRANCH_PRUNE_TOL
+    assert [(o.probability, o.state) for o in outcomes] == [(0.0, None)] * 4
+
+
 def test_distance_sweep_interferes_the_swap_link_once(monkeypatch, clear_link_caches):
     calls = []
 
@@ -512,7 +534,7 @@ def test_distance_sweep_interferes_the_swap_link_once(monkeypatch, clear_link_ca
         calls.append(args)
         return beamsplitter(state, *args)
 
-    monkeypatch.setattr(architectures, "beamsplitter", counting_beamsplitter)
+    # The station's beamsplitters are photonics' (``photonics._interfered``).
     monkeypatch.setattr(photonics, "beamsplitter", counting_beamsplitter)
     clear_link_caches()
     base = Scenario(

@@ -430,6 +430,9 @@ def test_threshold_detect_heralds_and_discards():
     zero, nothing = threshold_detect(vacuum(2), (0,), DetectorModel(), (True,))
     assert zero == pytest.approx(0.0, abs=1e-15)
     assert nothing is None
+    # The empty pattern on no modes is certain and keeps the state.
+    assert threshold_detect(state, (), DetectorModel(), ())[0] == 1.0
+    assert_same_mixture(threshold_detect(state, (), DetectorModel(), ())[1], state)
 
 
 def test_threshold_detect_on_every_mode_leaves_no_state():
@@ -715,14 +718,22 @@ def assert_same_mixture(a: ModeMixture, b: ModeMixture):
     ids=["two-singlets", "two-pair-spdc-dark-counts"],
 )
 def test_bell_state_measurement_is_threshold_detect_per_pattern(link, detector):
-    """Detecting all four patterns at once gives exactly the one-pattern results."""
+    """Detecting all four patterns at once gives exactly the one-pattern results.
+
+    Both detect through the one station detector, so each probability is
+    also checked against ``detection_probabilities``, which takes its own
+    product over the watched modes.
+    """
     mixed = beamsplitter(beamsplitter(link, 2, 4, 0.5), 3, 5, 0.5)
     result = bell_state_measurement(link, (2, 3), (4, 5), detector)
+    clicks = detection_probabilities(mixed, (2, 3, 4, 5), detector)
     assert len(result.outcomes) == 4
     for outcome in result.outcomes:
         prob, state = threshold_detect(mixed, (2, 3, 4, 5), detector, outcome.pattern)
         assert outcome.probability == prob
         assert_same_mixture(outcome.state, state)
+        reference = clicks[tuple(map(int, outcome.pattern))]
+        assert outcome.probability == pytest.approx(reference, rel=1e-12)
 
 
 def joint_amplifier(state, input_modes, t, detector, ancilla_pair_prob):
@@ -908,6 +919,22 @@ REJECTED_INPUTS = (
         lambda: threshold_detect(fock([1, 0]), (0,), DetectorModel(), (True, False)),
         DimensionMismatchError,
         "pattern length must match number of measured modes",
+    ),
+    # A mode pair holds two modes, even where two pairs hold four modes in all.
+    (
+        lambda: bell_state_measurement(vacuum(6), (2, 3, 4), (5,)),
+        DimensionMismatchError,
+        r"modes_1 must be an \(H, V\) mode pair, got \(2, 3, 4\)",
+    ),
+    (
+        lambda: polarization_correlation_table(polarization_singlet(), (0, 1, 2), (3,), [0.0], [0.0]),
+        DimensionMismatchError,
+        r"alice_modes must be an \(H, V\) mode pair, got \(0, 1, 2\)",
+    ),
+    (
+        lambda: qubit_amplifier(polarization_singlet(), (0, 1, 2), 0.5),
+        DimensionMismatchError,
+        r"input_modes must be an \(H, V\) mode pair, got \(0, 1, 2\)",
     ),
     # A bool is not a number, although Python compares it like one.
     (lambda: DetectorModel(efficiency=True), ValueError, "efficiency must be a number, got True"),

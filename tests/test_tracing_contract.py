@@ -67,9 +67,9 @@ def test_traced_runs_reach_every_photonics_op(clear_link_caches):
         for name in ARCHITECTURES:
             architectures.run(Scenario(architecture=name, pair_prob=0.01, distance_km=5.0))
         # The runners measure by the Born rule and neither rotate nor call
-        # detection_probabilities, and a Bell-state measurement detects all
-        # its patterns at once without threshold_detect; these three calls
-        # reach those ops.
+        # detection_probabilities, and the Bell-state measurement and the
+        # swap station detect through photonics' station helpers, not
+        # through threshold_detect; these three calls reach those ops.
         architectures.charlie_independence_residual(
             Scenario(architecture="third_party", distance_km=5.0)
         )
