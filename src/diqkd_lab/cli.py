@@ -28,13 +28,13 @@ import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from diqkd_lab.architectures import NeverHeraldsError, Scenario, run, secret_bits_per_second
 from diqkd_lab.bellcert import critical_efficiency, loophole_attack_curve
-from diqkd_lab.keyproto import MAX_ROUNDS, run_session, serialize_transcript
+from diqkd_lab.keyproto import MAX_ROUNDS, run_session, transcript_records
 from diqkd_lab.photonics import distance_to_transmission
 
 __all__ = [
@@ -226,7 +226,7 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
     rounds = _integer(data.get("rounds", 100_000), "rounds")
     if rounds <= 0:
         raise CliError(f"rounds must be positive, got {rounds}")
-    if rounds > MAX_ROUNDS:  # the most a session's round columns can hold
+    if rounds > MAX_ROUNDS:  # the most a session can sift
         raise CliError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
     sample_fraction = _number(float, data.get("sample_fraction", 0.1), "sample_fraction")
     if not 0.0 <= sample_fraction < 1.0:
@@ -293,9 +293,11 @@ def sweep_rows(scenario: Scenario, axis: SweepAxis) -> list[tuple[float, ...]]:
     return rows
 
 
-def _write(out: str, data: bytes) -> None:
+def _write(out: str, pieces: Iterable[bytes]) -> None:
+    """Write ``pieces`` to ``out`` one after another, without joining them."""
     try:
-        Path(out).write_bytes(data)
+        with open(out, "wb") as f:
+            f.writelines(pieces)
     except OSError as exc:
         raise CliError(f"cannot write {out}: {exc}") from exc
 
@@ -304,7 +306,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        _write(out, text.encode("utf-8"))
+        _write(out, (text.encode("utf-8"),))
 
 
 def _csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
@@ -388,7 +390,7 @@ def _cmd_session(parsed: ScenarioFile, args: argparse.Namespace) -> int:
     sys.stdout.write("\n".join(lines) + "\n")
     out = args.out or parsed.out
     if out is not None:
-        _write(out, serialize_transcript(outcome.transcript))
+        _write(out, transcript_records(outcome.transcript))
     return 0
 
 

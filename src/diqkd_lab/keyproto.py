@@ -38,7 +38,7 @@ import numbers
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -69,13 +69,18 @@ __all__ = [
     "privacy_amplify",
     "run_session",
     "serialize_transcript",
+    "transcript_records",
     "parse_transcript",
 ]
 
-#: Most rounds a session simulates: the round simulation draws 8-byte
-#: columns of ``n_rounds`` entries, and numpy sizes no array of more than
-#: ``np.iinfo(np.intp).max`` bytes.
+#: Most rounds a session simulates: sifting lists the heralded rounds'
+#: positions, and draws its sample as a permutation of them, in 8-byte
+#: arrays of up to ``n_rounds`` entries, and numpy sizes no array of more
+#: than ``np.iinfo(np.intp).max`` bytes.
 MAX_ROUNDS = np.iinfo(np.intp).max // 8
+
+#: Rounds drawn and sampled at a time by ``simulate_rounds``.
+_ROUND_CHUNK = 65_536
 
 #: Sifting aborts when fewer raw key rounds than this remain.
 _MIN_RAW_ROUNDS = 16
@@ -150,8 +155,8 @@ class Rounds:
 
     A round's index is its position in the arrays.  ``simulate_rounds``
     fills int8 settings and outcomes and bool herald flags, 5 bytes a
-    round, and needs about 21 bytes a round while it samples them; ``sift``
-    accepts settings and outcomes of any integer dtype.
+    round, and needs only one chunk of 8-byte draws more while it samples
+    them; ``sift`` accepts settings and outcomes of any integer dtype.
 
     Attributes:
         x: Alice's settings (0 or 1).
@@ -281,17 +286,28 @@ def _verify_digest(bits: np.ndarray) -> bytes:
     return hashlib.blake2b(payload, digest_size=_VERIFY_DIGEST_BITS // 8).digest()
 
 
+#: A transcript record's header: sequence number, kind and payload length.
+_RECORD_HEADER = struct.Struct("<IBI")
+
+
+def transcript_records(messages: Sequence[ProtocolMessage]) -> Iterator[bytes]:
+    """The bytes of :func:`serialize_transcript`, in pieces, without a joined copy.
+
+    Yields each record's header, then its payload object itself, so a writer
+    holds no second copy of the transcript.
+    """
+    for seq, msg in enumerate(messages):
+        yield _RECORD_HEADER.pack(seq, int(msg.kind), len(msg.payload))
+        yield msg.payload
+
+
 def serialize_transcript(messages: Sequence[ProtocolMessage]) -> bytes:
     """Encode messages as ``{u32 seq, u8 kind, u32 length, payload}`` records.
 
     ``seq`` is the message's position.  All integers are little-endian; the
     sender is implicit in the protocol choreography and not serialized.
     """
-    parts = []
-    for seq, msg in enumerate(messages):
-        parts.append(struct.pack("<IBI", seq, int(msg.kind), len(msg.payload)))
-        parts.append(msg.payload)
-    return b"".join(parts)
+    return b"".join(transcript_records(messages))
 
 
 def parse_transcript(data: bytes) -> tuple[tuple[int, MessageKind, bytes], ...]:
@@ -303,14 +319,13 @@ def parse_transcript(data: bytes) -> tuple[tuple[int, MessageKind, bytes], ...]:
     """
     out = []
     offset = 0
-    header = struct.Struct("<IBI")
     while offset < len(data):
-        if offset + header.size > len(data):
+        if offset + _RECORD_HEADER.size > len(data):
             raise ValueError("truncated transcript header")
-        seq, kind, length = header.unpack_from(data, offset)
+        seq, kind, length = _RECORD_HEADER.unpack_from(data, offset)
         if seq != len(out):
             raise ValueError(f"transcript record {len(out)} carries sequence number {seq}")
-        offset += header.size
+        offset += _RECORD_HEADER.size
         if offset + length > len(data):
             raise ValueError("truncated transcript payload")
         try:
@@ -353,14 +368,17 @@ def simulate_rounds(
     outcome pair of a heralded round follows the conditional table cell of
     its settings.  Non-heralded rounds record no-clicks.
 
-    The draws come in a fixed order -- ``x``, ``y``, herald uniforms, then
-    one uniform ``u`` per round -- as int64 and float64 in one call each,
-    and the columns keep them as int8.  A round's joint outcome index is
-    the number of its cell's cumulative-probability edges ``<= u``; with the
-    last edge clamped to 1.0, above every ``u``, that is an outcome.  It is
-    read from a table of ``_BUCKETS`` equal slices of ``[0, 1)`` per cell
-    (a guide table: Chen & Asau, AIIE Trans. 6, 163 (1974)), and counted
-    directly for the rounds whose slice holds an edge.
+    The draws come in a fixed order -- all ``x``, all ``y``, all herald
+    uniforms, then one uniform ``u`` per round -- as int64 and float64.
+    They are drawn ``_ROUND_CHUNK`` rounds at a time, which gives the same
+    stream as one call each, and narrowed into int8 columns allocated up
+    front, so the sampling holds one chunk of 8-byte draws beyond the
+    columns.  A round's joint outcome index is the number of its cell's
+    cumulative-probability edges ``<= u``; with the last edge clamped to
+    1.0, above every ``u``, that is an outcome.  It is read from a table of
+    ``_BUCKETS`` equal slices of ``[0, 1)`` per cell (a guide table: Chen &
+    Asau, AIIE Trans. 6, 163 (1974)), and counted directly for the rounds
+    whose slice holds an edge.
 
     Args:
         device: What the parties measure: ``device.table`` holds
@@ -374,10 +392,10 @@ def simulate_rounds(
 
     Raises:
         ValueError: If ``n_rounds`` is not a positive integer or exceeds
-            ``MAX_ROUNDS``, the most whose 8-byte draws numpy can size, the
-            table's shape is not ``_DEVICE_SHAPE`` (2 x 3 settings, 4 x 4
-            outcomes), or the herald probability lies outside ``[0, 1]``
-            (NaN included).
+            ``MAX_ROUNDS``, the most whose 8-byte sifting arrays numpy can
+            size, the table's shape is not ``_DEVICE_SHAPE`` (2 x 3
+            settings, 4 x 4 outcomes), or the herald probability lies
+            outside ``[0, 1]`` (NaN included).
     """
     if isinstance(n_rounds, bool) or not isinstance(n_rounds, numbers.Integral):
         raise ValueError(f"n_rounds must be an integer, got {n_rounds!r}")
@@ -391,35 +409,37 @@ def simulate_rounds(
     if not 0.0 <= device.herald_probability <= 1.0:
         raise ValueError(f"herald_probability must lie in [0, 1], got {device.herald_probability}")
     rng = np.random.default_rng(seed)
+    x, y, a, b = (np.empty(n_rounds, dtype=np.int8) for _ in range(4))
+    heralded = np.empty(n_rounds, dtype=bool)
+    chunks = [slice(start, start + _ROUND_CHUNK) for start in range(0, n_rounds, _ROUND_CHUNK)]
     # Drawn as int64 and narrowed: drawing int8 directly gives other values.
-    x = rng.integers(0, n_x, size=n_rounds).astype(np.int8)
-    y = rng.integers(0, n_y, size=n_rounds).astype(np.int8)
-    u = rng.random(n_rounds)
-    heralded = u < device.herald_probability
-    rng.random(out=u)
-    # Setting cell x * n_y + y of each round; non-heralded rounds take the
-    # extra cell n_x * n_y, whose outcome is always the no-click pair.
-    cell = x * np.int8(n_y) + y
-    cell[~heralded] = n_x * n_y
+    for column, n_settings in ((x, n_x), (y, n_y)):
+        for chunk in chunks:
+            column[chunk] = rng.integers(0, n_settings, size=column[chunk].size)
+    for chunk in chunks:
+        np.less(rng.random(heralded[chunk].size), device.herald_probability, out=heralded[chunk])
     table, edges = _outcome_table(device.table.probabilities)
-    # Scaling by a power of two is exact: u is k * 2**-53 and each edge a
-    # float64, so edge * _BUCKETS <= u * _BUCKETS exactly when edge <= u.
-    u *= _BUCKETS
-    # Flat index floor(u) * n_cells + cell into the slice-major table, built
-    # in place: a temporary column here raises glibc's dynamic mmap
-    # threshold, and a 1e7-round session then peaks ~27 MB higher.
-    index = u.astype(np.intp)
-    index *= table.shape[1]
-    index += cell
-    joint = table.reshape(-1)[index]
-    del index
-    unresolved = np.flatnonzero(joint < 0)
-    joint[unresolved] = (edges[cell[unresolved]] <= u[unresolved, None]).sum(axis=1)
-    del u
     codes = np.arange(n_a * n_b)
-    # take, not fancy indexing: this numpy casts an int8 index to intp faster.
-    a = np.take((codes // n_b).astype(np.int8), joint)
-    b = np.take((codes % n_b).astype(np.int8), joint)
+    a_codes, b_codes = (codes // n_b).astype(np.int8), (codes % n_b).astype(np.int8)
+    for chunk in chunks:
+        # Setting cell x * n_y + y of each round; non-heralded rounds take the
+        # extra cell n_x * n_y, whose outcome is always the no-click pair.
+        cell = x[chunk] * np.int8(n_y) + y[chunk]
+        cell[~heralded[chunk]] = n_x * n_y
+        # Scaling by a power of two is exact: u is k * 2**-53 and each edge a
+        # float64, so edge * _BUCKETS <= u * _BUCKETS exactly when edge <= u.
+        u = rng.random(cell.size)
+        u *= _BUCKETS
+        # Flat index floor(u) * n_cells + cell into the slice-major table.
+        index = u.astype(np.intp)
+        index *= table.shape[1]
+        index += cell
+        joint = table.reshape(-1)[index]
+        unresolved = np.flatnonzero(joint < 0)
+        joint[unresolved] = (edges[cell[unresolved]] <= u[unresolved, None]).sum(axis=1)
+        # take, not fancy indexing: this numpy casts an int8 index to intp faster.
+        np.take(a_codes, joint, out=a[chunk])
+        np.take(b_codes, joint, out=b[chunk])
     return Rounds(x=x, y=y, a=a, b=b, heralded=heralded)
 
 
@@ -469,10 +489,13 @@ def sift(
     """
     if not 0.0 <= sample_fraction < 1.0:
         raise ValueError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")
-    idx = np.flatnonzero(rounds.heralded)
-    n_sample = int(round(sample_fraction * idx.size))
-    if idx.size > 0 and n_sample > 0:
-        chosen = idx[np.sort(rng.choice(idx.size, size=n_sample, replace=False))]
+    n_heralded = int(np.count_nonzero(rounds.heralded))
+    n_sample = int(round(sample_fraction * n_heralded))
+    if n_heralded > 0 and n_sample > 0:
+        # Drawn before the heralded positions are listed, so that the
+        # positions and the draw's permutation never exist at once.
+        chosen = np.sort(rng.choice(n_heralded, size=n_sample, replace=False))
+        chosen = np.flatnonzero(rounds.heralded)[chosen]
     else:
         chosen = np.array([], dtype=np.int64)
     raw_mask = rounds.heralded & (rounds.x == KEY_SETTINGS[0]) & (rounds.y == KEY_SETTINGS[1])
@@ -768,16 +791,23 @@ def run_session(
     dev_ss, alice_ss = np.random.SeedSequence(seed).spawn(2)
     alice_rng = np.random.default_rng(alice_ss)
     rounds = simulate_rounds(device, n_rounds, dev_ss)
+    n_heralded = int(np.count_nonzero(rounds.heralded))
     transcript = _Transcript()
-    transcript.send("alice", MessageKind.BASIS_ANNOUNCE, _u32_bytes(rounds.x))
-    transcript.send("bob", MessageKind.BASIS_ANNOUNCE, _u32_bytes(rounds.y))
 
     est = None
     n_raw = 0
     leakage = 0
     abort_reason = None
     try:
-        alice_raw, bob_raw, sample = sift(rounds, sample_fraction, alice_rng)
+        try:
+            alice_raw, bob_raw, sample = sift(rounds, sample_fraction, alice_rng)
+        finally:
+            # Announced after sifting, so that the announcements and sifting's
+            # full-length arrays never exist at once; nothing reads the rounds
+            # after this.
+            transcript.send("alice", MessageKind.BASIS_ANNOUNCE, _u32_bytes(rounds.x))
+            transcript.send("bob", MessageKind.BASIS_ANNOUNCE, _u32_bytes(rounds.y))
+            del rounds
         n_raw = int(alice_raw.size)
         transcript.send(
             "alice", MessageKind.SAMPLE_INDICES, _u32_bytes(sample.indices)
@@ -828,7 +858,7 @@ def run_session(
         q_radius=est.q_radius if est else nan,
         worst_case_rate=rate,
         n_rounds=n_rounds,
-        n_heralded=int(rounds.heralded.sum()),
+        n_heralded=n_heralded,
         n_raw=n_raw,
         abort_reason=abort_reason,
         transcript=tuple(transcript),

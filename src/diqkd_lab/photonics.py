@@ -834,14 +834,18 @@ def heralded_single_photon(pair_prob: float, trigger_detector: DetectorModel) ->
     """
     n_pair_max = 2
     weights = _pair_weights(pair_prob, n_pair_max)
-    # Branch n: n pairs emitted and the trigger clicked; the signal holds |n>.
-    clicks = weights * trigger_detector.outcome_matrix(n_pair_max)[:, 1]
-    trigger_prob = float(clicks.sum())
-    if trigger_prob <= BRANCH_PRUNE_TOL:
-        return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
     n = np.arange(n_pair_max + 1)
-    mixture = ModeMixture(n, n[:, np.newaxis], np.sqrt(clicks / trigger_prob))
-    return HeraldRecord(success_probability=trigger_prob, conditional_state=mixture, gain=None)
+    # Branch n: n pairs emitted and the trigger clicked; the signal holds |n>.
+    # The trigger is a one-mode detection with the one pattern "click".
+    (trigger_prob,), (likelihood,) = _pattern_likelihoods(
+        n[:, np.newaxis], weights, trigger_detector, clicks=np.array([[[1]]])
+    )
+    if not trigger_prob:
+        return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
+    mixture = ModeMixture(n, n[:, np.newaxis], np.sqrt(likelihood * weights / trigger_prob))
+    return HeraldRecord(
+        success_probability=float(trigger_prob), conditional_state=mixture, gain=None
+    )
 
 
 # --------------------------------------------------------------------------

@@ -6,13 +6,14 @@ import multiprocessing.process
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from diqkd_lab import cli
-from diqkd_lab.architectures import run, secret_bits_per_second
+from diqkd_lab.architectures import Scenario, run, secret_bits_per_second
 from diqkd_lab.cli import (
     SWEEP_COLUMNS,
     CliError,
@@ -23,7 +24,13 @@ from diqkd_lab.cli import (
     serialize_scenario_file,
     sweep_rows,
 )
-from diqkd_lab.keyproto import MAX_ROUNDS, parse_transcript
+from diqkd_lab.keyproto import (
+    MAX_ROUNDS,
+    MessageKind,
+    parse_transcript,
+    run_session,
+    serialize_transcript,
+)
 from diqkd_lab.photonics import distance_to_transmission
 
 
@@ -533,6 +540,49 @@ def test_session_command_report_and_transcript(tmp_path, capsys):
     assert report["alice_key_digest"] == report["bob_key_digest"]
     messages = parse_transcript(transcript_path.read_bytes())
     assert [m[0] for m in messages] == list(range(len(messages)))
+
+
+def test_session_out_is_the_serialized_transcript(tmp_path, capsys):
+    """The streamed ``--out`` file holds ``serialize_transcript``'s bytes."""
+    # A key session, and the 30-round session that aborts in sifting.
+    for rounds, fraction, seed, status in ((60_000, 0.5, 42, "key"), (30, 0.9, 1, "abort")):
+        path = write_scenario(
+            tmp_path, "s.json", {"rounds": rounds, "sample_fraction": fraction, "seed": seed}
+        )
+        out = tmp_path / "session.bin"
+        assert main(["session", "--scenario", path, "--out", str(out)]) == 0
+        assert f"status={status}" in capsys.readouterr().out
+        outcome = run_session(run(Scenario()), rounds, seed, sample_fraction=fraction)
+        assert out.read_bytes() == serialize_transcript(outcome.transcript)
+    kinds = [message.kind for message in outcome.transcript]
+    assert kinds == [MessageKind.BASIS_ANNOUNCE, MessageKind.BASIS_ANNOUNCE, MessageKind.ABORT]
+    assert outcome.abort_reason == "sifting:too-few-raw-rounds"
+
+
+def test_session_memory_stays_near_its_rounds(tmp_path, capsys):
+    """A session peaks at most 20 bytes a round above where it starts, under tracemalloc.
+
+    The lasting state is 5 bytes a round of rounds and 8 of basis
+    announcements; on top of the rounds come either sifting's 8-byte
+    positions or the announcement being built, never both (29.8 bytes a
+    round when the CLI joined the transcript before writing it).
+    """
+    n = 200_000
+    path = write_scenario(tmp_path, "s.json", {"rounds": n})
+    argv = ["session", "--scenario", path, "--out", str(tmp_path / "session.bin")]
+    device = run(Scenario(node_fidelity=0.97))
+    assert main(argv) == 0  # warm the link's caches
+    calls = (("cli", lambda: main(argv)), ("run_session", lambda: run_session(device, n, 7)))
+    for case, call in calls:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak / n <= 20, (case, peak / n)
+    capsys.readouterr()
 
 
 def test_session_command_seed_override_changes_output(tmp_path, capsys):

@@ -219,6 +219,47 @@ def test_simulate_rounds_and_sift_match_the_reference():
                     assert_same_sift(make_records(columns), seed, case)
 
 
+def one_shot_simulate_rounds(device, n_rounds, seed):
+    """``simulate_rounds``' sampling with every draw in one call, on full-length columns."""
+    n_x, n_y, n_a, n_b = device.table.probabilities.shape
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, n_x, size=n_rounds).astype(np.int8)
+    y = rng.integers(0, n_y, size=n_rounds).astype(np.int8)
+    u = rng.random(n_rounds)
+    heralded = u < device.herald_probability
+    rng.random(out=u)
+    cell = x * np.int8(n_y) + y
+    cell[~heralded] = n_x * n_y
+    table, edges = keyproto._outcome_table(device.table.probabilities)
+    u *= keyproto._BUCKETS
+    index = u.astype(np.intp)
+    index *= table.shape[1]
+    index += cell
+    joint = table.reshape(-1)[index]
+    unresolved = np.flatnonzero(joint < 0)
+    joint[unresolved] = (edges[cell[unresolved]] <= u[unresolved, None]).sum(axis=1)
+    codes = np.arange(n_a * n_b)
+    a = np.take((codes // n_b).astype(np.int8), joint)
+    b = np.take((codes % n_b).astype(np.int8), joint)
+    return Rounds(x=x, y=y, a=a, b=b, heralded=heralded)
+
+
+def test_chunked_simulation_matches_one_shot_draws():
+    """Rounds drawn chunk by chunk equal the one-call draws, across chunk edges."""
+    chunk = keyproto._ROUND_CHUNK
+    # Fully heralded; partly heralded.
+    for scenario in (Scenario(), Scenario(architecture="third_party", pair_prob=0.05)):
+        device = run(scenario)
+        for n in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+            for seed in (0, 5):
+                rounds = simulate_rounds(device, n, seed)
+                expected = one_shot_simulate_rounds(device, n, seed)
+                for c in COLUMNS:
+                    got, want = getattr(rounds, c), getattr(expected, c)
+                    case = (scenario, n, seed, c)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), case
+
+
 def test_simulate_rounds_keeps_narrow_columns():
     """int8 settings and outcomes with bool herald flags, in bytes a round under tracemalloc."""
     rounds = simulate_rounds(run(Scenario(architecture="third_party", pair_prob=0.05)), 1000, 0)
