@@ -32,6 +32,8 @@ not used here; the tests check the evaluator against it.
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -64,6 +66,18 @@ SINGLET_BOB_ANGLES = (5 * np.pi / 4, 3 * np.pi / 4)
 _THRESHOLD_START = (0.1, *SINGLET_ALICE_ANGLES, *SINGLET_BOB_ANGLES)
 
 
+def _require_number(name: str, value) -> None:
+    """Reject ``value`` by ``name`` unless it is a real number.
+
+    A bool is not one, although Python converts and compares it like one,
+    and neither is a string that ``float`` would parse.
+    """
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+
+
 #: Signs of the CHSH correlators ``[[<A0B0>, <A0B1>], [<A1B0>, <A1B1>]]``.
 CHSH_SIGNS = np.array([[1.0, 1.0], [1.0, -1.0]])
 CHSH_SIGNS.setflags(write=False)
@@ -91,7 +105,7 @@ def _chsh_of(p: np.ndarray) -> float:
     corr = _correlators(p)
     if corr.shape != CHSH_SIGNS.shape:
         raise DimensionMismatchError(f"CHSH needs 2 x 2 settings, table has {corr.shape}")
-    return float(np.sum(CHSH_SIGNS * corr))
+    return float((CHSH_SIGNS * corr).sum())
 
 
 def local_bound() -> float:
@@ -182,18 +196,18 @@ def _family_threshold(params: Sequence[float]) -> tuple[float, float]:
     in closed form.  ``CHSH_SIGNS`` sums to ``(2, 0)`` along both axes, so
     each marginal term is twice its setting-0 value.
 
-    Python floats throughout: the optimized search evaluates this 2082
-    times, and on 5-element arrays numpy's per-call dispatch would cost
-    more than the arithmetic.  ``math.cos`` and ``math.sin`` of
-    ``2.0 * theta`` and the four angles equal ``np.cos`` and ``np.sin``
-    of them bit for bit where numpy uses the C library's functions;
+    ``params`` may be a list, as :func:`minimize` passes it, or an
+    ndarray: ``map(float, params)`` gives the same Python floats from
+    either.  ``math.cos`` and ``math.sin`` of ``2.0 * theta`` and the four
+    angles equal ``np.cos`` and ``np.sin`` of them bit for bit where numpy
+    uses the C library's functions;
     ``test_family_threshold_is_the_numpy_form_bit_for_bit`` checks it.
 
     Returns:
         ``(eta_critical, chsh_at_unit_efficiency)``; ``eta_critical`` is 1.0
         when the configuration does not violate CHSH.
     """
-    theta, a0, a1, b0, b1 = np.asarray(params, dtype=float).tolist()
+    theta, a0, a1, b0, b1 = map(float, params)
     angles = (2.0 * theta, a0, a1, b0, b1)
     c2t, ca0, ca1, cb0, cb1 = map(math.cos, angles)
     s2t, sa0, sa1, sb0, sb1 = map(math.sin, angles)
@@ -210,7 +224,7 @@ def _family_threshold(params: Sequence[float]) -> tuple[float, float]:
     return min(max(eta, 0.0), 1.0), e_tot
 
 
-def _threshold_objective(params: np.ndarray) -> float:
+def _threshold_objective(params: Sequence[float]) -> float:
     """Nelder-Mead objective of the optimized ``critical_efficiency`` search.
 
     The critical efficiency where the family state violates CHSH, and
@@ -230,12 +244,31 @@ class _Minimum(NamedTuple):
     nit: int
 
 
-class _EvaluationCapReached(Exception):
-    """Raised in place of an objective evaluation past ``maxfev``."""
+def _converged(sim: list[list[float]], fsim: list[float], xatol: float, fatol: float) -> bool:
+    """SciPy's Nelder-Mead stopping test on the sorted simplex ``sim``, ``fsim``.
+
+    Every value within ``fatol`` of the best and every coordinate within
+    ``xatol`` of the best vertex's.  Written so that NaN fails it.
+    """
+    f0 = fsim[0]
+    for f in fsim[1:]:
+        if not abs(f0 - f) <= fatol:
+            return False
+    best = sim[0]
+    for vertex in sim[1:]:
+        for a, b in zip(vertex, best):
+            if not abs(a - b) <= xatol:
+                return False
+    return True
+
+
+def _argsort(values: list[float]) -> list[int]:
+    """SciPy's vertex order of ``values``: an ndarray's ``argsort``, NaN last."""
+    return np.array(values).argsort().tolist()
 
 
 def minimize(
-    objective: Callable[[np.ndarray], float],
+    objective: Callable[[list[float]], float],
     x0: Sequence[float],
     *,
     xatol: float,
@@ -248,16 +281,32 @@ def minimize(
     Step for step SciPy 1.17's ``minimize(method="Nelder-Mead")`` with no
     bounds, ``adaptive=False`` and its default initial simplex, so ``x``,
     ``fun``, ``nfev`` and ``nit`` equal SciPy's bit for bit
-    (``test_minimize_is_scipy_nelder_mead_bit_for_bit``).  That takes
-    SciPy's exact arithmetic: each centroid coordinate adds the vertices'
-    coordinates one at a time, in vertex order, from 0.0, then divides by
-    N (not ``sum()``, which adds floats with compensation from Python
-    3.12), and the vertices are ordered by an ndarray's ``argsort``,
-    which is not stable on every host, so tied objective values (the
-    threshold objective clips to [0, 1]) order as they do in SciPy.  An
-    evaluation past ``maxfev`` is not made: its iteration is abandoned
-    and the vertices re-sorted.  ``maxiter`` counts iterations from 1.
-    A module-level name because the bench tracer wraps
+    (``test_minimize_is_scipy_nelder_mead_bit_for_bit``).  ``objective``
+    is called with each vertex as a list of Python floats, where SciPy
+    passes an ndarray of the same values; it must not keep or change it.
+
+    That takes SciPy's exact arithmetic: each centroid coordinate adds the
+    vertices' coordinates one at a time, in vertex order, from 0.0, then
+    divides by N (not ``sum()``, which adds floats with compensation from
+    Python 3.12).  It also takes SciPy's vertex order, which an ndarray's
+    ``argsort`` decides (``_argsort``).  That sort is not stable on every
+    host, so tied values (the threshold objective clips to [0, 1]) may
+    come out in any order.  When every value is distinct, though, the
+    ascending order is the only answer any algorithm can give.  So a step
+    that replaces only the worst vertex (reflection, expansion,
+    contraction) inserts it into the ordered others with ``bisect_left``
+    while the values stay distinct.  ``_argsort`` orders the vertices, as
+    in SciPy, after a shrink or an abandoned step, when the new value ties
+    another, and whenever the last ``_argsort`` found ties, whose order it
+    may have permuted, or a NaN, which numpy sorts last.  A step never
+    keeps a NaN: every comparison with one fails, so a NaN reflection or
+    contraction point leads to a contraction or a shrink, and a NaN
+    expansion point loses to the reflection point.
+
+    An evaluation past ``maxfev`` is not made: its iteration is abandoned,
+    not counted, and the vertices re-sorted; a shrink keeps the vertices
+    it already moved.  ``maxiter`` counts iterations from 1.  A
+    module-level name because the bench tracer wraps
     ``bellcert.minimize`` and reads ``nfev`` from its result.
     """
     n = len(x0)
@@ -270,66 +319,86 @@ def minimize(
     fsim = [math.inf] * (n + 1)
     nfev = 0
 
-    def evaluate(vertex: list[float]) -> float:
-        nonlocal nfev
-        if nfev >= maxfev:
-            raise _EvaluationCapReached
-        nfev += 1
-        return float(objective(np.array(vertex)))
-
-    def sort() -> None:
-        order = np.array(fsim).argsort().tolist()
+    def argsort() -> bool:
+        """Order the vertices by ``_argsort``; whether every value is then distinct."""
+        order = _argsort(fsim)
         sim[:] = [sim[i] for i in order]
         fsim[:] = [fsim[i] for i in order]
+        for k in range(n):
+            if not fsim[k] < fsim[k + 1]:
+                return False
+        return True
 
-    try:
-        for k in range(n + 1):
-            fsim[k] = evaluate(sim[k])
-    except _EvaluationCapReached:
-        pass
-    sort()
-    sort()  # as SciPy does: argsort need not leave sorted ties in place
+    for k in range(n + 1):
+        if nfev >= maxfev:
+            break
+        nfev += 1
+        fsim[k] = float(objective(sim[k]))
+    argsort()
+    # Twice, as SciPy does: argsort need not leave sorted ties in place.
+    # ``distinct``: whether the last argsort found every value distinct.
+    distinct = argsort()
     nit = 1
     while nfev < maxfev and nit < maxiter:
-        best, worst = sim[0], sim[-1]
-        if all(abs(fsim[0] - f) <= fatol for f in fsim[1:]) and all(
-            abs(a - b) <= xatol for v in sim[1:] for a, b in zip(v, best)
-        ):
+        if _converged(sim, fsim, xatol, fatol):
             break
+        best, worst = sim[0], sim[-1]
         xbar = []
         for column in zip(*sim[:-1]):
             t = 0.0
             for c in column:
                 t += c
             xbar.append(t / n)
-        try:
-            xr = [2 * c - w for c, w in zip(xbar, worst)]
-            fxr = evaluate(xr)
-            if fxr < fsim[0]:
+        # The step's replacement for the worst vertex; None after a shrink
+        # or an abandoned step.
+        new = None
+        xr = [2 * c - w for c, w in zip(xbar, worst)]
+        nfev += 1
+        fxr = float(objective(xr))
+        if fxr < fsim[0]:
+            if nfev < maxfev:
                 xe = [3 * c - 2 * w for c, w in zip(xbar, worst)]
-                fxe = evaluate(xe)
-                sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            else:
-                if fxr < fsim[-1]:  # outside contraction
-                    xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
-                    fxc = evaluate(xc)
-                    shrink = not fxc <= fxr
-                else:  # inside contraction
-                    xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
-                    fxc = evaluate(xc)
-                    shrink = not fxc < fsim[-1]
-                if not shrink:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    for j in range(1, n + 1):
-                        sim[j] = [b + 0.5 * (c - b) for b, c in zip(best, sim[j])]
-                        fsim[j] = evaluate(sim[j])
+                nfev += 1
+                fxe = float(objective(xe))
+                new = (xe, fxe) if fxe < fxr else (xr, fxr)
+                nit += 1
+        elif fxr < fsim[-2]:
+            new = (xr, fxr)
             nit += 1
-        except _EvaluationCapReached:
-            pass
-        sort()
+        elif nfev < maxfev:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = [1.5 * c - 0.5 * w for c, w in zip(xbar, worst)]
+                nfev += 1
+                fxc = float(objective(xc))
+                shrink = not fxc <= fxr
+            else:  # inside contraction
+                xc = [0.5 * c + 0.5 * w for c, w in zip(xbar, worst)]
+                nfev += 1
+                fxc = float(objective(xc))
+                shrink = not fxc < fsim[-1]
+            if not shrink:
+                new = (xc, fxc)
+                nit += 1
+            else:
+                for j in range(1, n + 1):
+                    sim[j] = [b + 0.5 * (c - b) for b, c in zip(best, sim[j])]
+                    if nfev >= maxfev:
+                        break
+                    nfev += 1
+                    fsim[j] = float(objective(sim[j]))
+                else:
+                    nit += 1
+        if new is not None and distinct:
+            x, fx = new
+            k = bisect_left(fsim, fx, 0, n)
+            if k == n or fsim[k] != fx:
+                del sim[-1], fsim[-1]
+                sim.insert(k, x)
+                fsim.insert(k, fx)
+                continue
+        if new is not None:
+            sim[-1], fsim[-1] = new
+        distinct = argsort()
     return _Minimum(x=np.array(sim[0]), fun=fsim[0], nfev=nfev, nit=nit)
 
 
@@ -361,10 +430,15 @@ def critical_efficiency(theta: float | None = None) -> EfficiencyThresholdResult
         never violates CHSH and there is nothing to certify.
 
     Raises:
-        ValueError: If ``theta`` is not finite.
+        ValueError: If ``theta`` is not a real number (a bool or a string
+            is not one) or not finite.
     """
     if theta is not None:
-        theta = float(theta)
+        _require_number("theta", theta)
+        try:
+            theta = float(theta)
+        except OverflowError:
+            raise ValueError("theta must be finite, got a number no float can hold") from None
         if not math.isfinite(theta):
             raise ValueError(f"theta must be finite, got {theta}")
         params = np.array([theta, *FAMILY_ALICE_ANGLES, *FAMILY_BOB_ANGLES])
@@ -516,11 +590,13 @@ def loophole_attack(eta: float) -> AttackResult:
     for ``eta <= 3/4``.
 
     Args:
-        eta: Required click probability per party and input, in ``(0, 1]``.
+        eta: Required click probability per party and input, a real number
+            (not a bool or a string) in ``(0, 1]``.
 
     Returns:
         An :class:`AttackResult`; ``chsh`` is a feasible (achievable) value.
     """
+    _require_number("eta", eta)
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     return _attack_result(eta, _candidate_ensemble(eta))
@@ -533,9 +609,10 @@ def loophole_attack_curve(etas: Sequence[float]) -> list[AttackResult]:
     monotone non-increasing in ``eta`` without any carry between points.
 
     Args:
-        etas: Efficiencies in ``(0, 1]``, any order.
+        etas: Efficiencies in ``(0, 1]``, any order, each checked as
+            :func:`loophole_attack` checks its ``eta``.
 
     Returns:
         Results aligned with the input order.
     """
-    return [loophole_attack(float(eta)) for eta in etas]
+    return [loophole_attack(eta) for eta in etas]

@@ -208,17 +208,17 @@ class CorrelationTable:
                 f"probabilities need at least one setting and outcome per axis, got {arr.shape}"
             )
         # Comparisons written so that NaN fails them.
-        if not np.min(arr, initial=0.0) >= -1e-9:
+        if not arr.min(initial=0.0) >= -1e-9:
             raise StateValidationError(
-                f"negative or NaN probability {np.min(arr):.3e} in correlation table"
+                f"negative or NaN probability {arr.min():.3e} in correlation table"
             )
-        sums = arr.sum(axis=(2, 3))
-        if not np.max(np.abs(sums - 1.0)) <= 1e-7:
+        deviation = np.abs(arr.sum(axis=(2, 3)) - 1.0).max()
+        if not deviation <= 1e-7:
             raise StateValidationError(
                 "each setting pair must carry a normalized distribution; "
-                f"worst deviation {np.max(np.abs(sums - 1.0)):.3e}"
+                f"worst deviation {deviation:.3e}"
             )
-        np.clip(arr, 0.0, None, out=arr)
+        arr.clip(0.0, None, out=arr)
         arr.setflags(write=False)
         object.__setattr__(self, "probabilities", arr)
 

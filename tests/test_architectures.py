@@ -102,6 +102,49 @@ def test_scenario_validation_messages():
         Scenario(node_fidelity=1.5)
 
 
+# Each numeric Scenario field's range, as its rejection message words it.
+_SCENARIO_RULES = {
+    "distance_km": "must be non-negative and finite",
+    "attenuation_db_per_km": "must be non-negative and finite",
+    "detector_efficiency": "must lie in [0, 1]",
+    "pair_prob": "must lie in [0, 1)",
+    "amplifier_transmission": "must lie in (0, 1)",
+    "dark_count_prob": "must lie in [0, 1]",
+    "repetition_rate_hz": "must be positive and finite",
+    "readout_time_s": "must be non-negative and finite",
+    "node_fidelity": "must lie in [0, 1]",
+    "source_position": "must lie in [0, 1]",
+}
+
+
+def test_scenario_checks_every_kind_of_number_on_every_field():
+    # A plain float skips the type check's ABC test; every other kind of
+    # value still takes it, and every value its field's range check.
+    # 0.5 lies in every range; 1 lies in all but the two open at 1.
+    assert set(_SCENARIO_RULES) == {f.name for f in dataclasses.fields(Scenario)} - {
+        "architecture"
+    }
+    base = Scenario()
+    for name, rule in _SCENARIO_RULES.items():
+        open_at_one = rule.endswith("1)")
+        cases = (
+            (0.5, None),
+            (np.float64(0.5), None),
+            (1, f"{name} {rule}, got 1" if open_at_one else None),
+            (True, f"{name} must be a number, got True"),
+            (float("nan"), f"{name} {rule}, got nan"),
+            (np.float64("nan"), f"{name} {rule}, got nan"),
+            (10**400, f"{name} {rule}, got a number no float can hold"),
+        )
+        for value, message in cases:
+            if message is None:
+                assert getattr(dataclasses.replace(base, **{name: value}), name) is value
+            else:
+                with pytest.raises(ValueError) as rejected:
+                    dataclasses.replace(base, **{name: value})
+                assert str(rejected.value) == message
+
+
 def test_matter_node_preset():
     m = matter_node_scenario(distance_km=1.0)
     assert m.node_fidelity == pytest.approx(0.9)

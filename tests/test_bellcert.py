@@ -1,5 +1,7 @@
 """Tests for Bell-inequality evaluation, thresholds and attacks."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -297,6 +299,7 @@ def test_minimize_matches_scipy_from_random_starts():
 
 def _staircase(x):
     """A quadratic rounded down to quarters: flat steps, so vertex values tie."""
+    x = np.asarray(x, dtype=float)
     return float(np.floor(4.0 * np.sum((x - 0.3) ** 2))) / 4.0
 
 
@@ -331,6 +334,109 @@ def test_minimize_stops_at_its_caps_as_scipy_does(maxiter, maxfev):
                 objective, x0, xatol=-1.0, fatol=-1.0, maxiter=maxiter, maxfev=maxfev
             )
             assert res.nfev == maxfev or res.nit == maxiter
+
+
+def _record_ordering(monkeypatch):
+    """Record how ``minimize`` orders its vertices, one step at a time.
+
+    Returns ``(steps, sorted_values)``.  ``steps`` gets a ``b`` for each
+    insertion tried with ``bisect_left``, and a ``d`` or ``t`` for each
+    ``_argsort`` of distinct values or of values with a tie or a NaN.  A
+    tie found by ``bisect_left`` falls back to an argsort at once, so a
+    ``b`` followed by another ``b`` or by nothing is an insertion.
+    ``sorted_values`` gets the values of each ``_argsort``.
+    """
+    steps, sorted_values = [], []
+    argsort, bisect_left = bellcert._argsort, bellcert.bisect_left
+
+    def recording_argsort(values):
+        tied = len(set(values)) < len(values) or bool(np.isnan(values).any())
+        steps.append("t" if tied else "d")
+        sorted_values.append(list(values))
+        return argsort(values)
+
+    def recording_bisect_left(*args):
+        steps.append("b")
+        return bisect_left(*args)
+
+    monkeypatch.setattr(bellcert, "_argsort", recording_argsort)
+    monkeypatch.setattr(bellcert, "bisect_left", recording_bisect_left)
+    return steps, sorted_values
+
+
+def _nan_beyond_one(x):
+    """A quadratic bowl that is NaN where ``x[0] > 1``."""
+    x = np.asarray(x, dtype=float)
+    return np.nan if x[0] > 1.0 else float(np.sum((x - 0.3) ** 2))
+
+
+def test_minimize_orders_nan_values_as_scipy_does(monkeypatch):
+    # The start lies just inside the bowl and its first step, x0[0] * 1.05,
+    # beyond it: the initial simplex holds a NaN, which numpy sorts last.
+    steps, sorted_values = _record_ordering(monkeypatch)
+    rng = np.random.default_rng(23)
+    for x0 in rng.uniform(-1.0, 1.0, size=(10, 3)):
+        x0[0] = rng.uniform(0.96, 0.99)
+        steps.clear()
+        sorted_values.clear()
+        res = _search_matches_scipy(
+            _nan_beyond_one, x0, xatol=1e-8, fatol=1e-8, maxiter=400, maxfev=800
+        )
+        assert np.isnan(sorted_values[0][1]) and np.isnan(sorted_values[1][-1])
+        assert np.isfinite(res.fun)
+        assert re.search(r"b(?![dt])", "".join(steps))
+
+
+def _signed_zero_floor(x):
+    """A quadratic bowl floored at zero, -0.0 or 0.0 by the parity of ``floor(64 x[0])``."""
+    x = np.asarray(x, dtype=float)
+    q = float(np.sum((x - 0.3) ** 2)) - 0.5
+    if q > 0.0:
+        return q
+    return -0.0 if np.floor(64.0 * x[0]) % 2 else 0.0
+
+
+def test_minimize_orders_signed_zeros_as_scipy_does(monkeypatch):
+    # -0.0 == 0.0, so numpy orders the two zeros as a tie; which one the
+    # search ends on shows in the sign bit of ``fun``.
+    options = {"xatol": 1e-8, "fatol": 1e-8, "maxiter": 400, "maxfev": 800}
+    _, sorted_values = _record_ordering(monkeypatch)
+    rng = np.random.default_rng(29)
+    for x0 in rng.uniform(-2.0, 2.0, size=(10, 3)):
+        sorted_values.clear()
+        res = _search_matches_scipy(_signed_zero_floor, x0, **options)
+        ref = minimize(_signed_zero_floor, x0, method="Nelder-Mead", options=options)
+        assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
+        assert any(
+            {np.copysign(1.0, v) for v in values if v == 0.0} == {-1.0, 1.0}
+            for values in sorted_values
+        )
+
+
+def _fine_staircase(x):
+    """A quadratic bowl rounded down to 1/64 outside ``q < 0.25``, exact inside."""
+    x = np.asarray(x, dtype=float)
+    q = float(np.sum((x - 0.3) ** 2))
+    return q if q < 0.25 else np.floor(64.0 * q) / 64.0
+
+
+def test_minimize_inserts_and_falls_back_to_argsort_in_one_search(monkeypatch):
+    # Values tie on the steps the search crosses mid-way and clear in the
+    # exact bowl, so one search inserts, falls back to argsort on a tie,
+    # and inserts again.
+    steps, _ = _record_ordering(monkeypatch)
+    rng = np.random.default_rng(11)
+    starts = rng.uniform(-2.0, 2.0, size=(10, 3))
+    crossings = 0
+    for x0 in starts:
+        steps.clear()
+        _search_matches_scipy(
+            _fine_staircase, x0, xatol=1e-8, fatol=1e-8, maxiter=400, maxfev=800
+        )
+        # An insertion, a later argsort that finds ties, and a later
+        # insertion again.
+        crossings += bool(re.search(r"b(?![dt]).*t.*b(?![dt])", "".join(steps)))
+    assert crossings >= len(starts) // 2
 
 
 def test_critical_efficiency_reports_no_violation():
@@ -428,7 +534,17 @@ REJECTED_INPUTS = (
         r"CHSH needs 2 x 2 settings, table has \(2, 3\)",
     ),
     (lambda: critical_efficiency(np.nan), ValueError, "theta must be finite, got nan"),
+    (lambda: critical_efficiency("0.7"), ValueError, "theta must be a number, got '0.7'"),
+    (lambda: critical_efficiency(True), ValueError, "theta must be a number, got True"),
+    (
+        lambda: critical_efficiency(10**400),
+        ValueError,
+        "theta must be finite, got a number no float can hold",
+    ),
     (lambda: loophole_attack(0.0), ValueError, r"eta must lie in \(0, 1\], got 0.0"),
+    (lambda: loophole_attack("0.7"), ValueError, "eta must be a number, got '0.7'"),
+    (lambda: loophole_attack(True), ValueError, "eta must be a number, got True"),
+    (lambda: loophole_attack_curve([0.9, "0.7"]), ValueError, "eta must be a number, got '0.7'"),
     (
         lambda: bin_no_click(CorrelationTable(np.ones((1, 1, 1, 1)))),
         DimensionMismatchError,
