@@ -597,6 +597,12 @@ def loophole_attack(eta: float) -> AttackResult:
         An :class:`AttackResult`; ``chsh`` is a feasible (achievable) value.
     """
     _require_number("eta", eta)
+    # An int no float can hold is refused by name: the range message below
+    # would print all of its digits.
+    try:
+        float(eta)
+    except OverflowError:
+        raise ValueError("eta must lie in (0, 1], got a number no float can hold") from None
     if not 0.0 < eta <= 1.0:
         raise ValueError(f"eta must lie in (0, 1], got {eta}")
     return _attack_result(eta, _candidate_ensemble(eta))

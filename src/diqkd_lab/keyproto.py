@@ -10,7 +10,9 @@ channel and drive the standard pipeline:
    confidence ``_CONFIDENCE`` (1 - 1e-6),
 4. two-pass parity-bisection reconciliation with a verification hash,
 5. Toeplitz-hash privacy amplification, evaluated by FFT and sized by the
-   worst-case key rate, less the leakage and ``_SECURITY_MARGIN`` (64) bits.
+   worst-case key rate, less the leakage and ``_SECURITY_MARGIN`` (64) bits;
+   Bob's key is hashed from his own string only when it differs from
+   Alice's, so a verified session hashes once.
 
 A session runs on a *device*: a conditional measurement table and a
 herald probability, such as ``architectures.run`` returns for a photonic
@@ -378,7 +380,8 @@ def simulate_rounds(
     1.0, above every ``u``, that is an outcome.  It is read from a table of
     ``_BUCKETS`` equal slices of ``[0, 1)`` per cell (a guide table: Chen &
     Asau, AIIE Trans. 6, 163 (1974)), and counted directly for the rounds
-    whose slice holds an edge.
+    whose slice holds an edge.  The index ``a * 4 + b`` is split into the
+    outcome columns by a shift and a mask.
 
     Args:
         device: What the parties measure: ``device.table`` holds
@@ -403,7 +406,7 @@ def simulate_rounds(
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
     if n_rounds > MAX_ROUNDS:
         raise ValueError(f"n_rounds must be at most {MAX_ROUNDS}, got {n_rounds}")
-    n_x, n_y, n_a, n_b = shape = device.table.probabilities.shape
+    n_x, n_y, _, n_b = shape = device.table.probabilities.shape
     if shape != _DEVICE_SHAPE:
         raise ValueError(f"device table needs shape {_DEVICE_SHAPE}, got {shape}")
     if not 0.0 <= device.herald_probability <= 1.0:
@@ -419,8 +422,10 @@ def simulate_rounds(
     for chunk in chunks:
         np.less(rng.random(heralded[chunk].size), device.herald_probability, out=heralded[chunk])
     table, edges = _outcome_table(device.table.probabilities)
-    codes = np.arange(n_a * n_b)
-    a_codes, b_codes = (codes // n_b).astype(np.int8), (codes % n_b).astype(np.int8)
+    # A joint code is a * n_b + b.  The shape check holds n_b to
+    # _DEVICE_SHAPE's len(OUTCOME_CODES) = 4, a power of two, so a shift and
+    # a mask split the code with no table lookup.
+    shift, mask = n_b.bit_length() - 1, n_b - 1
     for chunk in chunks:
         # Setting cell x * n_y + y of each round; non-heralded rounds take the
         # extra cell n_x * n_y, whose outcome is always the no-click pair.
@@ -437,9 +442,8 @@ def simulate_rounds(
         joint = table.reshape(-1)[index]
         unresolved = np.flatnonzero(joint < 0)
         joint[unresolved] = (edges[cell[unresolved]] <= u[unresolved, None]).sum(axis=1)
-        # take, not fancy indexing: this numpy casts an int8 index to intp faster.
-        np.take(a_codes, joint, out=a[chunk])
-        np.take(b_codes, joint, out=b[chunk])
+        np.right_shift(joint, shift, out=a[chunk])
+        np.bitwise_and(joint, mask, out=b[chunk])
     return Rounds(x=x, y=y, a=a, b=b, heralded=heralded)
 
 
@@ -780,6 +784,11 @@ def run_session(
     whole session -- including the serialized transcript -- is a pure
     function of ``(device, n_rounds, seed)``.
 
+    Both parties hash with the announced seed.  Bob runs
+    :func:`privacy_amplify` on his own string only when it differs from
+    Alice's; after a verified reconciliation it normally equals hers, and
+    his key is then a copy of her key, which the same hash would give.
+
     Args:
         device: What the parties measure, as :func:`simulate_rounds` reads
             it: ``run(scenario)`` for a photonic link.
@@ -835,7 +844,11 @@ def run_session(
         pa_seed = alice_rng.bytes(32)
         transcript.send("alice", MessageKind.HASH_SEED, pa_seed)
         alice_key = privacy_amplify(alice_raw, leakage, rate, pa_seed)
-        bob_key = privacy_amplify(recon.bits, leakage, rate, pa_seed)
+        # The same seed hashes an equal string to the same key.
+        if np.array_equal(recon.bits, alice_raw):
+            bob_key = alice_key.copy()
+        else:
+            bob_key = privacy_amplify(recon.bits, leakage, rate, pa_seed)
         if alice_key.size == 0:
             raise ProtocolAbort("amplification:zero-length")
         transcript.send("alice", MessageKind.DONE, struct.pack("<I", alice_key.size))

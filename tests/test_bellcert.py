@@ -545,6 +545,22 @@ REJECTED_INPUTS = (
     (lambda: loophole_attack("0.7"), ValueError, "eta must be a number, got '0.7'"),
     (lambda: loophole_attack(True), ValueError, "eta must be a number, got True"),
     (lambda: loophole_attack_curve([0.9, "0.7"]), ValueError, "eta must be a number, got '0.7'"),
+    # Anchored: the message names the overflow instead of printing the digits.
+    (
+        lambda: loophole_attack(10**400),
+        ValueError,
+        r"^eta must lie in \(0, 1\], got a number no float can hold$",
+    ),
+    (
+        lambda: loophole_attack(-(10**400)),
+        ValueError,
+        r"^eta must lie in \(0, 1\], got a number no float can hold$",
+    ),
+    (
+        lambda: loophole_attack_curve([0.9, 10**400]),
+        ValueError,
+        r"^eta must lie in \(0, 1\], got a number no float can hold$",
+    ),
     (
         lambda: bin_no_click(CorrelationTable(np.ones((1, 1, 1, 1)))),
         DimensionMismatchError,
@@ -556,5 +572,7 @@ REJECTED_INPUTS = (
 def test_rejected_inputs_name_the_input():
     # One test over a case table so the test keeps a single, stable id.
     for call, error, message in REJECTED_INPUTS:
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as caught:
             call()
+        # No message prints an input at unbounded length.
+        assert len(str(caught.value)) <= 100, message

@@ -1,5 +1,6 @@
 """Tests for the device-independent key-distillation protocol."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -257,6 +258,32 @@ def test_chunked_simulation_matches_one_shot_draws():
                 for c in COLUMNS:
                     got, want = getattr(rounds, c), getattr(expected, c)
                     case = (scenario, n, seed, c)
+                    assert got.dtype == want.dtype and np.array_equal(got, want), case
+
+
+def test_outcome_columns_match_the_lookup_oracle():
+    """The shifted and masked outcome columns equal the ``np.take`` lookup of each joint code.
+
+    Random tables put edges inside guide-table slices, so rounds take both
+    the table and the counted path; the herald probabilities cover every
+    round heralded and most not.
+    """
+    chunk = keyproto._ROUND_CHUNK
+    assert keyproto._DEVICE_SHAPE[3] & (keyproto._DEVICE_SHAPE[3] - 1) == 0
+    table_rng = np.random.default_rng(2024)
+    for _ in range(3):
+        probabilities = table_rng.random(keyproto._DEVICE_SHAPE) ** 3
+        probabilities[table_rng.random(keyproto._DEVICE_SHAPE) < 0.2] = 0.0
+        probabilities /= probabilities.sum(axis=(2, 3), keepdims=True)
+        assert (keyproto._outcome_table(probabilities)[0] < 0).any()
+        for herald_probability in (1.0, 0.3):
+            device = as_device(probabilities, herald_probability)
+            for n, seed in ((1_000, 0), (chunk + 17, 1), (2 * chunk - 5, 2)):
+                rounds = simulate_rounds(device, n, seed)
+                expected = one_shot_simulate_rounds(device, n, seed)
+                for c in COLUMNS:
+                    got, want = getattr(rounds, c), getattr(expected, c)
+                    case = (herald_probability, n, seed, c)
                     assert got.dtype == want.dtype and np.array_equal(got, want), case
 
 
@@ -693,6 +720,53 @@ def test_run_session_leakage_for_error_free_key():
     block = min(n, math.ceil(0.73 * n))  # q_hat = 0 floors at one error in n
     expected = math.ceil(n / block) + math.ceil(n / min(n, 2 * block)) + 64
     assert outcome.leakage_bits == expected
+
+
+def counted_calls(monkeypatch, name):
+    """Replace ``keyproto.<name>`` with a wrapper; returns the list of its calls' arguments."""
+    calls = []
+    real = getattr(keyproto, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(keyproto, name, wrapper)
+    return calls
+
+
+def test_verified_session_hashes_its_key_once(monkeypatch):
+    calls = counted_calls(monkeypatch, "privacy_amplify")
+    outcome = run_session(run(Scenario()), 60_000, seed=42, sample_fraction=0.5)
+    assert outcome.status == "key"
+    assert len(calls) == 1
+    np.testing.assert_array_equal(outcome.bob_key_bits, outcome.alice_key_bits)
+    assert not np.shares_memory(outcome.bob_key_bits, outcome.alice_key_bits)
+
+
+def test_verified_string_that_differs_is_hashed_on_its_own(monkeypatch):
+    """Bob's key comes from his own bits when they pass verification but differ from Alice's."""
+    real_reconcile = keyproto.reconcile
+    bob_bits = []
+
+    def one_bit_off(*args, **kwargs):
+        result = real_reconcile(*args, **kwargs)
+        assert result.verified
+        bits = result.bits.copy()
+        bits[len(bits) // 2] ^= 1
+        bob_bits.append(bits)
+        return dataclasses.replace(result, bits=bits)
+
+    monkeypatch.setattr(keyproto, "reconcile", one_bit_off)
+    calls = counted_calls(monkeypatch, "privacy_amplify")
+    outcome = run_session(run(Scenario()), 60_000, seed=42, sample_fraction=0.5)
+    assert outcome.status == "key"
+    assert len(calls) == 2
+    # Reconciliation's permutation seed comes first; the last is the amplification's.
+    pa_seed = [m.payload for m in outcome.transcript if m.kind == MessageKind.HASH_SEED][-1]
+    expected = privacy_amplify(bob_bits[0], outcome.leakage_bits, outcome.worst_case_rate, pa_seed)
+    np.testing.assert_array_equal(outcome.bob_key_bits, expected)
+    assert not np.array_equal(outcome.bob_key_bits, outcome.alice_key_bits)
 
 
 def test_session_estimates_agree_with_the_link_model():
