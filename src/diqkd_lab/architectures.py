@@ -27,9 +27,6 @@ certification, never sifted out of it.
 
 from __future__ import annotations
 
-import dataclasses
-import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -63,7 +60,18 @@ from diqkd_lab.photonics import (
     spdc_source,
     tensor_modes,
 )
-from diqkd_lab.qstate import CorrelationTable, DimensionMismatchError, _disagreement
+from diqkd_lab.qstate import (
+    _NON_NEGATIVE,
+    _NOT_NAN,
+    _POSITIVE,
+    _UNIT,
+    _UNIT_OPEN,
+    _UNIT_OPEN_ABOVE,
+    CorrelationTable,
+    DimensionMismatchError,
+    _disagreement,
+    _real,
+)
 
 __all__ = [
     "ARCHITECTURES",
@@ -104,24 +112,19 @@ CHSH_TERMS = tuple(
 TSIRELSON = 2.0 * np.sqrt(2.0)
 
 
-# ``(rule, admits, fields)`` of each numeric Scenario range, in checking
-# order.  Written so that NaN, which fails every comparison, is rejected
-# too; the bounded ranges reject NaN and infinities by their bounds.
-_SCENARIO_RANGES = (
-    ("must be positive and finite", lambda v: 0 < v < math.inf, ("repetition_rate_hz",)),
-    (
-        "must be non-negative and finite",
-        lambda v: 0 <= v < math.inf,
-        ("distance_km", "attenuation_db_per_km", "readout_time_s"),
-    ),
-    (
-        "must lie in [0, 1]",
-        lambda v: 0.0 <= v <= 1.0,
-        ("detector_efficiency", "dark_count_prob", "source_position", "node_fidelity"),
-    ),
-    ("must lie in [0, 1)", lambda v: 0.0 <= v < 1.0, ("pair_prob",)),
-    ("must lie in (0, 1)", lambda v: 0.0 < v < 1.0, ("amplifier_transmission",)),
-)
+# The range of each numeric Scenario field, every field but the architecture.
+_SCENARIO_RANGES = {
+    "distance_km": _NON_NEGATIVE,
+    "attenuation_db_per_km": _NON_NEGATIVE,
+    "detector_efficiency": _UNIT,
+    "pair_prob": _UNIT_OPEN_ABOVE,
+    "amplifier_transmission": _UNIT_OPEN,
+    "dark_count_prob": _UNIT,
+    "repetition_rate_hz": _POSITIVE,
+    "readout_time_s": _NON_NEGATIVE,
+    "node_fidelity": _UNIT,
+    "source_position": _UNIT,
+}
 
 
 class NeverHeraldsError(RuntimeError):
@@ -174,33 +177,8 @@ class Scenario:
             raise ValueError(
                 f"unknown architecture {self.architecture!r}; expected one of {ARCHITECTURES}"
             )
-        # Every field but the architecture is a number; a bool is not one,
-        # although Python compares it like one.  ``type(value) is float``
-        # spares plain floats the slower ABC check.
-        for name in _SCENARIO_NUMBERS:
-            value = getattr(self, name)
-            if type(value) is not float and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)
-            ):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        for rule, admits, names in _SCENARIO_RANGES:
-            for name in names:
-                value = getattr(self, name)
-                # Python compares an int exactly, so 10**400 < math.inf holds;
-                # the range is checked on the float that the model computes with.
-                try:
-                    admitted = admits(float(value))
-                except OverflowError:
-                    raise ValueError(f"{name} {rule}, got a number no float can hold") from None
-                if not admitted:
-                    raise ValueError(f"{name} {rule}, got {value}")
-
-
-# Scenario's numeric fields, every one but the architecture, in declaration
-# order, which is the order ``Scenario.__post_init__`` checks their types in.
-_SCENARIO_NUMBERS = tuple(
-    f.name for f in dataclasses.fields(Scenario) if f.name != "architecture"
-)
+        for name, rule in _SCENARIO_RANGES.items():
+            _real(name, getattr(self, name), rule)
 
 
 def matter_node_scenario(**overrides) -> Scenario:
@@ -250,8 +228,7 @@ class RunResult:
 
 def binary_entropy(p: float) -> float:
     """Binary Shannon entropy ``h(p)`` in bits."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability must lie in [0, 1], got {p}")
+    _real("probability", p, _UNIT)
     if p in (0.0, 1.0):
         return 0.0
     return float(-p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p))
@@ -271,10 +248,8 @@ def devetak_winter_rate(qber: float, chsh: float) -> float:
         chsh: CHSH value ``S``, not NaN; ``-inf`` gives 0 and ``+inf`` is
             clamped like any value above the maximum.
     """
-    if not 0.0 <= qber <= 1.0:
-        raise ValueError(f"qber must lie in [0, 1], got {qber}")
-    if math.isnan(chsh):
-        raise ValueError(f"chsh must be a number, got {chsh}")
+    _real("qber", qber, _UNIT)
+    _real("chsh", chsh, _NOT_NAN)
     if chsh <= 2.0:
         return 0.0
     s = min(float(chsh), TSIRELSON)

@@ -32,14 +32,19 @@ not used here; the tests check the evaluator against it.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from diqkd_lab.qstate import CorrelationTable, DimensionMismatchError
+from diqkd_lab.qstate import (
+    _FINITE,
+    _UNIT_OPEN_BELOW,
+    CorrelationTable,
+    DimensionMismatchError,
+    _real,
+)
 
 __all__ = [
     "CHSH_SIGNS",
@@ -64,18 +69,6 @@ SINGLET_BOB_ANGLES = (5 * np.pi / 4, 3 * np.pi / 4)
 
 # Start ``(theta, alice angles, bob angles)`` of the optimized threshold search.
 _THRESHOLD_START = (0.1, *SINGLET_ALICE_ANGLES, *SINGLET_BOB_ANGLES)
-
-
-def _require_number(name: str, value) -> None:
-    """Reject ``value`` by ``name`` unless it is a real number.
-
-    A bool is not one, although Python converts and compares it like one,
-    and neither is a string that ``float`` would parse.
-    """
-    if type(value) is not float and (
-        isinstance(value, bool) or not isinstance(value, numbers.Real)
-    ):
-        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 #: Signs of the CHSH correlators ``[[<A0B0>, <A0B1>], [<A1B0>, <A1B1>]]``.
@@ -430,17 +423,10 @@ def critical_efficiency(theta: float | None = None) -> EfficiencyThresholdResult
         never violates CHSH and there is nothing to certify.
 
     Raises:
-        ValueError: If ``theta`` is not a real number (a bool or a string
-            is not one) or not finite.
+        ValueError: If ``theta`` is not a finite number.
     """
     if theta is not None:
-        _require_number("theta", theta)
-        try:
-            theta = float(theta)
-        except OverflowError:
-            raise ValueError("theta must be finite, got a number no float can hold") from None
-        if not math.isfinite(theta):
-            raise ValueError(f"theta must be finite, got {theta}")
+        theta = _real("theta", theta, _FINITE)
         params = np.array([theta, *FAMILY_ALICE_ANGLES, *FAMILY_BOB_ANGLES])
     else:
         # The search ends on its tolerances after 2082 evaluations and 1193
@@ -590,21 +576,12 @@ def loophole_attack(eta: float) -> AttackResult:
     for ``eta <= 3/4``.
 
     Args:
-        eta: Required click probability per party and input, a real number
-            (not a bool or a string) in ``(0, 1]``.
+        eta: Required click probability per party and input, in ``(0, 1]``.
 
     Returns:
         An :class:`AttackResult`; ``chsh`` is a feasible (achievable) value.
     """
-    _require_number("eta", eta)
-    # An int no float can hold is refused by name: the range message below
-    # would print all of its digits.
-    try:
-        float(eta)
-    except OverflowError:
-        raise ValueError("eta must lie in (0, 1], got a number no float can hold") from None
-    if not 0.0 < eta <= 1.0:
-        raise ValueError(f"eta must lie in (0, 1], got {eta}")
+    _real("eta", eta, _UNIT_OPEN_BELOW)
     return _attack_result(eta, _candidate_ensemble(eta))
 
 

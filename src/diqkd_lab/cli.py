@@ -23,7 +23,6 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import struct
 import sys
 from dataclasses import dataclass
@@ -32,10 +31,18 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from diqkd_lab.architectures import NeverHeraldsError, Scenario, run, secret_bits_per_second
+from diqkd_lab.architectures import (
+    _SCENARIO_RANGES,
+    NeverHeraldsError,
+    Scenario,
+    run,
+    secret_bits_per_second,
+)
 from diqkd_lab.bellcert import critical_efficiency, loophole_attack_curve
 from diqkd_lab.keyproto import MAX_ROUNDS, run_session, transcript_records
 from diqkd_lab.photonics import distance_to_transmission
+from diqkd_lab.qstate import _FINITE, _UNIT_OPEN_ABOVE, _UNIT_OPEN_BELOW, _real
+from diqkd_lab.qstate import _integer as _qstate_integer
 
 __all__ = [
     "CliError",
@@ -84,13 +91,10 @@ class SweepAxis:
     scale: str = "linear"
 
     def __post_init__(self) -> None:
-        numeric = {
-            f.name for f in dataclasses.fields(Scenario) if f.name != "architecture"
-        }
-        if self.parameter not in numeric:
+        if self.parameter not in _SCENARIO_RANGES:
             raise CliError(
                 f"unknown sweep parameter {self.parameter!r}; "
-                f"expected one of {sorted(numeric)}"
+                f"expected one of {sorted(_SCENARIO_RANGES)}"
             )
         if self.steps < 1:
             raise CliError(f"sweep steps must be >= 1, got {self.steps}")
@@ -128,32 +132,25 @@ _AXIS_KEYS = {f.name for f in dataclasses.fields(SweepAxis)}
 _COMMAND_KEYS = {f.name for f in dataclasses.fields(ScenarioFile)} - {"scenario"}
 
 
-def _number(kind: type, value, key: str):
-    """Convert one command setting with ``int`` or ``float``, naming the key on failure.
+def _number(value, key: str, rule: tuple = _FINITE) -> float:
+    """A numeric setting in ``rule``'s range as a float, naming the key on failure.
 
-    Only JSON numbers are numbers: not strings, which Python would convert,
-    and not booleans, which Python converts and compares like numbers.  The
-    ``NaN`` and ``Infinity`` that Python's JSON reader accepts are not
-    finite, and neither is an integer too large for a float.
+    Python's JSON reader accepts ``NaN`` and ``Infinity``; neither is finite.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise CliError(f"{key} must be a number, got {value!r}")
     try:
-        number = kind(value)
-    except OverflowError:
-        raise CliError(f"{key} must be a finite number, got a number no float can hold") from None
-    if kind is float and not math.isfinite(number):
-        raise CliError(f"{key} must be a finite number, got {value!r}")
-    return number
+        return _real(key, value, rule)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def _integer(value, key: str) -> int:
-    """Convert an integral setting; integral floats such as ``1e6`` pass, booleans do not."""
-    if isinstance(value, float) and value.is_integer():
+    """An integral setting as an int; integral floats such as ``1e6`` pass."""
+    if type(value) is float and value.is_integer():
         value = int(value)
-    if isinstance(value, (bool, float)):
-        raise CliError(f"{key} must be an integer, got {value!r}")
-    return _number(int, value, key)
+    try:
+        return _qstate_integer(key, value)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
 
 
 def parse_scenario_file(path: str | Path) -> ScenarioFile:
@@ -199,8 +196,8 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
             raise CliError(f"sweep is missing keys: {', '.join(missing)}")
         axis = SweepAxis(
             parameter=str(raw_axis["parameter"]),
-            min=_number(float, raw_axis["min"], "sweep min"),
-            max=_number(float, raw_axis["max"], "sweep max"),
+            min=_number(raw_axis["min"], "sweep min"),
+            max=_number(raw_axis["max"], "sweep max"),
             steps=_integer(raw_axis["steps"], "sweep steps"),
             scale=str(raw_axis.get("scale", "linear")),
         )
@@ -216,21 +213,16 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
     if data.get("etas") is not None:
         if not isinstance(data["etas"], list):
             raise CliError(f"etas must be a list of numbers, got {data['etas']!r}")
-        etas = tuple(_number(float, v, "etas") for v in data["etas"])
+        etas = tuple(_number(v, "etas", _UNIT_OPEN_BELOW) for v in data["etas"])
         if not etas:
             raise CliError("etas must not be empty")
-        for eta in etas:
-            if not 0.0 < eta <= 1.0:
-                raise CliError(f"etas entries must lie in (0, 1], got {eta}")
 
     rounds = _integer(data.get("rounds", 100_000), "rounds")
     if rounds <= 0:
         raise CliError(f"rounds must be positive, got {rounds}")
     if rounds > MAX_ROUNDS:  # the most a session can sift
         raise CliError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
-    sample_fraction = _number(float, data.get("sample_fraction", 0.1), "sample_fraction")
-    if not 0.0 <= sample_fraction < 1.0:
-        raise CliError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")
+    sample_fraction = _number(data.get("sample_fraction", 0.1), "sample_fraction", _UNIT_OPEN_ABOVE)
     seed = _integer(data.get("seed", 0), "seed")
     if seed < 0:
         raise CliError(f"seed must be non-negative, got {seed}")
@@ -249,7 +241,7 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
         rounds=rounds,
         sample_fraction=sample_fraction,
         optimize=optimize,
-        theta=None if data.get("theta") is None else _number(float, data["theta"], "theta"),
+        theta=None if data.get("theta") is None else _number(data["theta"], "theta"),
         etas=etas,
     )
 

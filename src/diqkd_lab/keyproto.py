@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-import numbers
 import struct
 from dataclasses import dataclass
 from enum import IntEnum
@@ -53,6 +52,7 @@ from diqkd_lab.architectures import (
     devetak_winter_rate,
 )
 from diqkd_lab.photonics import NO_CLICK, OUTCOME_CODES
+from diqkd_lab.qstate import _UNIT, _UNIT_OPEN_ABOVE, _integer, _real
 
 __all__ = [
     "MAX_ROUNDS",
@@ -398,19 +398,15 @@ def simulate_rounds(
             ``MAX_ROUNDS``, the most whose 8-byte sifting arrays numpy can
             size, the table's shape is not ``_DEVICE_SHAPE`` (2 x 3
             settings, 4 x 4 outcomes), or the herald probability lies
-            outside ``[0, 1]`` (NaN included).
+            outside ``[0, 1]``.
     """
-    if isinstance(n_rounds, bool) or not isinstance(n_rounds, numbers.Integral):
-        raise ValueError(f"n_rounds must be an integer, got {n_rounds!r}")
-    if n_rounds <= 0:
+    if _integer("n_rounds", n_rounds) <= 0:
         raise ValueError(f"n_rounds must be positive, got {n_rounds}")
-    if n_rounds > MAX_ROUNDS:
-        raise ValueError(f"n_rounds must be at most {MAX_ROUNDS}, got {n_rounds}")
+    _real("n_rounds", n_rounds, (f"must be at most {MAX_ROUNDS}", lambda n: n <= MAX_ROUNDS))
     n_x, n_y, _, n_b = shape = device.table.probabilities.shape
     if shape != _DEVICE_SHAPE:
         raise ValueError(f"device table needs shape {_DEVICE_SHAPE}, got {shape}")
-    if not 0.0 <= device.herald_probability <= 1.0:
-        raise ValueError(f"herald_probability must lie in [0, 1], got {device.herald_probability}")
+    _real("herald_probability", device.herald_probability, _UNIT)
     rng = np.random.default_rng(seed)
     x, y, a, b = (np.empty(n_rounds, dtype=np.int8) for _ in range(4))
     heralded = np.empty(n_rounds, dtype=bool)
@@ -491,8 +487,7 @@ def sift(
     Raises:
         ProtocolAbort: If fewer than ``_MIN_RAW_ROUNDS`` raw rounds remain.
     """
-    if not 0.0 <= sample_fraction < 1.0:
-        raise ValueError(f"sample_fraction must lie in [0, 1), got {sample_fraction}")
+    _real("sample_fraction", sample_fraction, _UNIT_OPEN_ABOVE)
     n_heralded = int(np.count_nonzero(rounds.heralded))
     n_sample = int(round(sample_fraction * n_heralded))
     if n_heralded > 0 and n_sample > 0:
@@ -616,8 +611,7 @@ def reconcile(
     bob = np.asarray(bob_bits, dtype=np.uint8).copy()
     if alice_bits.shape != bob.shape or alice_bits.ndim != 1:
         raise ValueError("bit strings must be 1-D and of equal length")
-    if not 0.0 <= q_hat <= 1.0:
-        raise ValueError(f"q_hat must lie in [0, 1], got {q_hat}")
+    _real("q_hat", q_hat, _UNIT)
     n = alice_bits.size
     rng = np.random.default_rng(_seed_sequence(permutation_seed))
     transcript = _Transcript()
@@ -710,12 +704,9 @@ def privacy_amplify(
     bits = np.asarray(bits, dtype=np.uint8)
     if bits.ndim != 1:
         raise ValueError("bits must be a 1-D array")
-    if isinstance(leakage_bits, bool) or not isinstance(leakage_bits, numbers.Integral):
-        raise ValueError(f"leakage_bits must be an integer, got {leakage_bits!r}")
-    if leakage_bits < 0:
+    if _integer("leakage_bits", leakage_bits) < 0:
         raise ValueError("leakage_bits must be non-negative")
-    if not 0.0 <= rate <= 1.0:
-        raise ValueError(f"rate must lie in [0, 1], got {rate}")
+    _real("rate", rate, _UNIT)
     n = bits.size
     m = max(0, math.floor(n * rate) - leakage_bits - _SECURITY_MARGIN)
     # Seeded before the empty-output return, so a bad seed is always rejected.

@@ -48,7 +48,17 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from diqkd_lab.qstate import CorrelationTable, DimensionMismatchError, StateValidationError
+from diqkd_lab.qstate import (
+    _NON_NEGATIVE,
+    _UNIT,
+    _UNIT_OPEN,
+    _UNIT_OPEN_ABOVE,
+    CorrelationTable,
+    DimensionMismatchError,
+    StateValidationError,
+    _integer,
+    _real,
+)
 
 __all__ = [
     "OUTCOME_CODES",
@@ -180,9 +190,9 @@ class ModeMixture:
 
     def probability(self, occupations: Sequence[int]) -> float:
         """Probability of finding exactly the given photon numbers."""
-        target = [int(n) for n in occupations]
-        if len(target) != self.n_modes:
-            raise DimensionMismatchError(f"{len(target)} occupations for {self.n_modes} modes")
+        target = _index_array(occupations, "occupations")
+        if target.shape != (self.n_modes,):
+            raise DimensionMismatchError(f"{target.size} occupations for {self.n_modes} modes")
         rows = (self.occ == target).all(axis=1)
         return float(_power(self.amp)[rows].sum())
 
@@ -301,12 +311,9 @@ def mix(parts: Iterable[tuple[float, ModeMixture]]) -> ModeMixture:
         ValueError: When there are no parts, a probability is negative or not
             finite, or the probabilities sum to zero.
     """
-    mixtures = [(float(p), m) for p, m in parts]
+    mixtures = [(_real("mixture probability", p, _NON_NEGATIVE), m) for p, m in parts]
     if not mixtures:
         raise ValueError("a mixture needs at least one part")
-    for p, _ in mixtures:
-        if not 0.0 <= p < math.inf:
-            raise ValueError(f"mixture probability {p} must be non-negative and finite")
     if not any(p > 0.0 for p, _ in mixtures):
         raise ValueError("mixture probabilities sum to zero")
     total = sum(p for p, _ in mixtures)
@@ -402,9 +409,7 @@ def beamsplitter(state: ModeMixture, mode_a: int, mode_b: int, transmission: flo
         mode_b: Reflected mode.
         transmission: Power transmission ``T`` in ``[0, 1]``.
     """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
-    phi = float(np.arccos(np.sqrt(transmission)))
+    phi = float(np.arccos(np.sqrt(_real("transmission", transmission, _UNIT))))
     return _unitary_pair_op(state, mode_a, mode_b, phi)
 
 
@@ -443,10 +448,8 @@ def loss_channel(state: ModeMixture, mode: int, transmission: float) -> ModeMixt
         mode: Mode subject to loss.
         transmission: Survival probability ``eta`` of each photon.
     """
-    if not 0.0 <= transmission <= 1.0:
-        raise ValueError(f"transmission must lie in [0, 1], got {transmission}")
+    eta = _real("transmission", transmission, _UNIT)
     (mode,) = _mode_indices(state, [mode])
-    eta = float(transmission)
     n = state.occ[:, mode]
     # Kraus operator l: |n> -> sqrt(C(n, l) eta^(n-l) (1-eta)^l) |n - l>;
     # row r spreads over l = 0..n[r].
@@ -466,9 +469,8 @@ def distance_to_transmission(length_km: float, attenuation_db_per_km: float = 0.
     ``T = 10 ** (-attenuation * L / 10)``; the default 0.2 dB/km is standard
     telecom fiber.
     """
-    for name, value in (("length_km", length_km), ("attenuation_db_per_km", attenuation_db_per_km)):
-        if not 0.0 <= value < math.inf:
-            raise ValueError(f"{name} must be non-negative and finite, got {value}")
+    _real("length_km", length_km, _NON_NEGATIVE)
+    _real("attenuation_db_per_km", attenuation_db_per_km, _NON_NEGATIVE)
     return float(10.0 ** (-attenuation_db_per_km * length_km / 10.0))
 
 
@@ -493,20 +495,8 @@ class DetectorModel:
     dark_count_prob: float = 0.0
 
     def __post_init__(self) -> None:
-        # A bool is not a number, although Python compares it like one;
-        # ``type(value) is float`` spares plain floats the slower ABC check.
-        for name in ("efficiency", "dark_count_prob"):
-            value = getattr(self, name)
-            if type(value) is not float and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)
-            ):
-                raise ValueError(f"{name} must be a number, got {value!r}")
-        if not 0.0 <= self.efficiency <= 1.0:
-            raise ValueError(f"efficiency must lie in [0, 1], got {self.efficiency}")
-        if not 0.0 <= self.dark_count_prob <= 1.0:
-            raise ValueError(
-                f"dark count probability must lie in [0, 1], got {self.dark_count_prob}"
-            )
+        _real("efficiency", self.efficiency, _UNIT)
+        _real("dark_count_prob", self.dark_count_prob, _UNIT)
 
     def outcome_matrix(self, n_max: int) -> np.ndarray:
         """Columns ``[P(no click | n), P(click | n)]`` for ``n = 0..n_max``."""
@@ -769,9 +759,8 @@ def _contract_povms(
 
 def _pair_weights(pair_prob: float, n_pair_max: int) -> np.ndarray:
     """Geometric pair-number weights ``(1 - p) p^n``, ``n <= n_pair_max``, normalized."""
-    if not 0.0 <= pair_prob < 1.0:
-        raise ValueError(f"pair_prob must lie in [0, 1), got {pair_prob}")
-    if n_pair_max < 0:
+    _real("pair_prob", pair_prob, _UNIT_OPEN_ABOVE)
+    if _integer("n_pair_max", n_pair_max) < 0:
         raise ValueError(f"n_pair_max must be non-negative, got {n_pair_max}")
     weights = np.array(
         [(1.0 - pair_prob) * pair_prob**n for n in range(n_pair_max + 1)], dtype=float
@@ -1112,8 +1101,7 @@ def qubit_amplifier(
         vacuum population ratio after versus before (None when the input
         has no vacuum or no photon component).
     """
-    if not 0.0 < transmission < 1.0:
-        raise ValueError(f"transmission must lie in (0, 1), got {transmission}")
+    _real("transmission", transmission, _UNIT_OPEN)
     detector = detector or DetectorModel()
     in_h, in_v = _pair_modes(state, input_modes=input_modes)
     n_modes = state.n_modes
@@ -1183,11 +1171,7 @@ def amplifier_success_probability(
     ``eta_d = 0.9`` it gives, on a single-photon input, 0.82 times this
     value at ``p = 0.011`` and 0.811 as ``p -> 0``.
     """
-    for name, value in (
-        ("detector_efficiency", detector_efficiency),
-        ("transmission", transmission),
-        ("pair_prob", pair_prob),
-    ):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {value}")
+    _real("detector_efficiency", detector_efficiency, _UNIT)
+    _real("transmission", transmission, _UNIT)
+    _real("pair_prob", pair_prob, _UNIT)
     return float(detector_efficiency**2 * (1.0 - transmission) * pair_prob**2)

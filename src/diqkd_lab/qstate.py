@@ -24,6 +24,8 @@ Conventions
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -61,6 +63,50 @@ class StateValidationError(ValueError):
 
 class DimensionMismatchError(ValueError):
     """Raised when operator or subsystem dimensions are incompatible."""
+
+
+# The ranges of ``_real``, as ``(rule, admits)``.  NaN fails every
+# comparison, so every range refuses it.
+_UNIT = ("must lie in [0, 1]", lambda v: 0 <= v <= 1)
+_UNIT_OPEN_ABOVE = ("must lie in [0, 1)", lambda v: 0 <= v < 1)
+_UNIT_OPEN = ("must lie in (0, 1)", lambda v: 0 < v < 1)
+_UNIT_OPEN_BELOW = ("must lie in (0, 1]", lambda v: 0 < v <= 1)
+_POSITIVE = ("must be positive and finite", lambda v: 0 < v < math.inf)
+_NON_NEGATIVE = ("must be non-negative and finite", lambda v: 0 <= v < math.inf)
+_FINITE = ("must be a finite number", lambda v: -math.inf < v < math.inf)
+_NOT_NAN = ("must be a number", lambda v: v == v)
+
+
+def _real(name: str, value, rule: tuple) -> float:
+    """``value`` as a float, refused by ``name`` unless it is a real number in ``rule``'s range.
+
+    A bool is not a number, although Python compares it like one, and
+    neither is a string that ``float`` would parse.  The range is checked
+    on the value itself; an int that no float can hold is refused without
+    printing its digits.
+    """
+    text, admits = rule
+    number = value
+    # ``type(value) is float`` spares plain floats the slower ABC checks.
+    if type(value) is not float:
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ValueError(f"{name} must be a number, got {value!r}")
+        try:
+            number = float(value)
+        except OverflowError:
+            raise ValueError(f"{name} {text}, got a number no float can hold") from None
+    if not admits(value):
+        raise ValueError(f"{name} {text}, got {value}")
+    return number
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int, refused by ``name`` unless it is an integer (a bool is not one)."""
+    if type(value) is not int and (
+        isinstance(value, bool) or not isinstance(value, numbers.Integral)
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _as_complex_matrix(values: np.ndarray | Sequence, name: str) -> np.ndarray:
@@ -344,8 +390,7 @@ def inefficient_qubit_povm(theta: float, eta: float) -> Povm:
         theta: Measurement angle in the X-Z plane.
         eta: Detection efficiency in ``[0, 1]``.
     """
-    if not 0.0 <= eta <= 1.0:
-        raise ValueError(f"efficiency must lie in [0, 1], got {eta}")
+    _real("efficiency", eta, _UNIT)
     base = projective_qubit_povm(theta)
     eye = np.eye(2, dtype=complex)
     return Povm(effects=(eta * base.effects[0], eta * base.effects[1], (1.0 - eta) * eye))

@@ -875,6 +875,10 @@ REJECTED_INPUTS = (
     (lambda: binary_entropy(1.5), ValueError, r"probability must lie in \[0, 1\], got 1.5"),
     (lambda: devetak_winter_rate(1.5, 2.5), ValueError, r"qber must lie in \[0, 1\], got 1.5"),
     (lambda: devetak_winter_rate(0.1, float("nan")), ValueError, "chsh must be a number, got nan"),
+    # A bool or a string is not a number, although Python compares a bool like one.
+    (lambda: binary_entropy(True), ValueError, "probability must be a number, got True"),
+    (lambda: devetak_winter_rate(True, 2.5), ValueError, "qber must be a number, got True"),
+    (lambda: devetak_winter_rate("0.1", 2.5), ValueError, "qber must be a number, got '0.1'"),
     (
         lambda: key_rate(
             born_table(
@@ -892,5 +896,7 @@ REJECTED_INPUTS = (
 def test_rejected_inputs_name_the_input():
     # One test over a case table so the test keeps a single, stable id.
     for call, error, message in REJECTED_INPUTS:
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as caught:
             call()
+        # No message prints an input at unbounded length.
+        assert len(str(caught.value)) <= 100, message

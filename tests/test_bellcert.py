@@ -533,13 +533,13 @@ REJECTED_INPUTS = (
         DimensionMismatchError,
         r"CHSH needs 2 x 2 settings, table has \(2, 3\)",
     ),
-    (lambda: critical_efficiency(np.nan), ValueError, "theta must be finite, got nan"),
+    (lambda: critical_efficiency(np.nan), ValueError, "theta must be a finite number, got nan"),
     (lambda: critical_efficiency("0.7"), ValueError, "theta must be a number, got '0.7'"),
     (lambda: critical_efficiency(True), ValueError, "theta must be a number, got True"),
     (
         lambda: critical_efficiency(10**400),
         ValueError,
-        "theta must be finite, got a number no float can hold",
+        "theta must be a finite number, got a number no float can hold",
     ),
     (lambda: loophole_attack(0.0), ValueError, r"eta must lie in \(0, 1\], got 0.0"),
     (lambda: loophole_attack("0.7"), ValueError, "eta must be a number, got '0.7'"),

@@ -78,7 +78,7 @@ def test_parse_scenario_file_rejects_unknown_keys(tmp_path):
 # Each case: scenario-file payload and the message naming the rejected key.
 OUT_OF_RANGE_CASES = (
     ({"detector_efficiency": 1.5}, r"detector_efficiency must lie in \[0, 1\], got 1.5"),
-    ({"rounds": "many"}, r"rounds must be a number, got 'many'"),
+    ({"rounds": "many"}, r"rounds must be an integer, got 'many'"),
     ({"etas": "abc"}, r"etas must be a list of numbers, got 'abc'"),
     (
         {"sweep": {"parameter": "distance_km", "min": "x", "max": 10, "steps": 3}},
@@ -117,8 +117,8 @@ OUT_OF_RANGE_CASES = (
     ({"detector_efficiency": "0.9"}, r"detector_efficiency must be a number, got '0.9'"),
     ({"distance_km": None}, r"distance_km must be a number, got None"),
     # Command settings take JSON numbers only, as scenario fields do.
-    ({"rounds": "3000"}, r"rounds must be a number, got '3000'"),
-    ({"seed": "7"}, r"seed must be a number, got '7'"),
+    ({"rounds": "3000"}, r"rounds must be an integer, got '3000'"),
+    ({"seed": "7"}, r"seed must be an integer, got '7'"),
     ({"sample_fraction": "0.5"}, r"sample_fraction must be a number, got '0.5'"),
     ({"theta": "0.3"}, r"theta must be a number, got '0.3'"),
     ({"etas": ["0.9"]}, r"etas must be a number, got '0.9'"),
@@ -128,7 +128,7 @@ OUT_OF_RANGE_CASES = (
     ),
     (
         {"sweep": {"parameter": "distance_km", "min": 0, "max": 10, "steps": "3"}},
-        r"sweep steps must be a number, got '3'",
+        r"sweep steps must be an integer, got '3'",
     ),
     # An integer no float can hold is rejected by name, not by a traceback.
     ({"theta": 10**400}, r"theta must be a finite number, got a number no float can hold"),
@@ -175,7 +175,7 @@ OUT_OF_RANGE_CASES = (
         r"unknown sweep keys: step",
     ),
     ({"sweep": {"parameter": "distance_km", "min": 0, "max": 10}}, r"sweep is missing keys: steps"),
-    ({"etas": [1.5]}, r"etas entries must lie in \(0, 1\], got 1.5"),
+    ({"etas": [1.5]}, r"etas must lie in \(0, 1\], got 1.5"),
     ({"rounds": 0}, r"rounds must be positive, got 0"),
     # Past the most 8-byte draws numpy can size the session could not draw its rounds.
     *(

@@ -1003,7 +1003,12 @@ REJECTED_INPUTS = (
             ValueError,
             rf"n_rounds must be at most {MAX_ROUNDS}, got {n}$",
         )
-        for n in (MAX_ROUNDS + 1, 2**62, np.iinfo(np.intp).max + 1, 10**30, 10**400)
+        for n in (MAX_ROUNDS + 1, 2**62, np.iinfo(np.intp).max + 1, 10**30)
+    ),
+    (
+        lambda: simulate_rounds(run(Scenario()), 10**400, 1),
+        ValueError,
+        rf"^n_rounds must be at most {MAX_ROUNDS}, got a number no float can hold$",
     ),
     (
         lambda: simulate_rounds(as_device(bin_no_click(run(Scenario()).table).probabilities), 10, 1),
@@ -1074,11 +1079,23 @@ REJECTED_INPUTS = (
         )
         for q in (np.nan, np.inf, -0.1, 1.5)
     ),
+    (
+        lambda: reconcile(np.zeros(4, dtype=np.uint8), np.zeros(4, dtype=np.uint8), True),
+        ValueError,
+        "q_hat must be a number, got True",
+    ),
+    (
+        lambda: privacy_amplify(np.zeros(8, dtype=np.uint8), 0, True, 1),
+        ValueError,
+        "rate must be a number, got True",
+    ),
 )
 
 
 def test_rejected_inputs_name_the_input():
     # One test over a case table so the test keeps a single, stable id.
     for call, error, message in REJECTED_INPUTS:
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as caught:
             call()
+        # No message prints an input at unbounded length.
+        assert len(str(caught.value)) <= 100, message

@@ -275,13 +275,13 @@ def test_mix_concatenates_and_renormalizes():
 
 
 def test_mix_rejects_bad_probabilities():
-    with pytest.raises(ValueError, match="probability -2.0"):
+    with pytest.raises(ValueError, match="probability must be non-negative and finite, got -2.0"):
         mix([(-2.0, fock([1])), (-1.0, fock([0]))])
-    with pytest.raises(ValueError, match="probability -1.0"):
+    with pytest.raises(ValueError, match="probability must be non-negative and finite, got -1.0"):
         mix([(-1.0, fock([1]))])
-    with pytest.raises(ValueError, match="probability nan"):
+    with pytest.raises(ValueError, match="probability must be non-negative and finite, got nan"):
         mix([(np.nan, fock([1])), (1.0, fock([0]))])
-    with pytest.raises(ValueError, match="probability inf"):
+    with pytest.raises(ValueError, match="probability must be non-negative and finite, got inf"):
         mix([(np.inf, fock([1]))])
     with pytest.raises(ValueError, match="at least one part"):
         mix([])
@@ -916,6 +916,11 @@ REJECTED_INPUTS = (
         "1 occupations for 2 modes",
     ),
     (
+        lambda: fock([1, 0]).probability([1.9, 0]),
+        DimensionMismatchError,
+        "occupations must hold whole numbers, got 1.9",
+    ),
+    (
         lambda: threshold_detect(fock([1, 0]), (0,), DetectorModel(), (True, False)),
         DimensionMismatchError,
         "pattern length must match number of measured modes",
@@ -958,11 +963,38 @@ REJECTED_INPUTS = (
         ValueError,
         r"dark_count_prob must be a number, got 1j",
     ),
+    (lambda: beamsplitter(fock([1, 0]), 0, 1, True), ValueError, "transmission must be a number, got True"),
+    (lambda: loss_channel(fock([1]), 0, "0.5"), ValueError, "transmission must be a number, got '0.5'"),
+    (lambda: distance_to_transmission(True), ValueError, "length_km must be a number, got True"),
+    (lambda: distance_to_transmission("5"), ValueError, "length_km must be a number, got '5'"),
+    (lambda: spdc_source(0.1, n_pair_max=True), ValueError, "n_pair_max must be an integer, got True"),
+    (lambda: spdc_source(0.1, n_pair_max=1.5), ValueError, "n_pair_max must be an integer, got 1.5"),
+    (
+        lambda: amplifier_success_probability(True, 0.5, 0.1),
+        ValueError,
+        "detector_efficiency must be a number, got True",
+    ),
+    # An int no float can hold is refused by name, not printed digit by digit.
+    *(
+        (call, ValueError, rf"^{message}, got a number no float can hold$")
+        for call, message in (
+            (lambda: DetectorModel(efficiency=10**400), r"efficiency must lie in \[0, 1\]"),
+            (lambda: spdc_source(10**400), r"pair_prob must lie in \[0, 1\)"),
+            (
+                lambda: qubit_amplifier(fock([1, 0]), (0, 1), 10**400),
+                r"transmission must lie in \(0, 1\)",
+            ),
+            (lambda: distance_to_transmission(10**400), "length_km must be non-negative and finite"),
+            (lambda: mix([(10**400, fock([1]))]), "mixture probability must be non-negative and finite"),
+        )
+    ),
 )
 
 
 def test_rejected_inputs_name_the_input():
     # One test over a case table so the test keeps a single, stable id.
     for call, error, message in REJECTED_INPUTS:
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as caught:
             call()
+        # No message prints an input at unbounded length.
+        assert len(str(caught.value)) <= 100, message

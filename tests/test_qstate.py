@@ -214,11 +214,14 @@ REJECTED_INPUTS = (
         ValueError,
         r"efficiency must lie in \[0, 1\], got 1.5",
     ),
+    (lambda: inefficient_qubit_povm(0.0, True), ValueError, "efficiency must be a number, got True"),
 )
 
 
 def test_rejected_inputs_name_the_input():
     # One test over a case table so the test keeps a single, stable id.
     for call, error, message in REJECTED_INPUTS:
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as caught:
             call()
+        # No message prints an input at unbounded length.
+        assert len(str(caught.value)) <= 100, message
