@@ -39,7 +39,7 @@ from diqkd_lab.architectures import (
     secret_bits_per_second,
 )
 from diqkd_lab.bellcert import critical_efficiency, loophole_attack_curve
-from diqkd_lab.keyproto import MAX_ROUNDS, run_session, transcript_records
+from diqkd_lab.keyproto import _round_range, run_session, transcript_records
 from diqkd_lab.photonics import distance_to_transmission
 from diqkd_lab.qstate import _FINITE, _UNIT_OPEN_ABOVE, _UNIT_OPEN_BELOW, _real
 from diqkd_lab.qstate import _integer as _qstate_integer
@@ -153,6 +153,15 @@ def _integer(value, key: str) -> int:
         raise CliError(str(exc)) from None
 
 
+def _seed(value, key: str) -> int:
+    """A seed as an int: any non-negative integer, however many digits it has."""
+    seed = _integer(value, key)
+    if seed < 0:
+        # Refused through ``_real``, which prints no number too long for a float.
+        _number(seed, key, ("must be non-negative", lambda s: s >= 0))
+    return seed
+
+
 def parse_scenario_file(path: str | Path) -> ScenarioFile:
     """Load and validate a flat JSON scenario file.
 
@@ -218,14 +227,9 @@ def parse_scenario_file(path: str | Path) -> ScenarioFile:
             raise CliError("etas must not be empty")
 
     rounds = _integer(data.get("rounds", 100_000), "rounds")
-    if rounds <= 0:
-        raise CliError(f"rounds must be positive, got {rounds}")
-    if rounds > MAX_ROUNDS:  # the most a session can sift
-        raise CliError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
+    _number(rounds, "rounds", _round_range(rounds))  # up to the most a session can sift
     sample_fraction = _number(data.get("sample_fraction", 0.1), "sample_fraction", _UNIT_OPEN_ABOVE)
-    seed = _integer(data.get("seed", 0), "seed")
-    if seed < 0:
-        raise CliError(f"seed must be non-negative, got {seed}")
+    seed = _seed(data.get("seed", 0), "seed")
     optimize = data.get("optimize", False)
     if not isinstance(optimize, bool):
         raise CliError(f"optimize must be true or false, got {optimize!r}")
@@ -430,8 +434,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Entry point; returns the process exit status."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.seed < 0:
-            raise CliError(f"--seed must be non-negative, got {args.seed}")
+        if args.seed is not None:
+            _seed(args.seed, "--seed")
         if args.jobs < 1:
             raise CliError(f"--jobs must be at least 1, got {args.jobs}")
         parsed = parse_scenario_file(args.scenario)

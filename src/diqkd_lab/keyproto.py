@@ -8,7 +8,9 @@ channel and drive the standard pipeline:
 2. publication of a random estimation sample,
 3. CHSH / error-rate estimation with Hoeffding radii that hold jointly at
    confidence ``_CONFIDENCE`` (1 - 1e-6),
-4. two-pass parity-bisection reconciliation with a verification hash,
+4. two-pass parity-bisection reconciliation with a verification hash; the
+   binary searches of a pass advance together, one parity query and one
+   reply per search depth,
 5. Toeplitz-hash privacy amplification, evaluated by FFT and sized by the
    worst-case key rate, less the leakage and ``_SECURITY_MARGIN`` (64) bits;
    Bob's key is hashed from his own string only when it differs from
@@ -400,9 +402,7 @@ def simulate_rounds(
             settings, 4 x 4 outcomes), or the herald probability lies
             outside ``[0, 1]``.
     """
-    if _integer("n_rounds", n_rounds) <= 0:
-        raise ValueError(f"n_rounds must be positive, got {n_rounds}")
-    _real("n_rounds", n_rounds, (f"must be at most {MAX_ROUNDS}", lambda n: n <= MAX_ROUNDS))
+    _real("n_rounds", n_rounds, _round_range(_integer("n_rounds", n_rounds)))
     n_x, n_y, _, n_b = shape = device.table.probabilities.shape
     if shape != _DEVICE_SHAPE:
         raise ValueError(f"device table needs shape {_DEVICE_SHAPE}, got {shape}")
@@ -441,6 +441,17 @@ def simulate_rounds(
         np.right_shift(joint, shift, out=a[chunk])
         np.bitwise_and(joint, mask, out=b[chunk])
     return Rounds(x=x, y=y, a=a, b=b, heralded=heralded)
+
+
+def _round_range(n_rounds: int) -> tuple:
+    """The ``qstate._real`` range to check round count ``n_rounds`` against.
+
+    Counts run from 1 to ``MAX_ROUNDS``.  Each count is checked against the
+    bound on its own side, so that one no float can hold is refused by it.
+    """
+    if n_rounds <= 0:
+        return ("must be positive", lambda n: n > 0)
+    return (f"must be at most {MAX_ROUNDS}", lambda n: n <= MAX_ROUNDS)
 
 
 def _outcome_table(probabilities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -571,8 +582,10 @@ class _Transcript(list):
         self.append(ProtocolMessage(kind=kind, payload=payload, sender=sender))
 
 
-def _parity(bits: np.ndarray) -> int:
-    return int(bits.sum()) & 1
+def _parities(bits: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Parity of each run ``bits[bounds[i]:bounds[i + 1]]``, the last running to the end."""
+    # uint8 sums wrap modulo 256, which keeps their parity.
+    return np.add.reduceat(bits, bounds) & 1
 
 
 def reconcile(
@@ -585,11 +598,18 @@ def reconcile(
     """Two-pass interactive parity reconciliation, Alice as reference.
 
     Pass 1 splits the strings into blocks of ``ceil(0.73 / q_hat)`` bits;
-    pass 2 repeats on a publicly permuted copy with doubled blocks.  For
-    every block whose parities disagree, Bob locates one error by binary
-    search -- each step discloses one of Alice's sub-block parities -- and
-    flips it.  A 64-bit keyed-size hash of Alice's string closes the stage;
-    mismatching hashes mark the result unverified (callers abort).
+    pass 2 repeats on a publicly permuted copy with doubled blocks.  Alice
+    publishes every block's parity and Bob replies with a mismatch flag per
+    block.  Bob then locates one error in every mismatched block by binary
+    search, all blocks of the pass a depth at a time: each depth, Alice
+    publishes the parity of the left half ``[lo, lo + (hi - lo) // 2)`` of
+    every open block in one query, Bob replies with one direction per block
+    in one reply, and a block that has shrunk to one bit closes and Bob
+    flips that bit.  A pass thus sends at most ``2 + 2 ceil(log2 k)``
+    messages for blocks of ``k`` bits.  The blocks of a pass are disjoint,
+    so this corrects the same bits as searching them one after another.  A
+    64-bit keyed-size hash of Alice's string closes the stage; mismatching
+    hashes mark the result unverified (callers abort).
 
     The disclosed information charged to the key is every parity bit Alice
     publishes plus the verification hash; Bob's replies (block mismatch
@@ -620,46 +640,37 @@ def reconcile(
     if n > 0:
         permutation = rng.permutation(n)
         k1 = _block_length(q_hat, n)
-        passes = (
-            (np.arange(n), k1),
-            (permutation, min(n, 2 * k1)),
-        )
-        for order, k in passes:
-            starts = np.arange(0, n, k)
-            # uint8 sums wrap modulo 256, which keeps their parity.
-            alice_parities = np.add.reduceat(alice_bits[order], starts) & 1
+        for order, k in ((np.arange(n), k1), (permutation, min(n, 2 * k1))):
+            alice_pass, bob_pass = alice_bits[order], bob[order]
+            lo = np.arange(0, n, k)
+            alice_parities = _parities(alice_pass, lo)
             transcript.send("alice", MessageKind.PARITY_QUERY, _pack_bits(alice_parities))
-            leakage += starts.size
-            mismatch = (np.add.reduceat(bob[order], starts) & 1) ^ alice_parities
+            leakage += lo.size
+            mismatch = _parities(bob_pass, lo) != alice_parities
             transcript.send("bob", MessageKind.PARITY_REPLY, _pack_bits(mismatch))
-            for start in starts[mismatch == 1]:
-                segment = order[start : start + k]
-                while segment.size > 1:
-                    half = segment.size // 2
-                    left = segment[:half]
-                    alice_left = _parity(alice_bits[left])
-                    transcript.send(
-                        "alice",
-                        MessageKind.PARITY_QUERY,
-                        _pack_bits(np.array([alice_left], dtype=np.uint8)),
-                    )
-                    leakage += 1
-                    go_left = _parity(bob[left]) != alice_left
-                    transcript.send(
-                        "bob",
-                        MessageKind.PARITY_REPLY,
-                        _pack_bits(np.array([int(go_left)], dtype=np.uint8)),
-                    )
-                    segment = left if go_left else segment[half:]
-                bob[segment[0]] ^= 1
-                corrections += 1
+            # Each open block is [lo, hi) of the pass's ordered bits.
+            lo, hi = lo[mismatch], np.minimum(lo + k, n)[mismatch]
+            while True:
+                found = hi - lo == 1
+                bob[order[lo[found]]] ^= 1
+                corrections += int(np.count_nonzero(found))
+                lo, hi = lo[~found], hi[~found]
+                if lo.size == 0:
+                    break
+                mid = lo + (hi - lo) // 2
+                # Interleaved bounds lo, mid: the even runs are the left halves.
+                bounds = np.column_stack((lo, mid)).ravel()
+                alice_left = _parities(alice_pass, bounds)[::2]
+                transcript.send("alice", MessageKind.PARITY_QUERY, _pack_bits(alice_left))
+                leakage += lo.size
+                go_left = _parities(bob_pass, bounds)[::2] != alice_left
+                transcript.send("bob", MessageKind.PARITY_REPLY, _pack_bits(go_left))
+                lo, hi = np.where(go_left, lo, mid), np.where(go_left, mid, hi)
     digest = _verify_digest(alice_bits)
     transcript.send("alice", MessageKind.PARITY_QUERY, digest)
     leakage += _VERIFY_DIGEST_BITS
     verified = digest == _verify_digest(bob)
-    transcript.send(
-        "bob", MessageKind.PARITY_REPLY, b"\x01" if verified else b"\x00"
-    )
+    transcript.send("bob", MessageKind.PARITY_REPLY, b"\x01" if verified else b"\x00")
     return ReconcileResult(
         bits=bob,
         leakage_bits=leakage,

@@ -41,7 +41,6 @@ sqrt(1-T) a_2`` (equivalently, creation operators transform as
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -49,6 +48,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from diqkd_lab.qstate import (
+    _FINITE,
     _NON_NEGATIVE,
     _UNIT,
     _UNIT_OPEN,
@@ -57,6 +57,7 @@ from diqkd_lab.qstate import (
     DimensionMismatchError,
     StateValidationError,
     _integer,
+    _is_integer,
     _real,
 )
 
@@ -223,10 +224,8 @@ def _index_array(values, name: str) -> np.ndarray:
 def _mode_indices(state: ModeMixture, modes: Iterable[int]) -> list[int]:
     """``modes`` as a list, checked to be distinct integer modes of ``state``."""
     modes = list(modes)
-    # ``type(k) is int`` spares plain ints the slower ABC check.
     if len(set(modes)) != len(modes) or not all(
-        (type(k) is int or isinstance(k, numbers.Integral)) and 0 <= k < state.n_modes
-        for k in modes
+        _is_integer(k) and 0 <= k < state.n_modes for k in modes
     ):
         raise DimensionMismatchError(f"invalid modes {tuple(modes)} for {state.n_modes} modes")
     return [int(k) for k in modes]
@@ -296,7 +295,7 @@ def vacuum(n_modes: int) -> ModeMixture:
 def fock(occupations: Sequence[int]) -> ModeMixture:
     """A Fock basis state ``|n1, ..., nk>``."""
     occupations = tuple(occupations)
-    if not all(isinstance(n, numbers.Integral) and n >= 0 for n in occupations):
+    if not all(_is_integer(n) and n >= 0 for n in occupations):
         raise DimensionMismatchError(f"occupations {occupations} must be non-negative integers")
     return _pure({tuple(int(n) for n in occupations): 1.0})
 
@@ -352,7 +351,7 @@ def permute_modes(state: ModeMixture, order: Sequence[int]) -> ModeMixture:
 def phase_shift(state: ModeMixture, mode: int, phase_per_photon: float) -> ModeMixture:
     """Multiply amplitudes by ``exp(i * phase * n_mode)`` (a mode phase shift)."""
     (mode,) = _mode_indices(state, [mode])
-    phases = np.exp(1j * phase_per_photon * state.occ[:, mode])
+    phases = np.exp(1j * _real("phase_per_photon", phase_per_photon, _FINITE) * state.occ[:, mode])
     return ModeMixture(state.branch, state.occ, state.amp * phases)
 
 
@@ -420,7 +419,7 @@ def polarization_rotation(state: ModeMixture, h_mode: int, v_mode: int, angle: f
     outcome 0 (+1) of the qubit observable ``cos(angle) Z + sin(angle) X``
     and a click in the V port to outcome 1 (-1).
     """
-    return _unitary_pair_op(state, h_mode, v_mode, float(angle) / 2.0)
+    return _unitary_pair_op(state, h_mode, v_mode, _real("angle", angle, _FINITE) / 2.0)
 
 
 @lru_cache(maxsize=32)
@@ -649,6 +648,9 @@ def polarization_correlation_table(
         A :class:`diqkd_lab.qstate.CorrelationTable` of shape
         ``(len(alice_angles), len(bob_angles), 4, 4)``.
     """
+    for name, angles in (("alice_angles", alice_angles), ("bob_angles", bob_angles)):
+        for angle in angles:
+            _real(name, angle, _FINITE)
     detector = detector or DetectorModel()
     parts = np.zeros(state.amp.size, np.intp)  # one part: the whole state
     tables = _born_tables(state, alice_modes, bob_modes, alice_angles, bob_angles, detector, parts)

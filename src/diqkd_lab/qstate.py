@@ -100,11 +100,17 @@ def _real(name: str, value, rule: tuple) -> float:
     return number
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer; a bool is not one."""
+    # ``type(value) is int`` spares plain ints the slower ABC checks.
+    return type(value) is int or (
+        not isinstance(value, bool) and isinstance(value, numbers.Integral)
+    )
+
+
 def _integer(name: str, value) -> int:
     """``value`` as an int, refused by ``name`` unless it is an integer (a bool is not one)."""
-    if type(value) is not int and (
-        isinstance(value, bool) or not isinstance(value, numbers.Integral)
-    ):
+    if not _is_integer(value):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
 

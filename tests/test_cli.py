@@ -67,6 +67,8 @@ def test_parse_scenario_file_defaults(tmp_path):
     largest = MAX_ROUNDS
     assert largest == np.iinfo(np.intp).max // 8
     assert parse_scenario_file(write_scenario(tmp_path, "n.json", {"rounds": largest})).rounds == largest
+    # A seed may be any non-negative integer, also one no float can hold.
+    assert parse_scenario_file(write_scenario(tmp_path, "s.json", {"seed": 10**400})).seed == 10**400
 
 
 def test_parse_scenario_file_rejects_unknown_keys(tmp_path):
@@ -180,8 +182,12 @@ OUT_OF_RANGE_CASES = (
     # Past the most 8-byte draws numpy can size the session could not draw its rounds.
     *(
         ({"rounds": rounds}, rf"rounds must be at most {MAX_ROUNDS}, got {int(rounds)}$")
-        for rounds in (MAX_ROUNDS + 1, 2**62, np.iinfo(np.intp).max + 1, 1e30, 10**400)
+        for rounds in (MAX_ROUNDS + 1, 2**62, np.iinfo(np.intp).max + 1, 1e30)
     ),
+    # An integer no float can hold is refused by name, not printed digit by digit.
+    ({"rounds": 10**400}, rf"rounds must be at most {MAX_ROUNDS}, got a number no float can hold$"),
+    ({"rounds": -(10**400)}, r"rounds must be positive, got a number no float can hold$"),
+    ({"seed": -(10**400)}, r"seed must be non-negative, got a number no float can hold$"),
     ({"sample_fraction": 1.0}, r"sample_fraction must lie in \[0, 1\), got 1.0"),
 )
 
@@ -191,8 +197,10 @@ def test_parse_scenario_file_rejects_out_of_range(tmp_path):
     # keeps a single, stable id.
     for payload, message in OUT_OF_RANGE_CASES:
         path = write_scenario(tmp_path, "s.json", payload)
-        with pytest.raises(CliError, match=message):
+        with pytest.raises(CliError, match=message) as caught:
             parse_scenario_file(path)
+        # No message prints an input at unbounded length; the file's path aside.
+        assert len(str(caught.value).replace(str(path), "")) <= 100, message
 
 
 def test_parse_scenario_file_missing_file(tmp_path):
@@ -642,6 +650,9 @@ def test_main_reports_errors_on_stderr(tmp_path, capsys):
     path = write_scenario(tmp_path, "t.json", {"rounds": 1000})
     assert main(["session", "--scenario", path, "--seed", "-1"]) == 2
     assert "error: --seed must be non-negative, got -1" in capsys.readouterr().err
+    assert main(["session", "--scenario", path, "--seed", "-" + "9" * 401]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: --seed must be non-negative, got a number no float can hold\n"
     for jobs in ("0", "-3"):
         assert main(["sweep", "--scenario", path, "--jobs", jobs]) == 2
         assert f"error: --jobs must be at least 1, got {jobs}" in capsys.readouterr().err

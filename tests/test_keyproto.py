@@ -575,6 +575,88 @@ def test_reconcile_messages_alternate_parity_queries():
     assert MessageKind.PARITY_REPLY in kinds
 
 
+def sequential_reconcile(alice_bits, bob_bits, q_hat, permutation_seed):
+    """Reconciliation with one binary search at a time: ``(bits, leakage, corrections, verified)``.
+
+    Each mismatched block is searched to its end before the next one
+    starts, one disclosed parity per step.  ``reconcile`` runs all the
+    searches of a pass together, a depth at a time; the blocks of a pass
+    are disjoint, so both correct the same bits and disclose as much.
+    """
+    alice_bits = np.asarray(alice_bits, dtype=np.uint8)
+    bob = np.asarray(bob_bits, dtype=np.uint8).copy()
+    n = alice_bits.size
+    rng = np.random.default_rng(keyproto._seed_sequence(permutation_seed))
+    leakage = corrections = 0
+    if n > 0:
+        permutation = rng.permutation(n)
+        k1 = keyproto._block_length(q_hat, n)
+        for order, k in ((np.arange(n), k1), (permutation, min(n, 2 * k1))):
+            for start in range(0, n, k):
+                segment = order[start : start + k]
+                leakage += 1
+                if (int(alice_bits[segment].sum()) - int(bob[segment].sum())) % 2 == 0:
+                    continue
+                while segment.size > 1:
+                    left = segment[: segment.size // 2]
+                    leakage += 1
+                    go_left = int(alice_bits[left].sum()) % 2 != int(bob[left].sum()) % 2
+                    segment = left if go_left else segment[left.size :]
+                bob[segment[0]] ^= 1
+                corrections += 1
+    leakage += keyproto._VERIFY_DIGEST_BITS
+    verified = keyproto._verify_digest(alice_bits) == keyproto._verify_digest(bob)
+    return bob, leakage, corrections, verified
+
+
+def test_reconcile_by_depth_matches_the_sequential_search():
+    """Same bits, leakage, corrections and verdict; at most 2 + 2 ceil(log2 k) messages a pass."""
+    for n, q, seed in itertools.product(
+        (0, 1, 2, 3, 7, 31, 100, 1000, 45_000),
+        (0, 0.001, 0.02, 0.05, 0.11, 0.25, 0.5),
+        range(5),
+    ):
+        rng = np.random.default_rng(seed)
+        alice = rng.integers(0, 2, size=n, dtype=np.uint8)
+        bob = alice ^ (rng.random(n) < q).astype(np.uint8)
+        res = reconcile(alice, bob, q, permutation_seed=seed)
+        bits, leakage, corrections, verified = sequential_reconcile(alice, bob, q, seed)
+        case = (n, q, seed)
+        np.testing.assert_array_equal(res.bits, bits, err_msg=str(case))
+        assert (res.leakage_bits, res.corrections, res.verified) == (leakage, corrections, verified), case
+        k1 = keyproto._block_length(q, n)
+        passes = (k1, min(n, 2 * k1)) if n > 0 else ()
+        # The verification hash and its verdict close the stage.
+        assert len(res.messages) <= 2 + sum(2 + 2 * math.ceil(math.log2(k)) for k in passes), case
+
+
+def test_reconcile_sends_one_query_and_one_reply_per_depth():
+    """All mismatched blocks of a pass are halved together, a depth per query."""
+    alice = np.random.default_rng(11).integers(0, 2, size=16, dtype=np.uint8)
+    bob = alice.copy()
+    bob[[1, 10]] ^= 1
+    # Blocks of ceil(0.73 / 0.2) = 4 bits: the errors lie in blocks 0 and 2.
+    res = reconcile(alice, bob, q_hat=0.2, permutation_seed=5)
+    assert res.verified and res.corrections == 2
+    np.testing.assert_array_equal(res.bits, alice)
+    pack = keyproto._pack_bits
+    # Pass 1: block parities, mismatch flags, then two depths, each with one
+    # left-half parity per searched block: bits 0-1 and 8-9, then 0 and 10.
+    depths = [
+        pack(np.array([alice[0] ^ alice[1], alice[8] ^ alice[9]])),
+        pack(np.array([1, 0])),
+        pack(np.array([alice[0], alice[10]])),
+        pack(np.array([0, 1])),
+    ]
+    assert [m.payload for m in res.messages[2:6]] == depths
+    assert res.messages[1].payload == pack(np.array([1, 0, 1, 0]))
+    # Pass 2 finds no mismatch; the verification hash and its verdict close.
+    assert len(res.messages) == 10
+    assert [m.kind for m in res.messages] == [MessageKind.PARITY_QUERY, MessageKind.PARITY_REPLY] * 5
+    assert [m.sender for m in res.messages] == ["alice", "bob"] * 5
+    assert res.leakage_bits == 4 + 2 + 2 + 2 + 64
+
+
 # ----------------------------------------------------------------------
 # Privacy amplification
 # ----------------------------------------------------------------------
@@ -828,7 +910,7 @@ GOLDEN_SESSIONS = (
     ),
     (
         Scenario(node_fidelity=0.99), 200_000, 1, 0.1,
-        "reconciliation:verification-failed", "bob", "5b2a601df97ccc373f7e2516823a129b",
+        "reconciliation:verification-failed", "bob", "9c76e35450d615929b36620d28f2285b",
     ),
     (Scenario(), 14_000, 8, 0.9, "amplification:zero-length", "alice", "05e99af9f90fbd825e72bdb294070a7e"),
     (
@@ -845,6 +927,18 @@ def test_run_session_matches_golden_digests():
         assert outcome.abort_reason == reason, case
         assert outcome.transcript[-1].sender == sender, case
         assert session_digest(outcome) == digest, case
+
+
+def test_parse_transcript_reads_back_a_session_with_searched_blocks():
+    """A session whose reconciliation searches blocks serializes and parses back whole."""
+    outcome = run_session(run(Scenario(node_fidelity=0.99)), 200_000, 1)
+    records = parse_transcript(serialize_transcript(outcome.transcript))
+    assert records == tuple((seq, m.kind, m.payload) for seq, m in enumerate(outcome.transcript))
+    parity = [k for _, k, _ in records if k in (MessageKind.PARITY_QUERY, MessageKind.PARITY_REPLY)]
+    # Two passes of block parities and flags, the hash and its verdict, and
+    # one query and one reply per search depth: far fewer than one per step.
+    assert 6 < len(parity) < 100
+    assert parity == [MessageKind.PARITY_QUERY, MessageKind.PARITY_REPLY] * (len(parity) // 2)
 
 
 # ----------------------------------------------------------------------
@@ -1009,6 +1103,11 @@ REJECTED_INPUTS = (
         lambda: simulate_rounds(run(Scenario()), 10**400, 1),
         ValueError,
         rf"^n_rounds must be at most {MAX_ROUNDS}, got a number no float can hold$",
+    ),
+    (
+        lambda: simulate_rounds(run(Scenario()), -(10**400), 1),
+        ValueError,
+        r"^n_rounds must be positive, got a number no float can hold$",
     ),
     (
         lambda: simulate_rounds(as_device(bin_no_click(run(Scenario()).table).probabilities), 10, 1),

@@ -122,12 +122,13 @@ def test_mixture_weights_must_sum_to_one():
 
 
 def test_mixture_rejects_nan_amplitudes_and_weights():
-    with pytest.raises(StateValidationError, match="weights sum to nan"):
-        phase_shift(fock([1]), 0, np.nan)
     for bad in (np.nan, np.inf):
         with pytest.raises(StateValidationError, match=f"weights sum to {bad}"):
             ModeMixture(branch=[0, 1], occ=[[0], [1]], amp=[1.0, bad])
-    with pytest.raises(StateValidationError):
+    # A NaN phase or angle is refused by name before it reaches an amplitude.
+    with pytest.raises(ValueError, match="phase_per_photon must be a finite number, got nan"):
+        phase_shift(fock([1]), 0, np.nan)
+    with pytest.raises(ValueError, match="alice_angles must be a finite number, got nan"):
         polarization_correlation_table(polarization_singlet(), (0, 1), (2, 3), [np.nan], [0.0])
 
 
@@ -973,6 +974,48 @@ REJECTED_INPUTS = (
         lambda: amplifier_success_probability(True, 0.5, 0.1),
         ValueError,
         "detector_efficiency must be a number, got True",
+    ),
+    # Angles and phases are finite numbers; a string is not one.
+    (
+        lambda: polarization_rotation(polarization_singlet(), 0, 1, "0.5"),
+        ValueError,
+        "angle must be a number, got '0.5'",
+    ),
+    (
+        lambda: polarization_rotation(polarization_singlet(), 0, 1, math.nan),
+        ValueError,
+        "angle must be a finite number, got nan",
+    ),
+    (
+        lambda: polarization_correlation_table(polarization_singlet(), (0, 1), (2, 3), ["0.5"], [0.0]),
+        ValueError,
+        "alice_angles must be a number, got '0.5'",
+    ),
+    (
+        lambda: polarization_correlation_table(polarization_singlet(), (0, 1), (2, 3), [0.0], [True]),
+        ValueError,
+        "bob_angles must be a number, got True",
+    ),
+    (
+        lambda: phase_shift(polarization_singlet(), 0, "0.5"),
+        ValueError,
+        "phase_per_photon must be a number, got '0.5'",
+    ),
+    # A bool is not a mode index or an occupation.
+    (
+        lambda: fock([True, 0]),
+        DimensionMismatchError,
+        r"occupations \(True, 0\) must be non-negative integers",
+    ),
+    (
+        lambda: beamsplitter(fock([1, 0]), True, 0, 0.5),
+        DimensionMismatchError,
+        r"invalid modes \(True, 0\) for 2 modes",
+    ),
+    (
+        lambda: permute_modes(polarization_singlet(), [True, False, 2, 3]),
+        DimensionMismatchError,
+        r"invalid modes \(True, False, 2, 3\) for 4 modes",
     ),
     # An int no float can hold is refused by name, not printed digit by digit.
     *(
