@@ -21,9 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
-import struct
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,7 +37,7 @@ from diqkd_lab.architectures import (
     secret_bits_per_second,
 )
 from diqkd_lab.bellcert import critical_efficiency, loophole_attack_curve
-from diqkd_lab.keyproto import _round_range, run_session, transcript_records
+from diqkd_lab.keyproto import _bits_digest, _round_range, run_session, transcript_records
 from diqkd_lab.photonics import distance_to_transmission
 from diqkd_lab.qstate import _FINITE, _UNIT_OPEN_ABOVE, _UNIT_OPEN_BELOW, _real
 from diqkd_lab.qstate import _integer as _qstate_integer
@@ -311,11 +309,6 @@ def _csv(header: Sequence[str], rows: Sequence[Sequence[float]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _key_digest(bits: np.ndarray) -> str:
-    payload = np.packbits(bits.astype(np.uint8)).tobytes() + struct.pack("<I", bits.size)
-    return hashlib.blake2b(payload, digest_size=16).hexdigest()
-
-
 # --------------------------------------------------------------------------
 # Subcommands
 # --------------------------------------------------------------------------
@@ -379,8 +372,8 @@ def _cmd_session(parsed: ScenarioFile, args: argparse.Namespace) -> int:
             f"worst_case_rate={format_number(outcome.worst_case_rate)}",
             f"leakage_bits={outcome.leakage_bits}",
             f"key_length={outcome.alice_key_bits.size}",
-            f"alice_key_digest={_key_digest(outcome.alice_key_bits)}",
-            f"bob_key_digest={_key_digest(outcome.bob_key_bits)}",
+            f"alice_key_digest={_bits_digest(outcome.alice_key_bits, 16).hex()}",
+            f"bob_key_digest={_bits_digest(outcome.bob_key_bits, 16).hex()}",
         ]
     )
     sys.stdout.write("\n".join(lines) + "\n")

@@ -285,9 +285,10 @@ def _u32_bytes(values: np.ndarray) -> bytes:
     return np.asarray(values, dtype="<u4").tobytes()
 
 
-def _verify_digest(bits: np.ndarray) -> bytes:
+def _bits_digest(bits: np.ndarray, size: int) -> bytes:
+    """A ``size``-byte BLAKE2b digest of a bit string: its packed bits, then its length."""
     payload = _pack_bits(bits) + struct.pack("<I", bits.size)
-    return hashlib.blake2b(payload, digest_size=_VERIFY_DIGEST_BITS // 8).digest()
+    return hashlib.blake2b(payload, digest_size=size).digest()
 
 
 #: A transcript record's header: sequence number, kind and payload length.
@@ -666,10 +667,10 @@ def reconcile(
                 go_left = _parities(bob_pass, bounds)[::2] != alice_left
                 transcript.send("bob", MessageKind.PARITY_REPLY, _pack_bits(go_left))
                 lo, hi = np.where(go_left, lo, mid), np.where(go_left, mid, hi)
-    digest = _verify_digest(alice_bits)
+    digest = _bits_digest(alice_bits, _VERIFY_DIGEST_BITS // 8)
     transcript.send("alice", MessageKind.PARITY_QUERY, digest)
     leakage += _VERIFY_DIGEST_BITS
-    verified = digest == _verify_digest(bob)
+    verified = digest == _bits_digest(bob, _VERIFY_DIGEST_BITS // 8)
     transcript.send("bob", MessageKind.PARITY_REPLY, b"\x01" if verified else b"\x00")
     return ReconcileResult(
         bits=bob,

@@ -208,26 +208,42 @@ def _power(amp: np.ndarray) -> np.ndarray:
     return amp.real**2 + amp.imag**2
 
 
+def _shown(entry) -> str:
+    """An offending entry as a refusal prints it, in at most 40 characters.
+
+    An int that no float can hold is named by qstate's phrase for one,
+    not printed digit by digit.
+    """
+    if _is_integer(entry):
+        try:
+            float(entry)
+        except OverflowError:
+            return "a number no float can hold"
+    text = repr(entry) if isinstance(entry, str) else str(entry)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def _index_array(values, name: str) -> np.ndarray:
-    """``values`` as an ``intp`` array, rejecting entries that are not whole numbers."""
+    """``values`` as an ``intp`` array, refused by ``name`` at the first entry no intp equals."""
     values = np.asarray(values)
     if values.dtype.kind in "iub":
         return values.astype(np.intp, copy=False)
-    with np.errstate(invalid="ignore"):
-        whole = values.astype(np.intp)
-    wrong = whole != values
-    if wrong.any():
-        raise DimensionMismatchError(f"{name} must hold whole numbers, got {values[wrong][0]}")
-    return whole
+    for entry in values.ravel().tolist():
+        try:
+            if np.intp(entry) == entry:
+                continue
+        except (OverflowError, TypeError, ValueError):
+            pass
+        raise DimensionMismatchError(f"{name} must hold whole numbers, got {_shown(entry)}")
+    return values.astype(np.intp)
 
 
-def _mode_indices(state: ModeMixture, modes: Iterable[int]) -> list[int]:
-    """``modes`` as a list, checked to be distinct integer modes of ``state``."""
-    modes = list(modes)
-    if len(set(modes)) != len(modes) or not all(
-        _is_integer(k) and 0 <= k < state.n_modes for k in modes
-    ):
-        raise DimensionMismatchError(f"invalid modes {tuple(modes)} for {state.n_modes} modes")
+def _mode_indices(state: ModeMixture, modes: Iterable[int], name: str) -> list[int]:
+    """``modes`` as a list, refused by ``name`` at the first entry not a new mode of ``state``."""
+    modes, n = list(modes), state.n_modes
+    for position, k in enumerate(modes):
+        if not (_is_integer(k) and 0 <= k < n) or k in modes[:position]:
+            raise DimensionMismatchError(f"{name}: need distinct modes below {n}, got {_shown(k)}")
     return [int(k) for k in modes]
 
 
@@ -236,7 +252,7 @@ def _pair_modes(state: ModeMixture, **pairs: Sequence[int]) -> list[int]:
     for name, pair in pairs.items():
         if len(pair) != 2:
             raise DimensionMismatchError(f"{name} must be an (H, V) mode pair, got {tuple(pair)}")
-    return _mode_indices(state, [k for pair in pairs.values() for k in pair])
+    return _mode_indices(state, [k for pair in pairs.values() for k in pair], " and ".join(pairs))
 
 
 def _pure(rows: dict[tuple[int, ...], float]) -> ModeMixture:
@@ -295,9 +311,10 @@ def vacuum(n_modes: int) -> ModeMixture:
 def fock(occupations: Sequence[int]) -> ModeMixture:
     """A Fock basis state ``|n1, ..., nk>``."""
     occupations = tuple(occupations)
-    if not all(_is_integer(n) and n >= 0 for n in occupations):
-        raise DimensionMismatchError(f"occupations {occupations} must be non-negative integers")
-    return _pure({tuple(int(n) for n in occupations): 1.0})
+    wrong = [_shown(n) for n in occupations if not (_is_integer(n) and n >= 0)]
+    if wrong:
+        raise DimensionMismatchError(f"occupations must be non-negative integers, got {wrong[0]}")
+    return ModeMixture([0], _index_array([occupations], "occupations"), [1.0])
 
 
 def mix(parts: Iterable[tuple[float, ModeMixture]]) -> ModeMixture:
@@ -342,7 +359,7 @@ def tensor_modes(first: ModeMixture, second: ModeMixture) -> ModeMixture:
 
 def permute_modes(state: ModeMixture, order: Sequence[int]) -> ModeMixture:
     """Reorder modes so that new mode ``k`` is old mode ``order[k]``."""
-    order = _mode_indices(state, order)
+    order = _mode_indices(state, order, "order")
     if len(order) != state.n_modes:
         raise DimensionMismatchError(f"invalid mode order {order} for {state.n_modes} modes")
     return ModeMixture(state.branch, state.occ[:, order], state.amp)
@@ -350,7 +367,7 @@ def permute_modes(state: ModeMixture, order: Sequence[int]) -> ModeMixture:
 
 def phase_shift(state: ModeMixture, mode: int, phase_per_photon: float) -> ModeMixture:
     """Multiply amplitudes by ``exp(i * phase * n_mode)`` (a mode phase shift)."""
-    (mode,) = _mode_indices(state, [mode])
+    (mode,) = _mode_indices(state, [mode], "mode")
     phases = np.exp(1j * _real("phase_per_photon", phase_per_photon, _FINITE) * state.occ[:, mode])
     return ModeMixture(state.branch, state.occ, state.amp * phases)
 
@@ -387,8 +404,8 @@ def _sector_blocks(top: int, phi: float) -> np.ndarray:
     return blocks
 
 
-def _unitary_pair_op(m: ModeMixture, i: int, j: int, phi: float) -> ModeMixture:
-    i, j = _mode_indices(m, (i, j))
+def _unitary_pair_op(m: ModeMixture, i: int, j: int, phi: float, names: str) -> ModeMixture:
+    i, j = _mode_indices(m, (i, j), names)
     first, total = m.occ[:, i], m.occ[:, i] + m.occ[:, j]
     # Row r spreads over the total[r] + 1 states |k, total[r] - k> of its sector.
     src, k = _spread(total + 1)
@@ -409,7 +426,7 @@ def beamsplitter(state: ModeMixture, mode_a: int, mode_b: int, transmission: flo
         transmission: Power transmission ``T`` in ``[0, 1]``.
     """
     phi = float(np.arccos(np.sqrt(_real("transmission", transmission, _UNIT))))
-    return _unitary_pair_op(state, mode_a, mode_b, phi)
+    return _unitary_pair_op(state, mode_a, mode_b, phi, "mode_a and mode_b")
 
 
 def polarization_rotation(state: ModeMixture, h_mode: int, v_mode: int, angle: float) -> ModeMixture:
@@ -419,7 +436,8 @@ def polarization_rotation(state: ModeMixture, h_mode: int, v_mode: int, angle: f
     outcome 0 (+1) of the qubit observable ``cos(angle) Z + sin(angle) X``
     and a click in the V port to outcome 1 (-1).
     """
-    return _unitary_pair_op(state, h_mode, v_mode, _real("angle", angle, _FINITE) / 2.0)
+    phi = _real("angle", angle, _FINITE) / 2.0
+    return _unitary_pair_op(state, h_mode, v_mode, phi, "h_mode and v_mode")
 
 
 @lru_cache(maxsize=32)
@@ -448,7 +466,7 @@ def loss_channel(state: ModeMixture, mode: int, transmission: float) -> ModeMixt
         transmission: Survival probability ``eta`` of each photon.
     """
     eta = _real("transmission", transmission, _UNIT)
-    (mode,) = _mode_indices(state, [mode])
+    (mode,) = _mode_indices(state, [mode], "mode")
     n = state.occ[:, mode]
     # Kraus operator l: |n> -> sqrt(C(n, l) eta^(n-l) (1-eta)^l) |n - l>;
     # row r spreads over l = 0..n[r].
@@ -524,7 +542,7 @@ def detection_probabilities(
         Array of shape ``(2,) * len(modes)``; index 1 along axis ``k`` means
         the detector on ``modes[k]`` clicked.
     """
-    modes = _mode_indices(state, modes)
+    modes = _mode_indices(state, modes, "modes")
     q = detector.outcome_matrix(state.n_max)
     contents, _, t = _contents(state, modes)
     # Each factor appends the click axis of one watched mode, in ``modes`` order.
@@ -545,9 +563,10 @@ def threshold_detect(
     survivors form a mixture over the possible Fock contents of the absorbed
     modes (coherence within a content class is preserved, which is what
     makes interference-based heralding work).  The pattern is weighed by
-    ``_pattern_likelihoods``, the detector that :func:`bell_state_measurement`
-    and the ``third_party`` swap station herald through, and the state is
-    split by ``_conditionals``.
+    ``_pattern_likelihoods``, the detector that every heralding station
+    (the Bell-state measurement, the ``third_party`` swap, the qubit
+    amplifier) detects through, and the state is split by
+    ``_conditioned``, which conditions them all.
 
     Args:
         state: Input state.
@@ -560,14 +579,14 @@ def threshold_detect(
         pattern has (numerically) zero probability, or when all modes were
         measured.
     """
-    modes = _mode_indices(state, modes)
+    modes = _mode_indices(state, modes, "modes")
     clicks = np.array([[[bool(c) for c in pattern]]], dtype=np.intp)
     if clicks.shape[2] != len(modes):
         raise DimensionMismatchError("pattern length must match number of measured modes")
     contents, index, probabilities = _contents(state, modes)
-    likelihoods = _pattern_likelihoods(contents, probabilities, detector, clicks)
-    (outcome,) = _conditionals(state, modes, index, *likelihoods)
-    return outcome
+    (prob,), likes = _pattern_likelihoods(contents, probabilities, detector, clicks)
+    rest = [k for k in range(state.n_modes) if k not in modes]
+    return float(prob), _conditioned(state, rest, index, likes, prob)
 
 
 @lru_cache(maxsize=128)
@@ -935,25 +954,25 @@ def _pattern_likelihoods(
     return probs * kept, likelihoods * kept[:, np.newaxis]
 
 
-def _conditionals(
-    state: ModeMixture, modes: list[int], index: np.ndarray, probs: np.ndarray, likes: np.ndarray
-) -> list[tuple[float, ModeMixture | None]]:
-    """``(probability, conditional state)`` of each pattern of ``_pattern_likelihoods``.
+def _conditioned(state, rest, index, likes, total, signs=1.0) -> ModeMixture | None:
+    """The state given any of a set of click patterns, on the ``rest`` modes, in one split.
 
-    ``probs`` and ``likes`` are those patterns' probabilities and
-    likelihoods, and ``index`` is each row's content of the measured
-    ``modes``, which the detection removes.  The rows of one branch and
-    content form one new branch: given a pattern of probability ``P``, a
-    row whose content has likelihood ``like`` keeps the amplitude ``amp *
-    sqrt(like / P)``.  The state is None for a pattern that never heralds,
-    or when every mode was measured.
+    ``likes[k]`` is pattern ``k``'s likelihood per content, from
+    ``_pattern_likelihoods``, ``index`` each row's content of the measured
+    modes, which the detection removes, and ``total`` the patterns'
+    summed probability.  The rows of one pattern, branch and content form
+    one new branch, numbered pattern-major, and row ``r`` keeps under
+    pattern ``k`` the amplitude ``signs[k, r] * amp * sqrt(like / total)``
+    (``signs`` broadcasts to ``(patterns, rows)``).  None when the
+    patterns never herald, or when every mode was measured.
     """
-    rest = [k for k in range(state.n_modes) if k not in modes]
-    (_, group), survivors = _distinct(state.branch, index), state.occ[:, rest]
-    return [
-        (p, _split(group, survivors, state.amp, np.sqrt(like[index] / p)) if p and rest else None)
-        for p, like in zip(probs.tolist(), likes)
-    ]
+    if not (total and rest):
+        return None
+    keys, group = _distinct(state.branch, index)
+    groups = np.arange(len(likes))[:, np.newaxis] * len(keys) + group
+    scale = signs * np.sqrt(likes[:, index] / total)
+    occ, amp = np.tile(state.occ[:, rest], (len(likes), 1)), np.tile(state.amp, len(likes))
+    return _split(groups.ravel(), occ, amp, scale.ravel())
 
 
 def bell_state_measurement(
@@ -972,11 +991,14 @@ def bell_state_measurement(
     linear-optics success probability at 1/2 for unentangled inputs).
 
     The station (``_interfered``) groups the interfered rows by measured
-    content once, and the four patterns are weighed by the one detector
-    of heralding patterns (``_pattern_likelihoods``), so each outcome
-    equals :func:`threshold_detect` of its pattern on the interfered
-    state.  The ``third_party`` swap station of ``architectures`` heralds
-    through the same two functions.
+    content once, the four patterns are weighed by the one detector of
+    heralding patterns (``_pattern_likelihoods``), and each pattern's
+    state is split by ``_conditioned``, so each outcome equals
+    :func:`threshold_detect` of its pattern on the interfered state.  The
+    ``third_party`` swap station of ``architectures`` and
+    :func:`qubit_amplifier` herald through the same helpers, and nothing
+    in the library calls this function: it keeps the per-pattern view for
+    the tests and the benchmark's tracer.
 
     Args:
         state: Input state; the four measured modes are absorbed.
@@ -991,12 +1013,12 @@ def bell_state_measurement(
     detector = detector or DetectorModel()
     modes = _pair_modes(state, modes_1=modes_1, modes_2=modes_2)
     mixed, contents, index, probabilities = _interfered(state, modes)
-    likelihoods = _pattern_likelihoods(contents, probabilities, detector)
-    detected = _conditionals(mixed, modes, index, *likelihoods)
+    probs, likes = _pattern_likelihoods(contents, probabilities, detector)
+    rest = [k for k in range(state.n_modes) if k not in modes]
     return BsmResult(
         outcomes=tuple(
-            BsmOutcome(label=label, pattern=pattern, probability=prob, state=conditional)
-            for (label, pattern), (prob, conditional) in zip(_BSM_PATTERNS, detected)
+            BsmOutcome(label, pattern, prob, _conditioned(mixed, rest, index, like, prob))
+            for (label, pattern), prob, like in zip(_BSM_PATTERNS, probs.tolist(), likes[:, None])
         )
     )
 
@@ -1082,6 +1104,18 @@ def qubit_amplifier(
     cached per ``T``, ancilla source and detector) and joined to it by one
     tensor product.
 
+    The measurement is the swap station's: ``_interfered`` on the input
+    pair and the reflected ancilla modes, then ``_pattern_likelihoods``.
+    One ``_conditioned`` call gives the state given any herald, on the
+    other modes with the transmitted ancilla modes in the input's places:
+    each pattern's branches keep their likelihood over the summed herald
+    probability, and the feed-forward is a sign per pattern and row,
+    ``(-1) ** (c_1H n_tH + c_1V n_tV)`` for the pattern's clicks ``c`` on
+    the first output port's detectors.  The feed-forward is per pattern,
+    not per Bell-state label: flipping by label differs from it by the
+    photon-parity phase on two patterns, which decoheres an input that
+    superposes zero and one photon.
+
     With ``ancilla_pair_prob`` set, each ancilla photon comes from a
     triggered pair source (see :func:`heralded_single_photon`) instead of an
     ideal source, and the reported success probability includes both
@@ -1106,53 +1140,34 @@ def qubit_amplifier(
     _real("transmission", transmission, _UNIT_OPEN)
     detector = detector or DetectorModel()
     in_h, in_v = _pair_modes(state, input_modes=input_modes)
-    n_modes = state.n_modes
+    n = state.n_modes
     trigger_prob, ancillas = _amplifier_ancillas(transmission, ancilla_pair_prob, detector)
     if ancillas is None:
         return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
-    # The ancillas' four modes (tH, rH, tV, rV) come after the existing ones.
+    # The ancillas' four modes (tH, rH, tV, rV) come after the existing ones,
+    # and the station interferes the input pair with (rH, rV).
     work = tensor_modes(state, ancillas)
-    r_h, r_v = n_modes + 1, n_modes + 3
-    vac_in, single_in = _qubit_populations(state, in_h, in_v)
-
-    bsm = bell_state_measurement(work, (in_h, in_v), (r_h, r_v), detector)
-    # After removing (in_h, in_v, r_h, r_v), the survivors are ordered
-    # (other modes..., tH, tV).
-    out_h, out_v = n_modes - 2, n_modes - 1
-
-    heralds = []
-    for outcome in bsm.outcomes:
-        if outcome.state is None:
-            continue
-        corrected = outcome.state
-        # Feed-forward: under this module's beamsplitter sign convention, a
-        # click on the first output port imprints a minus sign on the
-        # teleported photon of that polarization; undo it so every herald
-        # yields the same output state.
-        if outcome.pattern[0]:
-            corrected = phase_shift(corrected, out_h, np.pi)
-        if outcome.pattern[1]:
-            corrected = phase_shift(corrected, out_v, np.pi)
-        heralds.append((outcome.probability, corrected))
-    if not heralds:  # _pattern_likelihoods zeroed every pattern
+    mixed, contents, index, probabilities = _interfered(work, (in_h, in_v, n + 1, n + 3))
+    probs, likes = _pattern_likelihoods(contents, probabilities, detector)
+    # Feed-forward: under this module's beamsplitter sign convention, a click
+    # on the first output port imprints a minus sign on the teleported photon
+    # of that polarization; undoing it per pattern makes every herald yield
+    # the same output state.
+    signs = (-1.0) ** (_BSM_CLICKS[:, 0, :2] @ mixed.occ[:, [n, n + 2]].T)
+    # tH and tV take the input modes' places, the other modes keep theirs.
+    rest = [{in_h: n, in_v: n + 2}.get(k, k) for k in range(n)]
+    total = float(probs.sum())
+    conditional = _conditioned(mixed, rest, index, likes, total, signs)
+    if conditional is None:  # _pattern_likelihoods zeroed every pattern
         return HeraldRecord(success_probability=0.0, conditional_state=None, gain=None)
-    conditional = mix(heralds)
-
-    # Put the output modes back where the input modes were, the other modes
-    # keeping their relative order.
-    final_order = list(range(n_modes - 2))
-    for position, mode in sorted([(in_h, out_h), (in_v, out_v)]):
-        final_order.insert(position, mode)
-    conditional = permute_modes(conditional, final_order)
 
     gain = None
+    vac_in, single_in = _qubit_populations(state, in_h, in_v)
     vac_out, single_out = _qubit_populations(conditional, in_h, in_v)
     if vac_in > 0 and single_in > 0 and vac_out > 0 and single_out > 0:
         gain = float(np.sqrt((single_out / vac_out) / (single_in / vac_in)))
     return HeraldRecord(
-        success_probability=float(trigger_prob * bsm.success_probability),
-        conditional_state=conditional,
-        gain=gain,
+        success_probability=float(trigger_prob * total), conditional_state=conditional, gain=gain
     )
 
 

@@ -1,10 +1,13 @@
 """Finite-dimensional quantum states and measurements.
 
-This module provides the linear-algebra substrate for the rest of the
-package: validated density operators on tensor products of finite
-subsystems, POVM measurements, and the Born-rule machinery that turns a
-bipartite state plus measurement settings into a table of outcome
-probabilities.
+This module holds the dense reference model: validated density operators
+on tensor products of finite subsystems, POVM measurements, and the
+Born-rule machinery that turns a bipartite state plus measurement settings
+into a table of outcome probabilities.  Nothing else in the package builds
+on that stack; it is the reference the tests check ``photonics`` and
+``bellcert`` against.  What every layer does share from here is
+:class:`CorrelationTable`, the one table type, and the one rule by which
+every layer checks its numeric inputs (``_real`` and ``_integer``).
 
 Everything here is exact (dense matrices, no sampling).  Stochastic
 simulation lives in :mod:`diqkd_lab.keyproto`; photonic mode spaces live

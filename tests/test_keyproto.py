@@ -605,7 +605,8 @@ def sequential_reconcile(alice_bits, bob_bits, q_hat, permutation_seed):
                 bob[segment[0]] ^= 1
                 corrections += 1
     leakage += keyproto._VERIFY_DIGEST_BITS
-    verified = keyproto._verify_digest(alice_bits) == keyproto._verify_digest(bob)
+    size = keyproto._VERIFY_DIGEST_BITS // 8
+    verified = keyproto._bits_digest(alice_bits, size) == keyproto._bits_digest(bob, size)
     return bob, leakage, corrections, verified
 
 

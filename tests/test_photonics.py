@@ -769,13 +769,8 @@ AMPLIFIER_INPUTS = {
 }
 
 
-@pytest.mark.parametrize("ancilla_pair_prob", [None, 0.05], ids=["ideal", "pair-source"])
-@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
-@pytest.mark.parametrize("name", sorted(AMPLIFIER_INPUTS))
-def test_amplifier_matches_joint_pipeline(name, t, ancilla_pair_prob):
-    """Ancillas prepared apart from the input give the joint pipeline's herald."""
-    state, input_modes = AMPLIFIER_INPUTS[name]
-    detector = DetectorModel(0.9, 1e-3)
+def assert_amplifier_is_joint_pipeline(state, input_modes, t, detector, ancilla_pair_prob):
+    """The amplifier's herald is the joint pipeline's mixture, branch for branch."""
     record = qubit_amplifier(state, input_modes, t, detector, ancilla_pair_prob)
     success, conditional = joint_amplifier(state, input_modes, t, detector, ancilla_pair_prob)
     assert record.success_probability == pytest.approx(success, rel=1e-12)
@@ -786,6 +781,35 @@ def test_amplifier_matches_joint_pipeline(name, t, ancilla_pair_prob):
         rtol=0.0,
         atol=1e-14,
     )
+    np.testing.assert_array_equal(record.conditional_state.branch, conditional.branch)
+    np.testing.assert_array_equal(record.conditional_state.occ, conditional.occ)
+    np.testing.assert_allclose(record.conditional_state.amp, conditional.amp, rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("ancilla_pair_prob", [None, 0.05], ids=["ideal", "pair-source"])
+@pytest.mark.parametrize("t", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("name", sorted(AMPLIFIER_INPUTS))
+def test_amplifier_matches_joint_pipeline(name, t, ancilla_pair_prob):
+    """Ancillas prepared apart from the input give the joint pipeline's herald."""
+    state, input_modes = AMPLIFIER_INPUTS[name]
+    assert_amplifier_is_joint_pipeline(
+        state, input_modes, t, DetectorModel(0.9, 1e-3), ancilla_pair_prob
+    )
+
+
+@pytest.mark.parametrize(
+    "state",
+    [polarization_singlet(), loss_channel(loss_channel(polarization_singlet(), 2, 0.0), 3, 0.0)],
+    ids=["arrived", "lost"],
+)
+def test_amplifier_matches_joint_pipeline_on_local_heralding_terms(state):
+    """The local_heralding link's two terms: Bob's photon arrives, or both his modes are empty.
+
+    At high ancilla transmission with pair-source ancillas, every pattern
+    heralds many branches, so a branch numbered under the wrong pattern
+    shows here.
+    """
+    assert_amplifier_is_joint_pipeline(state, (2, 3), 0.99, DetectorModel(0.95, 1e-6), 0.05)
 
 
 @pytest.mark.parametrize("n_pair_max", [1, 2])
@@ -1005,17 +1029,17 @@ REJECTED_INPUTS = (
     (
         lambda: fock([True, 0]),
         DimensionMismatchError,
-        r"occupations \(True, 0\) must be non-negative integers",
+        "occupations must be non-negative integers, got True",
     ),
     (
         lambda: beamsplitter(fock([1, 0]), True, 0, 0.5),
         DimensionMismatchError,
-        r"invalid modes \(True, 0\) for 2 modes",
+        "mode_a and mode_b: need distinct modes below 2, got True",
     ),
     (
         lambda: permute_modes(polarization_singlet(), [True, False, 2, 3]),
         DimensionMismatchError,
-        r"invalid modes \(True, False, 2, 3\) for 4 modes",
+        "order: need distinct modes below 4, got True",
     ),
     # An int no float can hold is refused by name, not printed digit by digit.
     *(
@@ -1029,6 +1053,37 @@ REJECTED_INPUTS = (
             ),
             (lambda: distance_to_transmission(10**400), "length_km must be non-negative and finite"),
             (lambda: mix([(10**400, fock([1]))]), "mixture probability must be non-negative and finite"),
+        )
+    ),
+    # Index refusals name the argument and its first offending entry, never
+    # the whole input.
+    *(
+        (call, DimensionMismatchError, rf"^{message}$")
+        for call, message in (
+            (
+                lambda: fock([-(10**400)]),
+                "occupations must be non-negative integers, got a number no float can hold",
+            ),
+            (
+                lambda: phase_shift(fock([1]), 10**400, 0.1),
+                "mode: need distinct modes below 1, got a number no float can hold",
+            ),
+            (
+                lambda: permute_modes(fock([1, 0]), [0] * 3000),
+                "order: need distinct modes below 2, got 0",
+            ),
+            (
+                lambda: fock([10**400]),
+                "occupations must hold whole numbers, got a number no float can hold",
+            ),
+            (
+                lambda: fock([1]).probability([10**400]),
+                "occupations must hold whole numbers, got a number no float can hold",
+            ),
+            (
+                lambda: ModeMixture([0], [[10**400]], [1.0]),
+                "occ must hold whole numbers, got a number no float can hold",
+            ),
         )
     ),
 )

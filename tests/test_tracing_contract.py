@@ -67,9 +67,10 @@ def test_traced_runs_reach_every_photonics_op(clear_link_caches):
         for name in ARCHITECTURES:
             architectures.run(Scenario(architecture=name, pair_prob=0.01, distance_km=5.0))
         # The runners measure by the Born rule and neither rotate nor call
-        # detection_probabilities, and the Bell-state measurement and the
-        # swap station detect through photonics' station helpers, not
-        # through threshold_detect; these three calls reach those ops.
+        # detection_probabilities, the swap station and the amplifier detect
+        # through photonics' station helpers, not through threshold_detect
+        # or bell_state_measurement, and nothing in the library calls those
+        # ops; these four calls reach them.
         architectures.charlie_independence_residual(
             Scenario(architecture="third_party", distance_km=5.0)
         )
@@ -78,6 +79,11 @@ def test_traced_runs_reach_every_photonics_op(clear_link_caches):
         )
         photonics.threshold_detect(
             photonics.fock([1, 0]), (0,), photonics.DetectorModel(), (True,)
+        )
+        photonics.bell_state_measurement(
+            photonics.tensor_modes(photonics.polarization_singlet(), photonics.polarization_singlet()),
+            (2, 3),
+            (4, 5),
         )
     finally:
         tracer.uninstall()
